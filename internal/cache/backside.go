@@ -7,14 +7,13 @@ import "malec/internal/mem"
 // timing of L2 accesses, but does not significantly impact their number or
 // miss rate"), so the L2 tracks residency and counts only.
 //
-// Residency checks are O(1) by default: a line-ID -> flat-slot hash index
-// replaces the per-access tag scan over all ways (at 16 ways this was the
-// largest remaining per-access scan on the memory side; miss-dominated
-// workloads pay it on every L1 miss). A line maps to exactly one set and is
-// resident in at most one way, so index hit/miss exactly matches the scan.
-// The scan stays behind SetIndexed(false) as the differential reference
-// (config.DisableMemIndex / MALEC_NO_MEM_INDEX=1); victim selection on a
-// miss is the same LRU sweep either way.
+// Residency checks are O(1): a line-ID -> flat-slot hash index replaces
+// the per-access tag scan over all ways (at 16 ways this was the largest
+// remaining per-access scan on the memory side; miss-dominated workloads
+// pay it on every L1 miss). A line maps to exactly one set and is resident
+// in at most one way, so index hit/miss exactly matches a tag scan of the
+// set, the oracle the package tests check it against. Victim selection on
+// a miss is an LRU sweep of the set.
 type L2 struct {
 	ways int
 	sets int
@@ -25,10 +24,8 @@ type L2 struct {
 	lru   []uint64
 	clock uint64
 
-	useIndex bool
 	// idx chains resident flat slots by line ID (physical address >>
-	// LineShift). Maintained on every fill/eviction regardless of mode,
-	// so the toggle may flip anytime.
+	// LineShift), maintained on every fill/eviction.
 	idx *mem.SlotIndex
 
 	Latency     int // cycles added on an L1 miss that hits L2
@@ -56,16 +53,12 @@ func NewL2Custom(capacity, ways, latency int) *L2 {
 	if sets <= 0 {
 		panic("cache: L2 too small")
 	}
-	l := &L2{ways: ways, sets: sets, Latency: latency, useIndex: true}
+	l := &L2{ways: ways, sets: sets, Latency: latency}
 	l.lines = make([]Line, sets*ways)
 	l.lru = make([]uint64, sets*ways)
 	l.idx = mem.NewSlotIndex(sets * ways)
 	return l
 }
-
-// SetIndexed selects between the indexed (default) and scan residency
-// paths. Host-simulator work only, never simulated results.
-func (l *L2) SetIndexed(on bool) { l.useIndex = on }
 
 // lineID is the index key of a line-aligned physical address.
 func lineID(target mem.Addr) uint32 {
@@ -87,23 +80,12 @@ func (l *L2) Access(pa mem.Addr) (hit bool) {
 	l.accesses++
 	base := l.set(pa) * l.ways
 	target := pa.LineAddr()
-	if l.useIndex {
-		for slot := l.idx.First(lineID(target)); slot >= 0; slot = l.idx.Next(slot) {
-			if l.lines[slot].PLine == target {
-				l.hits++
-				l.clock++
-				l.lru[slot] = l.clock
-				return true
-			}
-		}
-	} else {
-		for w := 0; w < l.ways; w++ {
-			if ln := &l.lines[base+w]; ln.Valid && ln.PLine == target {
-				l.hits++
-				l.clock++
-				l.lru[base+w] = l.clock
-				return true
-			}
+	for slot := l.idx.First(lineID(target)); slot >= 0; slot = l.idx.Next(slot) {
+		if l.lines[slot].PLine == target {
+			l.hits++
+			l.clock++
+			l.lru[slot] = l.clock
+			return true
 		}
 	}
 	l.misses++

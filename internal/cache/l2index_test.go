@@ -7,47 +7,78 @@ import (
 	"malec/internal/rng"
 )
 
-// TestL2IndexedMatchesScanRandomized drives an indexed L2 and a
-// scan-configured one through the identical randomized access/writeback
-// stream over a footprint several times the capacity (evictions and
-// re-fills throughout) and demands identical hit/miss outcomes and Stats.
+// scanL2 is the L2 residency oracle: whether pa's line sits in a valid way
+// of its set, found by a tag scan over the set.
+func scanL2(l *L2, pa mem.Addr) bool {
+	base := l.set(pa) * l.ways
+	for _, ln := range l.lines[base : base+l.ways] {
+		if ln.Valid && ln.PLine == pa.LineAddr() {
+			return true
+		}
+	}
+	return false
+}
+
+// lruWay is the victim oracle: the way of pa's set with the oldest stamp
+// (the lowest way on ties).
+func lruWay(l *L2, pa mem.Addr) int {
+	base := l.set(pa) * l.ways
+	way := 0
+	for w := 1; w < l.ways; w++ {
+		if l.lru[base+w] < l.lru[base+way] {
+			way = w
+		}
+	}
+	return way
+}
+
+// mruWay returns the way of pa's set holding the newest stamp, the line
+// the last access touched, or -1 when the set is empty.
+func mruWay(l *L2, pa mem.Addr) int {
+	base := l.set(pa) * l.ways
+	way := -1
+	for w := 0; w < l.ways; w++ {
+		if l.lines[base+w].Valid && (way < 0 || l.lru[base+w] > l.lru[base+way]) {
+			way = w
+		}
+	}
+	return way
+}
+
+// TestL2IndexedMatchesScanRandomized drives one L2 through a randomized
+// access/writeback stream over a footprint several times the capacity
+// (evictions and re-fills throughout) and checks every operation against
+// the scan oracle: the hit/miss outcome, the way a miss fills, and the
+// Stats.
 func TestL2IndexedMatchesScanRandomized(t *testing.T) {
-	indexed := NewL2Custom(1<<14, 4, 12) // small: 16 KB, 64 sets
-	scan := NewL2Custom(1<<14, 4, 12)
-	scan.SetIndexed(false)
+	l := NewL2Custom(1<<14, 4, 12) // small: 16 KB, 64 sets
+	var want L2Stats
 	drv := rng.New(23)
 	for op := 0; op < 100000; op++ {
 		pa := mem.Addr(drv.Intn(1 << 18)) // 4x capacity footprint
+		hit, victim := scanL2(l, pa), lruWay(l, pa)
+		want.Accesses++
+		if hit {
+			want.Hits++
+		} else {
+			want.Misses++
+		}
 		if drv.Intn(8) == 0 {
-			indexed.Writeback(pa)
-			scan.Writeback(pa)
-			continue
+			want.Writebacks++
+			l.Writeback(pa) // its hit/miss shows in the Stats only
+		} else if got := l.Access(pa); got != hit {
+			t.Fatalf("op %d: Access(%v) = %v, oracle %v", op, pa, got, hit)
 		}
-		h1 := indexed.Access(pa)
-		h2 := scan.Access(pa)
-		if h1 != h2 {
-			t.Fatalf("op %d: Access(%v) diverged: indexed=%v scan=%v", op, pa, h1, h2)
+		if !hit {
+			if ln := l.lines[l.set(pa)*l.ways+victim]; !ln.Valid || ln.PLine != pa.LineAddr() {
+				t.Fatalf("op %d: miss on %v did not fill LRU way %d", op, pa, victim)
+			}
 		}
-	}
-	if indexed.Stats() != scan.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", indexed.Stats(), scan.Stats())
-	}
-}
-
-// TestL2IndexToggleMidstream flips the toggle mid-workload: the index is
-// maintained unconditionally, so lookups must stay coherent.
-func TestL2IndexToggleMidstream(t *testing.T) {
-	l := NewL2Custom(1<<14, 4, 12)
-	ref := NewL2Custom(1<<14, 4, 12)
-	ref.SetIndexed(false)
-	drv := rng.New(29)
-	for op := 0; op < 20000; op++ {
-		if op%173 == 0 {
-			l.SetIndexed(op%346 == 0)
+		if way := mruWay(l, pa); way < 0 || l.lines[l.set(pa)*l.ways+way].PLine != pa.LineAddr() {
+			t.Fatalf("op %d: %v is not the most recently used line of its set", op, pa)
 		}
-		pa := mem.Addr(drv.Intn(1 << 17))
-		if l.Access(pa) != ref.Access(pa) {
-			t.Fatalf("op %d: toggled L2 diverged", op)
+		if l.Stats() != want {
+			t.Fatalf("op %d: stats %+v, oracle %+v", op, l.Stats(), want)
 		}
 	}
 }

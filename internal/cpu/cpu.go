@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
 
 	"malec/internal/buffers"
 	"malec/internal/cache"
@@ -244,7 +243,7 @@ type machine struct {
 	robHead uint64 // ring index of the oldest instruction
 	robLen  int
 	// issueHint is the number of leading ROB entries known to be issued;
-	// the escape-hatch issue scan starts there instead of at the head.
+	// the reference issue scan starts there instead of at the head.
 	// Entries never un-issue, so the prefix only shrinks when retire pops
 	// the head.
 	issueHint int
@@ -257,11 +256,11 @@ type machine struct {
 	// panics past it.
 	depLimit uint64
 
-	// wake enables the producer->consumer wakeup scheduler (the default):
-	// a completing producer marks its dependents ready directly, so issue
-	// drains an age-ordered ready set instead of rescanning the ROB every
-	// cycle. The scan path is kept behind Config.DisableWakeup /
-	// MALEC_NO_WAKEUP=1 as the differential reference and debugging aid.
+	// wake enables the producer->consumer wakeup scheduler, set by
+	// newMachine: a completing producer marks its dependents ready
+	// directly, so issue drains an age-ordered ready set instead of
+	// rescanning the ROB every cycle. Only the package tests clear it, to
+	// run the scan path (issueScan) as the scheduler's differential oracle.
 	wake bool
 	// readyMask holds one bit per ROB slot, set while the slot holds an
 	// unissued instruction with no pending producers; issue walks the set
@@ -312,9 +311,10 @@ type machine struct {
 	redirectSeq   uint64
 	redirectUntil int64
 
-	// skipDisabled forces the plain cycle-by-cycle loop (escape hatch for
-	// differential testing and debugging); skippedCycles/skipJumps count
-	// the fast-forward activity for Result.Telemetry.
+	// skipDisabled forces the plain cycle-by-cycle loop; only the package
+	// tests set it, to run that loop as the fast-forward's differential
+	// oracle. skippedCycles/skipJumps count the fast-forward activity for
+	// Result.Telemetry.
 	skipDisabled  bool
 	skippedCycles uint64
 	skipJumps     uint64
@@ -359,12 +359,11 @@ func RunContext(ctx context.Context, cfg config.Config, benchmark string, src So
 }
 
 // RunWithCheckpoints is Run with an optional microarchitectural checkpoint
-// store. When the configuration carries a sampling schedule (and
-// MALEC_NO_SAMPLING is unset, and the source is long enough for at least
-// one interval), the run goes through the sampled fast path and the store
-// is consulted/populated at measurement-window boundaries; otherwise the
-// store is ignored and the run is exact, byte-identical to Run with
-// Sampling == nil.
+// store. When the configuration carries a sampling schedule and the source
+// is long enough for at least one interval, the run goes through the
+// sampled fast path and the store is consulted/populated at
+// measurement-window boundaries; otherwise the store is ignored and the
+// run is exact, byte-identical to Run with Sampling == nil.
 func RunWithCheckpoints(cfg config.Config, benchmark string, src Source, ck Checkpoints) Result {
 	res, err := RunWithCheckpointsContext(nil, cfg, benchmark, src, ck)
 	if err != nil {
@@ -384,7 +383,7 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 			return Result{}, err
 		}
 	}
-	if s := cfg.Sampling; s != nil && os.Getenv("MALEC_NO_SAMPLING") == "" {
+	if s := cfg.Sampling; s != nil {
 		if !s.Valid() {
 			panic(fmt.Sprintf("cpu: invalid sampling schedule %+v (need Detail > 0, Warmup >= 0, Warmup+Detail <= Interval)", *s))
 		}
@@ -419,23 +418,19 @@ func newMachine(cfg config.Config, iface core.Interface, src Source) *machine {
 	m := &machine{cfg: cfg, iface: iface, src: src,
 		lq:  buffers.NewLoadQueue(cfg.LQ),
 		rob: make([]instr, robCap), robMask: uint64(robCap - 1),
-		depLimit: uint64(doneWindow - cfg.ROB),
-		skipDisabled: cfg.DisableCycleSkip ||
-			os.Getenv("MALEC_NO_CYCLE_SKIP") != "",
-		wake: !cfg.DisableWakeup && os.Getenv("MALEC_NO_WAKEUP") == ""}
+		depLimit:    uint64(doneWindow - cfg.ROB),
+		wake:        true,
+		readyMask:   make([]uint64, (robCap+63)/64),
+		readyAt:     make([]int64, robCap),
+		pendingDeps: make([]uint8, robCap),
+		wakeHead:    make([]int32, robCap),
+		wakeNext:    make([]int32, 2*robCap),
+		storeSeqs:   make([]uint64, robCap)}
 	for i := range m.doneAt {
 		m.doneAt[i] = 0 // pre-history: always ready
 	}
-	if m.wake {
-		m.readyMask = make([]uint64, (robCap+63)/64)
-		m.readyAt = make([]int64, robCap)
-		m.pendingDeps = make([]uint8, robCap)
-		m.wakeHead = make([]int32, robCap)
-		for i := range m.wakeHead {
-			m.wakeHead[i] = -1
-		}
-		m.wakeNext = make([]int32, 2*robCap)
-		m.storeSeqs = make([]uint64, robCap)
+	for i := range m.wakeHead {
+		m.wakeHead[i] = -1
 	}
 	return m
 }
@@ -557,8 +552,8 @@ func (m *machine) trySkip() {
 // runs on a stalled cycle — a cycle in which nothing issued or completed —
 // so by then every known done or ready time is <= cycle+1, and trySkip
 // ignores bounds that near. The mispredict refill is the sole multi-cycle
-// core-side deadline. The scan below remains as the escape-hatch reference
-// the differential tests compare against.
+// core-side deadline. The scan below serves the scan issue path, the
+// oracle the package tests compare the wakeup scheduler against.
 func (m *machine) nextCoreWork() int64 {
 	next := core.NoWork
 	if m.redirectSeq != 0 {
@@ -684,7 +679,7 @@ func (m *machine) retire() int {
 }
 
 // ready reports whether an instruction's producers have completed. It is
-// the hottest leaf of the escape-hatch issue scan, so the two dependency
+// the hottest leaf of the reference issue scan, so the two dependency
 // checks are unrolled.
 func (m *machine) ready(in *instr) bool {
 	if d := uint64(in.rec.Dep1); d != 0 && d <= in.seq &&
@@ -795,10 +790,10 @@ func (m *machine) tryIssueSlot(slot uint64) bool {
 	return false
 }
 
-// issueScan is the escape-hatch issue path (Config.DisableWakeup /
-// MALEC_NO_WAKEUP=1): a full scan over the unissued ROB suffix with
-// per-entry readiness checks, kept as the differential reference for the
-// wakeup scheduler.
+// issueScan is the reference issue path, run only by the package tests
+// (machine.wake cleared): a full scan over the unissued ROB suffix with
+// per-entry readiness checks, the differential oracle for the wakeup
+// scheduler.
 func (m *machine) issueScan() int {
 	issued := 0
 	storeBlocked := false

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -167,20 +166,9 @@ func TestWakeupMatchesScanOnMicroTraces(t *testing.T) {
 		"mixed": mixed,
 	}
 	for name, recs := range traces {
-		on := config.MALEC()
-		off := config.MALEC()
-		off.DisableWakeup = true
-		a := Run(on, name, &SliceSource{Records: recs})
-		b := Run(off, name, &SliceSource{Records: recs})
-		ja, err := json.Marshal(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jb, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ja, jb) {
+		a := Run(config.MALEC(), name, &SliceSource{Records: recs})
+		b := runReference(config.MALEC(), name, &SliceSource{Records: recs}, false, true)
+		if !bytes.Equal(mustJSON(t, a), mustJSON(t, b)) {
 			t.Errorf("%s: wakeup result differs from scan (cycles %d vs %d)", name, a.Cycles, b.Cycles)
 		}
 	}

@@ -20,7 +20,6 @@ func ckTestSchedule() *config.Sampling {
 // memory-side digest, so the second sampled run restores every snapshot the
 // first one saved — and the restore must not change its estimate.
 func TestCheckpointReuseAcrossCoreConfigs(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
 	const instructions = 60000
 	sch := ckTestSchedule()
 
@@ -84,7 +83,6 @@ func TestCheckpointReuseAcrossCoreConfigs(t *testing.T) {
 // written by one engine are read back by a fresh engine over the same cache
 // directory, with byte traffic visible in the stats.
 func TestCheckpointDiskPersistence(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
 	const instructions = 60000
 	dir := t.TempDir()
 	sch := ckTestSchedule()
@@ -119,7 +117,6 @@ func TestCheckpointDiskPersistence(t *testing.T) {
 // TestCheckpointEntriesDisables checks the negative-bound escape hatch: no
 // store is constructed, so sampled runs neither save nor restore.
 func TestCheckpointEntriesDisables(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
 	cfg := config.MALEC()
 	cfg.Sampling = ckTestSchedule()
 	e := New(Options{Workers: 1, CheckpointEntries: -1})

@@ -45,15 +45,67 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
+// TestKeyIgnoresHostSimulatorToggles checks a configuration stored by an
+// older version, such as a campaign journal manifest, that still encodes
+// the retired host-simulator toggles, set either way: it decodes (as
+// journal replay decodes it, ignoring unknown fields) to the key the
+// current configuration has.
 func TestKeyIgnoresHostSimulatorToggles(t *testing.T) {
-	// DisableCycleSkip changes how the simulator executes, never what it
-	// computes (differentially tested at the root), so skip-on and
-	// skip-off runs must content-address to the same cache entry.
-	on := config.MALEC()
-	off := config.MALEC()
-	off.DisableCycleSkip = true
-	if KeyFor(on, "gzip", 1000, 1) != KeyFor(off, "gzip", 1000, 1) {
-		t.Fatalf("host-simulator toggle changed the content digest")
+	cfg := config.MALEC()
+	enc, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, toggles := range []string{
+		`"DisableCycleSkip":false,"DisableWakeup":false,"DisableMemIndex":false,`,
+		`"DisableCycleSkip":true,"DisableWakeup":true,"DisableMemIndex":true,`,
+	} {
+		stored := bytes.Replace(enc, []byte(`"Bypass":`), []byte(toggles+`"Bypass":`), 1)
+		var got config.Config
+		if err := json.Unmarshal(stored, &got); err != nil {
+			t.Fatal(err)
+		}
+		if KeyFor(got, "gzip", 1000, 1) != KeyFor(cfg, "gzip", 1000, 1) {
+			t.Errorf("stored config with %s keys differently from the current one", toggles)
+		}
+	}
+}
+
+// TestConfigDigestPinned pins the content digest of every preset, plus one
+// sampled configuration, to the values every stored result, checkpoint,
+// campaign journal and cluster peer already uses. It fails if the JSON
+// encoding, the field order or the splice of the retired host-simulator
+// toggles (retiredFields) changes.
+func TestConfigDigestPinned(t *testing.T) {
+	want := map[string]string{
+		"Base1ldst":           "83622cef8661cb23",
+		"Base2ld1st":          "83622cef5e6fe8e7",
+		"Base2ld1st_1cycleL1": "83622cef9ce61d11",
+		"MALEC":               "da8a674afe09ec76",
+		"MALEC_3cycleL1":      "da8a674ad8419b17",
+		"MALEC_WDU16":         "10a4a4dc790f2060",
+		"MALEC_WDU32":         "021464b6a6055991",
+		"MALEC_WDU8":          "1b563a363774528c",
+		"MALEC_bypass":        "76b3585193c30718",
+		"MALEC_noFeedback":    "c41bcbee26df9e14",
+		"MALEC_noMerge":       "da8a674a516df6cb",
+		"MALEC_noWT":          "8d324afd098c2c8e",
+		"MALEC_segWT":         "a1f97ed70ceb1c8b",
+	}
+	names := config.Names()
+	if len(names) != len(want) {
+		t.Errorf("%d presets registered, %d pinned: pin the digest of every new preset", len(names), len(want))
+	}
+	for _, name := range names {
+		cfg, _ := config.Named(name)
+		if got := ConfigDigest(cfg); got != want[name] {
+			t.Errorf("ConfigDigest(%s) = %s, want %s", name, got, want[name])
+		}
+	}
+	sampled := config.MALEC()
+	sampled.Sampling = config.DefaultSampling()
+	if got, want := ConfigDigest(sampled), "da8a674a20ec1f34"; got != want {
+		t.Errorf("ConfigDigest(MALEC with DefaultSampling) = %s, want %s", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,31 +39,40 @@ func KeyFor(cfg config.Config, benchmark string, instructions int, seed uint64) 
 // characters: the memory-side half (MemSideDigest) followed by a digest of
 // the complete configuration. Every field of config.Config is exported, so
 // the JSON encoding covers the complete machine description in fixed
-// struct order. Host-simulator toggles that never change simulated results
-// are normalized out first, so e.g. skip-on and skip-off runs of the same
-// machine share one cache entry.
+// struct order.
 //
 // The split layout makes the memory-side identity visible in the key: two
 // configurations that differ only core-side (widths, latencies, buffer
 // depths, sampling schedule) share their first 8 characters — and with
 // them the warmed-checkpoint store, which is keyed by MemSideDigest alone.
 func ConfigDigest(cfg config.Config) string {
-	// Cycle skipping, the wakeup scheduler and the memory-side indexes are
-	// semantically invisible (differentially tested); they must not split
-	// the content address. Sampling is NOT normalized out: sampled results
-	// are estimates, never interchangeable with exact ones.
-	cfg.DisableCycleSkip = false
-	cfg.DisableWakeup = false
-	cfg.DisableMemIndex = false
 	enc, err := json.Marshal(cfg)
 	if err != nil {
 		// config.Config contains only plain scalar fields; Marshal
 		// cannot fail on it.
 		panic("engine: config not serializable: " + err.Error())
 	}
-	sum := sha256.Sum256(enc)
+	// Hash the encoding with retiredFields spliced back in before
+	// "Bypass": (a quote inside a string value is escaped, so the match
+	// is always the field name).
+	i := bytes.Index(enc, bypassField)
+	h := sha256.New()
+	h.Write(enc[:i])
+	h.Write(retiredFields)
+	h.Write(enc[i:])
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
 	return MemSideDigest(cfg) + hex.EncodeToString(sum[:4])
 }
+
+var (
+	bypassField = []byte(`"Bypass":`)
+	// retiredFields is the encoding of three host-simulator toggles that
+	// config.Config carried between MSHRs and Bypass. Every digest hashed
+	// them as false, so hashing these bytes in their old place keeps every
+	// engine key, stored result, checkpoint and campaign journal valid.
+	retiredFields = []byte(`"DisableCycleSkip":false,"DisableWakeup":false,"DisableMemIndex":false,`)
+)
 
 // memSideIdentity is the subset of config.Config that determines the
 // functional-warming trajectory and therefore the contents of a warmed

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"malec/internal/cluster"
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/engine"
@@ -519,7 +520,6 @@ func TestCheckpointStatsShapeRegression(t *testing.T) {
 // sampled simulator, return the estimate metadata, cache under a key
 // distinct from the exact run, and reject malformed schedules.
 func TestRunSamplingTier(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
 	ts, _ := newTestServer(t, nil, Options{})
 
 	exactBody := `{"config": "MALEC", "benchmark": "gzip", "instructions": 40000, "seed": 2}`
@@ -582,5 +582,34 @@ func TestRunSamplingTier(t *testing.T) {
 	}
 	if sweep.Jobs != 1 {
 		t.Fatalf("sampled sweep ran %d jobs, want 1", sweep.Jobs)
+	}
+}
+
+// TestInternalPointRejectsLegacyConfig pins the rolling-upgrade behaviour
+// of the internal point API. A peer one version back still encodes the
+// retired host-simulator toggles (DisableCycleSkip, DisableWakeup,
+// DisableMemIndex) in its config. Strict decoding must answer that body
+// with 400, a request error the sender fails over from and finally runs
+// locally, never with a 500. The same point without the toggles is served.
+func TestInternalPointRejectsLegacyConfig(t *testing.T) {
+	clu := cluster.New(cluster.Options{Self: "http://127.0.0.1:1"})
+	ts, _ := newTestServer(t, stubSim, Options{Cluster: clu})
+	cfg := config.MALEC()
+	enc, err := json.Marshal(cluster.PointRequest{Config: cfg, Benchmark: "gzip",
+		Instructions: 1000, Seed: 1, Key: engine.KeyFor(cfg, "gzip", 1000, 1).String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := string(enc)
+	legacy := strings.Replace(current, `"Bypass":`,
+		`"DisableCycleSkip":false,"DisableWakeup":false,"DisableMemIndex":false,"Bypass":`, 1)
+	if legacy == current {
+		t.Fatal("request encoding has no Bypass field to splice before")
+	}
+	if resp, body := post(t, ts.URL+"/internal/v1/point", legacy); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("legacy point body: status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	if resp, body := post(t, ts.URL+"/internal/v1/point", current); resp.StatusCode != http.StatusOK {
+		t.Fatalf("current point body: status %d, want 200 (%s)", resp.StatusCode, body)
 	}
 }

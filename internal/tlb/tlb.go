@@ -38,23 +38,21 @@ func (s Stats) MissRate() float64 {
 // page ("uTLB and TLB need to be modified to allow lookups based on
 // physical, in addition to virtual, PageIDs").
 //
-// Lookups are O(1) by default: two compact chain indexes (VPage and PPage
-// bucket chains over the entry array, fixed flat arrays, zero steady-state
-// allocations) are maintained through insert/evict/invalidate, replacing
-// the linear scans over the entry array on the simulation hot path. The
-// scans are kept verbatim behind SetIndexed(false) — the differential
-// reference used by config.DisableMemIndex / MALEC_NO_MEM_INDEX=1 — and
-// both paths make identical replacement-policy calls and count identical
-// Stats. When several valid entries share a page (possible through the
-// public API, never through an injective page table) they coexist in one
-// chain and lookups return the lowest entry index, matching the scans.
+// Lookups are O(1): two compact chain indexes (VPage and PPage bucket
+// chains over the entry array, fixed flat arrays, zero steady-state
+// allocations) are maintained through insert/evict/invalidate instead of
+// scanning the entry array on the simulation hot path. Every lookup and
+// fill choice matches a linear scan over the entries, the oracle the
+// package tests check it against. When several valid entries share a page
+// (possible through the public API, never through an injective page table)
+// they coexist in one chain and lookups return the lowest entry index, as
+// a scan would.
 type TLB struct {
 	Name    string
 	entries []Entry
 	pol     Policy
 	stats   Stats
 
-	useIndex bool
 	vIdx     *mem.SlotIndex // VPage bucket chains over valid entries
 	pIdx     *mem.SlotIndex // PPage bucket chains over valid entries
 	freeMask []uint64       // bit set = entry invalid; lowest set bit is the scan's fill choice
@@ -70,13 +68,11 @@ type TLB struct {
 }
 
 // New returns a TLB with size entries and the given replacement policy.
-// The indexed lookup path is enabled; SetIndexed(false) reverts to scans.
 func New(name string, size int, pol Policy) *TLB {
 	t := &TLB{
 		Name:     name,
 		entries:  make([]Entry, size),
 		pol:      pol,
-		useIndex: true,
 		vIdx:     mem.NewSlotIndex(size),
 		pIdx:     mem.NewSlotIndex(size),
 		freeMask: make([]uint64, (size+63)/64),
@@ -86,12 +82,6 @@ func New(name string, size int, pol Policy) *TLB {
 	}
 	return t
 }
-
-// SetIndexed selects between the indexed (default) and scan lookup paths.
-// The indexes are maintained either way, so the toggle may flip at any
-// time; it changes host-simulator work only, never simulated results
-// (differentially tested).
-func (t *TLB) SetIndexed(on bool) { t.useIndex = on }
 
 // setEntry installs e in slot idx, keeping the chain indexes and the free
 // mask in sync with the entry array. Every valid entry is linked into both
@@ -141,8 +131,8 @@ func (t *TLB) findP(p mem.PageID) int {
 	return int(best)
 }
 
-// firstFree returns the lowest invalid entry index, or -1 when full — the
-// same choice the scan fill path makes, read from the free mask.
+// firstFree returns the lowest invalid entry index, or -1 when full, read
+// from the free mask.
 func (t *TLB) firstFree() int {
 	if t.live == len(t.entries) {
 		return -1
@@ -168,21 +158,10 @@ func (t *TLB) Entry(i int) Entry { return t.entries[i] }
 // state and returns the entry index.
 func (t *TLB) Lookup(v mem.PageID) (idx int, e Entry, hit bool) {
 	t.stats.Lookups++
-	if t.useIndex {
-		if i := t.findV(v); i >= 0 {
-			t.stats.Hits++
-			t.pol.Touch(i)
-			return i, t.entries[i], true
-		}
-		t.stats.Misses++
-		return -1, Entry{}, false
-	}
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].VPage == v {
-			t.stats.Hits++
-			t.pol.Touch(i)
-			return i, t.entries[i], true
-		}
+	if i := t.findV(v); i >= 0 {
+		t.stats.Hits++
+		t.pol.Touch(i)
+		return i, t.entries[i], true
 	}
 	t.stats.Misses++
 	return -1, Entry{}, false
@@ -190,16 +169,8 @@ func (t *TLB) Lookup(v mem.PageID) (idx int, e Entry, hit bool) {
 
 // Probe is Lookup without statistics or replacement-state side effects.
 func (t *TLB) Probe(v mem.PageID) (idx int, e Entry, hit bool) {
-	if t.useIndex {
-		if i := t.findV(v); i >= 0 {
-			return i, t.entries[i], true
-		}
-		return -1, Entry{}, false
-	}
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].VPage == v {
-			return i, t.entries[i], true
-		}
+	if i := t.findV(v); i >= 0 {
+		return i, t.entries[i], true
 	}
 	return -1, Entry{}, false
 }
@@ -208,18 +179,9 @@ func (t *TLB) Probe(v mem.PageID) (idx int, e Entry, hit bool) {
 // fills/evictions to find the page's way-table entry).
 func (t *TLB) ReverseLookup(p mem.PageID) (idx int, e Entry, hit bool) {
 	t.stats.ReverseLookups++
-	if t.useIndex {
-		if i := t.findP(p); i >= 0 {
-			t.stats.ReverseHits++
-			return i, t.entries[i], true
-		}
-		return -1, Entry{}, false
-	}
-	for i := range t.entries {
-		if t.entries[i].Valid && t.entries[i].PPage == p {
-			t.stats.ReverseHits++
-			return i, t.entries[i], true
-		}
+	if i := t.findP(p); i >= 0 {
+		t.stats.ReverseHits++
+		return i, t.entries[i], true
 	}
 	return -1, Entry{}, false
 }
@@ -228,17 +190,7 @@ func (t *TLB) ReverseLookup(p mem.PageID) (idx int, e Entry, hit bool) {
 // the index used. Invalid entries are preferred over evictions.
 func (t *TLB) Insert(v, p mem.PageID) int {
 	t.stats.Inserts++
-	idx := -1
-	if t.useIndex {
-		idx = t.firstFree()
-	} else {
-		for i := range t.entries {
-			if !t.entries[i].Valid {
-				idx = i
-				break
-			}
-		}
-	}
+	idx := t.firstFree()
 	if idx < 0 {
 		idx = t.pol.Victim()
 		if t.entries[idx].Valid {

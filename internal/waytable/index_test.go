@@ -1,6 +1,7 @@
 package waytable
 
 import (
+	"fmt"
 	"testing"
 
 	"malec/internal/mem"
@@ -8,12 +9,44 @@ import (
 	"malec/internal/tlb"
 )
 
-// driveStores runs the identical randomized slot/line workload against an
-// indexed store and a scan-configured reference, comparing every return
-// value. The page space is small enough that slots are recycled and (via
-// direct Reset calls) duplicate pages occur, and for segmented tables the
-// pool is undersized so FIFO chunk replacement engages.
-func driveStores(t *testing.T, indexed, scan Store, slots int) {
+// scanSlot is the SlotFor oracle: the lowest valid slot describing page p,
+// or -1, found by scanning the store's slot array.
+func scanSlot(st Store, p mem.PageID) int {
+	switch t := st.(type) {
+	case *Table:
+		for i := range t.pages {
+			if t.valid[i] && t.pages[i] == p {
+				return i
+			}
+		}
+	case *SegmentedTable:
+		for i, s := range t.slots {
+			if s.valid && s.page == p {
+				return i
+			}
+		}
+	default:
+		panic(fmt.Sprintf("waytable: no SlotFor oracle for %T", st))
+	}
+	return -1
+}
+
+// checkSlots compares SlotFor with the scan oracle for pages 0..pages-1.
+func checkSlots(t *testing.T, op int, st Store, pages int) {
+	t.Helper()
+	for p := mem.PageID(0); p < mem.PageID(pages); p++ {
+		if got, want := st.SlotFor(p), scanSlot(st, p); got != want {
+			t.Fatalf("op %d: SlotFor(%d) = %d, oracle %d", op, p, got, want)
+		}
+	}
+}
+
+// driveStores runs a randomized slot/line workload against one store and
+// checks SlotFor against the scan oracle for every page after every
+// operation. The page space is small enough that slots are recycled and
+// (via direct Reset calls) duplicate pages occur, and for segmented tables
+// the pool is undersized so FIFO chunk replacement engages.
+func driveStores(t *testing.T, st Store, slots int) {
 	t.Helper()
 	const pageSpace = 16
 	const ops = 30000
@@ -23,195 +56,127 @@ func driveStores(t *testing.T, indexed, scan Store, slots int) {
 		page := mem.PageID(drv.Intn(pageSpace))
 		line := uint32(drv.Intn(mem.LinesPerPage))
 		way := drv.Intn(mem.L1Ways)
-		switch drv.Intn(8) {
+		switch drv.Intn(6) {
 		case 0:
-			indexed.Reset(idx, page)
-			scan.Reset(idx, page)
+			st.Reset(idx, page)
 		case 1:
-			indexed.InvalidateSlot(idx)
-			scan.InvalidateSlot(idx)
+			st.InvalidateSlot(idx)
 		case 2:
-			indexed.SetLine(idx, line, way)
-			scan.SetLine(idx, line, way)
+			st.SetLine(idx, line, way)
 		case 3:
-			indexed.InvalidateLine(idx, line)
-			scan.InvalidateLine(idx, line)
+			st.InvalidateLine(idx, line)
 		case 4:
-			if s1, s2 := indexed.SlotFor(page), scan.SlotFor(page); s1 != s2 {
-				t.Fatalf("op %d: SlotFor(%d) diverged: %d vs %d", op, page, s1, s2)
-			}
+			st.Read(idx, line)
 		case 5:
-			w1, k1 := indexed.Read(idx, line)
-			w2, k2 := scan.Read(idx, line)
-			if w1 != w2 || k1 != k2 {
-				t.Fatalf("op %d: Read(%d,%d) diverged: (%d,%v) vs (%d,%v)",
-					op, idx, line, w1, k1, w2, k2)
-			}
-		case 6:
-			p1, v1 := indexed.PageAt(idx)
-			p2, v2 := scan.PageAt(idx)
-			if p1 != p2 || v1 != v2 {
-				t.Fatalf("op %d: PageAt(%d) diverged", op, idx)
-			}
-		case 7:
-			dst := drv.Intn(slots)
-			indexed.CopyFrom(dst, indexed, idx)
-			scan.CopyFrom(dst, scan, idx)
+			st.CopyFrom(drv.Intn(slots), st, idx)
 		}
-	}
-	// Final sweep: every page's SlotFor and every slot's full line state.
-	for page := mem.PageID(0); page < pageSpace; page++ {
-		if s1, s2 := indexed.SlotFor(page), scan.SlotFor(page); s1 != s2 {
-			t.Fatalf("final SlotFor(%d): %d vs %d", page, s1, s2)
-		}
-	}
-	for idx := 0; idx < slots; idx++ {
-		for line := uint32(0); line < mem.LinesPerPage; line++ {
-			w1, k1 := indexed.Peek(idx, line)
-			w2, k2 := scan.Peek(idx, line)
-			if w1 != w2 || k1 != k2 {
-				t.Fatalf("final Peek(%d,%d): (%d,%v) vs (%d,%v)", idx, line, w1, k1, w2, k2)
-			}
-		}
+		checkSlots(t, op, st, pageSpace)
 	}
 }
 
-// TestTableIndexedMatchesScanRandomized cross-checks the full Table's
-// indexed SlotFor against the scan reference over a randomized workload.
+// TestTableIndexedMatchesScanRandomized checks the full Table's indexed
+// SlotFor against the scan oracle over a randomized workload.
 func TestTableIndexedMatchesScanRandomized(t *testing.T) {
-	const slots = 8
-	indexed := NewTable("idx", slots)
-	scan := NewTable("scan", slots)
-	scan.SetIndexed(false)
-	driveStores(t, indexed, scan, slots)
-	if indexed.Stats() != scan.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", indexed.Stats(), scan.Stats())
-	}
+	driveStores(t, NewTable("idx", 8), 8)
 }
 
-// TestSegmentedIndexedMatchesScanRandomized cross-checks the segmented
-// table (indexed SlotFor, direct-mapped chunk association, packed codes,
-// bitmap free list) against a scan-configured instance under pool pressure
-// (pool half the full-table chunk demand, so FIFO replacement runs).
+// TestSegmentedIndexedMatchesScanRandomized checks the segmented table's
+// indexed SlotFor against the scan oracle under pool pressure (pool half
+// the full-table chunk demand, so FIFO replacement runs).
 func TestSegmentedIndexedMatchesScanRandomized(t *testing.T) {
 	const slots, chunkLines = 8, 16
 	pool := slots * (mem.LinesPerPage / chunkLines) / 2
-	indexed := NewSegmentedTable("idx", slots, chunkLines, pool)
-	scan := NewSegmentedTable("scan", slots, chunkLines, pool)
-	scan.SetIndexed(false)
-	driveStores(t, indexed, scan, slots)
-	if indexed.Stats() != scan.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", indexed.Stats(), scan.Stats())
-	}
+	driveStores(t, NewSegmentedTable("idx", slots, chunkLines, pool), slots)
 }
 
-// chainTLBHooks wraps a TLB's already-installed OnEvict/OnInsert hooks
-// (the PageSystem's synchronization callbacks) with recorders, preserving
-// the original behaviour.
-func chainTLBHooks(name string, t *tlb.TLB, log *[]hookRec) {
-	evict, insert := t.OnEvict, t.OnInsert
-	t.OnEvict = func(idx int, old tlb.Entry) {
-		*log = append(*log, hookRec{name, "evict", idx, old})
-		if evict != nil {
-			evict(idx, old)
+// scanTLB is the TLB lookup oracle: the lowest valid entry whose virtual
+// (phys false) or physical (phys true) page is p, or -1.
+func scanTLB(t *tlb.TLB, p mem.PageID, phys bool) int {
+	for i := 0; i < t.Size(); i++ {
+		e := t.Entry(i)
+		if e.Valid && (!phys && e.VPage == p || phys && e.PPage == p) {
+			return i
 		}
 	}
-	t.OnInsert = func(idx int, e tlb.Entry) {
-		*log = append(*log, hookRec{name, "insert", idx, e})
-		if insert != nil {
-			insert(idx, e)
+	return -1
+}
+
+// checkLockstep verifies that way store st mirrors TLB tl slot for slot —
+// the invariant every TLB OnEvict/OnInsert hook maintains — and that
+// SlotFor matches the scan oracle for every resident page.
+func checkLockstep(t *testing.T, op int, tl *tlb.TLB, st Store) {
+	t.Helper()
+	for i := 0; i < tl.Size(); i++ {
+		e := tl.Entry(i)
+		page, ok := st.PageAt(i)
+		if ok != e.Valid || ok && page != e.PPage {
+			t.Fatalf("op %d: %s slot %d holds %+v, way store (%d,%v)", op, tl.Name, i, e, page, ok)
+		}
+		if ok {
+			if got, want := st.SlotFor(page), scanSlot(st, page); got != want {
+				t.Fatalf("op %d: %s SlotFor(%d) = %d, oracle %d", op, tl.Name, page, got, want)
+			}
 		}
 	}
 }
 
-type hookRec struct {
-	tlb  string
-	kind string
-	idx  int
-	e    tlb.Entry
-}
-
-// TestPageSystemHookOrderIndexedVsScan builds two complete
-// hierarchy+page-system stacks — one indexed, one scan — and drives
-// identical translate/fill/evict/feedback traffic, recording the order of
-// every TLB OnEvict/OnInsert hook (through which all WT/uWT
-// synchronization flows). The sequences must be identical, and so must
-// every way-determination lookup.
+// TestPageSystemHookOrderIndexedVsScan builds a complete hierarchy and page
+// system and drives translate/fill/evict/feedback traffic through it. Every
+// translation and reverse lookup is checked against the TLB scan oracle,
+// and after every operation the uWT/WT must mirror the uTLB/TLB slot for
+// slot with SlotFor matching its scan oracle: the state the TLB hooks
+// (through which all WT/uWT synchronization flows) must leave behind when
+// run in the right order.
 func TestPageSystemHookOrderIndexedVsScan(t *testing.T) {
-	type stack struct {
-		sys   *PageSystem
-		hier  *tlb.Hierarchy
-		hooks *[]hookRec
-	}
-	build := func(indexed bool) stack {
-		u := tlb.New("uTLB", 4, tlb.NewPolicy("second-chance", 4, rng.New(1)))
-		m := tlb.New("TLB", 16, tlb.NewPolicy("random", 16, rng.New(2)))
-		h := &tlb.Hierarchy{U: u, Main: m, PT: tlb.NewPageTable()}
-		sys := NewPageSystem(h)
-		if !indexed {
-			u.SetIndexed(false)
-			m.SetIndexed(false)
-			sys.SetIndexed(false)
-		}
-		log := &[]hookRec{}
-		chainTLBHooks("u", u, log)
-		chainTLBHooks("m", m, log)
-		return stack{sys: sys, hier: h, hooks: log}
-	}
-	a := build(true)
-	b := build(false)
+	u := tlb.New("uTLB", 4, tlb.NewPolicy("second-chance", 4, rng.New(1)))
+	m := tlb.New("TLB", 16, tlb.NewPolicy("random", 16, rng.New(2)))
+	h := &tlb.Hierarchy{U: u, Main: m, PT: tlb.NewPageTable()}
+	sys := NewPageSystem(h)
 	drv := rng.New(17)
 	for op := 0; op < 20000; op++ {
 		page := mem.PageID(drv.Intn(64))
 		off := uint32(drv.Intn(mem.PageSize)) &^ 7
-		va := mem.MakeAddr(page, off)
 		switch drv.Intn(4) {
 		case 0, 1:
-			ra := a.hier.Translate(va.Page())
-			rb := b.hier.Translate(va.Page())
-			if ra != rb {
-				t.Fatalf("op %d: Translate diverged: %+v vs %+v", op, ra, rb)
+			level, ui, ti := tlb.LevelWalk, scanTLB(u, page, false), scanTLB(m, page, false)
+			if ui >= 0 {
+				level = tlb.LevelUTLB
+			} else if ti >= 0 {
+				level = tlb.LevelTLB
 			}
-			pa := mem.MakeAddr(ra.PPage, off)
-			wa, ka := a.sys.Lookup(pa, ra.UIdx)
-			wb, kb := b.sys.Lookup(pa, rb.UIdx)
-			if wa != wb || ka != kb {
-				t.Fatalf("op %d: way lookup diverged: (%d,%v) vs (%d,%v)", op, wa, ka, wb, kb)
+			r := h.Translate(page)
+			if r.Level != level || level == tlb.LevelUTLB && (r.UIdx != ui || r.TIdx != ti) ||
+				level == tlb.LevelTLB && r.TIdx != ti {
+				t.Fatalf("op %d: Translate(%d) = %+v, oracle level %v uIdx %d tIdx %d", op, page, r, level, ui, ti)
 			}
-			if !ka {
-				way := drv.Intn(mem.L1Ways)
-				a.sys.Feedback(pa, ra.UIdx, way)
-				b.sys.Feedback(pa, rb.UIdx, way)
+			pa := mem.MakeAddr(r.PPage, off)
+			if _, known := sys.Lookup(pa, r.UIdx); !known {
+				sys.Feedback(pa, r.UIdx, drv.Intn(mem.L1Ways))
 			}
-		case 2:
+		case 2, 3:
 			pa := mem.MakeAddr(mem.PageID(drv.Intn(1<<14)), off)
-			way := drv.Intn(mem.L1Ways)
-			a.sys.OnFill(pa.LineAddr(), 0, way)
-			b.sys.OnFill(pa.LineAddr(), 0, way)
-		case 3:
-			pa := mem.MakeAddr(mem.PageID(drv.Intn(1<<14)), off)
-			a.sys.OnEvict(pa.LineAddr(), 0, 0)
-			b.sys.OnEvict(pa.LineAddr(), 0, 0)
+			ui, ti := h.ReverseLookup(pa.Page())
+			if want := scanTLB(u, pa.Page(), true); ui != want {
+				t.Fatalf("op %d: uTLB ReverseLookup(%d) = %d, oracle %d", op, pa.Page(), ui, want)
+			}
+			if want := scanTLB(m, pa.Page(), true); ti != want {
+				t.Fatalf("op %d: TLB ReverseLookup(%d) = %d, oracle %d", op, pa.Page(), ti, want)
+			}
+			if op%2 == 0 {
+				sys.OnFill(pa.LineAddr(), 0, drv.Intn(mem.L1Ways))
+			} else {
+				sys.OnEvict(pa.LineAddr(), 0, 0)
+			}
 		}
-	}
-	if len(*a.hooks) != len(*b.hooks) {
-		t.Fatalf("hook counts diverged: %d vs %d", len(*a.hooks), len(*b.hooks))
-	}
-	for i := range *a.hooks {
-		if (*a.hooks)[i] != (*b.hooks)[i] {
-			t.Fatalf("hook %d diverged: %+v vs %+v", i, (*a.hooks)[i], (*b.hooks)[i])
-		}
-	}
-	ka, ta := a.sys.Coverage()
-	kb, tb := b.sys.Coverage()
-	if ka != kb || ta != tb {
-		t.Fatalf("coverage diverged: %d/%d vs %d/%d", ka, ta, kb, tb)
+		checkLockstep(t, op, u, sys.UWT)
+		checkLockstep(t, op, m, sys.WT)
 	}
 }
 
 // BenchmarkWayTableRead measures the way-table hot path — SlotFor (the
 // reverse-lookup-driven maintenance entry point) followed by an entry
-// read — for the full and segmented tables, indexed vs scan.
+// read — for the full and segmented tables: the indexed SlotFor against
+// the scanSlot oracle.
 func BenchmarkWayTableRead(b *testing.B) {
 	const slots = 64
 	mk := func(seg bool) Store {
@@ -223,18 +188,15 @@ func BenchmarkWayTableRead(b *testing.B) {
 	for _, bench := range []struct {
 		name    string
 		seg     bool
-		indexed bool
+		slotFor func(Store, mem.PageID) int
 	}{
-		{"table/indexed", false, true},
-		{"table/scan", false, false},
-		{"segmented/indexed", true, true},
-		{"segmented/scan", true, false},
+		{"table/indexed", false, Store.SlotFor},
+		{"table/scan", false, scanSlot},
+		{"segmented/indexed", true, Store.SlotFor},
+		{"segmented/scan", true, scanSlot},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			st := mk(bench.seg)
-			if x, ok := st.(interface{ SetIndexed(bool) }); ok {
-				x.SetIndexed(bench.indexed)
-			}
 			for i := 0; i < slots; i++ {
 				st.Reset(i, mem.PageID(100+i))
 				for l := uint32(0); l < mem.LinesPerPage; l += 2 {
@@ -245,7 +207,7 @@ func BenchmarkWayTableRead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				page := mem.PageID(100 + i%slots)
-				s := st.SlotFor(page)
+				s := bench.slotFor(st, page)
 				if s < 0 {
 					b.Fatal("resident page has no slot")
 				}

@@ -70,9 +70,9 @@ type segChunk struct {
 // (slot, part) -> chunk association is a direct-mapped table consulted by
 // Read/Peek/SetLine instead of a pool scan, free chunks come from a bitmap
 // whose lowest set bit reproduces the scan's first-free choice, and SlotFor
-// goes through a page->slot hash index (scan kept behind SetIndexed(false)
-// as the differential reference). Allocation and replacement decisions are
-// identical to the scanning implementation.
+// goes through a page->slot hash index, checked against a scan over PageAt
+// by the package tests. Allocation and replacement decisions are identical
+// to the scanning implementation.
 type SegmentedTable struct {
 	name         string
 	chunkLines   int
@@ -85,9 +85,7 @@ type SegmentedTable struct {
 	freeCount    int
 	fifo         int
 	stats        TableStats
-
-	useIndex bool
-	idx      *mem.SlotIndex // page bucket chains over valid slots
+	idx          *mem.SlotIndex // page bucket chains over valid slots
 }
 
 type segSlot struct {
@@ -110,7 +108,6 @@ func NewSegmentedTable(name string, size, chunkLines, poolChunks int) *Segmented
 		codes:        make([]uint8, poolChunks*chunkLines),
 		freeMask:     make([]uint64, (poolChunks+63)/64),
 		freeCount:    poolChunks,
-		useIndex:     true,
 		idx:          mem.NewSlotIndex(size),
 	}
 	t.chunkOf = make([]int32, size*t.partsPerPage)
@@ -123,9 +120,6 @@ func NewSegmentedTable(name string, size, chunkLines, poolChunks int) *Segmented
 	}
 	return t
 }
-
-// SetIndexed selects between the indexed (default) and scan SlotFor paths.
-func (t *SegmentedTable) SetIndexed(on bool) { t.useIndex = on }
 
 // Size implements Store.
 func (t *SegmentedTable) Size() int { return len(t.slots) }
@@ -184,23 +178,15 @@ func (t *SegmentedTable) release(c int) {
 	t.freeCount++
 }
 
-// SlotFor implements Store.
+// SlotFor implements Store: the lowest valid slot describing p, or -1.
 func (t *SegmentedTable) SlotFor(p mem.PageID) int {
-	if t.useIndex {
-		best := int32(-1)
-		for i := t.idx.First(uint32(p)); i >= 0; i = t.idx.Next(i) {
-			if t.slots[i].page == p && (best < 0 || i < best) {
-				best = i
-			}
-		}
-		return int(best)
-	}
-	for i := range t.slots {
-		if t.slots[i].valid && t.slots[i].page == p {
-			return i
+	best := int32(-1)
+	for i := t.idx.First(uint32(p)); i >= 0; i = t.idx.Next(i) {
+		if t.slots[i].page == p && (best < 0 || i < best) {
+			best = i
 		}
 	}
-	return -1
+	return int(best)
 }
 
 // PageAt implements Store.

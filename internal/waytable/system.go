@@ -83,19 +83,6 @@ func NewPageSystemWith(hier *tlb.Hierarchy, uwt, wt Store) *PageSystem {
 	return s
 }
 
-// SetIndexed toggles the indexed SlotFor path on both way stores (the
-// config.DisableMemIndex / MALEC_NO_MEM_INDEX escape hatch; the TLBs carry
-// their own toggle). Host-simulator work only, never simulated results.
-func (s *PageSystem) SetIndexed(on bool) {
-	type indexed interface{ SetIndexed(bool) }
-	if t, ok := s.UWT.(indexed); ok {
-		t.SetIndexed(on)
-	}
-	if t, ok := s.WT.(indexed); ok {
-		t.SetIndexed(on)
-	}
-}
-
 // onTLBInsert allocates a fresh (all-unknown) WT entry for the new page.
 func (s *PageSystem) onTLBInsert(idx int, e tlb.Entry) {
 	s.WT.Reset(idx, e.PPage)

@@ -1,8 +1,7 @@
 package malec
 
 import (
-	"bytes"
-	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -13,7 +12,43 @@ func samplingTestSchedule() *Sampling {
 	return &Sampling{Warmup: 200, Detail: 800, Interval: 20000}
 }
 
-// TestSampledDifferentialGrid runs the full cycle-skip grid (five interface
+// samplingGrid is the config x benchmark x seed grid the sampled
+// differential covers: all three interface kinds plus the WDU and bypass
+// extensions, over both paper workloads and the stall-heavy stress
+// profiles.
+func samplingGrid() []struct {
+	Cfg   Config
+	Bench string
+	Seed  uint64
+} {
+	configs := []Config{
+		Base1ldst(),
+		Base2ld1st(),
+		MALEC(),
+		MALECWithWDU(16),
+		MALECBypass(),
+	}
+	benchmarks := append([]string{"gzip", "mcf", "swim"}, StressBenchmarks()...)
+	var grid []struct {
+		Cfg   Config
+		Bench string
+		Seed  uint64
+	}
+	for _, c := range configs {
+		for _, b := range benchmarks {
+			for _, s := range []uint64{1, 2} {
+				grid = append(grid, struct {
+					Cfg   Config
+					Bench string
+					Seed  uint64
+				}{c, b, s})
+			}
+		}
+	}
+	return grid
+}
+
+// TestSampledDifferentialGrid runs the sampling grid (five interface
 // variants, paper + stress workloads, two seeds) through both the exact and
 // the sampled path and checks the contract of the estimate:
 //
@@ -25,11 +60,10 @@ func samplingTestSchedule() *Sampling {
 //     see (cold-start transients inside each burst);
 //   - the estimate metadata (window count, schedule echo) is consistent.
 func TestSampledDifferentialGrid(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
 	const instructions = 200000
 	sch := samplingTestSchedule()
 	nWin := instructions / sch.Interval
-	for _, g := range skipGrid() {
+	for _, g := range samplingGrid() {
 		exact := Run(g.Cfg, g.Bench, instructions, g.Seed)
 		scfg := g.Cfg
 		scfg.Sampling = sch
@@ -66,44 +100,9 @@ func TestSampledDifferentialGrid(t *testing.T) {
 	}
 }
 
-// TestSamplingEnvEscapeHatch pins the differential reference: with
-// MALEC_NO_SAMPLING=1 a config carrying a sampling schedule produces a
-// Result byte-identical (full JSON, every counter) to the plain exact run.
-func TestSamplingEnvEscapeHatch(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
-	scfg := MALEC()
-	scfg.Sampling = samplingTestSchedule()
-	const instructions = 100000
-
-	ref := Run(MALEC(), "gzip", instructions, 1)
-	sampled := Run(scfg, "gzip", instructions, 1)
-	if sampled.Sampling == nil {
-		t.Fatal("sampled path did not engage with the env hatch unset")
-	}
-
-	t.Setenv("MALEC_NO_SAMPLING", "1")
-	forced := Run(scfg, "gzip", instructions, 1)
-	if forced.Sampling != nil {
-		t.Fatal("MALEC_NO_SAMPLING=1 still produced a sampling estimate")
-	}
-	jRef, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jForced, err := json.Marshal(forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jRef, jForced) {
-		t.Fatalf("MALEC_NO_SAMPLING=1 result differs from exact reference (cycles %d vs %d)",
-			forced.Cycles, ref.Cycles)
-	}
-}
-
 // TestSamplingShortRunFallsBack checks that runs shorter than one interval
 // silently use the exact path: same Result as without a schedule.
 func TestSamplingShortRunFallsBack(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
 	scfg := MALEC()
 	scfg.Sampling = samplingTestSchedule()
 	short := Run(scfg, "gzip", scfg.Sampling.Interval-1, 1)
@@ -115,4 +114,13 @@ func TestSamplingShortRunFallsBack(t *testing.T) {
 		t.Fatalf("sub-interval fallback diverged from exact run: %d vs %d cycles",
 			short.Cycles, ref.Cycles)
 	}
+}
+
+// relErr returns |a-b| / max(|a|, |b|), 0 when both are zero.
+func relErr(a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	m := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b) / m
 }
