@@ -154,6 +154,25 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineMsKeepsServerTimeout pins deadline_ms as tighten-only
+// at any magnitude: a value whose product with time.Millisecond overflows
+// must not wrap negative and switch the server's RequestTimeout off.
+func TestHugeDeadlineMsKeepsServerTimeout(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	ts, _, _ := newBlockingServer(t, Options{RequestTimeout: 50 * time.Millisecond}, entered, nil)
+	client := &http.Client{Timeout: 5 * time.Second}
+	body := `{"config":"MALEC","benchmark":"gzip","instructions":1000,"seed":1,"deadline_ms":10000000000000}`
+	resp, err := client.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("no reply within 5s under a 50ms server timeout: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, raw)
+	}
+}
+
 func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})

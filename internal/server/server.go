@@ -21,11 +21,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,6 +39,7 @@ import (
 	"malec/internal/cpu"
 	"malec/internal/engine"
 	"malec/internal/metrics"
+	"malec/internal/stats"
 	"malec/internal/trace"
 )
 
@@ -129,6 +135,8 @@ type Server struct {
 	// endpoints lists every instrumented route in registration order,
 	// for the /v1/stats serving summary.
 	endpoints []routeMetrics
+	// hits memoizes /v1/run response bodies of resident results.
+	hits hitMemo
 }
 
 // New returns a handler serving the malecd API on eng.
@@ -139,6 +147,7 @@ func New(eng *engine.Engine, opts Options) *Server {
 		mux:   http.NewServeMux(),
 		reg:   metrics.NewRegistry(),
 		start: time.Now(),
+		hits:  hitMemo{bodies: make(map[engine.Key]memoBody)},
 	}
 	s.camps = s.opts.Campaigns
 	if s.camps == nil {
@@ -198,9 +207,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	encodeJSON(w, v) //nolint:errcheck // headers sent; nothing left to report
+}
+
+// encodeJSON writes v in the response encoding: two-space indented, with
+// a trailing newline.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers sent; nothing left to report
+	return enc.Encode(v)
 }
 
 // writeError writes a JSON error envelope.
@@ -259,7 +274,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) requestContext(r *http.Request, deadlineMs int) (context.Context, context.CancelFunc) {
 	d := s.opts.RequestTimeout
 	if deadlineMs > 0 {
-		rd := time.Duration(deadlineMs) * time.Millisecond
+		// Clamped before scaling: an overflowing product would wrap
+		// negative and switch the server timeout off.
+		rd := time.Duration(min(int64(deadlineMs), math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 		if d == 0 || rd < d {
 			d = rd
 		}
@@ -418,13 +435,79 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeSimError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse{
+	resp := runResponse{
 		Key:      engine.KeyFor(cfg, bench, req.Instructions, seed),
 		Source:   src,
 		Cached:   src != engine.SourceSimulated && src != engine.SourceRemote,
 		Result:   res,
 		Sampling: res.Sampling,
-	})
+	}
+	if src == engine.SourceMemory && res.Counters != nil {
+		s.writeMemoryHit(w, &resp, res.Counters)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// hitMemo holds the /v1/run response body of resident results, keyed by
+// engine key, so a memory hit writes bytes encoded once instead of
+// re-encoding a result that never changes. Each body is tied to the exact
+// stored result it encodes through that result's Counters pointer: a key
+// can come back as a different result (re-simulated after eviction, or
+// reloaded from disk without its "sampling" estimate), and a body whose
+// tie no longer matches is rebuilt. The memo never holds more bodies than
+// the engine has resident results.
+type hitMemo struct {
+	mu     sync.Mutex
+	bodies map[engine.Key]memoBody
+}
+
+// memoBody is one memoized response and the result it encodes.
+type memoBody struct {
+	counters *stats.Counters
+	body     []byte
+	length   string // Content-Length
+}
+
+// writeMemoryHit writes the /v1/run response of a memory hit from the
+// memo, building the body on the key's first hit with writeJSON's exact
+// encoding, so the bytes are identical to a per-request encode.
+func (s *Server) writeMemoryHit(w http.ResponseWriter, resp *runResponse, counters *stats.Counters) {
+	m := &s.hits
+	m.mu.Lock()
+	b, ok := m.bodies[resp.Key]
+	m.mu.Unlock()
+	if !ok || b.counters != counters {
+		var buf bytes.Buffer
+		if err := encodeJSON(&buf, resp); err != nil {
+			writeJSON(w, http.StatusOK, resp) // unencodable: fail as a per-request encode does
+			return
+		}
+		b = memoBody{counters: counters, body: buf.Bytes(), length: strconv.Itoa(buf.Len())}
+		m.add(resp.Key, b, s.eng.Stats().Entries)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", b.length)
+	w.WriteHeader(http.StatusOK)
+	w.Write(b.body) //nolint:errcheck // headers sent; nothing left to report
+}
+
+// add stores a body, first dropping arbitrary others so the memo stays
+// within the engine's resident results.
+func (m *hitMemo) add(key engine.Key, b memoBody, resident int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.bodies, key)
+	for k := range m.bodies {
+		if len(m.bodies) < resident {
+			break
+		}
+		delete(m.bodies, k)
+	}
+	if len(m.bodies) < resident {
+		m.bodies[key] = b
+	}
 }
 
 // gridRequest is the config x benchmark x seed grid shared by the sweep

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -249,25 +250,67 @@ func (c *Counters) Merge(other *Counters) {
 	}
 }
 
-// asMap materializes the touched counters as a name->value map.
-func (c *Counters) asMap() map[string]uint64 {
-	m := make(map[string]uint64, int(NumCounters)+len(c.extra))
+// quotedNames holds each canonical name JSON-quoted, and sortedIDs lists
+// the IDs in name order: together they let MarshalJSON write the canonical
+// counters without sorting, reflection or a map.
+var quotedNames, sortedIDs = func() ([NumCounters]string, [NumCounters]Counter) {
+	var quoted [NumCounters]string
+	var ids [NumCounters]Counter
 	for id := Counter(0); id < NumCounters; id++ {
-		if c.touched[id] {
-			m[counterNames[id]] = c.v[id]
-		}
+		enc, _ := json.Marshal(counterNames[id]) // a string always encodes
+		quoted[id] = string(enc)
+		ids[id] = id
 	}
-	for k, v := range c.extra {
-		m[k] = v
-	}
-	return m
-}
+	sort.Slice(ids[:], func(i, j int) bool { return counterNames[ids[i]] < counterNames[ids[j]] })
+	return quoted, ids
+}()
 
 // MarshalJSON encodes the touched counters as a plain name->value object.
 // Keys are emitted in sorted order so identical counter sets serialize to
-// identical bytes, which result caching and determinism tests rely on.
+// identical bytes, which result caching and determinism tests rely on. The
+// bytes are exactly those of encoding/json over a name->value map: the
+// canonical names and the sorted overflow names are merged in byte order.
 func (c *Counters) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.asMap())
+	extra := make([]string, 0, len(c.extra))
+	for k := range c.extra {
+		extra = append(extra, k)
+	}
+	sort.Strings(extra)
+	// 50 bytes covers the longest canonical member with a 20-digit value.
+	buf := make([]byte, 1, 2+50*(int(NumCounters)+len(extra)))
+	buf[0] = '{'
+	i := 0
+	for _, id := range sortedIDs {
+		if !c.touched[id] {
+			continue
+		}
+		for ; i < len(extra) && extra[i] < counterNames[id]; i++ {
+			buf = appendExtra(buf, extra[i], c.extra[extra[i]])
+		}
+		buf = appendMember(buf, quotedNames[id], c.v[id])
+	}
+	for ; i < len(extra); i++ {
+		buf = appendExtra(buf, extra[i], c.extra[extra[i]])
+	}
+	return append(buf, '}'), nil
+}
+
+// appendMember appends one quotedKey:value member to an object under
+// construction (buf holds at least its opening brace).
+func appendMember[K string | []byte](buf []byte, quotedKey K, v uint64) []byte {
+	if len(buf) > 1 {
+		buf = append(buf, ',')
+	}
+	buf = append(append(buf, quotedKey...), ':')
+	return strconv.AppendUint(buf, v, 10)
+}
+
+// appendExtra appends an overflow counter. encoding/json quotes the name,
+// so its escaping (HTML characters, invalid UTF-8, U+2028/U+2029) matches
+// a map encoding exactly.
+func appendExtra(buf []byte, name string, v uint64) []byte {
+	key, _ := json.Marshal(name) // a string always encodes
+	return appendMember(buf, key, v)
 }
 
 // UnmarshalJSON decodes a name->value object produced by MarshalJSON.

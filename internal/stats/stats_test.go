@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -123,6 +124,79 @@ func TestCountersJSONStable(t *testing.T) {
 	}
 	if string(data) != "{}" {
 		t.Fatalf("empty MarshalJSON = %s, want {}", data)
+	}
+}
+
+// asMap materializes the touched counters as a name->value map: the
+// representation whose encoding/json bytes MarshalJSON must reproduce.
+func (c *Counters) asMap() map[string]uint64 {
+	m := make(map[string]uint64, int(NumCounters)+len(c.extra))
+	for id := Counter(0); id < NumCounters; id++ {
+		if c.touched[id] {
+			m[counterNames[id]] = c.v[id]
+		}
+	}
+	for k, v := range c.extra {
+		m[k] = v
+	}
+	return m
+}
+
+// TestCountersMarshalMatchesMap checks MarshalJSON byte for byte against
+// encoding/json over the equivalent map, on random counter sets whose
+// overflow names need escaping (HTML characters, quotes, control bytes,
+// non-ASCII, invalid UTF-8, U+2028) and interleave with the canonical
+// names in sort order.
+func TestCountersMarshalMatchesMap(t *testing.T) {
+	overflow := []string{
+		"", "a", "ib.<stalls>", "issue.loads&stores", `l1."quoted"`,
+		"l1.fills\x00", "l1.fills\\", "l1.fills0", "malec.\u00e9t\u00e9",
+		"sim.\u2028sep", "tlb.\ttab\n", "zz>", "\xff.invalid", "\U0001f600.emoji",
+		"L1.upper", "sb.forwards ", "mb.\x7f",
+	}
+	rng := rand.New(rand.NewPCG(14, 1))
+	for trial := 0; trial < 500; trial++ {
+		c := NewCounters()
+		for id := Counter(0); id < NumCounters; id++ {
+			if rng.IntN(3) == 0 {
+				c.Add(id, rng.Uint64()>>rng.UintN(64))
+			}
+		}
+		for _, name := range overflow {
+			if rng.IntN(4) == 0 {
+				c.AddName(name, rng.Uint64()>>rng.UintN(64))
+			}
+		}
+		want, err := json.Marshal(c.asMap())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("trial %d: MarshalJSON =\n%s\nwant\n%s", trial, got, want)
+		}
+		if err := json.Unmarshal(got, new(Counters)); err != nil {
+			t.Fatalf("trial %d: output does not decode: %v", trial, err)
+		}
+	}
+}
+
+// TestCountersMarshalAllocs pins MarshalJSON of a canonical counter set to
+// the single allocation of its output buffer.
+func TestCountersMarshalAllocs(t *testing.T) {
+	c := NewCounters()
+	for id := Counter(0); id < NumCounters; id++ {
+		c.Add(id, math.MaxUint64-uint64(id))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := c.MarshalJSON(); err != nil {
+			panic(err)
+		}
+	}); n > 1 {
+		t.Fatalf("MarshalJSON allocates %.1f/op, want <= 1", n)
 	}
 }
 
