@@ -168,8 +168,10 @@ func runThroughput(benchmark string, instructions int, seed uint64, runs int, sc
 	// vocabulary (simulations, trace hits/misses) alongside the raw
 	// timings; the timed loop stays direct so cache hits can't be
 	// mistaken for simulator throughput. Sampled mode (-sample) warms up
-	// directly instead: the engine would materialize the full trace arena,
-	// which at sampled-scale instruction counts defeats the point.
+	// directly instead, on the generator-fed source the timed loop uses:
+	// the engine runs only points over its trace budget from a generator,
+	// and would stream any shorter point into a full-length shared arena
+	// (up to 256 MiB at the default budget) that the warm-up never needs.
 	eng := engine.New(engine.Options{})
 	cfgs := []config.Config{config.Base1ldst(), config.Base2ld1st(), config.MALEC(),
 		config.MALECWithWDU(16)}

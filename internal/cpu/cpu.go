@@ -29,16 +29,29 @@ type Source interface {
 	Next() (rec trace.Record, ok bool)
 }
 
-// SliceSource adapts a materialized trace.
+// SliceSource reads a trace arena: a flat record slice, complete or still
+// being filled by a trace.Cache producer (trace.Cache.Stream). Wait, when
+// set, is the arena's wait function: Next calls it only on reaching the
+// last watermark it saw, so a reader blocks only when it catches up with
+// the producer. A nil Wait means every record is already written.
 type SliceSource struct {
 	Records []trace.Record
+	Wait    func(i int) int
 	pos     int
+	ready   int // records known to be written; pos < ready reads freely
 }
 
 // Next implements Source.
 func (s *SliceSource) Next() (trace.Record, bool) {
-	if s.pos >= len(s.Records) {
-		return trace.Record{}, false
+	if s.pos >= s.ready {
+		if s.pos >= len(s.Records) {
+			return trace.Record{}, false
+		}
+		s.ready = len(s.Records)
+		if s.Wait != nil {
+			// The arena may be longer than this reader's prefix.
+			s.ready = min(s.Wait(s.pos), s.ready)
+		}
 	}
 	r := s.Records[s.pos]
 	s.pos++
@@ -51,7 +64,8 @@ func (s *SliceSource) Remaining() int { return len(s.Records) - s.pos }
 // CaptureState implements statefulSource.
 func (s *SliceSource) CaptureState() SourceState { return SourceState{Pos: uint64(s.pos)} }
 
-// RestoreState implements statefulSource.
+// RestoreState implements statefulSource. A position past the watermark is
+// accepted; the next Next waits for the producer to reach it.
 func (s *SliceSource) RestoreState(st SourceState) bool {
 	if st.Pos > uint64(len(s.Records)) {
 		return false

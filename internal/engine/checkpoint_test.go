@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"malec/internal/config"
@@ -76,6 +77,36 @@ func TestCheckpointReuseAcrossCoreConfigs(t *testing.T) {
 	}
 	if !bytes.Equal(gotCtr, wantCtr) {
 		t.Fatalf("checkpoint restore changed the counters:\n%s\nvs\n%s", gotCtr, wantCtr)
+	}
+}
+
+// TestCheckpointOverBudgetWarmSkipsGeneration pins the over-budget path:
+// a sampled point longer than the trace budget runs from a generator, so
+// its checkpoints carry the generator state and a warm core-side variant
+// restores every window without generating (or allocating) the trace.
+func TestCheckpointOverBudgetWarmSkipsGeneration(t *testing.T) {
+	const instructions = 2_000_000 // a materialized trace is 64 MB
+	sch := &config.Sampling{Warmup: 200, Detail: 800, Interval: 200_000}
+	cold := config.MALEC()
+	cold.Sampling = sch
+	warm := config.MALEC3cycleL1()
+	warm.Sampling = sch
+
+	e := New(Options{Workers: 1, TraceCacheRecords: 1 << 16})
+	e.Run(cold, "gzip", instructions, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := e.Run(warm, "gzip", instructions, 1)
+	runtime.ReadMemStats(&after)
+
+	if res.Sampling == nil || res.Sampling.CheckpointHits != res.Sampling.Windows {
+		t.Fatalf("warm run sampling %+v, want every window restored", res.Sampling)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("warm over-budget point allocated %d MB, want < 16 MB", alloc>>20)
+	}
+	if ref := cpu.RunBenchmark(warm, "gzip", instructions, 1); res.Cycles != ref.Cycles || res.Energy != ref.Energy {
+		t.Fatalf("restored run differs from its checkpoint-free reference: cycles %d vs %d", res.Cycles, ref.Cycles)
 	}
 }
 

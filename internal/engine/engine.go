@@ -76,7 +76,8 @@ type Options struct {
 	// total trace records (not bytes): the engine generates each
 	// (benchmark, seed) workload once per campaign and shares the flat
 	// record arena between every configuration simulating it, instead of
-	// regenerating the byte-identical trace per config. Zero selects
+	// regenerating the byte-identical trace per config. A point longer
+	// than the bound runs from its own generator. Zero selects
 	// DefaultTraceCacheRecords; a negative value disables trace caching
 	// (every simulation generates its own trace, the pre-cache behavior).
 	// Ignored when Simulate is set.
@@ -96,9 +97,10 @@ type Options struct {
 const DefaultMaxPoisonedKeys = 1024
 
 // DefaultTraceCacheRecords is the default materialized-trace cache bound:
-// 8M records (~200 MB of trace arena) holds the in-flight working set of
-// any realistic campaign, since RunCampaign orders execution so that all
-// configurations sharing one workload run back to back.
+// 8M records (256 MiB of trace arena at 32 bytes a record) holds the
+// in-flight working set of any realistic campaign, since RunCampaign
+// orders execution so that all configurations sharing one workload run
+// back to back.
 const DefaultTraceCacheRecords = 1 << 23
 
 // Source reports where a result came from.
@@ -285,24 +287,32 @@ func New(opts Options) *Engine {
 		}
 		if bound > 0 {
 			e.traces = trace.NewCache(bound)
-			e.simulate = func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-				recs := e.traces.Records(benchmark, seed, instructions)
-				return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark,
-					&cpu.SliceSource{Records: recs}, e.checkpoints(cfg, benchmark, seed))
-			}
-		} else {
-			e.simulate = func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-				prof, ok := trace.Profiles[benchmark]
-				if !ok {
-					panic(fmt.Sprintf("engine: unknown benchmark %q", benchmark))
-				}
-				gen := trace.NewGenerator(prof, seed)
-				return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark,
-					&cpu.GenSource{Gen: gen, N: instructions}, e.checkpoints(cfg, benchmark, seed))
-			}
 		}
+		e.simulate = e.simulateTrace
 	}
 	return e
+}
+
+// simulateTrace is the default simulation function. A point streams its
+// trace from the shared arena, overlapping its simulation with the
+// arena's generation on a miss. A point over the trace budget, or any
+// point when trace caching is disabled, pulls records straight from a
+// generator instead: its checkpoints then carry the generator state, so
+// a warm run restores past the fast-forwarded stretch without generating
+// it.
+func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
+	ck := e.checkpoints(cfg, benchmark, seed)
+	if e.traces != nil {
+		if recs, wait := e.traces.Stream(benchmark, seed, instructions); recs != nil {
+			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs, Wait: wait}, ck)
+		}
+	}
+	prof, ok := trace.Profiles[benchmark]
+	if !ok {
+		panic(fmt.Sprintf("engine: unknown benchmark %q", benchmark))
+	}
+	return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark,
+		&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}, ck)
 }
 
 // Workers returns the engine's concurrent-simulation bound.

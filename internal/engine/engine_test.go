@@ -515,17 +515,23 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceCacheCampaignEquivalence runs one real campaign twice — trace
-// cache enabled (default) and disabled — and requires byte-identical JSON
-// and CSV exports: the shared materialized trace must be indistinguishable
-// from per-simulation generation. It also checks the cache actually
-// engaged (every config after the first is a trace hit) and that stats
-// flow through Engine.Stats.
+// TestTraceCacheCampaignEquivalence runs one real campaign over exact and
+// sampled configs twice — trace cache enabled (default) and disabled — and
+// requires byte-identical JSON and CSV exports: the shared trace arena,
+// streamed by concurrent points while its producer fills it, must be
+// indistinguishable from per-simulation generation. It also checks the
+// cache actually engaged (every config after the first is a trace hit)
+// and that stats flow through Engine.Stats.
 func TestTraceCacheCampaignEquivalence(t *testing.T) {
+	cfgs := []config.Config{config.Base1ldst(), config.Base2ld1st(), config.MALEC()}
+	for _, c := range cfgs[:3] {
+		c.Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: 4000}
+		cfgs = append(cfgs, c)
+	}
 	spec := CampaignSpec{
-		Configs:      []config.Config{config.Base1ldst(), config.Base2ld1st(), config.MALEC()},
+		Configs:      cfgs,
 		Benchmarks:   []string{"gzip", "mcf"},
-		Instructions: 3000,
+		Instructions: 20000,
 		Seeds:        []uint64{1, 2},
 		Workers:      3,
 	}
@@ -563,13 +569,16 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 	}
 
 	cs := cached.Stats()
-	// 2 benchmarks x 2 seeds: one miss each; the other 2 configs per
+	// 2 benchmarks x 2 seeds: one miss each; the other 5 configs per
 	// workload share the arena.
-	if cs.TraceMisses != 4 || cs.TraceHits != 8 {
-		t.Fatalf("trace cache stats hits=%d misses=%d, want 8/4", cs.TraceHits, cs.TraceMisses)
+	if cs.TraceMisses != 4 || cs.TraceHits != 20 {
+		t.Fatalf("trace cache stats hits=%d misses=%d, want 20/4", cs.TraceHits, cs.TraceMisses)
 	}
-	if cs.TraceRecords != 4*3000 {
-		t.Fatalf("trace cache holds %d records, want %d", cs.TraceRecords, 4*3000)
+	if cs.TraceRecords != 4*20000 {
+		t.Fatalf("trace cache holds %d records, want %d", cs.TraceRecords, 4*20000)
+	}
+	if cs.CheckpointHits == 0 {
+		t.Fatal("sampled configs restored no checkpoints")
 	}
 	fs := fresh.Stats()
 	if fs.TraceHits != 0 || fs.TraceMisses != 0 || fs.TraceRecords != 0 {

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // traceKey content-addresses one materialized trace. The instruction count
@@ -14,21 +15,96 @@ type traceKey struct {
 	seed      uint64
 }
 
-// traceEntry is one materialized trace: a flat record arena plus the
-// generator positioned at its end, so a longer request extends the arena
-// in place instead of regenerating from scratch.
+// chunkRecords is how many records the producer generates between two
+// watermark publications: large enough that publishing (a lock and a
+// broadcast) is noise next to generation, small enough that a reader
+// waiting at the watermark resumes within a fraction of a millisecond.
+const chunkRecords = 8192
+
+// arena is one flat record array of fixed length, filled front to back by
+// a single producer goroutine while readers consume the written prefix.
+// recs[:filled] are final and never written again.
+type arena struct {
+	recs   []Record
+	filled atomic.Int64
+	// waitFn is wait as a func value, made once so that a request for an
+	// existing arena allocates nothing.
+	waitFn func(i int) int
+
+	mu   sync.Mutex
+	cond sync.Cond // signalled on every publication and on failure
+	// failure holds the producer's panic value once it died (never nil:
+	// recover turns panic(nil) into a *runtime.PanicNilError); readers
+	// waiting past the watermark re-panic with it.
+	failure any
+}
+
+func newArena(n int) *arena {
+	a := &arena{recs: make([]Record, n)}
+	a.cond.L = &a.mu
+	a.waitFn = a.wait
+	return a
+}
+
+// publish advances the watermark to w and wakes waiting readers.
+func (a *arena) publish(w int) {
+	a.mu.Lock()
+	a.filled.Store(int64(w))
+	a.mu.Unlock()
+	a.cond.Broadcast()
+}
+
+// fail records the producer's panic value and wakes waiting readers.
+func (a *arena) fail(v any) {
+	a.mu.Lock()
+	a.failure = v
+	a.mu.Unlock()
+	a.cond.Broadcast()
+}
+
+// wait blocks until record i is written and returns the watermark (> i).
+// If the producer panicked before writing record i, wait re-panics with
+// its value on the caller's goroutine.
+func (a *arena) wait(i int) int {
+	if w := int(a.filled.Load()); w > i {
+		return w
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for {
+		if w := int(a.filled.Load()); w > i {
+			return w
+		}
+		if a.failure != nil {
+			panic(a.failure)
+		}
+		a.cond.Wait()
+	}
+}
+
+// chunkHook, when set, runs in the producer before each chunk with the
+// chunk's first record index. It is a test seam (a hook that panics or
+// blocks exercises producer failure and mid-generation joins); production
+// code never sets it.
+var chunkHook atomic.Pointer[func(start int)]
+
+// traceEntry is one materialized trace: its newest (longest) arena plus
+// the generator that fills it, so a longer request extends the trace from
+// the existing prefix instead of regenerating from scratch.
 type traceEntry struct {
 	key traceKey
 
-	// mu serializes generation for this entry (singleflight: concurrent
-	// requests for one workload generate it once while other workloads
-	// proceed in parallel). records only grows; slices handed out remain
-	// valid after later extensions or eviction.
-	mu      sync.Mutex
-	gen     *Generator
-	records []Record
+	// mu serializes arena replacement for this entry (singleflight:
+	// concurrent requests for one workload share one arena and one
+	// producer while other workloads proceed in parallel). Arenas handed
+	// out remain valid after later extensions or eviction.
+	mu    sync.Mutex
+	arena *arena
+	// gen is advanced by one producer at a time: an extension's producer
+	// waits for the previous producer to finish before touching it.
+	gen *Generator
 
-	// size mirrors len(records) under the cache lock, for the record
+	// size mirrors len(arena.recs) under the cache lock, for the record
 	// budget; evicted marks entries already dropped from the index so a
 	// concurrent extension does not re-account them.
 	size    int
@@ -47,8 +123,10 @@ type CacheStats struct {
 	// (an extension of an existing arena counts as a miss).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// GeneratedRecords and EvictedRecords count total generator pulls and
-	// records dropped by the LRU bound over the cache's lifetime.
+	// GeneratedRecords and EvictedRecords count the records generated into
+	// cached arenas (plus those Records generates privately for requests
+	// over the budget) and the records dropped by the LRU bound over the
+	// cache's lifetime.
 	GeneratedRecords uint64 `json:"generatedRecords"`
 	EvictedRecords   uint64 `json:"evictedRecords"`
 }
@@ -58,9 +136,12 @@ type CacheStats struct {
 // It exists so that a sweep running one workload across many machine
 // configurations generates the workload's trace once and shares the same
 // backing array between all simulations (the returned slices are read-only
-// by convention and safe for concurrent readers). Memory is bounded by a
-// total record budget with least-recently-used eviction. Safe for
-// concurrent use.
+// by convention and safe for concurrent readers). A missed trace is
+// generated by one producer goroutine into an arena allocated at its full
+// length, and readers stream the written prefix while the rest is still
+// being generated; the producer exits once the arena is full, so its work
+// is bounded by the cache's record budget. Memory is bounded by a total
+// record budget with least-recently-used eviction. Safe for concurrent use.
 type Cache struct {
 	mu         sync.Mutex
 	maxRecords int
@@ -84,25 +165,55 @@ func NewCache(maxRecords int) *Cache {
 }
 
 // Records returns the first n records of the named benchmark's trace for
-// seed, generating or extending the cached arena as needed. The returned
-// slice aliases the shared arena: callers must treat it as read-only. It
-// panics on unknown benchmarks, mirroring the generator path.
+// seed, generating or extending the cached arena as needed and waiting
+// until all n are written. The returned slice aliases the shared arena:
+// callers must treat it as read-only. A request over the cache's record
+// budget is generated privately. It panics on unknown benchmarks,
+// mirroring the generator path.
 func (c *Cache) Records(benchmark string, seed uint64, n int) []Record {
+	recs, wait := c.Stream(benchmark, seed, n)
+	switch {
+	case wait != nil:
+		wait(n - 1)
+	case n > 0: // over the budget
+		c.mu.Lock()
+		c.generated += uint64(n)
+		c.mu.Unlock()
+		recs = NewGenerator(Profiles[benchmark], seed).Generate(n)
+	}
+	return recs
+}
+
+// Stream returns the first n records of the named benchmark's trace for
+// seed as a slice of the shared arena that may still be filling, and the
+// arena's wait function: wait(i) blocks until record i is written and
+// returns the arena's watermark, the count of leading records written
+// (more than i, and possibly more than n when the arena is longer).
+// Records at or past the watermark must not be read yet. A missed or
+// too-short trace starts a producer that fills a new arena, extending
+// from the existing prefix; a request for a trace already being filled
+// streams from the same arena and never generates a second time. If the
+// producer panics, wait re-panics with its value on the reader's
+// goroutine.
+//
+// A request over the cache's record budget is not cached: Stream counts
+// the miss and returns nil, and the caller generates the trace itself. It
+// panics on unknown benchmarks, mirroring the generator path.
+func (c *Cache) Stream(benchmark string, seed uint64, n int) (recs []Record, wait func(i int) int) {
 	prof, ok := Profiles[benchmark]
 	if !ok {
 		panic(fmt.Sprintf("trace: unknown benchmark %q", benchmark))
 	}
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	if n > c.maxRecords {
 		// An arena that could never fit would evict the whole cache for
-		// nothing; generate it privately instead.
+		// nothing.
 		c.mu.Lock()
 		c.misses++
-		c.generated += uint64(n)
 		c.mu.Unlock()
-		return NewGenerator(prof, seed).Generate(n)
+		return nil, nil
 	}
 
 	key := traceKey{benchmark: benchmark, seed: seed}
@@ -118,19 +229,18 @@ func (c *Cache) Records(benchmark string, seed uint64, n int) []Record {
 	c.mu.Unlock()
 
 	e.mu.Lock()
+	a := e.arena
 	grew := 0
-	if len(e.records) < n {
-		grew = n - len(e.records)
-		if cap(e.records) < n {
-			grown := make([]Record, len(e.records), n)
-			copy(grown, e.records)
-			e.records = grown
+	if a == nil || len(a.recs) < n {
+		prev := a
+		a = newArena(n)
+		grew = n
+		if prev != nil {
+			grew -= len(prev.recs)
 		}
-		for len(e.records) < n {
-			e.records = append(e.records, e.gen.Next())
-		}
+		e.arena = a
+		go c.produce(e, prev, a, chunkHook.Load())
 	}
-	recs := e.records[:n:n]
 	e.mu.Unlock()
 
 	c.mu.Lock()
@@ -146,7 +256,44 @@ func (c *Cache) Records(benchmark string, seed uint64, n int) []Record {
 		c.hits++
 	}
 	c.mu.Unlock()
-	return recs
+	return a.recs[:n:n], a.waitFn
+}
+
+// produce fills a: it copies the previous arena's records once their own
+// producer has finished with the generator, then generates the rest chunk
+// by chunk, publishing the watermark after each. A panic is handed to a's
+// readers and the entry is dropped, so a later request starts afresh.
+func (c *Cache) produce(e *traceEntry, prev, a *arena, hook *func(start int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			a.fail(r)
+			c.mu.Lock()
+			if !e.evicted {
+				c.remove(e)
+				delete(c.entries, e.key)
+				e.evicted = true
+				c.total -= e.size
+			}
+			c.mu.Unlock()
+		}
+	}()
+	i := 0
+	if prev != nil {
+		i = len(prev.recs)
+		prev.wait(i - 1)
+		copy(a.recs, prev.recs)
+		a.publish(i)
+	}
+	for i < len(a.recs) {
+		if hook != nil {
+			(*hook)(i)
+		}
+		end := min(i+chunkRecords, len(a.recs))
+		for ; i < end; i++ {
+			a.recs[i] = e.gen.Next()
+		}
+		a.publish(end)
+	}
 }
 
 // Stats returns a snapshot of the cache counters.
