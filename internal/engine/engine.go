@@ -304,6 +304,12 @@ func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark
 	ck := e.checkpoints(cfg, benchmark, seed)
 	if e.traces != nil {
 		if recs, wait := e.traces.Stream(benchmark, seed, instructions); recs != nil {
+			// Hold the worker slot until the prefix is written, even when
+			// the point ends early (cancelled, past its deadline): the
+			// point that starts a producer then outlives it, so at most
+			// Workers producers and unaccounted arenas exist at once. A
+			// completed point has read its prefix and does not block.
+			defer wait(instructions - 1)
 			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs, Wait: wait}, ck)
 		}
 	}

@@ -124,8 +124,7 @@ type CacheStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// GeneratedRecords and EvictedRecords count the records generated into
-	// cached arenas (plus those Records generates privately for requests
-	// over the budget) and the records dropped by the LRU bound over the
+	// cached arenas and the records dropped by the LRU bound over the
 	// cache's lifetime.
 	GeneratedRecords uint64 `json:"generatedRecords"`
 	EvictedRecords   uint64 `json:"evictedRecords"`
@@ -165,21 +164,15 @@ func NewCache(maxRecords int) *Cache {
 }
 
 // Records returns the first n records of the named benchmark's trace for
-// seed, generating or extending the cached arena as needed and waiting
-// until all n are written. The returned slice aliases the shared arena:
-// callers must treat it as read-only. A request over the cache's record
-// budget is generated privately. It panics on unknown benchmarks,
-// mirroring the generator path.
+// seed, waiting until all n are written. It is Stream for callers that
+// want a complete prefix: the returned slice aliases the shared arena
+// (read-only by convention), and a request over the cache's record budget
+// returns nil. It panics on unknown benchmarks, mirroring the generator
+// path.
 func (c *Cache) Records(benchmark string, seed uint64, n int) []Record {
 	recs, wait := c.Stream(benchmark, seed, n)
-	switch {
-	case wait != nil:
+	if wait != nil {
 		wait(n - 1)
-	case n > 0: // over the budget
-		c.mu.Lock()
-		c.generated += uint64(n)
-		c.mu.Unlock()
-		recs = NewGenerator(Profiles[benchmark], seed).Generate(n)
 	}
 	return recs
 }

@@ -86,17 +86,20 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheOversizeBypass checks that a request larger than the whole
-// budget is generated privately instead of wiping the cache.
+// budget is left to the caller (nil, counted as a miss) instead of wiping
+// the cache.
 func TestCacheOversizeBypass(t *testing.T) {
 	c := NewCache(1000)
 	c.Records("gzip", 1, 800)
-	recs := c.Records("mcf", 1, 5000)
-	if len(recs) != 5000 {
-		t.Fatalf("oversize request returned %d records", len(recs))
+	if recs := c.Records("mcf", 1, 5000); recs != nil {
+		t.Fatalf("oversize request returned %d records, want nil", len(recs))
 	}
 	s := c.Stats()
 	if s.Entries != 1 || s.Records != 800 {
 		t.Fatalf("stats %+v: oversize request disturbed the cache", s)
+	}
+	if s.Misses != 2 || s.Hits != 0 || s.GeneratedRecords != 800 {
+		t.Fatalf("stats %+v, want 2 misses and only the cached arena's 800 records generated", s)
 	}
 }
 

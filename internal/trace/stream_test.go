@@ -235,39 +235,148 @@ func TestStreamEngineJoinMidGeneration(t *testing.T) {
 	}
 }
 
-// TestStreamCancelledConsumerGoroutines cancels a point while its
-// producer is paused mid-arena: the point stops at a window boundary, the
-// released producer fills its bounded arena and exits, and the goroutine
-// count returns to baseline.
-func TestStreamCancelledConsumerGoroutines(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	reached, release := pauseAt(t, trace.ChunkRecords)
-	e := engine.New(engine.Options{Workers: 1})
-	// A sampled point polls its context once per window.
+// cancellablePoint is a sampled configuration: it polls its context once
+// per window of one producer chunk, so a cancelled point stops at the
+// first window boundary it reaches.
+func cancellablePoint() config.Config {
 	cfg := config.MALEC()
 	cfg.Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: trace.ChunkRecords}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := e.RunContext(ctx, cfg, "gzip", 40*trace.ChunkRecords, 1)
-		done <- err
-	}()
-	<-reached
-	cancel()
+	return cfg
+}
+
+// gateProducers installs a chunk hook under which every producer reports
+// its start on started and waits for a token on proceed before writing
+// anything, then pauses after its first chunk until release is closed.
+// The test so cancels a point before the point can read a record.
+func gateProducers(t *testing.T, capacity int) (started, proceed, release chan struct{}) {
+	started, proceed = make(chan struct{}, capacity), make(chan struct{}, capacity)
+	release = make(chan struct{})
+	trace.SetChunkHook(t, func(start int) {
+		switch start {
+		case 0:
+			started <- struct{}{}
+			<-proceed
+		case trace.ChunkRecords:
+			<-release
+		}
+	})
+	return started, proceed, release
+}
+
+// holdsSlot fails the test unless the engine keeps running points
+// simulations throughout a grace period long enough for a cancelled point
+// to stop at its first window boundary: a cancelled point whose producer
+// is paused must keep its worker slot until the arena prefix it started
+// is written. (Its caller returns at once; the job holds the slot.)
+func holdsSlot(t *testing.T, e *engine.Engine, running int) {
+	t.Helper()
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); runtime.Gosched() {
+		if n := e.Stats().Running; n != running {
+			t.Fatalf("%d points running, want %d: a cancelled point gave its slot back while its producer was paused", n, running)
+		}
+	}
+}
+
+// returnsCanceled fails the test unless a cancelled point's caller got
+// context.Canceled.
+func returnsCanceled(t *testing.T, done <-chan error) {
+	t.Helper()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled point returned %v, want context.Canceled", err)
 	}
-	close(release)
+}
 
+// settle waits until the engine has counted at least cancelled cancelled
+// simulations, runs and queues none, and the goroutine count is back at
+// baseline: every job and producer has exited.
+func settle(t *testing.T, e *engine.Engine, cancelled uint64, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
+	for {
+		s := e.Stats()
+		if s.Cancelled >= cancelled && s.Running == 0 && s.QueueDepth == 0 && runtime.NumGoroutine() <= baseline {
+			return
+		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("stats %+v (want %d cancelled), %d goroutines (baseline %d):\n%s",
+				s, cancelled, runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		runtime.Gosched()
 	}
+}
+
+// TestStreamCancelledConsumerGoroutines cancels a point whose producer
+// then pauses mid-arena: the point keeps its worker slot until the
+// released producer has filled its bounded arena, returns
+// context.Canceled, and the goroutine count returns to baseline.
+func TestStreamCancelledConsumerGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	started, proceed, release := gateProducers(t, 1)
+	e := engine.New(engine.Options{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.RunContext(ctx, cancellablePoint(), "gzip", 40*trace.ChunkRecords, 1)
+		done <- err
+	}()
+	<-started
+	cancel()
+	proceed <- struct{}{}
+	returnsCanceled(t, done)
+	holdsSlot(t, e, 1)
+	close(release)
+	settle(t, e, 1, baseline)
 	if s := e.Stats(); s.Cancelled != 1 {
 		t.Fatalf("engine counted %d cancelled simulations, want 1", s.Cancelled)
 	}
+}
+
+// TestStreamCancelledPointsBoundProducers sends points over distinct
+// seeds one after another and cancels each once it has started a producer
+// or queued for a worker slot, while every producer stays paused. The
+// cancelled running points keep their slots, so the queued ones give up
+// without starting a producer: no more than Workers producers (and arenas
+// outside the record budget) ever exist.
+func TestStreamCancelledPointsBoundProducers(t *testing.T) {
+	const workers, points = 2, 8
+	baseline := runtime.NumGoroutine()
+	started, proceed, release := gateProducers(t, points)
+	e := engine.New(engine.Options{Workers: workers})
+	done := make(chan error, points)
+	producers := 0
+	arrive := func(seed uint64) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			_, _, err := e.RunContext(ctx, cancellablePoint(), "gzip", 4*trace.ChunkRecords, seed)
+			done <- err
+		}()
+		for {
+			select {
+			case <-started:
+				producers++
+				cancel()
+				proceed <- struct{}{}
+				returnsCanceled(t, done)
+				holdsSlot(t, e, producers)
+				return
+			default:
+			}
+			if s := e.Stats(); s.QueueDepth > 0 && s.Running == workers {
+				cancel()
+				returnsCanceled(t, done)
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	for seed := uint64(1); seed <= points; seed++ {
+		arrive(seed)
+	}
+	if producers != workers {
+		t.Fatalf("%d cancelled points started producers, want %d (the worker bound)", producers, workers)
+	}
+	close(release)
+	settle(t, e, workers, baseline)
 }
