@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"sync"
 
 	"malec/internal/config"
 )
@@ -45,7 +47,63 @@ func KeyFor(cfg config.Config, benchmark string, instructions int, seed uint64) 
 // configurations that differ only core-side (widths, latencies, buffer
 // depths, sampling schedule) share their first 8 characters — and with
 // them the warmed-checkpoint store, which is keyed by MemSideDigest alone.
+//
+// Digests are memoized by configuration value (digests), so a request for
+// a configuration already seen encodes and hashes nothing.
 func ConfigDigest(cfg config.Config) string {
+	k := digestKeyOf(cfg)
+	digests.mu.Lock()
+	d, ok := digests.m[k]
+	digests.mu.Unlock()
+	if ok {
+		return d
+	}
+	d = configDigest(cfg)
+	digests.mu.Lock()
+	if len(digests.m) >= digestMemoSize {
+		clear(digests.m)
+	}
+	digests.m[k] = d
+	digests.mu.Unlock()
+	return d
+}
+
+// digestMemoSize bounds the digest memo. The presets fit many times over;
+// /v1/run accepts any valid sampling schedule, so the set of distinct
+// configurations is unbounded and the memo is emptied when full.
+const digestMemoSize = 256
+
+// digests memoizes ConfigDigest. A mutex and a plain map, not a sync.Map,
+// whose Load would box the struct key and allocate on every call.
+var digests = struct {
+	mu sync.Mutex
+	m  map[digestKey]string
+}{m: make(map[digestKey]string)}
+
+// digestKey is a configuration as a comparable value. The Sampling pointer
+// is replaced by the schedule it points to, so a caller that mutates a
+// reused Sampling never reads a stale digest. WTPoolFraction is held as
+// its bits: map equality treats -0.0 and +0.0 as equal, but encoding/json
+// writes them differently, so they have different digests.
+type digestKey struct {
+	cfg      config.Config // Sampling nil, WTPoolFraction zero
+	sampled  bool
+	sampling config.Sampling
+	poolBits uint64
+}
+
+func digestKeyOf(cfg config.Config) digestKey {
+	k := digestKey{poolBits: math.Float64bits(cfg.WTPoolFraction)}
+	if cfg.Sampling != nil {
+		k.sampled, k.sampling = true, *cfg.Sampling
+	}
+	cfg.Sampling, cfg.WTPoolFraction = nil, 0
+	k.cfg = cfg
+	return k
+}
+
+// configDigest computes ConfigDigest without the memo.
+func configDigest(cfg config.Config) string {
 	enc, err := json.Marshal(cfg)
 	if err != nil {
 		// config.Config contains only plain scalar fields; Marshal

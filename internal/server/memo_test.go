@@ -178,9 +178,9 @@ func TestMemoryHitNilCountersNotMemoized(t *testing.T) {
 // memoryHitAllocCeiling pins the allocations of one /v1/run memory hit
 // through the full handler (routing, instrumentation, admission, request
 // decoding, engine lookup and the response) plus the recorder and request
-// the test builds. Measured at 53 with the memo; encoding the result on
-// every hit cost 111.
-const memoryHitAllocCeiling = 58
+// the test builds. Measured at 35 with the response body, the config
+// digest and the header values all built once per resident result.
+const memoryHitAllocCeiling = 37
 
 // raceDetector is set under -race, which changes allocation counts.
 var raceDetector bool

@@ -466,8 +466,14 @@ type hitMemo struct {
 type memoBody struct {
 	counters *stats.Counters
 	body     []byte
-	length   string // Content-Length
+	length   []string // Content-Length header value
 }
+
+// jsonContentType is the Content-Type header value of a memory hit. Hits
+// store it and memoBody.length in the header map as they are instead of
+// allocating a slice per Set; nothing appends to or writes into a
+// handler's header slices (net/http clones the map on WriteHeader).
+var jsonContentType = []string{"application/json"}
 
 // writeMemoryHit writes the /v1/run response of a memory hit from the
 // memo, building the body on the key's first hit with writeJSON's exact
@@ -483,12 +489,12 @@ func (s *Server) writeMemoryHit(w http.ResponseWriter, resp *runResponse, counte
 			writeJSON(w, http.StatusOK, resp) // unencodable: fail as a per-request encode does
 			return
 		}
-		b = memoBody{counters: counters, body: buf.Bytes(), length: strconv.Itoa(buf.Len())}
+		b = memoBody{counters: counters, body: buf.Bytes(), length: []string{strconv.Itoa(buf.Len())}}
 		m.add(resp.Key, b, s.eng.Stats().Entries)
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", b.length)
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = b.length
 	w.WriteHeader(http.StatusOK)
 	w.Write(b.body) //nolint:errcheck // headers sent; nothing left to report
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"malec/internal/mem"
 )
@@ -157,6 +158,9 @@ func (r *Reader) Read() (Record, error) {
 	d2, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		return Record{}, unexpectedEOF(err)
+	}
+	if d1 > math.MaxUint32 || d2 > math.MaxUint32 {
+		return Record{}, fmt.Errorf("trace: dependency distance out of range (dep1 %d, dep2 %d)", d1, d2)
 	}
 	rec.Dep1, rec.Dep2 = uint32(d1), uint32(d2)
 	return rec, nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -101,6 +102,27 @@ func TestCodecTruncation(t *testing.T) {
 	}
 	if _, err := r.Read(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestCodecDepOutOfRange feeds the reader a record whose dependency
+// distances do not fit a Record's uint32 fields: it must fail, not wrap
+// 2^32+1 into a real but wrong dependency of 1.
+func TestCodecDepOutOfRange(t *testing.T) {
+	for _, deps := range [][2]uint64{{1<<32 + 1, 0}, {0, 1 << 32}} {
+		var buf bytes.Buffer
+		w, _ := NewWriter(&buf)
+		w.Flush()
+		buf.WriteByte(byte(Op))
+		buf.Write(binary.AppendUvarint(nil, deps[0]))
+		buf.Write(binary.AppendUvarint(nil, deps[1]))
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := r.Read(); err == nil {
+			t.Errorf("deps %v decoded as %+v, want an error", deps, rec)
+		}
 	}
 }
 
