@@ -7,26 +7,24 @@ import "malec/internal/mem"
 // timing of L2 accesses, but does not significantly impact their number or
 // miss rate"), so the L2 tracks residency and counts only.
 //
-// Residency checks are O(1): a line-ID -> flat-slot hash index replaces
-// the per-access tag scan over all ways (at 16 ways this was the largest
-// remaining per-access scan on the memory side; miss-dominated workloads
-// pay it on every L1 miss). A line maps to exactly one set and is resident
-// in at most one way, so index hit/miss exactly matches a tag scan of the
-// set, the oracle the package tests check it against. Victim selection on
-// a miss is an LRU sweep of the set.
+// Residency checks scan a compact tag array: one uint32 per way holding
+// the line ID (physical address >> LineShift) plus one, 0 for an invalid
+// way. A set's 16 tags fill one 64-byte host cache line, so a lookup
+// touches one line instead of chasing a hash chain, and a fill writes one
+// tag instead of maintaining an index. The package tests check it against
+// a scan of the lines themselves. Victim selection on a miss is an LRU
+// sweep of the set.
 type L2 struct {
 	ways int
 	sets int
-	// lines and lru are flat set-major arrays (set s, way w at s*ways+w):
-	// two allocations per L2 instead of two per set, which matters when
-	// the engine spins up thousands of short simulations.
+	// lines, lru and tags are flat set-major arrays (set s, way w at
+	// s*ways+w): three allocations per L2 instead of three per set, which
+	// matters when the engine spins up thousands of short simulations.
+	// tags mirrors lines and is rebuilt from them on restore.
 	lines []Line
 	lru   []uint64
+	tags  []uint32
 	clock uint64
-
-	// idx chains resident flat slots by line ID (physical address >>
-	// LineShift), maintained on every fill/eviction.
-	idx *mem.SlotIndex
 
 	Latency     int // cycles added on an L1 miss that hits L2
 	accesses    uint64
@@ -56,13 +54,15 @@ func NewL2Custom(capacity, ways, latency int) *L2 {
 	l := &L2{ways: ways, sets: sets, Latency: latency}
 	l.lines = make([]Line, sets*ways)
 	l.lru = make([]uint64, sets*ways)
-	l.idx = mem.NewSlotIndex(sets * ways)
+	l.tags = make([]uint32, sets*ways)
 	return l
 }
 
-// lineID is the index key of a line-aligned physical address.
-func lineID(target mem.Addr) uint32 {
-	return uint32(uint64(target) >> mem.LineShift)
+// lineTag is the tag-array entry of a resident line: its line ID plus one,
+// so that 0 marks an invalid way. Line IDs of 32-bit addresses fit in 26
+// bits.
+func lineTag(target mem.Addr) uint32 {
+	return uint32(uint64(target)>>mem.LineShift) + 1
 }
 
 // Stats returns the L2 activity counters.
@@ -80,17 +80,18 @@ func (l *L2) Access(pa mem.Addr) (hit bool) {
 	l.accesses++
 	base := l.set(pa) * l.ways
 	target := pa.LineAddr()
-	for slot := l.idx.First(lineID(target)); slot >= 0; slot = l.idx.Next(slot) {
-		if l.lines[slot].PLine == target {
+	tag := lineTag(target)
+	tags := l.tags[base : base+l.ways]
+	for w, t := range tags {
+		if t == tag {
 			l.hits++
 			l.clock++
-			l.lru[slot] = l.clock
+			l.lru[base+w] = l.clock
 			return true
 		}
 	}
 	l.misses++
 	// Fill (LRU victim).
-	lines := l.lines[base : base+l.ways]
 	lru := l.lru[base : base+l.ways]
 	way := 0
 	for w := 1; w < l.ways; w++ {
@@ -98,11 +99,8 @@ func (l *L2) Access(pa mem.Addr) (hit bool) {
 			way = w
 		}
 	}
-	if old := lines[way]; old.Valid {
-		l.idx.Remove(lineID(old.PLine), int32(base+way))
-	}
-	lines[way] = Line{Valid: true, PLine: target}
-	l.idx.Add(lineID(target), int32(base+way))
+	l.lines[base+way] = Line{Valid: true, PLine: target}
+	tags[way] = tag
 	l.clock++
 	lru[way] = l.clock
 	return false

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"malec/internal/mem"
@@ -45,12 +47,14 @@ func mruWay(l *L2, pa mem.Addr) int {
 	return way
 }
 
-// TestL2IndexedMatchesScanRandomized drives one L2 through a randomized
+// TestL2TagsMatchScanRandomized drives one L2 through a randomized
 // access/writeback stream over a footprint several times the capacity
-// (evictions and re-fills throughout) and checks every operation against
-// the scan oracle: the hit/miss outcome, the way a miss fills, and the
-// Stats.
-func TestL2IndexedMatchesScanRandomized(t *testing.T) {
+// (evictions and re-fills throughout) and checks every operation of the
+// tag-array lookup against the scan oracle over the lines: the hit/miss
+// outcome, the way a miss fills, and the Stats. Every 10,000 operations it
+// round-trips the state through CaptureState/RestoreState into a fresh L2
+// and continues on the restored copy, whose tags must be rebuilt exactly.
+func TestL2TagsMatchScanRandomized(t *testing.T) {
 	l := NewL2Custom(1<<14, 4, 12) // small: 16 KB, 64 sets
 	var want L2Stats
 	drv := rng.New(23)
@@ -79,6 +83,18 @@ func TestL2IndexedMatchesScanRandomized(t *testing.T) {
 		}
 		if l.Stats() != want {
 			t.Fatalf("op %d: stats %+v, oracle %+v", op, l.Stats(), want)
+		}
+		if op%10000 == 9999 {
+			st := l.CaptureState()
+			r := NewL2Custom(1<<14, 4, 12)
+			r.RestoreState(st)
+			if !reflect.DeepEqual(r.CaptureState(), st) {
+				t.Fatalf("op %d: restored L2 captures a different state", op)
+			}
+			if !slices.Equal(r.tags, l.tags) {
+				t.Fatalf("op %d: restored tags differ from the live ones", op)
+			}
+			l = r
 		}
 	}
 }

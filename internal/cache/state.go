@@ -3,7 +3,7 @@ package cache
 // This file is the cache side of the microarchitectural checkpoint layer:
 // exported, JSON-able snapshots of the L1, L2/DRAM and stream detector.
 // Snapshots capture placement, replacement and statistics state exactly;
-// restores rebuild derived structures (the L2 residency index) directly
+// restores rebuild derived structures (the L2 tag array) directly
 // from the restored contents and never fire the OnFill/OnEvict hooks —
 // a restore is a state transplant, not a replay of the fill history.
 
@@ -65,9 +65,7 @@ func (l *L2) CaptureState() L2State {
 }
 
 // RestoreState replaces the L2's state with a snapshot from a
-// same-geometry L2, rebuilding the residency index from the restored
-// lines (identical lookup results; chain order is irrelevant because a
-// line is resident in at most one way).
+// same-geometry L2, rebuilding the tag array from the restored lines.
 func (l *L2) RestoreState(st L2State) {
 	copy(l.lines, st.Lines)
 	copy(l.lru, st.LRU)
@@ -76,10 +74,10 @@ func (l *L2) RestoreState(st L2State) {
 	l.hits = st.Hits
 	l.misses = st.Misses
 	l.writebacks = st.Writebacks
-	l.idx.Reset()
 	for i := range l.lines {
+		l.tags[i] = 0
 		if l.lines[i].Valid {
-			l.idx.Add(lineID(l.lines[i].PLine), int32(i))
+			l.tags[i] = lineTag(l.lines[i].PLine)
 		}
 	}
 }

@@ -24,16 +24,27 @@ import (
 	"malec/internal/trace"
 )
 
-// Source supplies trace records. Next reports ok=false at end of trace.
+// Source supplies trace records in chunks. Next returns the next run of at
+// most max (> 0) records, fewer when the source has fewer ready, and an
+// empty slice at end of trace. The chunk stays valid until the following
+// Next call and must not be modified. A source never reads past the records
+// it returns, so a caller that asks for exactly the records before a
+// checkpoint leaves the source positioned at it.
 type Source interface {
-	Next() (rec trace.Record, ok bool)
+	Next(max int) []trace.Record
 }
+
+// sourceChunk is the chunk size the cycle loop asks for and GenSource's
+// buffer size: 32 KB of records, which stays in the host's L1/L2 between
+// generation and use.
+const sourceChunk = 1024
 
 // SliceSource reads a trace arena: a flat record slice, complete or still
 // being filled by a trace.Cache producer (trace.Cache.Stream). Wait, when
 // set, is the arena's wait function: Next calls it only on reaching the
 // last watermark it saw, so a reader blocks only when it catches up with
-// the producer. A nil Wait means every record is already written.
+// the producer. A nil Wait means every record is already written. Chunks
+// are sub-slices of the arena, so reading copies no record.
 type SliceSource struct {
 	Records []trace.Record
 	Wait    func(i int) int
@@ -42,10 +53,10 @@ type SliceSource struct {
 }
 
 // Next implements Source.
-func (s *SliceSource) Next() (trace.Record, bool) {
+func (s *SliceSource) Next(max int) []trace.Record {
 	if s.pos >= s.ready {
 		if s.pos >= len(s.Records) {
-			return trace.Record{}, false
+			return nil
 		}
 		s.ready = len(s.Records)
 		if s.Wait != nil {
@@ -53,9 +64,10 @@ func (s *SliceSource) Next() (trace.Record, bool) {
 			s.ready = min(s.Wait(s.pos), s.ready)
 		}
 	}
-	r := s.Records[s.pos]
-	s.pos++
-	return r, true
+	end := min(s.pos+max, s.ready)
+	recs := s.Records[s.pos:end:end]
+	s.pos = end
+	return recs
 }
 
 // Remaining reports how many records are left (sampling schedule sizing).
@@ -74,20 +86,26 @@ func (s *SliceSource) RestoreState(st SourceState) bool {
 	return true
 }
 
-// GenSource adapts a generator bounded to n records.
+// GenSource adapts a generator bounded to n records. Next generates each
+// chunk into one reusable buffer of sourceChunk records.
 type GenSource struct {
 	Gen  *trace.Generator
 	N    int
 	done int
+	buf  []trace.Record
 }
 
 // Next implements Source.
-func (s *GenSource) Next() (trace.Record, bool) {
-	if s.done >= s.N {
-		return trace.Record{}, false
+func (s *GenSource) Next(max int) []trace.Record {
+	if s.buf == nil {
+		s.buf = make([]trace.Record, sourceChunk)
 	}
-	s.done++
-	return s.Gen.Next(), true
+	recs := s.buf[:min(max, s.N-s.done, len(s.buf))]
+	for i := range recs {
+		recs[i] = s.Gen.Next()
+	}
+	s.done += len(recs)
+	return recs
 }
 
 // Remaining reports how many records are left (sampling schedule sizing).
@@ -248,9 +266,12 @@ type instr struct {
 // retire pops at the head, and completions index entries directly via
 // their sequence numbers, which are contiguous within the window.
 type machine struct {
-	cfg     config.Config
-	iface   core.Interface
-	src     Source
+	cfg   config.Config
+	iface core.Interface
+	src   Source
+	// chunk holds the records pulled from src and not yet dispatched; its
+	// head is retried first when a full load queue stalls dispatch.
+	chunk   []trace.Record
 	lq      *buffers.LoadQueue
 	rob     []instr // ring storage, len is a power of two >= cfg.ROB
 	robMask uint64
@@ -285,7 +306,8 @@ type machine struct {
 	// issue; meaningful once pendingDeps[slot] is zero.
 	readyAt []int64
 	// pendingDeps[slot] counts producers whose completion time is still
-	// unknown; the slot enters the ready mask when it reaches zero.
+	// unknown, plus one for a store behind an unissued store; the slot
+	// enters the ready mask when it reaches zero.
 	pendingDeps []uint8
 	// wakeHead[slot] and wakeNext form the per-producer wakeup lists:
 	// wakeHead is the producer's first node (-1 when empty) and node j
@@ -295,8 +317,10 @@ type machine struct {
 	wakeHead []int32
 	wakeNext []int32
 	// storeSeqs is a ring of the sequence numbers of unissued stores in
-	// program order; only its head may issue, which keeps stores ordered
-	// among themselves without scanning for older unissued stores.
+	// program order. Store order is a wakeup dependency: a store
+	// dispatched behind an unissued store counts one extra pending
+	// dependency, released when the store ahead of it issues, so only the
+	// ring's head is ever in the ready mask.
 	storeSeqs  []uint64
 	storeQHead uint64
 	storeQTail uint64
@@ -313,11 +337,6 @@ type machine struct {
 	// uses the pair to split a measurement burst into warmup and detail.
 	retired uint64
 	stopAt  uint64
-
-	// pending holds a record pulled from the source that could not be
-	// dispatched (load queue full); it is retried before pulling more.
-	pending    trace.Record
-	hasPending bool
 
 	// redirectSeq, when non-zero, is the sequence number of an in-flight
 	// mispredicted branch: dispatch stalls until it resolves, then pays
@@ -757,6 +776,12 @@ func (m *machine) issueReadyRange(from, to int, issued *int) bool {
 			}
 			if m.tryIssueSlot(slot) {
 				*issued++
+				// An issued store may have released the next store, a
+				// younger slot that can still issue this cycle.
+				word |= m.readyMask[w] &^ (1<<(b+1) - 1)
+				if hi := to - w<<6; hi < 64 {
+					word &= 1<<uint(hi) - 1
+				}
 			}
 		}
 	}
@@ -786,14 +811,18 @@ func (m *machine) tryIssueSlot(slot uint64) bool {
 		m.readyMask[slot>>6] &^= 1 << (slot & 63)
 		return true // dependents wake when the load completes
 	case trace.Store:
-		if m.storeSeqs[m.storeQHead&m.robMask] != in.seq {
-			return false // an older store has not issued yet
-		}
 		if !m.iface.TryIssue(core.Request{Seq: in.seq, Kind: mem.Store,
 			VA: in.rec.Addr, Size: in.rec.Size}) {
 			return false
 		}
 		m.storeQHead++
+		if m.storeQHead != m.storeQTail {
+			// Release the next store's order dependency.
+			next := (m.storeSeqs[m.storeQHead&m.robMask] - 1) & m.robMask
+			if m.pendingDeps[next]--; m.pendingDeps[next] == 0 {
+				m.readyMask[next>>6] |= 1 << (next & 63)
+			}
+		}
 		in.issued = true
 		in.done = m.cycle + 1
 		m.doneAt[in.seq%doneWindow] = in.done
@@ -879,24 +908,18 @@ func (m *machine) dispatch() {
 		m.redirectSeq, m.redirectUntil = 0, 0
 	}
 	for n := 0; n < m.cfg.FetchWidth && m.robLen < m.cfg.ROB; n++ {
-		var rec trace.Record
-		if m.hasPending {
-			rec = m.pending
-		} else {
-			var ok bool
-			rec, ok = m.src.Next()
-			if !ok {
+		if len(m.chunk) == 0 {
+			m.chunk = m.src.Next(sourceChunk)
+			if len(m.chunk) == 0 {
 				m.srcDone = true
 				return
 			}
 		}
+		rec := &m.chunk[0]
 		if rec.Kind == trace.Load && !m.lq.TryAlloc() {
-			// LQ full: stall dispatch, retrying this record next cycle.
-			m.pending = rec
-			m.hasPending = true
-			return
+			return // LQ full: stall dispatch, retrying this record next cycle
 		}
-		m.hasPending = false
+		m.chunk = m.chunk[1:]
 		m.seq++
 		// Dependencies reaching past the trace start (d > seq) are
 		// ignored pre-history; in-range ones past depLimit would alias a
@@ -908,7 +931,7 @@ func (m *machine) dispatch() {
 		if d := uint64(rec.Dep2); d <= m.seq && d > m.depLimit {
 			panic(fmt.Sprintf("cpu: dependency distance %d exceeds the completion window (max %d for ROB=%d)", d, m.depLimit, m.cfg.ROB))
 		}
-		*m.robAt(m.robLen) = instr{rec: rec, seq: m.seq, done: unknownDone}
+		*m.robAt(m.robLen) = instr{rec: *rec, seq: m.seq, done: unknownDone}
 		m.robLen++
 		m.doneAt[m.seq%doneWindow] = unknownDone
 		if m.wake {
@@ -938,7 +961,7 @@ func (m *machine) dispatch() {
 // necessarily still in the ROB) register it on their wakeup lists. Slots
 // are assigned in sequence order, so the slot of sequence s is always
 // (s-1) & robMask, for producers and consumers alike.
-func (m *machine) enqueueWake(rec trace.Record) {
+func (m *machine) enqueueWake(rec *trace.Record) {
 	seq := m.seq
 	slot := (seq - 1) & m.robMask
 	if m.wakeHead[slot] >= 0 {
@@ -970,14 +993,17 @@ func (m *machine) enqueueWake(rec trace.Record) {
 			ready = v
 		}
 	}
+	if rec.Kind == trace.Store {
+		if m.storeQHead != m.storeQTail {
+			pending++ // behind an unissued store
+		}
+		m.storeSeqs[m.storeQTail&m.robMask] = seq
+		m.storeQTail++
+	}
 	m.pendingDeps[slot] = pending
 	m.readyAt[slot] = ready
 	if pending == 0 {
 		m.readyMask[slot>>6] |= 1 << (slot & 63)
-	}
-	if rec.Kind == trace.Store {
-		m.storeSeqs[m.storeQTail&m.robMask] = seq
-		m.storeQTail++
 	}
 }
 

@@ -171,5 +171,8 @@ func TestWakeupMatchesScanOnMicroTraces(t *testing.T) {
 		if !bytes.Equal(mustJSON(t, a), mustJSON(t, b)) {
 			t.Errorf("%s: wakeup result differs from scan (cycles %d vs %d)", name, a.Cycles, b.Cycles)
 		}
+		if c := runCheckingStoreOrder(t, config.MALEC(), name, &SliceSource{Records: recs}); !bytes.Equal(mustJSON(t, a), mustJSON(t, c)) {
+			t.Errorf("%s: stepped result differs from Run", name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cpu
 import (
 	"bytes"
 	"encoding/json"
+	"math/bits"
 	"testing"
 
 	"malec/internal/config"
@@ -22,6 +23,30 @@ func runReference(cfg config.Config, benchmark string, src Source, noSkip, scanI
 	m.wake = !scanIssue
 	m.run()
 	return m.result(benchmark)
+}
+
+// runCheckingStoreOrder runs src on the production loop like Run, stopping
+// after every retirement (stopping and resuming is bit-identical to an
+// uninterrupted run) to check the wakeup scheduler's store-order invariant:
+// a store in the ready mask is the oldest unissued store.
+func runCheckingStoreOrder(t *testing.T, cfg config.Config, benchmark string, src Source) Result {
+	t.Helper()
+	m := newMachine(cfg, core.New(cfg), src)
+	for {
+		m.runTo(m.retired + 1)
+		for w, word := range m.readyMask {
+			for ; word != 0; word &= word - 1 {
+				in := &m.rob[w<<6+bits.TrailingZeros64(word)]
+				if in.rec.Kind == trace.Store && m.storeSeqs[m.storeQHead&m.robMask] != in.seq {
+					t.Fatalf("%s/%s cycle %d: store %d is ready behind unissued store %d",
+						cfg.Name, benchmark, m.cycle, in.seq, m.storeSeqs[m.storeQHead&m.robMask])
+				}
+			}
+		}
+		if m.srcDone && m.robLen == 0 && m.iface.Pending() == 0 && m.iface.Idle() {
+			return m.result(benchmark) // run returned because the machine drained
+		}
+	}
 }
 
 // gridPoint is one configuration x benchmark x seed simulation point.
@@ -102,7 +127,8 @@ func TestCycleSkipDifferential(t *testing.T) {
 // every grid point the full Result JSON is byte-identical between the
 // production issue path and the scan oracle. Cycle skipping stays enabled
 // on both sides, so the test also covers the interaction of the two
-// event-driven mechanisms.
+// event-driven mechanisms. A stepped rerun of the production path checks
+// the store-order invariant throughout and must give the same bytes.
 func TestWakeupSchedulerDifferential(t *testing.T) {
 	const instructions = 20000
 	for _, g := range differentialGrid() {
@@ -111,6 +137,10 @@ func TestWakeupSchedulerDifferential(t *testing.T) {
 		if !bytes.Equal(mustJSON(t, on), mustJSON(t, off)) {
 			t.Errorf("%s/%s/seed=%d: wakeup result differs from scan (cycles %d vs %d)",
 				g.cfg.Name, g.bench, g.seed, on.Cycles, off.Cycles)
+		}
+		stepped := runCheckingStoreOrder(t, g.cfg, g.bench, g.source(instructions))
+		if !bytes.Equal(mustJSON(t, on), mustJSON(t, stepped)) {
+			t.Errorf("%s/%s/seed=%d: stepped result differs from Run", g.cfg.Name, g.bench, g.seed)
 		}
 	}
 }

@@ -77,9 +77,10 @@ type Checkpoints interface {
 
 // runSampled executes the sampled fast path. total is the number of
 // records the source will yield (>= one interval, checked by the caller).
-// ctx, when non-nil, is polled once per window and periodically through
-// the tail warm; windows are bounded (one interval of warming plus a
-// burst), so cancellation lands within a window's worth of work.
+// ctx, when non-nil, is polled once per window and before the tail warm;
+// windows are bounded (one interval of warming plus a burst) and the tail
+// is shorter than one, so cancellation lands within a window's worth of
+// work.
 func runSampled(ctx context.Context, cfg config.Config, benchmark string, src Source, total int, ck Checkpoints) (Result, error) {
 	sch := cfg.Sampling
 	warmup, detail, interval := sch.Warmup, sch.Detail, sch.Interval
@@ -100,40 +101,15 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 	sys.SetWarming(true)
 
 	var (
-		instructions, loads, stores uint64
-		warmed                      uint64
-		skippedCycles, skipJumps    uint64
-		hits, saves                 int
-		epiSum                      energy.Breakdown
-		lastMeter                   *energy.Meter
+		skippedCycles, skipJumps uint64
+		hits, saves              int
+		epiSum                   energy.Breakdown
+		lastMeter                *energy.Meter
 	)
+	rd := reader{src: src}
 	cpiSamples := make([]float64, 0, nWin)
 	epiSamples := make([]float64, 0, nWin)
 	buf := make([]trace.Record, burst)
-
-	next := func() trace.Record {
-		rec, ok := src.Next()
-		if !ok {
-			panic(fmt.Sprintf("cpu: source ran dry mid-schedule after %d records (Remaining lied)", instructions))
-		}
-		instructions++
-		switch rec.Kind {
-		case trace.Load:
-			loads++
-		case trace.Store:
-			stores++
-		}
-		return rec
-	}
-	warm := func(rec trace.Record) {
-		warmed++
-		switch rec.Kind {
-		case trace.Load:
-			sys.WarmLoad(rec.Addr)
-		case trace.Store:
-			sys.WarmStore(rec.Addr)
-		}
-	}
 
 	for k := 0; k < nWin; k++ {
 		if ctx != nil {
@@ -148,22 +124,22 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		// jumping the source state over the gap when the snapshot carries
 		// it, else streaming the gap records to keep the generator and the
 		// instruction-mix counts exact — otherwise warm the gap and capture.
+		// Each read asks for exactly the records before the burst start,
+		// so the source is positioned at it when the checkpoint is taken.
 		var st *core.SystemState
 		if ck != nil {
 			if got, ok := ck.Load(burstStart); ok && got.Sys != nil {
 				jumped := false
 				if got.Src != nil {
 					if sf, ok := src.(statefulSource); ok && sf.RestoreState(*got.Src) {
-						instructions = got.Instructions
-						loads = got.Loads
-						stores = got.Stores
+						rd.instructions = got.Instructions
+						rd.loads = got.Loads
+						rd.stores = got.Stores
 						jumped = true
 					}
 				}
 				if !jumped {
-					for i := 0; i < gap; i++ {
-						next()
-					}
+					rd.read(gap, nil, nil)
 				}
 				sys.RestoreState(got.Sys)
 				st = got.Sys
@@ -171,12 +147,10 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 			}
 		}
 		if st == nil {
-			for i := 0; i < gap; i++ {
-				warm(next())
-			}
+			rd.read(gap, sys, nil)
 			st = sys.CaptureState()
 			if ck != nil {
-				save := &Checkpoint{Sys: st, Instructions: instructions, Loads: loads, Stores: stores}
+				save := &Checkpoint{Sys: st, Instructions: rd.instructions, Loads: rd.loads, Stores: rd.stores}
 				if sf, ok := src.(statefulSource); ok {
 					ss := sf.CaptureState()
 					save.Src = &ss
@@ -188,11 +162,7 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 
 		// The burst records feed both the primary (trajectory identical to
 		// an unmeasured run) and the shadow's replay buffer.
-		for i := 0; i < burst; i++ {
-			rec := next()
-			warm(rec)
-			buf[i] = rec
-		}
+		rd.read(burst, sys, buf)
 
 		// Detailed measurement: throwaway machine, memory side restored to
 		// the burst-start state, warmup retires unmeasured, the detail
@@ -221,27 +191,15 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		lastMeter = shadow.Meter()
 	}
 
-	// Tail past the last full interval: warmed so the final memory-side
-	// statistics cover the whole trace.
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
+	// Tail past the last full interval, shorter than a window: warmed so
+	// the final memory-side statistics cover the whole trace.
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
 		}
-		if ctx != nil && instructions&(1<<20-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		instructions++
-		switch rec.Kind {
-		case trace.Load:
-			loads++
-		case trace.Store:
-			stores++
-		}
-		warm(rec)
 	}
+	rd.read(total-nWin*interval, sys, nil)
+	instructions := rd.instructions
 
 	// Extrapolate: mean CPI and mean per-component EPI over the windows,
 	// scaled to the full instruction count. Leakage is priced off the
@@ -269,7 +227,7 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 	tel.Add(stats.CtrSkippedCycles, skippedCycles)
 	tel.Add(stats.CtrSkipJumps, skipJumps)
 	tel.Add(stats.CtrSampledWindows, uint64(nWin))
-	tel.Add(stats.CtrSampledWarmedRecords, warmed)
+	tel.Add(stats.CtrSampledWarmedRecords, rd.warmed)
 	tel.Add(stats.CtrCheckpointRestores, uint64(hits))
 	tel.Add(stats.CtrCheckpointSaves, uint64(saves))
 
@@ -279,8 +237,8 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		Benchmark:     benchmark,
 		Cycles:        estCycles,
 		Instructions:  instructions,
-		Loads:         loads,
-		Stores:        stores,
+		Loads:         rd.loads,
+		Stores:        rd.stores,
 		Energy:        eb,
 		L1:            sys.L1.Stats(),
 		L2:            sys.Back.L2.Stats(),
@@ -300,7 +258,54 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 			EnergyRelHalfWidth: RelHalfWidth95(epiSamples),
 			CheckpointHits:     hits,
 			CheckpointMisses:   nWin - hits,
-			WarmedRecords:      warmed,
+			WarmedRecords:      rd.warmed,
 		},
 	}, nil
+}
+
+// reader is the sampled path's view of its source: it reads exact runs of
+// records and keeps the instruction-mix and warming counts.
+type reader struct {
+	src                                 Source
+	instructions, loads, stores, warmed uint64
+}
+
+// read consumes exactly n records and counts them into the instruction
+// mix. With a non-nil sys it also drives them through functional warming,
+// and with a non-nil dst it copies them there. No Next asks for more than
+// the records left, so the source ends up exactly n records on. The
+// schedule was sized from the source's Remaining, so running dry is a
+// source bug.
+func (r *reader) read(n int, sys *core.System, dst []trace.Record) {
+	for n > 0 {
+		recs := r.src.Next(n)
+		if len(recs) == 0 {
+			panic(fmt.Sprintf("cpu: source ran dry mid-schedule after %d records (Remaining lied)", r.instructions))
+		}
+		n -= len(recs)
+		r.instructions += uint64(len(recs))
+		dst = dst[copy(dst, recs):]
+		if sys == nil {
+			for i := range recs {
+				switch recs[i].Kind {
+				case trace.Load:
+					r.loads++
+				case trace.Store:
+					r.stores++
+				}
+			}
+			continue
+		}
+		r.warmed += uint64(len(recs))
+		for i := range recs {
+			switch recs[i].Kind {
+			case trace.Load:
+				r.loads++
+				sys.WarmLoad(recs[i].Addr)
+			case trace.Store:
+				r.stores++
+				sys.WarmStore(recs[i].Addr)
+			}
+		}
+	}
 }

@@ -59,8 +59,25 @@ func (w *Writer) uvarint(v uint64) error {
 	return err
 }
 
-// Write encodes one record.
+// maxAccessSize bounds a memory record's Size: accesses are 1..16 bytes.
+const maxAccessSize = 16
+
+// checkSize rejects a memory access size outside 1..maxAccessSize.
+func checkSize(size uint8) error {
+	if size == 0 || size > maxAccessSize {
+		return fmt.Errorf("trace: memory access size %d out of range 1..%d", size, maxAccessSize)
+	}
+	return nil
+}
+
+// Write encodes one record. A memory record whose Size is outside 1..16 is
+// rejected before anything is written.
 func (w *Writer) Write(r Record) error {
+	if r.IsMem() {
+		if err := checkSize(r.Size); err != nil {
+			return err
+		}
+	}
 	if err := w.w.WriteByte(byte(r.Kind)); err != nil {
 		return err
 	}
@@ -141,6 +158,9 @@ func (r *Reader) Read() (Record, error) {
 		sz, err := r.r.ReadByte()
 		if err != nil {
 			return Record{}, unexpectedEOF(err)
+		}
+		if err := checkSize(sz); err != nil {
+			return Record{}, err
 		}
 		rec.Size = sz
 	}

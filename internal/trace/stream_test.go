@@ -6,8 +6,11 @@ package trace_test
 // package's unexported per-chunk hook (export_test.go).
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,22 +36,26 @@ func pauseAt(t *testing.T, at int) (reached, release chan struct{}) {
 	return reached, release
 }
 
-// readAll drains a reader, optionally restored to pos first, and reports
-// the first record differing from want[pos:].
+// readAll drains a reader in chunks of at most 1000 records (never
+// aligned with the producer's chunks), optionally restored to pos first,
+// and reports the first record differing from want[pos:].
 func readAll(src *cpu.SliceSource, pos int, want []trace.Record) error {
 	if pos > 0 && !src.RestoreState(cpu.SourceState{Pos: uint64(pos)}) {
 		return errors.New("restore refused")
 	}
-	for i := pos; ; i++ {
-		rec, ok := src.Next()
-		if !ok {
+	for i := pos; ; {
+		recs := src.Next(1000)
+		if len(recs) == 0 {
 			if i != len(want) {
 				return errors.New("reader ended early")
 			}
 			return nil
 		}
-		if i >= len(want) || rec != want[i] {
-			return errors.New("record differs from fresh generation")
+		for _, rec := range recs {
+			if i >= len(want) || rec != want[i] {
+				return errors.New("record differs from fresh generation")
+			}
+			i++
 		}
 	}
 }
@@ -152,14 +159,16 @@ func TestStreamProducerPanicReachesReaders(t *testing.T) {
 			}()
 			src := &cpu.SliceSource{Records: recs, Wait: wait}
 			for {
-				rec, ok := src.Next()
-				if !ok {
+				recs := src.Next(1000)
+				if len(recs) == 0 {
 					return
 				}
-				if rec != want[read] {
-					t.Errorf("record %d differs before the failure", read)
+				for _, rec := range recs {
+					if rec != want[read] {
+						t.Errorf("record %d differs before the failure", read)
+					}
+					read++
 				}
-				read++
 			}
 		}()
 	}
@@ -379,4 +388,80 @@ func TestStreamCancelledPointsBoundProducers(t *testing.T) {
 	}
 	close(release)
 	settle(t, e, workers, baseline)
+}
+
+// ckStore is a map checkpoint store that keeps every save.
+type ckStore map[uint64]*cpu.Checkpoint
+
+func (s ckStore) Load(n uint64) (*cpu.Checkpoint, bool) { ck, ok := s[n]; return ck, ok }
+func (s ckStore) Save(n uint64, ck *cpu.Checkpoint)     { s[n] = ck }
+
+// lockstepArena streams an arena whose producer pauses before every chunk
+// until the reader has caught up with the watermark: each chunk boundary
+// is a read that must wait. It returns a SliceSource over the arena.
+func lockstepArena(t *testing.T, bench string, seed uint64, n int) *cpu.SliceSource {
+	var readerAt atomic.Int64
+	trace.SetChunkHook(t, func(start int) {
+		for readerAt.Load() < int64(start) {
+			runtime.Gosched()
+		}
+	})
+	recs, wait := trace.NewCache(1<<20).Stream(bench, seed, n)
+	return &cpu.SliceSource{Records: recs, Wait: func(i int) int {
+		readerAt.Store(int64(i))
+		return wait(i)
+	}}
+}
+
+// TestStreamChunkedRunsMatchCompleteArena runs exact and sampled points
+// from a streaming arena read in lockstep with its producer, cold (saving
+// checkpoints) and warm (restoring them, which jumps the reader past the
+// watermark). Each Result JSON must be byte-identical to a run over the
+// complete arena, and every checkpoint must match that run's, taken at its
+// own trace index.
+func TestStreamChunkedRunsMatchCompleteArena(t *testing.T) {
+	const n = 5*trace.ChunkRecords + 123
+	points := []struct {
+		cfg   config.Config
+		bench string
+	}{{config.Base1ldst(), "gzip"}, {config.MALEC(), "ptrchase"}}
+	for _, p := range points {
+		for _, sampled := range []bool{false, true} {
+			cfg := p.cfg
+			if sampled {
+				cfg.Sampling = &config.Sampling{Warmup: 100, Detail: 400, Interval: 8000}
+			}
+			name := fmt.Sprintf("%s/%s/sampled=%v", cfg.Name, p.bench, sampled)
+			run := func(src cpu.Source, st ckStore) []byte {
+				j, err := json.Marshal(cpu.RunWithCheckpoints(cfg, p.bench, src, st))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j
+			}
+			wantStore := ckStore{}
+			want := run(&cpu.SliceSource{Records: trace.NewGenerator(trace.Profiles[p.bench], 1).Generate(n)}, wantStore)
+			store := ckStore{}
+			if got := run(lockstepArena(t, p.bench, 1, n), store); !bytes.Equal(got, want) {
+				t.Errorf("%s: streamed run differs from the complete arena", name)
+			}
+			if len(store) != len(wantStore) {
+				t.Fatalf("%s: %d checkpoints, want %d", name, len(store), len(wantStore))
+			}
+			for k, w := range wantStore {
+				g, ok := store[k]
+				if !ok || g.Src == nil || g.Src.Pos != k {
+					t.Fatalf("%s: checkpoint %d missing or taken at another position", name, k)
+				}
+				gj, _ := json.Marshal(g)
+				wj, _ := json.Marshal(w)
+				if !bytes.Equal(gj, wj) {
+					t.Fatalf("%s: checkpoint %d differs from the complete arena's", name, k)
+				}
+			}
+			if got := run(lockstepArena(t, p.bench, 1, n), store); !bytes.Equal(got, want) {
+				t.Errorf("%s: warm streamed run differs from the complete arena", name)
+			}
+		}
+	}
 }

@@ -60,7 +60,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		rec := Record{Kind: Kind(kind % 4), Dep1: d1, Dep2: d2}
 		if rec.IsMem() {
 			rec.Addr = mem.Addr(addr).Canon()
-			rec.Size = size
+			rec.Size = 1 + size%maxAccessSize
 		}
 		if rec.Kind == Branch {
 			rec.Mispredict = misp
@@ -122,6 +122,36 @@ func TestCodecDepOutOfRange(t *testing.T) {
 		}
 		if rec, err := r.Read(); err == nil {
 			t.Errorf("deps %v decoded as %+v, want an error", deps, rec)
+		}
+	}
+}
+
+// TestCodecSizeOutOfRange checks that memory records with a Size outside
+// 1..16 are refused on both sides of the codec: the writer writes nothing
+// for them, and the reader fails on an encoded one instead of handing the
+// store buffer a 0-byte or oversized access.
+func TestCodecSizeOutOfRange(t *testing.T) {
+	for _, kind := range []Kind{Load, Store} {
+		for _, size := range []uint8{0, 17, 255} {
+			var buf bytes.Buffer
+			w, _ := NewWriter(&buf)
+			if err := w.Write(Record{Kind: kind, Addr: 0x1000, Size: size}); err == nil {
+				t.Errorf("Write accepted a %v of size %d", kind, size)
+			}
+			if w.Flush(); w.Count() != 0 {
+				t.Errorf("Write counted a refused %v of size %d", kind, size)
+			}
+			buf.WriteByte(byte(kind))
+			buf.Write(binary.AppendUvarint(nil, 0x1000))
+			buf.WriteByte(size)
+			buf.Write([]byte{0, 0}) // dep1, dep2
+			r, err := NewReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := r.Read(); err == nil {
+				t.Errorf("%v of size %d decoded as %+v, want an error", kind, size, rec)
+			}
 		}
 	}
 }
