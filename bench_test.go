@@ -192,6 +192,23 @@ func BenchmarkSimSampled(b *testing.B) {
 	reportInstrPerSec(b, n)
 }
 
+// BenchmarkSimSampledLong measures one long cold sampled point: 10M
+// instructions of gzip on MALEC with DefaultSampling (ten windows), run
+// through Run, which reads the trace from a generate-ahead GenSource, so
+// trace generation overlaps functional warming and no trace is held.
+func BenchmarkSimSampledLong(b *testing.B) {
+	const n = 10_000_000
+	cfg := MALEC()
+	cfg.Sampling = DefaultSampling()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if r := Run(cfg, "gzip", n, 1); r.Sampling == nil {
+			b.Fatal("sampled path did not engage")
+		}
+	}
+	reportInstrPerSec(b, n)
+}
+
 // BenchmarkTraceGeneration measures synthetic workload generation.
 func BenchmarkTraceGeneration(b *testing.B) {
 	b.ReportAllocs()

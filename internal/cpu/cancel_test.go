@@ -69,3 +69,26 @@ func TestSampledRunContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestGenSourceJoinedOnCancel cancels exact and sampled runs reading a
+// generate-ahead GenSource: each returns context.Canceled with its
+// producer already stopped, so no producer outlives the run.
+func TestGenSourceJoinedOnCancel(t *testing.T) {
+	sampled := config.MALEC()
+	sampled.Sampling = &config.Sampling{Interval: 1_000_000, Warmup: 2000, Detail: 8000}
+	for _, cfg := range []config.Config{config.MALEC(), sampled} {
+		src := cancelSource("mcf", 2, 20_000_000)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := RunContext(ctx, cfg, "mcf", src)
+		cancel()
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("sampled=%v: err = %v, want the context's error", cfg.Sampling != nil, err)
+		}
+		src.mu.Lock()
+		running, produced := src.running, src.produced
+		src.mu.Unlock()
+		if running || produced == 0 {
+			t.Fatalf("sampled=%v: producer running=%v after the run returned, %d records produced", cfg.Sampling != nil, running, produced)
+		}
+	}
+}

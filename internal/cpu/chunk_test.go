@@ -11,20 +11,44 @@ import (
 	"malec/internal/trace"
 )
 
-// fullSource is a source with every optional capability the cpu package
-// looks for.
-type fullSource interface {
-	Source
-	sizedSource
-	statefulSource
+// genOracle reads a generator one record per Next call, whatever the
+// caller asks for, on the caller's goroutine: the record-at-a-time reader
+// the chunked and generate-ahead reads must be indistinguishable from.
+type genOracle struct {
+	gen  *trace.Generator
+	n    int
+	pos  int
+	last [1]trace.Record
 }
 
-// oneAtATime hands out one record per Next call, whatever the caller asks
-// for: the record-at-a-time reader the chunked reads must be
-// indistinguishable from.
-type oneAtATime struct{ fullSource }
+func newGenOracle(g gridPoint, n int) *genOracle {
+	return &genOracle{gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), n: n}
+}
 
-func (s oneAtATime) Next(int) []trace.Record { return s.fullSource.Next(1) }
+func (s *genOracle) Next(int) []trace.Record {
+	if s.pos == s.n {
+		return nil
+	}
+	s.gen.Fill(&s.last[0])
+	s.pos++
+	return s.last[:]
+}
+
+func (s *genOracle) Remaining() int { return s.n - s.pos }
+
+func (s *genOracle) position() int { return s.pos }
+
+func (s *genOracle) CaptureState() SourceState {
+	return SourceState{Gen: s.gen.CaptureState(), Pos: uint64(s.pos)}
+}
+
+func (s *genOracle) RestoreState(st SourceState) bool {
+	if st.Gen == nil || !s.gen.RestoreState(st.Gen) {
+		return false
+	}
+	s.pos = int(st.Pos)
+	return true
+}
 
 // recordingStore is a map checkpoint store that keeps every save.
 type recordingStore map[uint64]*Checkpoint
@@ -65,9 +89,9 @@ func pointName(g gridPoint) string {
 // checkpointsEqual compares two stores checkpoint by checkpoint: the
 // memory-side state, the stream counts and the source position must match,
 // and every position must be the checkpoint's own trace index, so no read
-// crossed a capture point. Generator snapshots are compared when both
-// sides carry one.
-func checkpointsEqual(t *testing.T, name string, got, want recordingStore) {
+// crossed a capture point. With withGen, got's checkpoints must carry a
+// generator snapshot at that index too, byte-equal to want's.
+func checkpointsEqual(t *testing.T, name string, got, want recordingStore, withGen bool) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d checkpoints, want %d", name, len(got), len(want))
@@ -88,34 +112,42 @@ func checkpointsEqual(t *testing.T, name string, got, want recordingStore) {
 		if !bytes.Equal(gs, ws) {
 			t.Fatalf("%s: checkpoint %d memory-side state differs", name, n)
 		}
-		if g.Src.Gen != nil && w.Src.Gen != nil {
-			gg, _ := json.Marshal(g.Src.Gen)
-			wg, _ := json.Marshal(w.Src.Gen)
-			if !bytes.Equal(gg, wg) {
-				t.Fatalf("%s: checkpoint %d generator state differs: the source read past the capture point", name, n)
-			}
+		if !withGen {
+			continue
+		}
+		if g.Src.Gen == nil || g.Src.Gen.Idx != n {
+			t.Fatalf("%s: checkpoint %d carries generator snapshot %+v, want one at index %d", name, n, g.Src.Gen, n)
+		}
+		if gj, wj := mustJSONValue(t, g), mustJSONValue(t, w); !bytes.Equal(gj, wj) {
+			t.Fatalf("%s: checkpoint %d differs from the record-at-a-time checkpoint: the source read past the capture point", name, n)
 		}
 	}
 }
 
-// TestChunkedSourcesMatchRecordAtATime runs exact and sampled points from
-// a complete SliceSource and from GenSources with randomized chunk caps,
-// and compares each with a record-at-a-time GenSource: the Result JSON
-// must be byte-identical, cold (saving checkpoints) and warm (restoring
-// them), and the saved checkpoints must match record for record. A
-// GenSource run over the SliceSource's checkpoints, which carry no
-// generator snapshot, covers the path that streams the gap instead of
-// jumping it.
+// mustJSONValue marshals any value for byte comparison.
+func mustJSONValue(t *testing.T, v any) []byte {
+	t.Helper()
+	j, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestChunkedSourcesMatchRecordAtATime runs exact and sampled points
+// from a complete SliceSource and from generate-ahead GenSources with
+// randomized ring chunk sizes, and compares each with a record-at-a-time
+// generator: the Result JSON must be byte-identical, cold (saving
+// checkpoints) and warm (restoring them), and the saved checkpoints must
+// match record for record. A GenSource also runs restoring the oracle's
+// checkpoints and the SliceSource's, which carry no generator snapshot
+// and so cover the path that streams the gap instead of jumping it.
 func TestChunkedSourcesMatchRecordAtATime(t *testing.T) {
 	drv := rng.New(41)
 	for _, g := range chunkTestPoints() {
 		name := pointName(g)
-		gen := func(chunkCap int) *GenSource {
-			s := &GenSource{Gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), N: chunkTestRecords}
-			if chunkCap > 0 {
-				s.buf = make([]trace.Record, chunkCap)
-			}
-			return s
+		gen := func(chunk int) *GenSource {
+			return &GenSource{Gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), N: chunkTestRecords, chunk: chunk}
 		}
 		run := func(src Source, st recordingStore) []byte {
 			var ck Checkpoints
@@ -127,7 +159,7 @@ func TestChunkedSourcesMatchRecordAtATime(t *testing.T) {
 		sampled := g.cfg.Sampling != nil
 
 		wantStore := recordingStore{}
-		want := run(oneAtATime{gen(0)}, wantStore)
+		want := run(newGenOracle(g, chunkTestRecords), wantStore)
 		if sampled && len(wantStore) != chunkTestRecords/chunkTestSchedule().Interval {
 			t.Fatalf("%s: oracle saved %d checkpoints", name, len(wantStore))
 		}
@@ -137,23 +169,96 @@ func TestChunkedSourcesMatchRecordAtATime(t *testing.T) {
 		if got := run(&SliceSource{Records: recs}, sliceStore); !bytes.Equal(got, want) {
 			t.Errorf("%s: SliceSource result differs from the record-at-a-time run", name)
 		}
-		checkpointsEqual(t, name+" SliceSource", sliceStore, wantStore)
+		checkpointsEqual(t, name+" SliceSource", sliceStore, wantStore, false)
 		if got := run(&SliceSource{Records: recs}, sliceStore); !bytes.Equal(got, want) {
 			t.Errorf("%s: SliceSource warm result differs", name)
 		}
 
-		for _, chunkCap := range []int{1 + drv.Intn(999), 1000 + drv.Intn(9000)} {
+		for _, chunk := range []int{1 + drv.Intn(999), 1000 + drv.Intn(9000)} {
+			label := fmt.Sprintf("%s GenSource(chunk %d)", name, chunk)
 			genStore := recordingStore{}
-			if got := run(gen(chunkCap), genStore); !bytes.Equal(got, want) {
-				t.Errorf("%s: GenSource(cap %d) result differs from the record-at-a-time run", name, chunkCap)
+			if got := run(gen(chunk), genStore); !bytes.Equal(got, want) {
+				t.Errorf("%s: cold result differs from the record-at-a-time run", label)
 			}
-			checkpointsEqual(t, fmt.Sprintf("%s GenSource(cap %d)", name, chunkCap), genStore, wantStore)
-			if got := run(gen(chunkCap), genStore); !bytes.Equal(got, want) {
-				t.Errorf("%s: GenSource(cap %d) warm result differs", name, chunkCap)
+			checkpointsEqual(t, label, genStore, wantStore, true)
+			if got := run(gen(chunk), genStore); !bytes.Equal(got, want) {
+				t.Errorf("%s: warm result differs", label)
 			}
-			if got := run(gen(chunkCap), sliceStore); !bytes.Equal(got, want) {
-				t.Errorf("%s: GenSource(cap %d) over generator-less checkpoints differs", name, chunkCap)
+			if got := run(gen(chunk), wantStore); !bytes.Equal(got, want) {
+				t.Errorf("%s: run restoring the oracle's checkpoints differs", label)
+			}
+			if got := run(gen(chunk), sliceStore); !bytes.Equal(got, want) {
+				t.Errorf("%s: run over generator-less checkpoints differs", label)
 			}
 		}
 	}
+}
+
+// TestDamagedCheckpointPositionsRewarm shifts each position a checkpoint
+// records (its instruction count, source position and generator index) by
+// ±7 records, over a generator and over an arena. A run over the damaged
+// checkpoints must treat them as misses, warm, and overwrite them: its
+// Result JSON must equal an uncheckpointed run's, and the store must end
+// up holding checkpoints taken at their own indexes.
+func TestDamagedCheckpointPositionsRewarm(t *testing.T) {
+	g := chunkTestPoints()[1]
+	recs := trace.NewGenerator(trace.Profiles[g.bench], g.seed).Generate(chunkTestRecords)
+	sources := map[string]func() Source{
+		"GenSource": func() Source {
+			return &GenSource{Gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), N: chunkTestRecords}
+		},
+		"SliceSource": func() Source { return &SliceSource{Records: recs} },
+	}
+	damages := map[string]func(ck *Checkpoint, d int64){
+		"Instructions": func(ck *Checkpoint, d int64) { ck.Instructions += uint64(d) },
+		"Src.Pos":      func(ck *Checkpoint, d int64) { ck.Src.Pos += uint64(d) },
+		"Src.Gen.Idx":  func(ck *Checkpoint, d int64) { ck.Src.Gen.Idx += uint64(d) },
+	}
+	want := mustJSON(t, RunWithCheckpoints(g.cfg, g.bench, sources["GenSource"](), nil))
+	for kind, source := range sources {
+		good := recordingStore{}
+		RunWithCheckpoints(g.cfg, g.bench, source(), good)
+		withGen := kind == "GenSource"
+		for field, damage := range damages {
+			if field == "Src.Gen.Idx" && !withGen {
+				continue
+			}
+			for _, d := range []int64{-7, 7} {
+				name := fmt.Sprintf("%s %s%+d", kind, field, d)
+				store := recordingStore{}
+				for n, ck := range good {
+					c, src := *ck, *ck.Src
+					if withGen {
+						gen := *src.Gen
+						src.Gen = &gen
+					}
+					c.Src = &src
+					damage(&c, d)
+					store[n] = &c
+				}
+				got, err := runRecovered(func() Result { return RunWithCheckpoints(g.cfg, g.bench, source(), store) })
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					continue
+				}
+				if res := mustJSON(t, got); !bytes.Equal(res, want) {
+					t.Errorf("%s: restoring damaged checkpoints changed the result (cycles %d)", name, got.Cycles)
+				}
+				if got.Sampling.CheckpointHits != 0 {
+					t.Errorf("%s: %d damaged checkpoints restored", name, got.Sampling.CheckpointHits)
+				}
+				checkpointsEqual(t, name+" overwritten", store, good, withGen)
+			}
+		}
+	}
+}
+
+// runRecovered runs f, turning a panic into an error.
+func runRecovered(f func() Result) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panicked: %v", r)
+		}
+	}()
+	return f(), nil
 }

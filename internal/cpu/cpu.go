@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"malec/internal/buffers"
 	"malec/internal/cache"
@@ -34,9 +35,8 @@ type Source interface {
 	Next(max int) []trace.Record
 }
 
-// sourceChunk is the chunk size the cycle loop asks for and GenSource's
-// buffer size: 32 KB of records, which stays in the host's L1/L2 between
-// generation and use.
+// sourceChunk is the chunk size the cycle loop asks for: 32 KB of
+// records.
 const sourceChunk = 1024
 
 // SliceSource reads a trace arena: a flat record slice, complete or still
@@ -76,6 +76,8 @@ func (s *SliceSource) Remaining() int { return len(s.Records) - s.pos }
 // CaptureState implements statefulSource.
 func (s *SliceSource) CaptureState() SourceState { return SourceState{Pos: uint64(s.pos)} }
 
+func (s *SliceSource) position() int { return s.pos }
+
 // RestoreState implements statefulSource. A position past the watermark is
 // accepted; the next Next waits for the producer to reach it.
 func (s *SliceSource) RestoreState(st SourceState) bool {
@@ -86,42 +88,220 @@ func (s *SliceSource) RestoreState(st SourceState) bool {
 	return true
 }
 
-// GenSource adapts a generator bounded to n records. Next generates each
-// chunk into one reusable buffer of sourceChunk records.
+// GenSource generates a trace of N records from Gen on a producer
+// goroutine, ahead of its reader, into a fixed ring of genRingSlots chunks
+// of genChunk records (1 MB), so a point never holds its whole trace. The
+// producer never generates past the position its reader allows: Next(max)
+// allows the records up to the end of that request, and
+// RunWithCheckpointsContext allows the whole trace to an exact run and to
+// a sampled run without a checkpoint store. A sampled reader that asks for
+// exactly the records before a checkpoint therefore finds the generator
+// stopped at it. A producer panic re-panics in the reader's Next. The
+// producer starts on the first Next and exits once the trace is generated
+// or when RunWithCheckpointsContext returns.
 type GenSource struct {
-	Gen  *trace.Generator
-	N    int
-	done int
-	buf  []trace.Record
+	Gen *trace.Generator
+	N   int
+
+	// Reader side, touched only by the reader's goroutine.
+	pos     int            // records returned to the reader
+	cur     []trace.Record // unread rest of the slot being read
+	holding bool           // the reader holds ring slot head
+	chunk   int            // records per slot (0: genChunk)
+	wg      sync.WaitGroup // the running producer
+
+	mu       sync.Mutex
+	cond     sync.Cond // signals every change below
+	ring     [genRingSlots][]trace.Record
+	lens     [genRingSlots]int
+	head     int  // oldest filled slot
+	filled   int  // slots filled and not yet released by the reader
+	produced int  // records generated
+	limit    int  // records the producer may generate
+	busy     bool // the producer is filling a slot (and advancing Gen)
+	running  bool
+	stop     bool
+	failure  any // the producer's panic value
 }
+
+// genRingSlots and genChunk size GenSource's ring: four 8192-record slots
+// let the producer run a few chunks ahead of a reader that stalls on a
+// slow stretch, in 1 MB instead of the whole trace.
+const (
+	genRingSlots = 4
+	genChunk     = 8192
+)
 
 // Next implements Source.
 func (s *GenSource) Next(max int) []trace.Record {
-	if s.buf == nil {
-		s.buf = make([]trace.Record, sourceChunk)
+	if len(s.cur) == 0 {
+		if s.pos >= s.N {
+			return nil
+		}
+		s.fetch(s.pos + max)
 	}
-	recs := s.buf[:min(max, s.N-s.done, len(s.buf))]
-	for i := range recs {
-		recs[i] = s.Gen.Next()
-	}
-	s.done += len(recs)
+	n := min(max, len(s.cur))
+	recs := s.cur[:n:n]
+	s.cur = s.cur[n:]
+	s.pos += n
 	return recs
 }
 
-// Remaining reports how many records are left (sampling schedule sizing).
-func (s *GenSource) Remaining() int { return s.N - s.done }
-
-// CaptureState implements statefulSource.
-func (s *GenSource) CaptureState() SourceState {
-	return SourceState{Gen: s.Gen.CaptureState(), Pos: uint64(s.done)}
+// fetch releases the slot the reader has finished, allows the producer
+// to generate up to record end, and waits for the next filled slot.
+func (s *GenSource) fetch(end int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.init()
+	if s.holding {
+		s.head = (s.head + 1) % genRingSlots
+		s.filled--
+		s.holding = false
+		s.cond.Broadcast()
+	}
+	s.allowLocked(end)
+	for s.filled == 0 {
+		if s.failure != nil {
+			panic(s.failure)
+		}
+		s.cond.Wait()
+	}
+	s.cur = s.ring[s.head][:s.lens[s.head]]
+	s.holding = true
 }
 
-// RestoreState implements statefulSource.
+// init allocates the ring on first use. Caller holds s.mu.
+func (s *GenSource) init() {
+	if s.cond.L != nil {
+		return
+	}
+	s.cond.L = &s.mu
+	if s.chunk <= 0 {
+		s.chunk = genChunk
+	}
+	buf := make([]trace.Record, genRingSlots*s.chunk)
+	for i := range s.ring {
+		s.ring[i] = buf[i*s.chunk : (i+1)*s.chunk]
+	}
+}
+
+// allow lets the producer generate up to record end (at most N).
+func (s *GenSource) allow(end int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.init()
+	s.allowLocked(end)
+}
+
+// allowLocked raises the limit and starts a producer if none is running.
+// Caller holds s.mu.
+func (s *GenSource) allowLocked(end int) {
+	if end = min(end, s.N); end > s.limit {
+		s.limit = end
+		s.cond.Broadcast()
+	}
+	if !s.running && s.produced < s.limit && s.failure == nil {
+		s.running = true
+		s.wg.Add(1)
+		go s.produce()
+	}
+}
+
+// produce fills ring slots while the limit and free slots allow, and exits
+// once the trace is generated, on stopProducer, or on a panic, which it
+// hands to the reader.
+func (s *GenSource) produce() {
+	defer s.wg.Done()
+	s.mu.Lock()
+	defer func() {
+		// Generation is the only unlocked step, so a panic arrives
+		// without the lock and every other exit with it.
+		if r := recover(); r != nil {
+			s.mu.Lock()
+			s.failure = r
+			s.busy = false
+		}
+		s.running = false
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}()
+	for s.produced < s.N {
+		for !s.stop && (s.produced >= s.limit || s.filled == genRingSlots) {
+			s.cond.Wait()
+		}
+		if s.stop {
+			return
+		}
+		slot := (s.head + s.filled) % genRingSlots
+		recs := s.ring[slot][:min(s.chunk, s.limit-s.produced)]
+		s.busy = true
+		s.mu.Unlock()
+		for i := range recs {
+			s.Gen.Fill(&recs[i])
+		}
+		s.mu.Lock()
+		s.busy = false
+		s.lens[slot] = len(recs)
+		s.filled++
+		s.produced += len(recs)
+		s.cond.Broadcast()
+	}
+}
+
+// stopProducer stops the producer and waits for it to exit. A later Next
+// starts a new one where it left off.
+func (s *GenSource) stopProducer() {
+	s.mu.Lock()
+	s.stop = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.wg.Wait()
+	s.mu.Lock()
+	s.stop = false
+	s.mu.Unlock()
+}
+
+// Remaining reports how many records are left (sampling schedule sizing).
+func (s *GenSource) Remaining() int { return s.N - s.pos }
+
+func (s *GenSource) position() int { return s.pos }
+
+// CaptureState implements statefulSource. The generator snapshot is taken
+// only when the producer is stopped at the reader's position; with records
+// generated ahead of it the snapshot carries the position alone.
+func (s *GenSource) CaptureState() SourceState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := SourceState{Pos: uint64(s.pos)}
+	if s.produced == s.pos && s.limit <= s.pos {
+		st.Gen = s.Gen.CaptureState()
+	}
+	return st
+}
+
+// RestoreState implements statefulSource. It first discards anything
+// generated ahead of the reader.
 func (s *GenSource) RestoreState(st SourceState) bool {
-	if st.Gen == nil || st.Pos > uint64(s.N) || !s.Gen.RestoreState(st.Gen) {
+	if st.Gen == nil || st.Pos > uint64(s.N) {
 		return false
 	}
-	s.done = int(st.Pos)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.init()
+	limit := s.limit
+	s.limit = 0 // hold the producer after the slot it is filling
+	for s.busy {
+		s.cond.Wait()
+	}
+	if !s.Gen.RestoreState(st.Gen) {
+		// The generator is untouched: keep what was generated ahead.
+		s.limit = limit
+		s.cond.Broadcast()
+		return false
+	}
+	s.pos = int(st.Pos)
+	s.cur, s.holding, s.head, s.filled = nil, false, 0, 0
+	s.produced, s.limit = s.pos, s.pos
 	return true
 }
 
@@ -261,42 +441,9 @@ type instr struct {
 	done   int64
 }
 
-// machine is the transient simulation state. The ROB is a fixed ring
-// (capacity rounded up to a power of two): dispatch writes at the tail,
-// retire pops at the head, and completions index entries directly via
-// their sequence numbers, which are contiguous within the window.
-type machine struct {
-	cfg   config.Config
-	iface core.Interface
-	src   Source
-	// chunk holds the records pulled from src and not yet dispatched; its
-	// head is retried first when a full load queue stalls dispatch.
-	chunk   []trace.Record
-	lq      *buffers.LoadQueue
-	rob     []instr // ring storage, len is a power of two >= cfg.ROB
-	robMask uint64
-	robHead uint64 // ring index of the oldest instruction
-	robLen  int
-	// issueHint is the number of leading ROB entries known to be issued;
-	// the reference issue scan starts there instead of at the head.
-	// Entries never un-issue, so the prefix only shrinks when retire pops
-	// the head.
-	issueHint int
-	doneAt    [doneWindow]int64
-	seq       uint64
-	cycle     int64
-	// depLimit bounds dependency distances: a producer further back would
-	// alias a younger instruction's doneAt slot while the consumer is
-	// still in flight, silently corrupting completion times. Dispatch
-	// panics past it.
-	depLimit uint64
-
-	// wake enables the producer->consumer wakeup scheduler, set by
-	// newMachine: a completing producer marks its dependents ready
-	// directly, so issue drains an age-ordered ready set instead of
-	// rescanning the ROB every cycle. Only the package tests clear it, to
-	// run the scan path (issueScan) as the scheduler's differential oracle.
-	wake bool
+// machineSlabs are the machine's ROB-sized arrays, which reset keeps.
+type machineSlabs struct {
+	rob []instr // ring storage, len is a power of two >= cfg.ROB
 	// readyMask holds one bit per ROB slot, set while the slot holds an
 	// unissued instruction with no pending producers; issue walks the set
 	// bits in age order (slots are assigned in sequence order, so slot
@@ -321,7 +468,47 @@ type machine struct {
 	// dispatched behind an unissued store counts one extra pending
 	// dependency, released when the store ahead of it issues, so only the
 	// ring's head is ever in the ready mask.
-	storeSeqs  []uint64
+	storeSeqs []uint64
+}
+
+// machine is the transient simulation state. The ROB is a fixed ring
+// (capacity rounded up to a power of two): dispatch writes at the tail,
+// retire pops at the head, and completions index entries directly via
+// their sequence numbers, which are contiguous within the window.
+type machine struct {
+	cfg   config.Config
+	iface core.Interface
+	src   Source
+	// chunk holds the records pulled from src and not yet dispatched; its
+	// head is retried first when a full load queue stalls dispatch.
+	chunk []trace.Record
+	lq    *buffers.LoadQueue
+	machineSlabs
+	robMask uint64
+	robHead uint64 // ring index of the oldest instruction
+	robLen  int
+	// issueHint is the number of leading ROB entries known to be issued;
+	// the reference issue scan starts there instead of at the head.
+	// Entries never un-issue, so the prefix only shrinks when retire pops
+	// the head.
+	issueHint int
+	doneAt    [doneWindow]int64
+	seq       uint64
+	cycle     int64
+	// depLimit bounds dependency distances: a producer further back would
+	// alias a younger instruction's doneAt slot while the consumer is
+	// still in flight, silently corrupting completion times. Dispatch
+	// panics past it.
+	depLimit uint64
+
+	// wake enables the producer->consumer wakeup scheduler, set by
+	// newMachine: a completing producer marks its dependents ready
+	// directly, so issue drains an age-ordered ready set instead of
+	// rescanning the ROB every cycle. Only the package tests clear it, to
+	// run the scan path (issueScan) as the scheduler's differential oracle.
+	wake bool
+	// storeQHead and storeQTail are the storeSeqs ring's head and tail,
+	// taken modulo its length.
 	storeQHead uint64
 	storeQTail uint64
 
@@ -416,13 +603,18 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 			return Result{}, err
 		}
 	}
-	if s := cfg.Sampling; s != nil {
-		if !s.Valid() {
-			panic(fmt.Sprintf("cpu: invalid sampling schedule %+v (need Detail > 0, Warmup >= 0, Warmup+Detail <= Interval)", *s))
-		}
-		if sized, ok := src.(sizedSource); ok && sized.Remaining() >= s.Interval {
-			return runSampled(ctx, cfg, benchmark, src, sized.Remaining(), ck)
-		}
+	gen, _ := src.(*GenSource)
+	if gen != nil {
+		defer gen.stopProducer()
+	}
+	if s := cfg.Sampling; s != nil && !s.Valid() {
+		panic(fmt.Sprintf("cpu: invalid sampling schedule %+v (need Detail > 0, Warmup >= 0, Warmup+Detail <= Interval)", *s))
+	}
+	if sized, ok := src.(sizedSource); ok && Sampled(cfg, sized.Remaining()) {
+		return runSampled(ctx, cfg, benchmark, src, sized.Remaining(), ck)
+	}
+	if gen != nil {
+		gen.allow(gen.N)
 	}
 	m := newMachine(cfg, core.New(cfg), src)
 	m.ctx = ctx
@@ -433,9 +625,26 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 	return m.result(benchmark), nil
 }
 
+// Sampled reports whether a run of cfg over n records takes the sampled
+// path: cfg has a valid sampling schedule and n covers at least one
+// interval. Shorter or unscheduled runs are exact.
+func Sampled(cfg config.Config, n int) bool {
+	s := cfg.Sampling
+	return s != nil && s.Valid() && n >= s.Interval
+}
+
 // newMachine builds the transient core-model state over an interface and a
 // source, validating the configuration's geometry.
 func newMachine(cfg config.Config, iface core.Interface, src Source) *machine {
+	m := &machine{}
+	m.reset(cfg, iface, src)
+	return m
+}
+
+// reset readies m for a run of cfg over iface and src exactly as
+// newMachine builds it, reusing its slabs when cfg's ROB fits them: the
+// sampled path runs every measurement burst of a point on one machine.
+func (m *machine) reset(cfg config.Config, iface core.Interface, src Source) {
 	if cfg.ROB <= 0 {
 		panic("cpu: ROB size must be positive")
 	}
@@ -448,24 +657,37 @@ func newMachine(cfg config.Config, iface core.Interface, src Source) *machine {
 	for robCap < cfg.ROB {
 		robCap <<= 1
 	}
-	m := &machine{cfg: cfg, iface: iface, src: src,
-		lq:  buffers.NewLoadQueue(cfg.LQ),
-		rob: make([]instr, robCap), robMask: uint64(robCap - 1),
-		depLimit:    uint64(doneWindow - cfg.ROB),
-		wake:        true,
-		readyMask:   make([]uint64, (robCap+63)/64),
-		readyAt:     make([]int64, robCap),
-		pendingDeps: make([]uint8, robCap),
-		wakeHead:    make([]int32, robCap),
-		wakeNext:    make([]int32, 2*robCap),
-		storeSeqs:   make([]uint64, robCap)}
-	for i := range m.doneAt {
-		m.doneAt[i] = 0 // pre-history: always ready
+	old := m.machineSlabs
+	if len(old.rob) != robCap {
+		old = machineSlabs{
+			rob:         make([]instr, robCap),
+			readyMask:   make([]uint64, (robCap+63)/64),
+			readyAt:     make([]int64, robCap),
+			pendingDeps: make([]uint8, robCap),
+			wakeHead:    make([]int32, robCap),
+			wakeNext:    make([]int32, 2*robCap),
+			storeSeqs:   make([]uint64, robCap),
+		}
+	} else {
+		clear(old.rob)
+		clear(old.readyMask)
+		clear(old.readyAt)
+		clear(old.pendingDeps)
+		clear(old.wakeNext)
+		clear(old.storeSeqs)
 	}
-	for i := range m.wakeHead {
-		m.wakeHead[i] = -1
+	for i := range old.wakeHead {
+		old.wakeHead[i] = -1
 	}
-	return m
+	// Every other field, doneAt included, starts at its zero value:
+	// pre-history completion times are 0, always ready.
+	*m = machine{cfg: cfg, iface: iface, src: src,
+		lq:           buffers.NewLoadQueue(cfg.LQ),
+		machineSlabs: old,
+		robMask:      uint64(robCap - 1),
+		depLimit:     uint64(doneWindow - cfg.ROB),
+		wake:         true,
+	}
 }
 
 // robAt returns the i-th in-flight instruction, oldest first.

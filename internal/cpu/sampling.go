@@ -45,9 +45,12 @@ type SourceState struct {
 // statefulSource is implemented by sources whose position can be captured
 // and restored; RestoreState reports false when the snapshot does not fit
 // (e.g. a generator snapshot offered to a different source kind).
+// position is the number of records consumed, CaptureState().Pos without
+// the snapshot.
 type statefulSource interface {
 	CaptureState() SourceState
 	RestoreState(SourceState) bool
+	position() int
 }
 
 // Checkpoint is one warmed snapshot: the memory-side state at a trace
@@ -62,6 +65,21 @@ type Checkpoint struct {
 	Stores       uint64
 	// Src, when present, lets a restore skip record generation entirely.
 	Src *SourceState `json:",omitempty"`
+}
+
+// at reports whether the checkpoint was taken at record index n: its
+// instruction count, source position and generator index, when present,
+// must all equal n. A checkpoint failing this is damaged, and restoring
+// it would give wrong results or run the source dry; the run treats it as
+// a miss, warms the gap and overwrites it.
+func (ck *Checkpoint) at(n uint64) bool {
+	if ck.Instructions != n {
+		return false
+	}
+	if src := ck.Src; src != nil && (src.Pos != n || src.Gen != nil && src.Gen.Idx != n) {
+		return false
+	}
+	return true
 }
 
 // Checkpoints is an optional store of warmed snapshots, keyed by the
@@ -92,9 +110,13 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 	// already been partially consumed would alias them, so checkpointing is
 	// only engaged for sources starting at the beginning of the trace.
 	if ck != nil {
-		if sf, ok := src.(statefulSource); !ok || sf.CaptureState().Pos != 0 {
+		if sf, ok := src.(statefulSource); !ok || sf.position() != 0 {
 			ck = nil
 		}
+	}
+	if gen, ok := src.(*GenSource); ok && ck == nil {
+		// No checkpoint to stop at: generate the whole trace ahead.
+		gen.allow(gen.N)
 	}
 
 	sys := core.NewSystem(cfg)
@@ -110,6 +132,9 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 	cpiSamples := make([]float64, 0, nWin)
 	epiSamples := make([]float64, 0, nWin)
 	buf := make([]trace.Record, burst)
+	// Every burst replays buf on one machine, reset per burst.
+	m := new(machine)
+	var burstSrc SliceSource
 
 	for k := 0; k < nWin; k++ {
 		if ctx != nil {
@@ -128,7 +153,7 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		// so the source is positioned at it when the checkpoint is taken.
 		var st *core.SystemState
 		if ck != nil {
-			if got, ok := ck.Load(burstStart); ok && got.Sys != nil {
+			if got, ok := ck.Load(burstStart); ok && got.Sys != nil && got.at(burstStart) {
 				jumped := false
 				if got.Src != nil {
 					if sf, ok := src.(statefulSource); ok && sf.RestoreState(*got.Src) {
@@ -164,12 +189,13 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		// an unmeasured run) and the shadow's replay buffer.
 		rd.read(burst, sys, buf)
 
-		// Detailed measurement: throwaway machine, memory side restored to
-		// the burst-start state, warmup retires unmeasured, the detail
+		// Detailed measurement: throwaway interface, memory side restored
+		// to the burst-start state, warmup retires unmeasured, the detail
 		// portion is measured in cycles and dynamic energy.
 		shadow := core.New(cfg)
 		shadow.System().RestoreState(st)
-		m := newMachine(cfg, shadow, &SliceSource{Records: buf})
+		burstSrc = SliceSource{Records: buf}
+		m.reset(cfg, shadow, &burstSrc)
 		if warmup > 0 {
 			m.runTo(uint64(warmup))
 		}

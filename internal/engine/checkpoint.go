@@ -15,6 +15,7 @@ package engine
 // the same temp-file-and-rename discipline as the result store.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -59,17 +60,26 @@ type checkpointStore struct {
 	mu      sync.Mutex
 	entries map[ckKey]*cpu.Checkpoint
 	order   []ckKey // insertion order, for FIFO eviction
+
+	// encMu serializes disk saves over one encode buffer, which keeps its
+	// capacity: a snapshot encodes to about a megabyte, and a fresh
+	// buffer per save would be that much garbage.
+	encMu  sync.Mutex
+	encBuf bytes.Buffer
+	enc    *json.Encoder
 }
 
 func newCheckpointStore(dir string, maxEntries int) *checkpointStore {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCheckpointEntries
 	}
-	return &checkpointStore{
+	s := &checkpointStore{
 		dir:        dir,
 		maxEntries: maxEntries,
 		entries:    make(map[ckKey]*cpu.Checkpoint),
 	}
+	s.enc = json.NewEncoder(&s.encBuf)
+	return s
 }
 
 // diskEntry mirrors the result store's versioned envelope so stale
@@ -114,9 +124,11 @@ func (s *checkpointStore) load(key ckKey) (*cpu.Checkpoint, bool) {
 
 // loadDisk fetches a persisted snapshot. Read failures are plain misses;
 // an entry that reads but fails to decode or validate is corrupt and is
-// quarantined aside (.corrupt rename) so it is never re-read hot — a
-// damaged checkpoint silently degrades to re-warming, never to wrong
-// state.
+// quarantined aside (.corrupt rename) so it is never re-read hot. A
+// snapshot that decodes but whose instruction count, source position or
+// generator index differs from its record index is rejected by the
+// sampled run itself, which re-warms and overwrites it: a damaged
+// checkpoint degrades to re-warming, never to wrong state.
 func (s *checkpointStore) loadDisk(key ckKey) (*cpu.Checkpoint, bool) {
 	path := s.diskPath(key)
 	if faultinject.DiskRead.Fire() {
@@ -155,10 +167,14 @@ func (s *checkpointStore) save(key ckKey, st *cpu.Checkpoint) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return
 	}
-	data, err := json.Marshal(ckDiskEntry{Version: DiskFormatVersion, Key: key, State: st})
-	if err != nil {
+	s.encMu.Lock()
+	defer s.encMu.Unlock()
+	s.encBuf.Reset()
+	if err := s.enc.Encode(ckDiskEntry{Version: DiskFormatVersion, Key: key, State: st}); err != nil {
 		return
 	}
+	// Encode ends the value with a newline, which json.Marshal does not.
+	data := bytes.TrimSuffix(s.encBuf.Bytes(), []byte("\n"))
 	tmp, err := os.CreateTemp(dir, key.filename()+".tmp*")
 	if err != nil {
 		return

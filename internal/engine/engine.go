@@ -75,12 +75,13 @@ type Options struct {
 	// TraceCacheRecords bounds the engine's materialized-trace cache in
 	// total trace records (not bytes): the engine generates each
 	// (benchmark, seed) workload once per campaign and shares the flat
-	// record arena between every configuration simulating it, instead of
-	// regenerating the byte-identical trace per config. A point longer
-	// than the bound runs from its own generator. Zero selects
-	// DefaultTraceCacheRecords; a negative value disables trace caching
-	// (every simulation generates its own trace, the pre-cache behavior).
-	// Ignored when Simulate is set.
+	// record arena between every exact configuration simulating it,
+	// instead of regenerating the byte-identical trace per config.
+	// Sampled points never use the cache: they generate their own trace
+	// ahead of the reader. An exact point longer than the bound also runs
+	// from its own generator. Zero selects DefaultTraceCacheRecords; a
+	// negative value disables trace caching (every simulation generates
+	// its own trace). Ignored when Simulate is set.
 	TraceCacheRecords int
 	// Simulate overrides the simulation function (tests only).
 	Simulate SimulateFunc
@@ -98,9 +99,9 @@ const DefaultMaxPoisonedKeys = 1024
 
 // DefaultTraceCacheRecords is the default materialized-trace cache bound:
 // 8M records (256 MiB of trace arena at 32 bytes a record) holds the
-// in-flight working set of any realistic campaign, since RunCampaign
-// orders execution so that all configurations sharing one workload run
-// back to back.
+// in-flight working set of any realistic exact campaign, since
+// RunCampaign orders execution so that all configurations sharing one
+// workload run back to back. Sampled points hold no arena.
 const DefaultTraceCacheRecords = 1 << 23
 
 // Source reports where a result came from.
@@ -137,8 +138,9 @@ type Stats struct {
 	Entries int `json:"entries"`
 	// TraceHits and TraceMisses count materialized-trace cache activity:
 	// hits are simulations served from an already-generated shared trace
-	// arena, misses had to generate (or extend) one. Both stay zero when
-	// trace caching is disabled or a custom Simulate is installed.
+	// arena, misses had to generate (or extend) one. Only exact points
+	// count: both stay zero for sampled points, when trace caching is
+	// disabled or when a custom Simulate is installed.
 	TraceHits   uint64 `json:"traceHits"`
 	TraceMisses uint64 `json:"traceMisses"`
 	// TraceRecords is the number of trace records currently held by the
@@ -293,16 +295,18 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// simulateTrace is the default simulation function. A point streams its
-// trace from the shared arena, overlapping its simulation with the
-// arena's generation on a miss. A point over the trace budget, or any
-// point when trace caching is disabled, pulls records straight from a
-// generator instead: its checkpoints then carry the generator state, so
-// a warm run restores past the fast-forwarded stretch without generating
-// it.
+// simulateTrace is the default simulation function. An exact point
+// within the trace budget streams its trace from the shared arena, which
+// every configuration of the workload reads, overlapping its simulation
+// with the arena's generation on a miss. Every other point (a sampled
+// one, which reads each record once or only its bursts, or one over the
+// budget) generates its own trace ahead on a cpu.GenSource's producer, in
+// a ring of a fixed size; a sampled point's checkpoints then carry the
+// generator state, so a warm run restores past the fast-forwarded stretch
+// without generating it.
 func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
 	ck := e.checkpoints(cfg, benchmark, seed)
-	if e.traces != nil {
+	if e.traces != nil && !cpu.Sampled(cfg, instructions) {
 		if recs, wait := e.traces.Stream(benchmark, seed, instructions); recs != nil {
 			// Hold the worker slot until the prefix is written, even when
 			// the point ends early (cancelled, past its deadline): the
@@ -317,6 +321,8 @@ func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark
 	if !ok {
 		panic(fmt.Sprintf("engine: unknown benchmark %q", benchmark))
 	}
+	// RunWithCheckpointsContext joins the source's producer before it
+	// returns, so the worker slot bounds it.
 	return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark,
 		&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}, ck)
 }

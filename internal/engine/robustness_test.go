@@ -252,3 +252,76 @@ func TestInjectedDiskWriteFaultSkipsPersist(t *testing.T) {
 		t.Fatalf("simulate ran %d times, want 2", n)
 	}
 }
+
+// settleGoroutines waits until the engine has counted at least cancelled
+// cancelled points, runs nothing and the goroutine count is back at
+// baseline: every job and producer has exited.
+func settleGoroutines(t *testing.T, e *Engine, cancelled uint64, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		s := e.Stats()
+		if s.Cancelled >= cancelled && s.Running == 0 && s.QueueDepth == 0 && runtime.NumGoroutine() <= baseline {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("stats %+v, %d goroutines (baseline %d):\n%s",
+				s, runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestGenSourceProducerPanicIsSimPanicError runs exact and sampled points
+// from a GenSource whose producer panics: the panic crosses to the
+// reading point, the engine reports it as a *SimPanicError carrying the
+// producer's value, and no goroutine is left behind.
+func TestGenSourceProducerPanicIsSimPanicError(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := New(Options{Workers: 1, SimulateContext: func(ctx context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
+		// With no generator, the producer panics on its first record.
+		return cpu.RunWithCheckpointsContext(ctx, cfg, b, &cpu.GenSource{N: n}, nil)
+	}})
+	sampled := config.MALEC()
+	sampled.Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: 20000}
+	for _, cfg := range []config.Config{config.MALEC(), sampled} {
+		_, _, err := e.RunContext(context.Background(), cfg, "gzip", 100_000, 1)
+		var pe *SimPanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("sampled=%v: err = %v, want *SimPanicError", cfg.Sampling != nil, err)
+		}
+		if _, ok := pe.Value.(runtime.Error); !ok {
+			t.Fatalf("sampled=%v: panic value %v, want the producer's runtime error", cfg.Sampling != nil, pe.Value)
+		}
+	}
+	if s := e.Stats(); s.Panics != 2 {
+		t.Fatalf("engine counted %d panics, want 2", s.Panics)
+	}
+	settleGoroutines(t, e, 0, baseline)
+}
+
+// TestGenSourceCancelledOverBudgetExactRun cancels a running exact point
+// over the trace budget, which reads a generate-ahead GenSource: the
+// caller gets context.Canceled, the point stops and joins its producer,
+// and the goroutine count returns to baseline. The point counts a trace
+// miss and holds no arena.
+func TestGenSourceCancelledOverBudgetExactRun(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := New(Options{Workers: 1, TraceCacheRecords: 1 << 16})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", 20_000_000, 1)
+		done <- err
+	}()
+	for e.Stats().Running == 0 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	settleGoroutines(t, e, 1, baseline)
+	if s := e.Stats(); s.Cancelled != 1 || s.TraceMisses != 1 || s.TraceRecords != 0 {
+		t.Fatalf("stats %+v, want 1 cancelled point, 1 trace miss and no cached records", s)
+	}
+}

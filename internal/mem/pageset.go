@@ -1,10 +1,7 @@
 package mem
 
-import "sort"
-
 // PageSet is a growable open-addressed PageID set used where a Go map is
-// measurable on a hot path (page-table frame bookkeeping, the trace
-// generator's footprint tracking): key and presence are fused in one slot
+// measurable on a hot path (page-table frame bookkeeping): key and presence are fused in one slot
 // so a probe touches a single cache line, and the table grows 4x at half
 // occupancy to keep rehash passes rare for large footprints.
 type PageSet struct {
@@ -45,19 +42,6 @@ func (s *PageSet) Has(k PageID) bool {
 			return true
 		}
 	}
-}
-
-// Pages returns the set's contents in ascending order (deterministic, for
-// snapshot encodings).
-func (s *PageSet) Pages() []PageID {
-	out := make([]PageID, 0, s.n)
-	for i := range s.slots {
-		if s.slots[i].used {
-			out = append(out, s.slots[i].key)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Add inserts k (a no-op if present).

@@ -4,6 +4,8 @@
 // releases, unlike math/rand whose stream may change between versions.
 package rng
 
+import "math"
+
 // Source is a SplitMix64 generator. The zero value is a valid generator
 // seeded with 0; prefer New to mix the seed.
 type Source struct {
@@ -50,6 +52,44 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// Chance is a probability precomputed for repeated draws: the integer
+// threshold below which the top 53 bits of a draw fall with that
+// probability. Drawing a Chance is bit-identical to Bool with the same p,
+// including Bool's rule that p <= 0 and p >= 1 consume no draw: since
+// Float64 is x/2^53 for an integer x, x/2^53 < p exactly when
+// x < ceil(p*2^53).
+type Chance uint64
+
+// chanceAlways marks p >= 1. Every p below 1 has a threshold of at most
+// 2^53 - 1, and p <= 0 is threshold 0.
+const chanceAlways Chance = 1 << 53
+
+// NewChance precomputes p for Source.Draw. p must not be NaN.
+func NewChance(p float64) Chance {
+	switch {
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return chanceAlways
+	case math.IsNaN(p):
+		panic("rng: NaN probability")
+	}
+	// p*2^53 only rescales the exponent, so it is exact.
+	return Chance(math.Ceil(p * (1 << 53)))
+}
+
+// Draw returns true with the precomputed probability c, consuming a draw
+// exactly when Bool would.
+func (s *Source) Draw(c Chance) bool {
+	switch c {
+	case 0:
+		return false
+	case chanceAlways:
+		return true
+	}
+	return s.Uint64()>>11 < uint64(c)
 }
 
 // Geometric returns a pseudo random non-negative integer following a

@@ -283,7 +283,7 @@ func (c *Cache) produce(e *traceEntry, prev, a *arena, hook *func(start int)) {
 		}
 		end := min(i+chunkRecords, len(a.recs))
 		for ; i < end; i++ {
-			a.recs[i] = e.gen.Next()
+			e.gen.Fill(&a.recs[i])
 		}
 		a.publish(end)
 	}

@@ -129,11 +129,47 @@ type stream struct {
 	region   uint32   // pages the stream cycles through
 }
 
+// chances holds a profile's probabilities precomputed for rng.Draw, which
+// draws bit-identically to rng.Bool on the same probability.
+type chances struct {
+	mem, load, branch, loadDep, aluChain, mispredict, branchLoadDep,
+	memDep, random, streamSwitch, samePage, sameLine, seqPage, wide,
+	storeSamePage, storeSameLine rng.Chance
+}
+
+// half is the fair coin of the store-dependency and access-size draws.
+var half = rng.NewChance(0.5)
+
+func newChances(p Profile) chances {
+	return chances{
+		mem:           rng.NewChance(p.MemRatio),
+		load:          rng.NewChance(p.LoadFrac),
+		branch:        rng.NewChance(p.BranchRatio),
+		loadDep:       rng.NewChance(p.LoadDepProb),
+		aluChain:      rng.NewChance(p.AluChainProb),
+		mispredict:    rng.NewChance(p.MispredictProb),
+		branchLoadDep: rng.NewChance(p.BranchLoadDepProb),
+		memDep:        rng.NewChance(p.MemDepProb),
+		random:        rng.NewChance(p.RandomFrac),
+		streamSwitch:  rng.NewChance(p.StreamSwitchProb),
+		samePage:      rng.NewChance(p.SamePageProb),
+		sameLine:      rng.NewChance(p.SameLineProb),
+		seqPage:       rng.NewChance(p.SeqPageProb),
+		wide:          rng.NewChance(p.WideAccessFrac),
+		// Stores walk a stream with elevated locality ("stores show an
+		// even higher spatial locality", Sec. III).
+		storeSamePage: rng.NewChance(min(p.SamePageProb+0.15, 0.98)),
+		storeSameLine: rng.NewChance(min(p.SameLineProb+0.2, 0.9)),
+	}
+}
+
 // Generator produces a deterministic synthetic instruction trace for a
-// profile. It implements a pull model: call Next for each record.
+// profile. It implements a pull model: call Fill (or Next) for each
+// record.
 type Generator struct {
 	prof    Profile
-	rnd     *rng.Source
+	p       chances
+	rnd     rng.Source
 	streams []stream
 	active  int
 	idx     uint64 // dynamic instruction index of the next record
@@ -141,10 +177,6 @@ type Generator struct {
 	lastLoadIdx uint64 // dynamic index of the most recent load
 	haveLoad    bool
 	storeStream stream
-	// pagesTouched is an open-addressed footprint set: it is written once
-	// per memory record, where a Go map insert is measurable on the
-	// generation hot path.
-	pagesTouched *mem.PageSet
 
 	// lineBaseIdx is the dynamic index of the load that opened the
 	// current same-line run (the "pointer" load whose result the
@@ -160,9 +192,9 @@ type Generator struct {
 func NewGenerator(prof Profile, seed uint64) *Generator {
 	prof = prof.sanitized()
 	g := &Generator{
-		prof:         prof,
-		rnd:          rng.New(seed ^ hashName(prof.Name)),
-		pagesTouched: mem.NewPageSet(4096),
+		prof: prof,
+		p:    newChances(prof),
+		rnd:  *rng.New(seed ^ hashName(prof.Name)),
 	}
 	// Spread stream origins over the working set so streams touch
 	// disjoint regions, as independent data structures would.
@@ -170,6 +202,7 @@ func NewGenerator(prof Profile, seed uint64) *Generator {
 	if int(region) > prof.WorkingSetPages {
 		region = uint32(prof.WorkingSetPages)
 	}
+	g.streams = make([]stream, 0, prof.NumStreams)
 	for i := 0; i < prof.NumStreams; i++ {
 		base := g.regionBase(region)
 		a := mem.MakeAddr(mem.PageID(base), uint32(g.rnd.Intn(mem.PageSize))&^7)
@@ -209,139 +242,124 @@ func (g *Generator) Profile() Profile { return g.prof }
 // Next produces the next trace record.
 func (g *Generator) Next() Record {
 	var r Record
-	// The index increment is explicit rather than deferred: Next runs once
+	g.Fill(&r)
+	return r
+}
+
+// Fill overwrites *r with the next trace record. Writing in place keeps
+// the 32-byte record from being copied out through each level of the
+// record-kind helpers.
+func (g *Generator) Fill(r *Record) {
+	*r = Record{}
+	// The index increment is explicit rather than deferred: Fill runs once
 	// per simulated instruction, and a deferred closure costs more than
 	// the record generation itself on short-record kinds.
-	if !g.rnd.Bool(g.prof.MemRatio) {
-		r = g.nextOp()
-	} else if g.rnd.Bool(g.prof.LoadFrac) {
-		r = g.nextLoad()
+	if !g.rnd.Draw(g.p.mem) {
+		g.fillOp(r)
+	} else if g.rnd.Draw(g.p.load) {
+		g.fillLoad(r)
 	} else {
-		r = g.nextStore()
+		g.fillStore(r)
 	}
 	g.idx++
-	return r
 }
 
 // Generate produces n records.
 func (g *Generator) Generate(n int) []Record {
-	out := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, g.Next())
+	out := make([]Record, n)
+	for i := range out {
+		g.Fill(&out[i])
 	}
 	return out
 }
 
-// PagesTouched returns the number of distinct pages generated so far.
-func (g *Generator) PagesTouched() int { return g.pagesTouched.Len() }
-
-// nextOp generates a non-memory instruction (ALU op or branch), possibly
+// fillOp generates a non-memory instruction (ALU op or branch), possibly
 // dependent on the most recent load (address/branch computation fed by
 // loads).
-func (g *Generator) nextOp() Record {
-	if g.rnd.Bool(g.prof.BranchRatio) {
-		return g.nextBranch()
+func (g *Generator) fillOp(r *Record) {
+	if g.rnd.Draw(g.p.branch) {
+		g.fillBranch(r)
+		return
 	}
-	r := Record{Kind: Op}
-	if g.haveLoad && g.rnd.Bool(g.prof.LoadDepProb) {
-		if d := g.depDistance(g.lastLoadIdx); d > 0 {
-			r.Dep1 = d
-		}
+	r.Kind = Op
+	if g.haveLoad && g.rnd.Draw(g.p.loadDep) {
+		r.Dep1 = g.depDistance(g.lastLoadIdx)
 	}
 	// Short ALU chains: many ops depend on an immediately preceding op.
-	if g.idx > 0 && g.rnd.Bool(g.prof.AluChainProb) {
+	if g.idx > 0 && g.rnd.Draw(g.p.aluChain) {
 		r.Dep2 = 1 // hard chain: serializes at one op per cycle
 	}
-	return r
 }
 
-// nextBranch generates a conditional branch. Branches frequently test
+// fillBranch generates a conditional branch. Branches frequently test
 // loaded values, tying front-end stalls to load latency.
-func (g *Generator) nextBranch() Record {
-	r := Record{Kind: Branch, Mispredict: g.rnd.Bool(g.prof.MispredictProb)}
-	if g.haveLoad && g.rnd.Bool(g.prof.BranchLoadDepProb) {
-		if d := g.depDistance(g.lastLoadIdx); d > 0 {
-			r.Dep1 = d
-		}
+func (g *Generator) fillBranch(r *Record) {
+	r.Kind = Branch
+	r.Mispredict = g.rnd.Draw(g.p.mispredict)
+	if g.haveLoad && g.rnd.Draw(g.p.branchLoadDep) {
+		r.Dep1 = g.depDistance(g.lastLoadIdx)
 	}
 	if r.Dep1 == 0 && g.idx > 0 {
 		r.Dep2 = 1 // compare result computed just before the branch
 	}
-	return r
 }
 
-// nextLoad generates a load record. Loads that stay within the line opened
+// fillLoad generates a load record. Loads that stay within the line opened
 // by an earlier load model structure-field accesses: they depend on that
 // base load (the pointer), not on one another, so they can issue in the
 // same cycle and be merged. Loads opening a new line may depend on the most
 // recent load (pointer chasing) with MemDepProb.
-func (g *Generator) nextLoad() Record {
+func (g *Generator) fillLoad(r *Record) {
 	addr := g.nextAddr()
-	r := Record{Kind: Load, Addr: addr, Size: g.accessSize()}
-	sameLine := g.haveLoad && mem.SameLine(addr, g.lastLoadAddr)
-	switch {
-	case sameLine:
-		if d := g.depDistance(g.lineBaseIdx); d > 0 {
-			r.Dep1 = d
-		}
-	default:
+	r.Kind, r.Addr, r.Size = Load, addr, g.accessSize()
+	if g.haveLoad && mem.SameLine(addr, g.lastLoadAddr) {
+		r.Dep1 = g.depDistance(g.lineBaseIdx)
+	} else {
 		g.lineBaseIdx = g.idx
-		if g.haveLoad && g.rnd.Bool(g.prof.MemDepProb) {
-			if d := g.depDistance(g.lastLoadIdx); d > 0 {
-				r.Dep1 = d
-			}
+		if g.haveLoad && g.rnd.Draw(g.p.memDep) {
+			r.Dep1 = g.depDistance(g.lastLoadIdx)
 		}
 	}
 	g.lastLoadIdx = g.idx
 	g.lastLoadAddr = addr
 	g.haveLoad = true
-	return r
 }
 
-// nextStore generates a store record. Stores follow a single dedicated
-// stream with elevated locality ("stores show an even higher spatial
-// locality", Sec. III).
-func (g *Generator) nextStore() Record {
+// fillStore generates a store record. Stores follow a single dedicated
+// stream with elevated locality.
+func (g *Generator) fillStore(r *Record) {
 	s := &g.storeStream
-	sameP := minf(g.prof.SamePageProb+0.15, 0.98)
-	g.advance(s, sameP, minf(g.prof.SameLineProb+0.2, 0.9))
-	g.touch(s.cur)
-	r := Record{Kind: Store, Addr: s.cur, Size: g.accessSize()}
-	if g.haveLoad && g.rnd.Bool(0.5) {
-		if d := g.depDistance(g.lastLoadIdx); d > 0 {
-			r.Dep1 = d // store data frequently comes from a load
-		}
+	g.advance(s, g.p.storeSamePage, g.p.storeSameLine)
+	r.Kind, r.Addr, r.Size = Store, s.cur, g.accessSize()
+	if g.haveLoad && g.rnd.Draw(half) {
+		r.Dep1 = g.depDistance(g.lastLoadIdx) // store data frequently comes from a load
 	}
-	return r
 }
 
 // nextAddr draws the next load address from the stream model.
 func (g *Generator) nextAddr() mem.Addr {
-	if g.rnd.Bool(g.prof.RandomFrac) {
+	if g.rnd.Draw(g.p.random) {
 		page := mem.PageID(g.rnd.Intn(g.prof.WorkingSetPages))
 		off := uint32(g.rnd.Intn(mem.PageSize)) &^ 7
-		a := mem.MakeAddr(page, off)
-		g.touch(a)
-		return a
+		return mem.MakeAddr(page, off)
 	}
-	if g.rnd.Bool(g.prof.StreamSwitchProb) && len(g.streams) > 1 {
+	if g.rnd.Draw(g.p.streamSwitch) && len(g.streams) > 1 {
 		g.active = g.rnd.Intn(len(g.streams))
 	}
 	s := &g.streams[g.active]
-	g.advance(s, g.prof.SamePageProb, g.prof.SameLineProb)
-	g.touch(s.cur)
+	g.advance(s, g.p.samePage, g.p.sameLine)
 	return s.cur
 }
 
 // advance moves a stream to its next address.
-func (g *Generator) advance(s *stream, samePage, sameLine float64) {
+func (g *Generator) advance(s *stream, samePage, sameLine rng.Chance) {
 	cur := s.cur
 	switch {
-	case g.rnd.Bool(sameLine):
+	case g.rnd.Draw(sameLine):
 		// Stay within the current line: wiggle the low offset.
 		delta := uint32(g.rnd.Intn(mem.LineSize)) &^ 3
 		s.cur = cur.LineAddr() + mem.Addr(delta)
-	case g.rnd.Bool(samePage):
+	case g.rnd.Draw(samePage):
 		// Advance within the page by the stream stride.
 		next := cur + mem.Addr(g.prof.StreamStride)
 		if next.Page() != cur.Page() {
@@ -349,7 +367,7 @@ func (g *Generator) advance(s *stream, samePage, sameLine float64) {
 			next = mem.MakeAddr(cur.Page(), next.PageOffset())
 		}
 		s.cur = next
-	case g.rnd.Bool(g.prof.SeqPageProb):
+	case g.rnd.Draw(g.p.seqPage):
 		// Advance to the next page of the stream's hot region
 		// (cyclic), so region pages are revisited while TLB-resident.
 		rel := (uint32(cur.Page()) - s.basePage + 1) % s.region
@@ -363,18 +381,13 @@ func (g *Generator) advance(s *stream, samePage, sameLine float64) {
 	}
 }
 
-// touch records a page as part of the observed footprint.
-func (g *Generator) touch(a mem.Addr) {
-	g.pagesTouched.Add(a.Page())
-}
-
 // accessSize draws an access size: 16 bytes with WideAccessFrac, otherwise
 // 4 or 8 bytes.
 func (g *Generator) accessSize() uint8 {
-	if g.rnd.Bool(g.prof.WideAccessFrac) {
+	if g.rnd.Draw(g.p.wide) {
 		return 16
 	}
-	if g.rnd.Bool(0.5) {
+	if g.rnd.Draw(half) {
 		return 8
 	}
 	return 4
@@ -388,11 +401,4 @@ func (g *Generator) depDistance(producer uint64) uint32 {
 		return 0
 	}
 	return uint32(d)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

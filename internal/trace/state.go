@@ -1,11 +1,11 @@
 package trace
 
 // Generator state capture: the trace-generator side of the checkpoint
-// layer. A generator snapshot is a few hundred bytes (RNG state, stream
-// cursors and the page-footprint set), and restoring one resumes the
-// identical record sequence from the captured index — which is what lets a
-// warmed-checkpoint hit skip generating the fast-forwarded stretch of the
-// trace instead of replaying it record by record.
+// layer. A generator snapshot is a few hundred bytes (RNG state and stream
+// cursors), and restoring one resumes the identical record sequence from
+// the captured index — which is what lets a warmed-checkpoint hit skip
+// generating the fast-forwarded stretch of the trace instead of replaying
+// it record by record.
 
 import "malec/internal/mem"
 
@@ -30,7 +30,6 @@ type GeneratorState struct {
 	StoreStream  StreamState
 	LineBaseIdx  uint64
 	LastLoadAddr mem.Addr
-	PagesTouched []mem.PageID
 }
 
 // CaptureState snapshots the generator. The receiver is unmodified.
@@ -45,7 +44,6 @@ func (g *Generator) CaptureState() *GeneratorState {
 		StoreStream:  StreamState{Cur: g.storeStream.cur, BasePage: g.storeStream.basePage, Region: g.storeStream.region},
 		LineBaseIdx:  g.lineBaseIdx,
 		LastLoadAddr: g.lastLoadAddr,
-		PagesTouched: g.pagesTouched.Pages(),
 	}
 	for i, s := range g.streams {
 		st.Streams[i] = StreamState{Cur: s.cur, BasePage: s.basePage, Region: s.region}
@@ -71,9 +69,5 @@ func (g *Generator) RestoreState(st *GeneratorState) bool {
 	g.storeStream = stream{cur: st.StoreStream.Cur, basePage: st.StoreStream.BasePage, region: st.StoreStream.Region}
 	g.lineBaseIdx = st.LineBaseIdx
 	g.lastLoadAddr = st.LastLoadAddr
-	g.pagesTouched = mem.NewPageSet(4096)
-	for _, p := range st.PagesTouched {
-		g.pagesTouched.Add(p)
-	}
 	return true
 }

@@ -244,19 +244,21 @@ func TestStreamEngineJoinMidGeneration(t *testing.T) {
 	}
 }
 
-// cancellablePoint is a sampled configuration: it polls its context once
-// per window of one producer chunk, so a cancelled point stops at the
-// first window boundary it reaches.
-func cancellablePoint() config.Config {
-	cfg := config.MALEC()
-	cfg.Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: trace.ChunkRecords}
-	return cfg
-}
+// pollRecords is where gated producers pause after their first chunk: a
+// whole number of chunks past the records an exact point can retire in
+// 2^18 cycles, the cycle loop's first context poll after cycle 0, at the
+// core's 6-wide fetch. A cancelled point so observes its cancellation
+// before it catches up with a paused producer.
+const pollRecords = (6<<18/trace.ChunkRecords + 1) * trace.ChunkRecords
+
+// cancellablePoints is the length of the cancelled exact points: the
+// paused arena prefix plus some records the producer writes on release.
+const cancellablePoints = pollRecords + 4*trace.ChunkRecords
 
 // gateProducers installs a chunk hook under which every producer reports
 // its start on started and waits for a token on proceed before writing
-// anything, then pauses after its first chunk until release is closed.
-// The test so cancels a point before the point can read a record.
+// anything, then pauses at pollRecords until release is closed. The test
+// so cancels a point before the point can read a record.
 func gateProducers(t *testing.T, capacity int) (started, proceed, release chan struct{}) {
 	started, proceed = make(chan struct{}, capacity), make(chan struct{}, capacity)
 	release = make(chan struct{})
@@ -265,7 +267,7 @@ func gateProducers(t *testing.T, capacity int) (started, proceed, release chan s
 		case 0:
 			started <- struct{}{}
 			<-proceed
-		case trace.ChunkRecords:
+		case pollRecords:
 			<-release
 		}
 	})
@@ -273,8 +275,7 @@ func gateProducers(t *testing.T, capacity int) (started, proceed, release chan s
 }
 
 // holdsSlot fails the test unless the engine keeps running points
-// simulations throughout a grace period long enough for a cancelled point
-// to stop at its first window boundary: a cancelled point whose producer
+// simulations throughout a grace period: a cancelled point whose producer
 // is paused must keep its worker slot until the arena prefix it started
 // is written. (Its caller returns at once; the job holds the slot.)
 func holdsSlot(t *testing.T, e *engine.Engine, running int) {
@@ -326,7 +327,7 @@ func TestStreamCancelledConsumerGoroutines(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.RunContext(ctx, cancellablePoint(), "gzip", 40*trace.ChunkRecords, 1)
+		_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", cancellablePoints, 1)
 		done <- err
 	}()
 	<-started
@@ -358,7 +359,7 @@ func TestStreamCancelledPointsBoundProducers(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go func() {
-			_, _, err := e.RunContext(ctx, cancellablePoint(), "gzip", 4*trace.ChunkRecords, seed)
+			_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", cancellablePoints, seed)
 			done <- err
 		}()
 		for {
