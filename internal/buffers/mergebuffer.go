@@ -52,6 +52,14 @@ func NewMergeBuffer(capacity int) *MergeBuffer {
 	}
 }
 
+// Reset empties the buffer and its backlog and clears its statistics, as
+// on a new buffer.
+func (b *MergeBuffer) Reset() {
+	clear(b.entries)
+	clear(b.pending)
+	*b = MergeBuffer{cap: b.cap, entries: b.entries, pending: b.pending}
+}
+
 // entryAt returns the i-th live entry, oldest first.
 func (b *MergeBuffer) entryAt(i int) *mbEntry {
 	return &b.entries[(b.eHead+i)%len(b.entries)]

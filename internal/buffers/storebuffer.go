@@ -46,6 +46,12 @@ func NewStoreBuffer(capacity int) *StoreBuffer {
 	return &StoreBuffer{entries: make([]SBEntry, capacity)}
 }
 
+// Reset empties the buffer and clears its statistics, as on a new buffer.
+func (b *StoreBuffer) Reset() {
+	clear(b.entries)
+	*b = StoreBuffer{entries: b.entries}
+}
+
 // at returns the i-th live entry, oldest first.
 func (b *StoreBuffer) at(i int) *SBEntry {
 	return &b.entries[(b.head+i)%len(b.entries)]

@@ -9,21 +9,21 @@ import "malec/internal/mem"
 //
 // Residency checks scan a compact tag array: one uint32 per way holding
 // the line ID (physical address >> LineShift) plus one, 0 for an invalid
-// way. A set's 16 tags fill one 64-byte host cache line, so a lookup
-// touches one line instead of chasing a hash chain, and a fill writes one
-// tag instead of maintaining an index. The package tests check it against
-// a scan of the lines themselves. Victim selection on a miss is an LRU
-// sweep of the set.
+// way. The tag array is the only residency record: the L2 holds no line
+// data and never marks a line dirty, so a tag says everything a line
+// would. A set's 16 tags fill one 64-byte host cache line, so a lookup
+// touches one line instead of chasing a hash chain. Victim selection on a
+// miss is an LRU sweep of the set's stamps; the package tests check both
+// against a reference model that keeps each set as an LRU list.
 type L2 struct {
 	ways int
 	sets int
-	// lines, lru and tags are flat set-major arrays (set s, way w at
-	// s*ways+w): three allocations per L2 instead of three per set, which
-	// matters when the engine spins up thousands of short simulations.
-	// tags mirrors lines and is rebuilt from them on restore.
-	lines []Line
-	lru   []uint64
+	// tags and lru are flat set-major arrays (set s, way w at s*ways+w):
+	// two allocations per L2 instead of two per set, which matters when
+	// the engine spins up thousands of short simulations. An invalid way
+	// has tag 0 and stamp 0.
 	tags  []uint32
+	lru   []uint64
 	clock uint64
 
 	Latency     int // cycles added on an L1 miss that hits L2
@@ -52,9 +52,8 @@ func NewL2Custom(capacity, ways, latency int) *L2 {
 		panic("cache: L2 too small")
 	}
 	l := &L2{ways: ways, sets: sets, Latency: latency}
-	l.lines = make([]Line, sets*ways)
-	l.lru = make([]uint64, sets*ways)
 	l.tags = make([]uint32, sets*ways)
+	l.lru = make([]uint64, sets*ways)
 	return l
 }
 
@@ -79,8 +78,7 @@ func (l *L2) set(pa mem.Addr) int {
 func (l *L2) Access(pa mem.Addr) (hit bool) {
 	l.accesses++
 	base := l.set(pa) * l.ways
-	target := pa.LineAddr()
-	tag := lineTag(target)
+	tag := lineTag(pa.LineAddr())
 	tags := l.tags[base : base+l.ways]
 	for w, t := range tags {
 		if t == tag {
@@ -99,7 +97,6 @@ func (l *L2) Access(pa mem.Addr) (hit bool) {
 			way = w
 		}
 	}
-	l.lines[base+way] = Line{Valid: true, PLine: target}
 	tags[way] = tag
 	l.clock++
 	lru[way] = l.clock

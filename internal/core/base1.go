@@ -119,3 +119,12 @@ func (b *Base1) Counters() *stats.Counters { return b.sys.Ctr }
 
 // System implements Interface.
 func (b *Base1) System() *System { return b.sys }
+
+// Restore implements Interface.
+func (b *Base1) Restore(st *SystemState) error {
+	if err := b.sys.RestoreState(st); err != nil {
+		return err
+	}
+	*b = Base1{sys: b.sys}
+	return nil
+}

@@ -115,3 +115,12 @@ func (b *Base2) Counters() *stats.Counters { return b.sys.Ctr }
 
 // System implements Interface.
 func (b *Base2) System() *System { return b.sys }
+
+// Restore implements Interface.
+func (b *Base2) Restore(st *SystemState) error {
+	if err := b.sys.RestoreState(st); err != nil {
+		return err
+	}
+	*b = Base2{sys: b.sys, pending: b.pending[:0]}
+	return nil
+}

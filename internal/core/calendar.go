@@ -54,6 +54,15 @@ func newCalendar(minHorizon int) *calendar {
 	return &calendar{slots: makeSlots(n), mask: int64(n - 1)}
 }
 
+// reset drops every scheduled completion. The ring keeps its size: it
+// only bounds how far ahead completions fit without growing.
+func (q *calendar) reset() {
+	for i := range q.slots {
+		q.slots[i] = q.slots[i][:0]
+	}
+	q.events = 0
+}
+
 // schedule files c for cycle at, where now is the current cycle and
 // now < at.
 func (q *calendar) schedule(now, at int64, c Completion) {

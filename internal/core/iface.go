@@ -68,6 +68,12 @@ type Interface interface {
 	Counters() *stats.Counters
 	// System exposes the shared memory structures for statistics.
 	System() *System
+	// Restore returns the interface to the state of a new one for the
+	// same configuration whose memory side was then restored from st
+	// (System.RestoreState): every buffer, queue and counter starts
+	// empty. A snapshot that does not fit returns an error and changes
+	// nothing.
+	Restore(st *SystemState) error
 }
 
 // System bundles the structures every interface variant shares.

@@ -295,6 +295,15 @@ func (m *Malec) Counters() *stats.Counters { return m.sys.Ctr }
 // System implements Interface.
 func (m *Malec) System() *System { return m.sys }
 
+// Restore implements Interface.
+func (m *Malec) Restore(st *SystemState) error {
+	if err := m.sys.RestoreState(st); err != nil {
+		return err
+	}
+	*m = Malec{sys: m.sys, ib: m.ib[:0], group: m.group[:0], serviced: m.serviced}
+	return nil
+}
+
 // New constructs the Interface matching cfg.Kind.
 func New(cfg config.Config) Interface {
 	switch cfg.Kind {

@@ -262,3 +262,102 @@ func runRecovered(f func() Result) (res Result, err error) {
 	}()
 	return f(), nil
 }
+
+// TestMisfitCheckpointsRewarm offers a run checkpoints that decode but do
+// not fit its system: an L2 tag array and a TLB entry list cut short, and
+// a checkpoint written in the format before the L2 kept tags and ranks
+// (lines and LRU stamps, page-table mappings), which decodes with no tags
+// at all. The run must treat each as a miss, warm, and overwrite it: its
+// Result JSON must equal an uncheckpointed run's.
+func TestMisfitCheckpointsRewarm(t *testing.T) {
+	g := chunkTestPoints()[1]
+	source := func() Source {
+		return &GenSource{Gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), N: chunkTestRecords}
+	}
+	want := mustJSON(t, RunWithCheckpoints(g.cfg, g.bench, source(), nil))
+	good := recordingStore{}
+	RunWithCheckpoints(g.cfg, g.bench, source(), good)
+	damages := map[string]func(t *testing.T, ck *Checkpoint) *Checkpoint{
+		"L2 tags cut short": func(t *testing.T, ck *Checkpoint) *Checkpoint {
+			sys := *ck.Sys
+			sys.Back.L2.Tags = sys.Back.L2.Tags[:len(sys.Back.L2.Tags)/2]
+			c := *ck
+			c.Sys = &sys
+			return &c
+		},
+		"TLB entries cut short": func(t *testing.T, ck *Checkpoint) *Checkpoint {
+			sys := *ck.Sys
+			sys.TLB.Entries = sys.TLB.Entries[:len(sys.TLB.Entries)/2]
+			c := *ck
+			c.Sys = &sys
+			return &c
+		},
+		"old format": oldFormatCheckpoint,
+	}
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			store := recordingStore{}
+			for n, ck := range good {
+				store[n] = damage(t, ck)
+			}
+			got, err := runRecovered(func() Result { return RunWithCheckpoints(g.cfg, g.bench, source(), store) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := mustJSON(t, got); !bytes.Equal(res, want) {
+				t.Errorf("restoring misfit checkpoints changed the result (cycles %d)", got.Cycles)
+			}
+			if got.Sampling.CheckpointHits != 0 {
+				t.Errorf("%d misfit checkpoints restored", got.Sampling.CheckpointHits)
+			}
+			checkpointsEqual(t, "overwritten", store, good, true)
+		})
+	}
+}
+
+// oldFormatCheckpoint rewrites ck's JSON the way checkpoints were written
+// before the L2 kept only tags and LRU ranks: the L2 as Lines and LRU
+// stamps, the page table as (V, P) mappings with a next-frame counter.
+// It decodes into the current types with the L2 tags and the page list
+// empty.
+func oldFormatCheckpoint(t *testing.T, ck *Checkpoint) *Checkpoint {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(mustJSONValue(t, ck), &doc); err != nil {
+		t.Fatal(err)
+	}
+	sys := doc["Sys"].(map[string]any)
+	l2 := sys["Back"].(map[string]any)["L2"].(map[string]any)
+	st := ck.Sys.Back.L2
+	type line struct {
+		Valid, Dirty bool
+		PLine        uint64
+	}
+	lines := make([]line, len(st.Tags))
+	for i, tag := range st.Tags {
+		if tag != 0 {
+			lines[i] = line{Valid: true, PLine: uint64(tag-1) << 6}
+		}
+	}
+	lru := make([]uint64, len(st.Ranks))
+	for i, r := range st.Ranks {
+		lru[i] = uint64(r)
+	}
+	l2["Lines"], l2["LRU"] = lines, lru
+	delete(l2, "Tags")
+	delete(l2, "Ranks")
+	type mapping struct{ V, P uint32 }
+	var mappings []mapping
+	for i, v := range ck.Sys.PT.Pages {
+		mappings = append(mappings, mapping{V: uint32(v), P: uint32(i)})
+	}
+	sys["PT"] = map[string]any{"Mappings": mappings, "Next": len(mappings)}
+	var old Checkpoint
+	if err := json.Unmarshal(mustJSONValue(t, doc), &old); err != nil {
+		t.Fatalf("an old-format checkpoint no longer decodes: %v", err)
+	}
+	if len(old.Sys.Back.L2.Tags) != 0 || len(old.Sys.PT.Pages) != 0 {
+		t.Fatal("an old-format checkpoint decoded with L2 tags or pages")
+	}
+	return &old
+}

@@ -13,10 +13,11 @@ package cpu
 // Shadow-burst structure: the primary system is ONLY ever functionally
 // warmed, so its trajectory is independent of both the core-side
 // configuration and the sampling schedule. Each burst instead runs on a
-// fresh core.New machine whose memory side is restored from the state
-// captured at burst start and discarded afterwards (its store/merge
-// buffers may be mid-flight when the burst stops, so it is never reused).
-// The burst records are both warmed into the primary and replayed into the
+// shadow interface restored to the state captured at burst start. One
+// shadow serves every burst of a run: Restore empties the store/merge
+// buffers, queues and counters a burst leaves mid-flight, so each burst
+// starts from what a freshly built interface restored to that state would
+// hold. The burst records are both warmed into the primary and replayed into the
 // shadow, keeping the primary's trajectory identical to a run with no
 // measurement at all — which is exactly the trajectory microarchitectural
 // checkpoints capture and restore.
@@ -132,7 +133,9 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 	cpiSamples := make([]float64, 0, nWin)
 	epiSamples := make([]float64, 0, nWin)
 	buf := make([]trace.Record, burst)
-	// Every burst replays buf on one machine, reset per burst.
+	// Every burst replays buf on one shadow and one machine, both reset
+	// per burst.
+	shadow := core.New(cfg)
 	m := new(machine)
 	var burstSrc SliceSource
 
@@ -151,9 +154,12 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		// instruction-mix counts exact — otherwise warm the gap and capture.
 		// Each read asks for exactly the records before the burst start,
 		// so the source is positioned at it when the checkpoint is taken.
+		// A checkpoint that does not fit the system (damaged, or an older
+		// format) is a miss like one taken at the wrong position.
 		var st *core.SystemState
 		if ck != nil {
-			if got, ok := ck.Load(burstStart); ok && got.Sys != nil && got.at(burstStart) {
+			if got, ok := ck.Load(burstStart); ok && got.Sys != nil && got.at(burstStart) &&
+				sys.RestoreState(got.Sys) == nil {
 				jumped := false
 				if got.Src != nil {
 					if sf, ok := src.(statefulSource); ok && sf.RestoreState(*got.Src) {
@@ -166,7 +172,6 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 				if !jumped {
 					rd.read(gap, nil, nil)
 				}
-				sys.RestoreState(got.Sys)
 				st = got.Sys
 				hits++
 			}
@@ -189,25 +194,13 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		// an unmeasured run) and the shadow's replay buffer.
 		rd.read(burst, sys, buf)
 
-		// Detailed measurement: throwaway interface, memory side restored
-		// to the burst-start state, warmup retires unmeasured, the detail
-		// portion is measured in cycles and dynamic energy.
-		shadow := core.New(cfg)
-		shadow.System().RestoreState(st)
 		burstSrc = SliceSource{Records: buf}
-		m.reset(cfg, shadow, &burstSrc)
-		if warmup > 0 {
-			m.runTo(uint64(warmup))
-		}
-		c0 := m.cycle
-		dyn0 := shadow.Meter().DynamicEnergy()
-		m.runTo(uint64(burst))
-		dyn1 := shadow.Meter().DynamicEnergy()
+		cycles, dyn := m.measureBurst(cfg, shadow, st, &burstSrc, warmup)
 
-		cpiSamples = append(cpiSamples, float64(m.cycle-c0)/float64(detail))
+		cpiSamples = append(cpiSamples, float64(cycles)/float64(detail))
 		var epi float64
-		for c := range dyn1 {
-			d := (dyn1[c] - dyn0[c]) / float64(detail)
+		for c := range dyn.Dynamic {
+			d := dyn.Dynamic[c] / float64(detail)
 			epiSum.Dynamic[c] += d
 			epi += d
 		}
@@ -287,6 +280,29 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 			WarmedRecords:      rd.warmed,
 		},
 	}, nil
+}
+
+// measureBurst replays src, a burst's records, on shadow restored to the
+// burst-start state st: the first warmup records retire unmeasured, the
+// rest are measured. It returns the measured portion's cycles and dynamic
+// energy per component.
+func (m *machine) measureBurst(cfg config.Config, shadow core.Interface, st *core.SystemState, src *SliceSource, warmup int) (cycles int64, dyn energy.Breakdown) {
+	if err := shadow.Restore(st); err != nil {
+		// st was captured from, or restored into, a system of cfg.
+		panic(fmt.Sprintf("cpu: burst-start state does not fit its own configuration: %v", err))
+	}
+	m.reset(cfg, shadow, src)
+	if warmup > 0 {
+		m.runTo(uint64(warmup))
+	}
+	c0 := m.cycle
+	dyn0 := shadow.Meter().DynamicEnergy()
+	m.runTo(uint64(len(src.Records)))
+	dyn1 := shadow.Meter().DynamicEnergy()
+	for c := range dyn1 {
+		dyn.Dynamic[c] = dyn1[c] - dyn0[c]
+	}
+	return m.cycle - c0, dyn
 }
 
 // reader is the sampled path's view of its source: it reads exact runs of

@@ -225,6 +225,12 @@ func NewMeter(p Params, ports Ports) *Meter {
 	}
 }
 
+// Reset clears every accumulated event, as on a new meter.
+func (m *Meter) Reset() {
+	m.counts = [numEvents]uint64{}
+	m.waysSum = [3]uint64{}
+}
+
 // waysSum indices.
 const (
 	waysConvRead = iota

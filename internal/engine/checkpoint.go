@@ -28,9 +28,10 @@ import (
 )
 
 // DefaultCheckpointEntries bounds the in-memory checkpoint cache when
-// Options leaves it unset. A snapshot is a few hundred KB of slabs
-// (dominated by L1/L2 line arrays), so the default holds a campaign's
-// working set in tens of MB.
+// Options leaves it unset. A snapshot is about 100-150 KB of slabs: 80 KB
+// of L2 tags and one-byte LRU ranks, 12 KB of L1 lines and stamps, and 4
+// bytes per mapped page, so the default holds a campaign's working set in
+// under 20 MB.
 const DefaultCheckpointEntries = 128
 
 // ckKey identifies one warmed snapshot.
@@ -62,7 +63,7 @@ type checkpointStore struct {
 	order   []ckKey // insertion order, for FIFO eviction
 
 	// encMu serializes disk saves over one encode buffer, which keeps its
-	// capacity: a snapshot encodes to about a megabyte, and a fresh
+	// capacity: a snapshot encodes to a few hundred KB, and a fresh
 	// buffer per save would be that much garbage.
 	encMu  sync.Mutex
 	encBuf bytes.Buffer
@@ -126,9 +127,11 @@ func (s *checkpointStore) load(key ckKey) (*cpu.Checkpoint, bool) {
 // an entry that reads but fails to decode or validate is corrupt and is
 // quarantined aside (.corrupt rename) so it is never re-read hot. A
 // snapshot that decodes but whose instruction count, source position or
-// generator index differs from its record index is rejected by the
-// sampled run itself, which re-warms and overwrites it: a damaged
-// checkpoint degrades to re-warming, never to wrong state.
+// generator index differs from its record index, or whose arrays do not
+// fit the system's geometry (a damaged entry, or one written before the
+// L2 snapshot held tags and ranks), is rejected by the sampled run
+// itself, which re-warms and overwrites it: a damaged checkpoint degrades
+// to re-warming, never to wrong state.
 func (s *checkpointStore) loadDisk(key ckKey) (*cpu.Checkpoint, bool) {
 	path := s.diskPath(key)
 	if faultinject.DiskRead.Fire() {

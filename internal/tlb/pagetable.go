@@ -20,9 +20,15 @@ type PageTable struct {
 
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {
-	pt := &PageTable{used: mem.NewPageSet(ptInitialSlots)}
-	pt.fwd.init(ptInitialSlots)
+	pt := new(PageTable)
+	pt.init()
 	return pt
+}
+
+// init empties the table.
+func (pt *PageTable) init() {
+	*pt = PageTable{used: mem.NewPageSet(ptInitialSlots)}
+	pt.fwd.init(ptInitialSlots)
 }
 
 // Translate returns the physical page for v, allocating one on first use.
@@ -49,7 +55,7 @@ func (pt *PageTable) Translate(v mem.PageID) mem.PageID {
 	for pt.used.Has(p) {
 		p = (p + 2) & (1<<mem.PageBits - 1)
 	}
-	pt.fwd.put(v, p)
+	pt.fwd.put(v, p, pt.next)
 	pt.used.Add(p)
 	return p
 }
@@ -74,15 +80,17 @@ func ptHash(k mem.PageID, mask uint32) uint32 {
 }
 
 // ptEntry is one fused map slot: key, value and presence share a cache
-// line, so a probe costs one memory access instead of three.
+// line, so a probe costs one memory access instead of three. seq is the
+// mapping's first-touch position plus one (its frame number plus one), 0
+// for an empty slot: the order a snapshot records (see PageTableState).
 type ptEntry struct {
-	key  mem.PageID
-	val  mem.PageID
-	used bool
+	key mem.PageID
+	val mem.PageID
+	seq uint32
 }
 
 // ptMap is a growable open-addressed PageID -> PageID map. The zero page
-// is a valid key and value; presence is the used flag.
+// is a valid key and value; presence is a non-zero seq.
 type ptMap struct {
 	slots []ptEntry
 	n     int
@@ -97,7 +105,7 @@ func (m *ptMap) get(k mem.PageID) (mem.PageID, bool) {
 	mask := uint32(len(m.slots) - 1)
 	for i := ptHash(k, mask); ; i = (i + 1) & mask {
 		e := &m.slots[i]
-		if !e.used {
+		if e.seq == 0 {
 			return 0, false
 		}
 		if e.key == k {
@@ -106,27 +114,22 @@ func (m *ptMap) get(k mem.PageID) (mem.PageID, bool) {
 	}
 }
 
-func (m *ptMap) put(k, v mem.PageID) {
+// put maps k, which must be absent, to v as the seq-th first touch.
+func (m *ptMap) put(k, v mem.PageID, seq uint32) {
 	if 2*(m.n+1) > len(m.slots) {
 		old := m.slots
 		m.init(4 * len(old))
 		for i := range old {
-			if old[i].used {
-				m.put(old[i].key, old[i].val)
+			if old[i].seq != 0 {
+				m.put(old[i].key, old[i].val, old[i].seq)
 			}
 		}
 	}
 	mask := uint32(len(m.slots) - 1)
-	for i := ptHash(k, mask); ; i = (i + 1) & mask {
-		e := &m.slots[i]
-		if !e.used {
-			*e = ptEntry{key: k, val: v, used: true}
-			m.n++
-			return
-		}
-		if e.key == k {
-			e.val = v
-			return
-		}
+	i := ptHash(k, mask)
+	for m.slots[i].seq != 0 {
+		i = (i + 1) & mask
 	}
+	m.slots[i] = ptEntry{key: k, val: v, seq: seq}
+	m.n++
 }

@@ -16,6 +16,8 @@ type Policy interface {
 	// State serializes the policy's replacement metadata (reference bits,
 	// LRU stamps, rotation hands, rng state) for checkpointing.
 	State() []uint64
+	// StateLen returns the length of State's result.
+	StateLen() int
 	// SetState restores metadata previously obtained from State, so the
 	// victim stream continues bit-identically.
 	SetState(st []uint64)
@@ -49,6 +51,8 @@ func (p *randomPolicy) Touch(int) {}
 func (p *randomPolicy) Victim() int { return p.rnd.Intn(p.size) }
 
 func (p *randomPolicy) State() []uint64 { return []uint64{p.rnd.State()} }
+
+func (p *randomPolicy) StateLen() int { return 1 }
 
 func (p *randomPolicy) SetState(st []uint64) { p.rnd.SetState(st[0]) }
 
@@ -88,6 +92,8 @@ func (p *secondChance) State() []uint64 {
 	return st
 }
 
+func (p *secondChance) StateLen() int { return 1 + len(p.ref) }
+
 func (p *secondChance) SetState(st []uint64) {
 	p.hand = int(st[0])
 	for i := range p.ref {
@@ -125,6 +131,8 @@ func (p *lruPolicy) State() []uint64 {
 	return st
 }
 
+func (p *lruPolicy) StateLen() int { return 1 + len(p.stamp) }
+
 func (p *lruPolicy) SetState(st []uint64) {
 	p.clock = st[0]
 	copy(p.stamp, st[1:])
@@ -145,5 +153,7 @@ func (p *fifoPolicy) Victim() int {
 }
 
 func (p *fifoPolicy) State() []uint64 { return []uint64{uint64(p.next)} }
+
+func (p *fifoPolicy) StateLen() int { return 1 }
 
 func (p *fifoPolicy) SetState(st []uint64) { p.next = int(st[0]) }

@@ -7,10 +7,11 @@ package tlb
 // used-frame set) from the restored contents and never fire the
 // OnInsert/OnEvict hooks — a restore transplants state, it does not replay
 // the insertion history, and chain-order differences are invisible because
-// lookups resolve duplicates to the lowest index.
+// lookups resolve duplicates to the lowest index. A restore first checks
+// that the snapshot fits and changes nothing when it does not.
 
 import (
-	"sort"
+	"fmt"
 
 	"malec/internal/mem"
 )
@@ -34,10 +35,25 @@ func (t *TLB) CaptureState() TLBState {
 	return st
 }
 
+// CheckState reports whether st fits the TLB: one entry per slot and
+// policy metadata of the length the TLB's policy serializes.
+func (t *TLB) CheckState(st TLBState) error {
+	if len(st.Entries) != len(t.entries) {
+		return fmt.Errorf("tlb: %s snapshot has %d entries, want %d", t.Name, len(st.Entries), len(t.entries))
+	}
+	if want := t.pol.StateLen(); len(st.Policy) != want {
+		return fmt.Errorf("tlb: %s snapshot has %d policy words, want %d", t.Name, len(st.Policy), want)
+	}
+	return nil
+}
+
 // RestoreState replaces the TLB's state with a snapshot from a same-size
 // TLB, rebuilding the chain indexes, free mask and live count from the
 // restored entries. No OnInsert/OnEvict hooks fire.
-func (t *TLB) RestoreState(st TLBState) {
+func (t *TLB) RestoreState(st TLBState) error {
+	if err := t.CheckState(st); err != nil {
+		return err
+	}
 	copy(t.entries, st.Entries)
 	t.stats = st.Stats
 	t.pol.SetState(st.Policy)
@@ -56,49 +72,41 @@ func (t *TLB) RestoreState(st TLBState) {
 			t.freeMask[i>>6] |= 1 << uint(i&63)
 		}
 	}
+	return nil
 }
 
-// PageTableMapping is one established virtual->physical page mapping.
-type PageTableMapping struct {
-	V mem.PageID
-	P mem.PageID
-}
-
-// PageTableState is a complete snapshot of a page table: every mapping in
-// virtual-page order (deterministic bytes regardless of the hash table's
-// internal layout) plus the next-frame counter.
+// PageTableState is a complete snapshot of a page table: its virtual
+// pages in first-touch order. Frames are handed out in that order, so
+// replaying Translate over it rebuilds the same frames, next-frame counter
+// and used-frame set.
 type PageTableState struct {
-	Mappings []PageTableMapping
-	Next     uint32
+	Pages []mem.PageID
 }
 
-// CaptureState snapshots the page table.
+// CaptureState snapshots the page table. Each mapping's first-touch
+// position is its frame number, kept in the map, so no sort is needed.
 func (pt *PageTable) CaptureState() PageTableState {
-	st := PageTableState{
-		Mappings: make([]PageTableMapping, 0, pt.fwd.n),
-		Next:     pt.next,
-	}
-	for i := range pt.fwd.slots {
-		if e := &pt.fwd.slots[i]; e.used {
-			st.Mappings = append(st.Mappings, PageTableMapping{V: e.key, P: e.val})
+	st := PageTableState{Pages: make([]mem.PageID, pt.fwd.n)}
+	for _, e := range pt.fwd.slots {
+		if e.seq != 0 {
+			st.Pages[e.seq-1] = e.key
 		}
 	}
-	sort.Slice(st.Mappings, func(i, j int) bool {
-		return st.Mappings[i].V < st.Mappings[j].V
-	})
 	return st
 }
 
-// RestoreState rebuilds the page table from a snapshot. Replaying the
-// mappings through the storage layer reproduces a semantically identical
-// table (Translate answers and future first-touch allocations are
-// bit-identical) independent of the original hash layout.
-func (pt *PageTable) RestoreState(st PageTableState) {
-	pt.fwd.init(ptInitialSlots)
-	pt.used = mem.NewPageSet(ptInitialSlots)
-	for _, m := range st.Mappings {
-		pt.fwd.put(m.V, m.P)
-		pt.used.Add(m.P)
+// RestoreState rebuilds the page table by replaying the snapshot's first
+// touches into a new table, which replaces the receiver only when every
+// page was new: a repeated page means a damaged snapshot.
+func (pt *PageTable) RestoreState(st PageTableState) error {
+	var fresh PageTable
+	fresh.init()
+	for i, v := range st.Pages {
+		fresh.Translate(v)
+		if int(fresh.next) != i+1 {
+			return fmt.Errorf("tlb: page table snapshot repeats page %d", v)
+		}
 	}
-	pt.next = st.Next
+	*pt = fresh
+	return nil
 }

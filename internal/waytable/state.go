@@ -6,8 +6,32 @@ package waytable
 // table kinds snapshot into a small tagged union (StoreState) so a
 // checkpoint is self-describing; restores rebuild the page chain indexes
 // and free bitmaps from the restored contents without replaying history.
+// A restore first checks that the snapshot fits the table's geometry and
+// changes nothing when it does not.
 
-import "malec/internal/mem"
+import (
+	"fmt"
+
+	"malec/internal/mem"
+)
+
+// arrayLen pairs a snapshot array's length with the length the restoring
+// structure needs.
+type arrayLen struct {
+	name      string
+	got, want int
+}
+
+// checkLens reports the first snapshot array of owner whose length does
+// not fit.
+func checkLens(owner string, lens ...arrayLen) error {
+	for _, l := range lens {
+		if l.got != l.want {
+			return fmt.Errorf("waytable: %s snapshot %s has %d entries, want %d", owner, l.name, l.got, l.want)
+		}
+	}
+	return nil
+}
 
 // TableState is a complete snapshot of a full way table. Line codes are
 // flattened mem.LinesPerPage per slot.
@@ -34,9 +58,20 @@ func (t *Table) CaptureState() TableState {
 	return st
 }
 
+// CheckState reports whether st fits the table.
+func (t *Table) CheckState(st TableState) error {
+	return checkLens(t.Name,
+		arrayLen{"codes", len(st.Codes), len(t.entries) * mem.LinesPerPage},
+		arrayLen{"pages", len(st.Pages), len(t.pages)},
+		arrayLen{"valid", len(st.Valid), len(t.valid)})
+}
+
 // RestoreState replaces the table's state with a same-size snapshot,
 // rebuilding the page chain index from the restored slots.
-func (t *Table) RestoreState(st TableState) {
+func (t *Table) RestoreState(st TableState) error {
+	if err := t.CheckState(st); err != nil {
+		return err
+	}
 	for i := range t.entries {
 		copy(t.entries[i].codes[:], st.Codes[i*mem.LinesPerPage:(i+1)*mem.LinesPerPage])
 	}
@@ -49,6 +84,7 @@ func (t *Table) RestoreState(st TableState) {
 			t.idx.Add(uint32(t.pages[i]), int32(i))
 		}
 	}
+	return nil
 }
 
 // SegSlotState is the exported form of one segmented-table slot.
@@ -91,9 +127,22 @@ func (t *SegmentedTable) CaptureState() SegmentedState {
 	return st
 }
 
+// CheckState reports whether st fits the segmented table's geometry.
+func (t *SegmentedTable) CheckState(st SegmentedState) error {
+	return checkLens(t.name,
+		arrayLen{"slots", len(st.Slots), len(t.slots)},
+		arrayLen{"pool owners", len(st.PoolOwner), len(t.pool)},
+		arrayLen{"pool parts", len(st.PoolPart), len(t.pool)},
+		arrayLen{"codes", len(st.Codes), len(t.codes)},
+		arrayLen{"chunk map", len(st.ChunkOf), len(t.chunkOf)})
+}
+
 // RestoreState replaces the segmented table's state with a same-geometry
 // snapshot, rebuilding the free bitmap and page chain index.
-func (t *SegmentedTable) RestoreState(st SegmentedState) {
+func (t *SegmentedTable) RestoreState(st SegmentedState) error {
+	if err := t.CheckState(st); err != nil {
+		return err
+	}
 	for i, s := range st.Slots {
 		t.slots[i] = segSlot{page: s.Page, valid: s.Valid}
 	}
@@ -118,6 +167,7 @@ func (t *SegmentedTable) RestoreState(st SegmentedState) {
 			t.idx.Add(uint32(t.slots[i].page), int32(i))
 		}
 	}
+	return nil
 }
 
 // StoreState is the tagged union over the two way-store snapshot kinds,
@@ -141,17 +191,34 @@ func CaptureStore(s Store) StoreState {
 	}
 }
 
-// RestoreStore restores any Store implementation from its snapshot. The
-// snapshot kind must match the store kind (same configuration).
-func RestoreStore(s Store, st StoreState) {
+// CheckStore reports whether st is a snapshot of s's kind that fits it.
+func CheckStore(s Store, st StoreState) error {
 	switch t := s.(type) {
 	case *Table:
-		t.RestoreState(*st.Table)
+		if st.Table == nil {
+			return fmt.Errorf("waytable: %s snapshot is not a full table", t.Name)
+		}
+		return t.CheckState(*st.Table)
 	case *SegmentedTable:
-		t.RestoreState(*st.Segmented)
+		if st.Segmented == nil {
+			return fmt.Errorf("waytable: %s snapshot is not a segmented table", t.name)
+		}
+		return t.CheckState(*st.Segmented)
 	default:
-		panic("waytable: unknown Store kind in RestoreStore")
+		panic("waytable: unknown Store kind in CheckStore")
 	}
+}
+
+// RestoreStore restores any Store implementation from its snapshot, which
+// must pass CheckStore.
+func RestoreStore(s Store, st StoreState) error {
+	if err := CheckStore(s, st); err != nil {
+		return err
+	}
+	if t, ok := s.(*Table); ok {
+		return t.RestoreState(*st.Table)
+	}
+	return s.(*SegmentedTable).RestoreState(*st.Segmented)
 }
 
 // WDUState is a complete snapshot of a WDU.
@@ -187,8 +254,21 @@ func (w *WDU) CaptureState() WDUState {
 	return st
 }
 
+// CheckState reports whether st fits the WDU.
+func (w *WDU) CheckState(st WDUState) error {
+	n := len(w.entries)
+	return checkLens("WDU",
+		arrayLen{"lines", len(st.Lines), n},
+		arrayLen{"ways", len(st.Ways), n},
+		arrayLen{"valid", len(st.Valid), n},
+		arrayLen{"stamps", len(st.Stamps), n})
+}
+
 // RestoreState replaces the WDU's state with a same-size snapshot.
-func (w *WDU) RestoreState(st WDUState) {
+func (w *WDU) RestoreState(st WDUState) error {
+	if err := w.CheckState(st); err != nil {
+		return err
+	}
 	for i := range w.entries {
 		w.entries[i] = wduEntry{
 			line:  st.Lines[i],
@@ -201,6 +281,7 @@ func (w *WDU) RestoreState(st WDUState) {
 	w.stats = st.Stats
 	w.known = st.Known
 	w.total = st.Total
+	return nil
 }
 
 // PageSystemState is a complete snapshot of a PageSystem: both way stores
@@ -224,11 +305,27 @@ func (s *PageSystem) CaptureState() PageSystemState {
 	}
 }
 
+// CheckState reports whether st fits both of the page system's stores.
+func (s *PageSystem) CheckState(st PageSystemState) error {
+	if err := CheckStore(s.UWT, st.UWT); err != nil {
+		return err
+	}
+	return CheckStore(s.WT, st.WT)
+}
+
 // RestoreState restores the page system from a same-configuration snapshot.
-func (s *PageSystem) RestoreState(st PageSystemState) {
-	RestoreStore(s.UWT, st.UWT)
-	RestoreStore(s.WT, st.WT)
+func (s *PageSystem) RestoreState(st PageSystemState) error {
+	if err := s.CheckState(st); err != nil {
+		return err
+	}
+	if err := RestoreStore(s.UWT, st.UWT); err != nil {
+		return err
+	}
+	if err := RestoreStore(s.WT, st.WT); err != nil {
+		return err
+	}
 	s.known = st.Known
 	s.total = st.Total
 	s.fed = st.Fed
+	return nil
 }
