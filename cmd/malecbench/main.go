@@ -171,7 +171,7 @@ func runThroughput(benchmark string, instructions int, seed uint64, runs int, sc
 	// directly instead, on the generator-fed source the timed loop uses:
 	// the engine runs only points over its trace budget from a generator,
 	// and would stream any shorter point into a full-length shared arena
-	// (up to 256 MiB at the default budget) that the warm-up never needs.
+	// (up to 128 MiB at the default budget) that the warm-up never needs.
 	eng := engine.New(engine.Options{})
 	cfgs := []config.Config{config.Base1ldst(), config.Base2ld1st(), config.MALEC(),
 		config.MALECWithWDU(16)}

@@ -90,7 +90,7 @@ func (s *SliceSource) RestoreState(st SourceState) bool {
 
 // GenSource generates a trace of N records from Gen on a producer
 // goroutine, ahead of its reader, into a fixed ring of genRingSlots chunks
-// of genChunk records (1 MB), so a point never holds its whole trace. The
+// of genChunk records (512 KB), so a point never holds its whole trace. The
 // producer never generates past the position its reader allows: Next(max)
 // allows the records up to the end of that request, and
 // RunWithCheckpointsContext allows the whole trace to an exact run and to
@@ -126,7 +126,7 @@ type GenSource struct {
 
 // genRingSlots and genChunk size GenSource's ring: four 8192-record slots
 // let the producer run a few chunks ahead of a reader that stalls on a
-// slow stretch, in 1 MB instead of the whole trace.
+// slow stretch, in 512 KB instead of the whole trace.
 const (
 	genRingSlots = 4
 	genChunk     = 8192
@@ -432,6 +432,14 @@ const unknownDone = math.MaxInt64 / 2
 // doneWindow is the size of the completion-time ring; it must exceed
 // ROB size + maximum dependency distance.
 const doneWindow = 4096
+
+// trace.Record holds dependency distances as uint16: these constant
+// conversions fail to compile if the generator's window or the completion
+// ring could ever reach a distance the record cannot hold.
+const (
+	_ = uint16(trace.MaxDepWindow)
+	_ = uint16(doneWindow)
+)
 
 // instr is one in-flight instruction.
 type instr struct {

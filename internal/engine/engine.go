@@ -98,7 +98,7 @@ type Options struct {
 const DefaultMaxPoisonedKeys = 1024
 
 // DefaultTraceCacheRecords is the default materialized-trace cache bound:
-// 8M records (256 MiB of trace arena at 32 bytes a record) holds the
+// 8M records (128 MiB of trace arena at 16 bytes a record) holds the
 // in-flight working set of any realistic exact campaign, since
 // RunCampaign orders execution so that all configurations sharing one
 // workload run back to back. Sampled points hold no arena.

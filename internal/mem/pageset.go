@@ -14,12 +14,15 @@ type pageSetEntry struct {
 	used bool
 }
 
-// NewPageSet returns a set with the given initial slot count (rounded to a
-// power of two by the caller passing one; growth preserves the property).
-func NewPageSet(slots int) *PageSet {
-	s := &PageSet{}
-	s.init(slots)
-	return s
+// Reset empties the set and sizes it for slots slots (a power of two),
+// keeping its storage when that already has at least as many.
+func (s *PageSet) Reset(slots int) {
+	if len(s.slots) < slots {
+		s.init(slots)
+		return
+	}
+	clear(s.slots)
+	s.n = 0
 }
 
 func (s *PageSet) init(slots int) {

@@ -1,9 +1,10 @@
 package server
 
 // Tests for the /v1/run memory-hit memo: a memoized body must be byte for
-// byte the per-request encoding of the result the engine holds now, for
-// exact and sampled points and across eviction and disk reloads; only
-// memory hits are memoized; and the hit path's allocations stay pinned.
+// byte the per-request encoding (compact JSON plus a newline) of the
+// result the engine holds now, for exact and sampled points and across
+// eviction and disk reloads; only memory hits are memoized; and the hit
+// path's allocations stay pinned.
 
 import (
 	"bytes"
@@ -58,12 +59,18 @@ func checkHit(t *testing.T, srv *Server, eng *engine.Engine, body string) []byte
 	if !ok {
 		t.Fatal("memory hit for a key the engine does not hold")
 	}
+	resp := runResponse{Key: key, Source: src, Cached: true, Result: res, Sampling: res.Sampling}
 	want := httptest.NewRecorder()
-	writeJSON(want, http.StatusOK, runResponse{
-		Key: key, Source: src, Cached: true, Result: res, Sampling: res.Sampling,
-	})
+	writeJSON(want, http.StatusOK, resp)
 	if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("memoized body differs from the per-request encoding:\n%s\nwant\n%s", rec.Body, want.Body)
+	}
+	compact, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), append(compact, '\n')) {
+		t.Fatalf("memoized body is not compact JSON plus a newline:\n%s\nwant\n%s", rec.Body, compact)
 	}
 	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
 		t.Fatalf("Content-Length %q, body %d bytes", cl, rec.Body.Len())

@@ -14,21 +14,31 @@ import "malec/internal/mem"
 // assignment function itself is unchanged — only where it is stored.
 type PageTable struct {
 	fwd  ptMap
-	used *mem.PageSet
+	used mem.PageSet
 	next uint32
+	// spare holds the storage a restore last replaced; the next restore
+	// rebuilds into it, so restores stop allocating once both tables
+	// have grown to the snapshots' size.
+	spare *PageTable
 }
 
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {
 	pt := new(PageTable)
-	pt.init()
+	pt.reset(0)
 	return pt
 }
 
-// init empties the table.
-func (pt *PageTable) init() {
-	*pt = PageTable{used: mem.NewPageSet(ptInitialSlots)}
-	pt.fwd.init(ptInitialSlots)
+// reset empties the table and sizes it to map the given number of pages
+// without growing, keeping its storage where that is large enough.
+func (pt *PageTable) reset(pages int) {
+	slots := ptInitialSlots
+	for 2*pages > slots {
+		slots *= 4
+	}
+	pt.fwd.reset(slots)
+	pt.used.Reset(slots)
+	pt.next = 0
 }
 
 // Translate returns the physical page for v, allocating one on first use.
@@ -98,6 +108,17 @@ type ptMap struct {
 
 func (m *ptMap) init(slots int) {
 	m.slots = make([]ptEntry, slots)
+	m.n = 0
+}
+
+// reset empties the map like init, keeping its storage when that already
+// has at least slots slots.
+func (m *ptMap) reset(slots int) {
+	if len(m.slots) < slots {
+		m.init(slots)
+		return
+	}
+	clear(m.slots)
 	m.n = 0
 }
 

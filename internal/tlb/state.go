@@ -96,17 +96,24 @@ func (pt *PageTable) CaptureState() PageTableState {
 }
 
 // RestoreState rebuilds the page table by replaying the snapshot's first
-// touches into a new table, which replaces the receiver only when every
-// page was new: a repeated page means a damaged snapshot.
+// touches into the spare table, which swaps with the receiver's storage
+// only when every page was new: a repeated page means a damaged snapshot,
+// and leaves the receiver unchanged.
 func (pt *PageTable) RestoreState(st PageTableState) error {
-	var fresh PageTable
-	fresh.init()
+	fresh := pt.spare
+	if fresh == nil {
+		fresh = new(PageTable)
+	}
+	pt.spare = fresh
+	fresh.reset(len(st.Pages))
 	for i, v := range st.Pages {
 		fresh.Translate(v)
 		if int(fresh.next) != i+1 {
 			return fmt.Errorf("tlb: page table snapshot repeats page %d", v)
 		}
 	}
-	*pt = fresh
+	pt.fwd, fresh.fwd = fresh.fwd, pt.fwd
+	pt.used, fresh.used = fresh.used, pt.used
+	pt.next = fresh.next
 	return nil
 }

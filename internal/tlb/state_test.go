@@ -80,6 +80,33 @@ func TestPageTableRestoreRejectsRepeats(t *testing.T) {
 	}
 }
 
+// TestPageTableRestoreInPlace checks that restores rebuild into storage
+// the table already owns: once a restore has sized both the table and its
+// spare, the next restores allocate nothing and still map every page as
+// the captured table does.
+func TestPageTableRestoreInPlace(t *testing.T) {
+	pt := NewPageTable()
+	translateRandom(pt, rng.New(10), 20000, 1<<14)
+	st := pt.CaptureState()
+	r := NewPageTable()
+	if err := r.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := r.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a repeated restore allocates %v times, want 0", allocs)
+	}
+	if !reflect.DeepEqual(r.CaptureState(), st) || r.next != pt.next {
+		t.Fatal("a repeated restore captures a different snapshot")
+	}
+	if got, want := translateRandom(r, rng.New(11), 20000, 1<<15), translateRandom(pt, rng.New(11), 20000, 1<<15); !slices.Equal(got, want) {
+		t.Fatal("a repeated restore maps pages differently")
+	}
+}
+
 // TestPolicyStateLen checks that every policy's StateLen, which snapshot
 // checks compare against, is the length of its serialized state.
 func TestPolicyStateLen(t *testing.T) {

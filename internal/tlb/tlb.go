@@ -247,7 +247,6 @@ type Result struct {
 	PPage   mem.PageID
 	Level   Level
 	UIdx    int // uTLB entry index (-1 when bypassed)
-	TIdx    int // TLB entry index (-1 on walk-only paths)
 	Latency int // additional cycles beyond a uTLB hit
 }
 
@@ -268,18 +267,17 @@ type Hierarchy struct {
 // refills, and reports where it hit.
 func (h *Hierarchy) Translate(v mem.PageID) Result {
 	if ui, e, hit := h.U.Lookup(v); hit {
-		ti, _, _ := h.Main.Probe(v)
-		return Result{PPage: e.PPage, Level: LevelUTLB, UIdx: ui, TIdx: ti}
+		return Result{PPage: e.PPage, Level: LevelUTLB, UIdx: ui}
 	}
-	if ti, e, hit := h.Main.Lookup(v); hit {
+	if _, e, hit := h.Main.Lookup(v); hit {
 		ui := h.U.Insert(v, e.PPage)
-		return Result{PPage: e.PPage, Level: LevelTLB, UIdx: ui, TIdx: ti,
+		return Result{PPage: e.PPage, Level: LevelTLB, UIdx: ui,
 			Latency: h.TLBRefillLatency}
 	}
 	p := h.PT.Translate(v)
-	ti := h.Main.Insert(v, p)
+	h.Main.Insert(v, p)
 	ui := h.U.Insert(v, p)
-	return Result{PPage: p, Level: LevelWalk, UIdx: ui, TIdx: ti,
+	return Result{PPage: p, Level: LevelWalk, UIdx: ui,
 		Latency: h.WalkLatency}
 }
 

@@ -179,10 +179,10 @@ func (r *Reader) Read() (Record, error) {
 	if err != nil {
 		return Record{}, unexpectedEOF(err)
 	}
-	if d1 > math.MaxUint32 || d2 > math.MaxUint32 {
+	if d1 > math.MaxUint16 || d2 > math.MaxUint16 {
 		return Record{}, fmt.Errorf("trace: dependency distance out of range (dep1 %d, dep2 %d)", d1, d2)
 	}
-	rec.Dep1, rec.Dep2 = uint32(d1), uint32(d2)
+	rec.Dep1, rec.Dep2 = uint16(d1), uint16(d2)
 	return rec, nil
 }
 

@@ -247,7 +247,7 @@ func (g *Generator) Next() Record {
 }
 
 // Fill overwrites *r with the next trace record. Writing in place keeps
-// the 32-byte record from being copied out through each level of the
+// the 16-byte record from being copied out through each level of the
 // record-kind helpers.
 func (g *Generator) Fill(r *Record) {
 	*r = Record{}
@@ -395,10 +395,10 @@ func (g *Generator) accessSize() uint8 {
 
 // depDistance converts a producer's dynamic index into a backwards distance
 // bounded by the profile's dependency window; 0 means "unusable".
-func (g *Generator) depDistance(producer uint64) uint32 {
+func (g *Generator) depDistance(producer uint64) uint16 {
 	d := g.idx - producer
 	if d == 0 || d > uint64(g.prof.DepWindow) {
 		return 0
 	}
-	return uint32(d)
+	return uint16(d)
 }

@@ -49,18 +49,22 @@ func (k Kind) String() string {
 	}
 }
 
-// Record is one dynamic instruction.
+// Record is one dynamic instruction. Its fields are ordered largest first
+// so that a Record packs into 16 bytes with no padding: the trace-cache
+// arenas, cpu.GenSource's ring and every ROB entry hold records by value.
 type Record struct {
-	Kind Kind
 	// Addr is the virtual byte address for Load/Store records.
 	Addr mem.Addr
-	// Size is the access size in bytes for Load/Store records (1..16).
-	Size uint8
 	// Dep1 and Dep2 are backwards distances (in dynamic instructions) to
 	// producer instructions this record depends on; 0 means no dependency.
 	// The out-of-order core model delays issue until producers complete.
-	Dep1 uint32
-	Dep2 uint32
+	// uint16 is wide enough: the generator caps distances at MaxDepWindow
+	// and the cpu's completion window is smaller than 1<<16.
+	Dep1 uint16
+	Dep2 uint16
+	Kind Kind
+	// Size is the access size in bytes for Load/Store records (1..16).
+	Size uint8
 	// Mispredict marks a branch whose direction was mispredicted: the
 	// front end stalls until the branch resolves (its producers
 	// complete), then pays the refill penalty.

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"malec/internal/mem"
 )
@@ -56,7 +59,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(kind uint8, addr uint64, size uint8, d1, d2 uint32, misp bool) bool {
+	f := func(kind uint8, addr uint64, size uint8, d1, d2 uint16, misp bool) bool {
 		rec := Record{Kind: Kind(kind % 4), Dep1: d1, Dep2: d2}
 		if rec.IsMem() {
 			rec.Addr = mem.Addr(addr).Canon()
@@ -105,24 +108,49 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-// TestCodecDepOutOfRange feeds the reader a record whose dependency
-// distances do not fit a Record's uint32 fields: it must fail, not wrap
-// 2^32+1 into a real but wrong dependency of 1.
+// TestCodecDepOutOfRange feeds the reader records whose dependency
+// distances sit at and just past the top of a Record's uint16 fields: 65535
+// must round-trip, and anything larger must fail with an error naming the
+// distance, not wrap 65537 into a real but wrong dependency of 1.
 func TestCodecDepOutOfRange(t *testing.T) {
-	for _, deps := range [][2]uint64{{1<<32 + 1, 0}, {0, 1 << 32}} {
+	encode := func(d1, d2 uint64) *bytes.Buffer {
 		var buf bytes.Buffer
 		w, _ := NewWriter(&buf)
 		w.Flush()
 		buf.WriteByte(byte(Op))
-		buf.Write(binary.AppendUvarint(nil, deps[0]))
-		buf.Write(binary.AppendUvarint(nil, deps[1]))
-		r, err := NewReader(&buf)
+		buf.Write(binary.AppendUvarint(nil, d1))
+		buf.Write(binary.AppendUvarint(nil, d2))
+		return &buf
+	}
+	r, err := NewReader(encode(math.MaxUint16, math.MaxUint16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := r.Read(); err != nil || rec != (Record{Kind: Op, Dep1: math.MaxUint16, Dep2: math.MaxUint16}) {
+		t.Errorf("deps 65535 decoded as %+v, %v", rec, err)
+	}
+	for _, deps := range [][2]uint64{{1 << 16, 0}, {0, 1 << 16}, {1<<16 + 1, 0}, {1<<32 + 1, 0}} {
+		r, err := NewReader(encode(deps[0], deps[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec, err := r.Read(); err == nil {
+		rec, err := r.Read()
+		if err == nil {
 			t.Errorf("deps %v decoded as %+v, want an error", deps, rec)
+			continue
 		}
+		if bad := max(deps[0], deps[1]); !strings.Contains(err.Error(), strconv.FormatUint(bad, 10)) {
+			t.Errorf("deps %v: error %q does not name %d", deps, err, bad)
+		}
+	}
+}
+
+// TestRecordIsSixteenBytes pins the packed record: the trace-cache arenas,
+// cpu.GenSource's ring and every ROB entry hold records by value, so a
+// field reordering that brings back padding doubles them.
+func TestRecordIsSixteenBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 16", got)
 	}
 }
 
@@ -234,11 +262,11 @@ func TestGeneratorDepsBounded(t *testing.T) {
 	g := NewGenerator(p, 3)
 	for i := uint64(0); i < 50000; i++ {
 		r := g.Next()
-		for _, d := range []uint32{r.Dep1, r.Dep2} {
+		for _, d := range []uint16{r.Dep1, r.Dep2} {
 			if d != 0 && uint64(d) > i {
 				t.Fatalf("record %d dep distance %d reaches before trace start", i, d)
 			}
-			if d > uint32(p.DepWindow) {
+			if d > uint16(p.DepWindow) {
 				t.Fatalf("dep distance %d exceeds window %d", d, p.DepWindow)
 			}
 		}

@@ -138,16 +138,15 @@ func TestPageSystemHookOrderIndexedVsScan(t *testing.T) {
 		off := uint32(drv.Intn(mem.PageSize)) &^ 7
 		switch drv.Intn(4) {
 		case 0, 1:
-			level, ui, ti := tlb.LevelWalk, scanTLB(u, page, false), scanTLB(m, page, false)
+			level, ui := tlb.LevelWalk, scanTLB(u, page, false)
 			if ui >= 0 {
 				level = tlb.LevelUTLB
-			} else if ti >= 0 {
+			} else if scanTLB(m, page, false) >= 0 {
 				level = tlb.LevelTLB
 			}
 			r := h.Translate(page)
-			if r.Level != level || level == tlb.LevelUTLB && (r.UIdx != ui || r.TIdx != ti) ||
-				level == tlb.LevelTLB && r.TIdx != ti {
-				t.Fatalf("op %d: Translate(%d) = %+v, oracle level %v uIdx %d tIdx %d", op, page, r, level, ui, ti)
+			if r.Level != level || level == tlb.LevelUTLB && r.UIdx != ui {
+				t.Fatalf("op %d: Translate(%d) = %+v, oracle level %v uIdx %d", op, page, r, level, ui)
 			}
 			pa := mem.MakeAddr(r.PPage, off)
 			if _, known := sys.Lookup(pa, r.UIdx); !known {
