@@ -8,7 +8,8 @@
 // the first would measure cache lookups instead of simulation. All
 // benchmarks report allocations; the per-interface Sim benchmarks and
 // BenchmarkFig4a additionally report committed instructions per second
-// (instr/s), the number tracked in BENCH_core.json.
+// (instr/s); EXPERIMENTS.md records these numbers across hot-path
+// changes.
 package malec
 
 import (
@@ -145,8 +146,8 @@ func BenchmarkSimMALECWDU(b *testing.B) { benchmarkConfig(b, MALECWithWDU(16)) }
 // chasing, mispredict storms, TLB thrashing) spend most simulated cycles
 // with nothing in flight making progress, which is exactly what the
 // event-driven cycle skip fast-forwards. These keep the skip win — and any
-// future regression of it — visible; the reported skip rate for each lives
-// in BENCH_core.json.
+// future regression of it — visible; EXPERIMENTS.md ("Cycle skipping")
+// records the skip rate measured for each.
 func benchmarkStress(b *testing.B, benchmark string) {
 	b.ReportAllocs()
 	var last Result
@@ -175,9 +176,8 @@ func BenchmarkSimStressTLBThrash(b *testing.B) { benchmarkStress(b, "tlbthrash")
 // BenchmarkSimSampled measures the sampled fast path end to end (functional
 // warming + shadow measurement bursts, no checkpoint reuse) on a schedule
 // scaled to the benchmark budget. The instr/s metric is the cold sampled
-// throughput tracked in BENCH_core.json's sampled_sim section; warm
-// (checkpoint-restoring) throughput is measured by malecbench
-// -sampled-compare.
+// throughput; warm (checkpoint-restoring) throughput is measured by
+// malecbench -sampled-compare.
 func BenchmarkSimSampled(b *testing.B) {
 	const n = 100000
 	cfg := MALEC()

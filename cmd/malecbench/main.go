@@ -7,22 +7,15 @@
 //	malecbench -exp fig4 -n 500000
 //	malecbench -exp fig1,motivation
 //	malecbench -bench gzip,mcf    # restrict the benchmark set
-//	malecbench -throughput        # simulator throughput mode (JSON)
-//	malecbench -throughput -bench ptrchase   # stall-heavy stress profile
-//	malecbench -throughput -sample -n 100000000   # sampled fast path
 //	malecbench -sampled-compare -n 10000000 -sample-max-err 1
 //	malecbench -exp fig4 -cpuprofile cpu.pb.gz -memprofile heap.pb.gz
 //
-// Throughput mode measures the simulator itself instead of the paper's
-// figures: it runs each L1 interface variant on one workload and reports
-// committed instructions per second, wall time, allocations per run,
-// cycle-skip telemetry (skipped cycles, jumps, skip rate) and the
-// simulated run's per-component dynamic/leakage energy breakdown (pJ) as
-// JSON, so perf/energy trade-offs are visible straight from the CLI. The
-// committed BENCH_core.json at the repository root records these numbers
-// before and after hot-path changes. Besides the paper's 38 workloads,
-// -bench accepts the stall-heavy stress profiles (ptrchase, brstorm,
-// tlbthrash) the cycle-skipping fast-forward targets.
+// -sampled-compare runs each L1 interface variant exactly and sampled on
+// one workload and prints the estimation error and speedup as JSON; it
+// exits nonzero when an error exceeds -sample-max-err. Simulator
+// throughput is measured by the perfbench module (perfbench/README.md).
+// Besides the paper's 38 workloads, -bench accepts the stall-heavy stress
+// profiles (ptrchase, brstorm, tlbthrash).
 //
 // -cpuprofile and -memprofile write standard pprof profiles of the whole
 // invocation (any mode), so perf work can attach evidence without ad-hoc
@@ -41,10 +34,8 @@ import (
 
 	"malec/internal/config"
 	"malec/internal/cpu"
-	"malec/internal/energy"
 	"malec/internal/engine"
 	"malec/internal/experiments"
-	"malec/internal/stats"
 	"malec/internal/trace"
 )
 
@@ -69,152 +60,6 @@ func samplingInfoOf(s *cpu.SamplingEstimate) *samplingInfo {
 		CPIRelCI: s.CPIRelHalfWidth, EnergyRelCI: s.EnergyRelHalfWidth,
 		CheckpointHits: s.CheckpointHits, CheckpointMisses: s.CheckpointMisses,
 	}
-}
-
-// throughputRow is one interface variant's measurement in -throughput mode.
-type throughputRow struct {
-	Config       string  `json:"config"`
-	NsPerRun     int64   `json:"ns_per_run"`
-	InstrPerSec  float64 `json:"instr_per_sec"`
-	AllocsPerRun uint64  `json:"allocs_per_run"`
-	BytesPerRun  uint64  `json:"bytes_per_run"`
-	Cycles       uint64  `json:"cycles"`
-	IPC          float64 `json:"ipc"`
-	// Cycle-skip telemetry: how many simulated cycles the event-driven
-	// fast-forward jumped over (and in how many jumps), and the resulting
-	// fraction of all cycles. Zero when skipping is disabled.
-	SkippedCycles uint64  `json:"skipped_cycles"`
-	SkipJumps     uint64  `json:"skip_jumps"`
-	SkipRate      float64 `json:"skip_rate"`
-	// Energy is the simulated run's per-component dynamic/leakage energy
-	// breakdown from the meter (picojoules), so perf/energy trade-offs
-	// across configurations are visible without a full campaign.
-	Energy energyReport `json:"energy"`
-	// Sampling is present when the run used the sampled fast path
-	// (-sample): window count, schedule and confidence intervals.
-	Sampling *samplingInfo `json:"sampling,omitempty"`
-}
-
-// componentEnergy is one component's share of the energy breakdown.
-type componentEnergy struct {
-	Component string  `json:"component"`
-	DynamicPJ float64 `json:"dynamic_pj"`
-	LeakagePJ float64 `json:"leakage_pj"`
-}
-
-// energyReport renders a Breakdown for the throughput JSON: per-component
-// rows (components with no energy omitted) plus totals.
-type energyReport struct {
-	Components []componentEnergy `json:"components"`
-	DynamicPJ  float64           `json:"dynamic_pj"`
-	LeakagePJ  float64           `json:"leakage_pj"`
-	TotalPJ    float64           `json:"total_pj"`
-}
-
-// energyReportOf converts a Breakdown into the JSON form.
-func energyReportOf(b energy.Breakdown) energyReport {
-	rep := energyReport{
-		DynamicPJ: b.TotalDynamic(),
-		LeakagePJ: b.TotalLeakage(),
-		TotalPJ:   b.Total(),
-	}
-	for _, c := range energy.Components() {
-		if b.Dynamic[c] == 0 && b.Leakage[c] == 0 {
-			continue
-		}
-		rep.Components = append(rep.Components, componentEnergy{
-			Component: c.String(),
-			DynamicPJ: b.Dynamic[c],
-			LeakagePJ: b.Leakage[c],
-		})
-	}
-	return rep
-}
-
-// throughputReport is the JSON document -throughput mode prints.
-type throughputReport struct {
-	Mode         string          `json:"mode"`
-	Benchmark    string          `json:"benchmark"`
-	Instructions int             `json:"instructions_per_run"`
-	Seed         uint64          `json:"seed"`
-	Runs         int             `json:"runs"`
-	Configs      []throughputRow `json:"configs"`
-	// WallSeconds is the whole mode's wall time (warm-ups included), the
-	// same field malecload reports, so core and serving benchmark JSON
-	// share one telemetry vocabulary.
-	WallSeconds float64 `json:"wall_seconds"`
-	// Engine snapshots the warm-up engine's cache/trace counters in the
-	// exact shape /v1/stats and /metrics serve (warm-ups run through a
-	// shared engine: one trace generation serves every config, so
-	// traceHits/traceMisses here mirror what a campaign would see). The
-	// timed runs below stay direct simulator calls and never hit it.
-	Engine engine.Stats `json:"engine"`
-}
-
-// runThroughput measures simulation throughput (committed instructions per
-// second and allocations per run) for each L1 interface variant. Wall time
-// is the best of runs (the least-disturbed sample); allocations are exact
-// per-run averages from the runtime's allocation counters.
-func runThroughput(benchmark string, instructions int, seed uint64, runs int, sch *config.Sampling) throughputReport {
-	rep := throughputReport{
-		Mode:         "throughput",
-		Benchmark:    benchmark,
-		Instructions: instructions,
-		Seed:         seed,
-		Runs:         runs,
-	}
-	t0 := time.Now()
-	// Warm-ups go through an engine so the report carries engine cache
-	// vocabulary (simulations, trace hits/misses) alongside the raw
-	// timings; the timed loop stays direct so cache hits can't be
-	// mistaken for simulator throughput. Sampled mode (-sample) warms up
-	// directly instead, on the generator-fed source the timed loop uses:
-	// the engine runs only points over its trace budget from a generator,
-	// and would stream any shorter point into a full-length shared arena
-	// (up to 128 MiB at the default budget) that the warm-up never needs.
-	eng := engine.New(engine.Options{})
-	cfgs := []config.Config{config.Base1ldst(), config.Base2ld1st(), config.MALEC(),
-		config.MALECWithWDU(16)}
-	for _, cfg := range cfgs {
-		if sch != nil {
-			cfg.Sampling = sch
-			cpu.RunBenchmark(cfg, benchmark, instructions, seed) // warm-up
-		} else {
-			eng.Run(cfg, benchmark, instructions, seed) // warm-up
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		best := time.Duration(1<<63 - 1)
-		var last cpu.Result
-		for r := 0; r < runs; r++ {
-			t0 := time.Now()
-			last = cpu.RunBenchmark(cfg, benchmark, instructions, seed)
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		runtime.ReadMemStats(&after)
-		row := throughputRow{
-			Config:       cfg.Name,
-			NsPerRun:     best.Nanoseconds(),
-			InstrPerSec:  float64(last.Instructions) / best.Seconds(),
-			AllocsPerRun: (after.Mallocs - before.Mallocs) / uint64(runs),
-			BytesPerRun:  (after.TotalAlloc - before.TotalAlloc) / uint64(runs),
-			Cycles:       last.Cycles,
-			IPC:          last.IPC(),
-			SkipRate:     last.SkipRate(),
-			Energy:       energyReportOf(last.Energy),
-		}
-		if last.Telemetry != nil {
-			row.SkippedCycles = last.Telemetry.Get(stats.CtrSkippedCycles)
-			row.SkipJumps = last.Telemetry.Get(stats.CtrSkipJumps)
-		}
-		row.Sampling = samplingInfoOf(last.Sampling)
-		rep.Configs = append(rep.Configs, row)
-	}
-	rep.WallSeconds = time.Since(t0).Seconds()
-	rep.Engine = eng.Stats()
-	return rep
 }
 
 // mapCheckpoints is a process-local checkpoint store for the compare mode:
@@ -262,7 +107,7 @@ type sampledCompareReport struct {
 // runSampledCompare runs each interface variant exactly and sampled on the
 // same workload and reports the estimation error and speedup. ok is false
 // when any cycle or energy error exceeds maxErrPct — the CI smoke's pass
-// criterion, and the evidence behind BENCH_core.json's sampled_sim section.
+// criterion.
 func runSampledCompare(benchmark string, instructions int, seed uint64, sch config.Sampling, maxErrPct float64) (sampledCompareReport, bool) {
 	rep := sampledCompareReport{
 		Mode:         "sampled_compare",
@@ -362,9 +207,6 @@ func run() (code int) {
 		workers    = flag.Int("workers", 0, "max concurrent simulations (default GOMAXPROCS)")
 		traceCache = flag.Int("trace-cache", 0, "materialized-trace cache bound in records shared across configs (0 = default, negative = regenerate traces per simulation)")
 		quiet      = flag.Bool("quiet", false, "suppress progress notes on stderr")
-		throughput = flag.Bool("throughput", false, "measure simulator throughput instead of regenerating figures; prints JSON")
-		tputRuns   = flag.Int("throughput-runs", 3, "timed runs per configuration in -throughput mode")
-		sample     = flag.Bool("sample", false, "run -throughput through the sampled fast path (interval sampling + functional warming)")
 		sampledCmp = flag.Bool("sampled-compare", false, "run each variant exactly and sampled, print the differential as JSON; exit nonzero past -sample-max-err")
 		sampleWarm = flag.Int("sample-warmup", config.DefaultSampling().Warmup, "detailed-warmup instructions per measurement window")
 		sampleDet  = flag.Int("sample-detail", config.DefaultSampling().Detail, "measured instructions per window")
@@ -405,13 +247,12 @@ func run() (code int) {
 		}()
 	}
 
-	sch := config.Sampling{Warmup: *sampleWarm, Detail: *sampleDet, Interval: *sampleInt}
-	if (*sample || *sampledCmp) && !sch.Valid() {
-		fmt.Fprintf(os.Stderr, "malecbench: invalid sampling schedule %+v\n", sch)
-		return 2
-	}
-
 	if *sampledCmp {
+		sch := config.Sampling{Warmup: *sampleWarm, Detail: *sampleDet, Interval: *sampleInt}
+		if !sch.Valid() {
+			fmt.Fprintf(os.Stderr, "malecbench: invalid sampling schedule %+v\n", sch)
+			return 2
+		}
 		benchmark := "gzip"
 		if *bench != "" {
 			benchmark = strings.Split(*bench, ",")[0]
@@ -426,25 +267,6 @@ func run() (code int) {
 		if !ok {
 			return 1
 		}
-		return 0
-	}
-
-	if *throughput {
-		benchmark := "gzip"
-		if *bench != "" {
-			benchmark = strings.Split(*bench, ",")[0]
-		}
-		var schp *config.Sampling
-		if *sample {
-			schp = &sch
-		}
-		rep := runThroughput(benchmark, *n, *seed, *tputRuns, schp)
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "malecbench:", err)
-			return 1
-		}
-		fmt.Println(string(out))
 		return 0
 	}
 

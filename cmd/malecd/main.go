@@ -1,44 +1,26 @@
-// Command malecd serves MALEC simulations over HTTP. It fronts a shared
+// Command malecd serves MALEC simulations over HTTP. It fronts one
 // campaign engine, so concurrent requests for the same simulation point
-// run it once (singleflight), repeated requests are cache hits, and with
-// -cache-dir results survive restarts.
+// run it once, repeated requests are cache hits, and with -cache-dir
+// results survive restarts.
 //
 // Usage:
 //
 //	malecd -addr :8080 -workers 8 -cache-dir /var/cache/malec
 //
-//	curl localhost:8080/v1/configs
 //	curl -d '{"config":"MALEC","benchmark":"gzip","instructions":500000}' \
 //	    localhost:8080/v1/run
-//	curl -d '{"configs":["Base1ldst","MALEC"],"benchmarks":["gzip","mcf"],"format":"csv"}' \
-//	    localhost:8080/v1/sweep
 //	curl -d '{"configs":["MALEC"],"benchmarks":["gzip"]}' localhost:8080/v1/campaigns
 //	curl localhost:8080/v1/campaigns/<id>/results        # NDJSON stream, resumable
-//	curl localhost:8080/metrics
 //
-// With -cache-dir set, campaigns submitted via /v1/campaigns are durable:
-// each journals its progress under <cache-dir>/v1/campaigns/<id>, and on
-// restart malecd replays the journals — completed campaigns keep serving
-// their exports, interrupted ones resume without recomputing any
-// completed point. -journal-retention and -corrupt-retention bound how
-// long finished journals and .corrupt quarantine files are kept.
+// With -cache-dir set, campaigns journal their progress under
+// <cache-dir>/v1/campaigns/<id>; on restart malecd replays the journals,
+// so completed campaigns keep serving their exports and interrupted ones
+// resume without recomputing any completed point.
 //
-// GET /metrics serves the Prometheus text exposition: per-endpoint
-// request counters, in-flight gauges and latency histograms plus the
-// engine's cache/dedup/trace counters and scheduler queue depth. With
-// -pprof the standard net/http/pprof handlers are mounted under
-// /debug/pprof/ on the same listener.
-//
-// On SIGINT/SIGTERM the daemon stops accepting connections and drains
-// in-flight requests for up to -drain-timeout before exiting, so a
-// rolling restart never cuts a simulation (or a load-test tail) off
-// mid-response.
-//
-// With -peers (plus -advertise), the daemon joins a cluster of replicas:
-// a consistent-hash ring assigns each simulation point an owner, any node
-// accepts any request and forwards non-owned points to their owners over
-// /internal/v1/point, and an unreachable owner degrades to local
-// execution — degraded, never down. See the README "Cluster" section.
+// GET /metrics serves the Prometheus text exposition; -pprof mounts
+// net/http/pprof under /debug/pprof/. On SIGINT/SIGTERM the daemon fails
+// /readyz, stops accepting connections and drains in-flight requests for
+// up to -drain-timeout before exiting.
 package main
 
 import (
@@ -51,28 +33,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"malec/internal/cluster"
 	"malec/internal/engine"
 	"malec/internal/faultinject"
 	"malec/internal/server"
 )
-
-// splitURLs parses a comma-separated base-URL list, trimming whitespace
-// and trailing slashes and dropping empty entries.
-func splitURLs(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimRight(strings.TrimSpace(part), "/")
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
 
 func main() {
 	var (
@@ -96,12 +63,6 @@ func main() {
 		campRetry  = flag.Int("campaign-retries", 2, "default per-job retry bound for durable campaigns")
 		journalRet = flag.Duration("journal-retention", 7*24*time.Hour, "age past which completed campaign journals are pruned at startup (0 = keep forever)")
 		corruptRet = flag.Duration("corrupt-retention", 7*24*time.Hour, "age past which .corrupt quarantine files are pruned at startup (0 = keep forever)")
-		journalFlg = flag.String("journal-dir", "", "durable-campaign journal root (default <cache-dir>/v1/campaigns; lets clustered replicas share a result store without sharing journals)")
-		peers      = flag.String("peers", "", "comma-separated base URLs of the other cluster members (e.g. http://10.0.0.2:8080); empty = single node")
-		advertise  = flag.String("advertise", "", "this node's base URL as peers reach it (default http://127.0.0.1<addr> when -addr is :port)")
-		peerTO     = flag.Duration("peer-timeout", time.Minute, "end-to-end timeout for one forwarded point call")
-		hedgeAfter = flag.Duration("hedge-after", 0, "race a second identical forwarded call if the first has not answered within this window (0 = no hedging)")
-		probeEvery = flag.Duration("peer-probe-interval", time.Second, "peer /readyz health-probe period")
 	)
 	flag.Parse()
 
@@ -132,49 +93,13 @@ func main() {
 		log.Printf("malecd pruned %d .corrupt quarantine files older than %v", pruned, *corruptRet)
 	}
 	var journalDir string
-	if *journalFlg != "" {
-		journalDir = *journalFlg
-	} else if *cacheDir != "" {
+	if *cacheDir != "" {
 		journalDir = filepath.Join(*cacheDir, "v1", "campaigns")
-	}
-
-	// Cluster mode: a static peer list plus this node's advertised URL
-	// turn the daemon into one member of a simulation fabric. The ring
-	// routes each point to its owner; campaign concurrency scales to the
-	// fabric (forwarded points consume no local worker slots).
-	var clu *cluster.Cluster
-	if *peers != "" {
-		peerList := splitURLs(*peers)
-		self := *advertise
-		if self == "" {
-			if len(*addr) > 0 && (*addr)[0] == ':' {
-				self = "http://127.0.0.1" + *addr
-			} else {
-				log.Fatal("malecd: -peers requires -advertise (could not derive a base URL from -addr)")
-			}
-		}
-		clu = cluster.New(cluster.Options{
-			Self:          self,
-			Peers:         peerList,
-			ProbeInterval: *probeEvery,
-			CallTimeout:   *peerTO,
-			HedgeAfter:    *hedgeAfter,
-		})
-		clu.Start()
-		defer clu.Stop()
-		log.Printf("malecd cluster: self=%s peers=%v (peer-timeout=%v hedge-after=%v)",
-			self, peerList, *peerTO, *hedgeAfter)
-	}
-
-	campWorkers := 0
-	if clu != nil {
-		campWorkers = eng.Workers() * clu.Size()
 	}
 	mgr := engine.NewCampaignManager(eng, engine.CampaignManagerOptions{
 		Dir:            journalDir,
 		MaxActive:      *maxCamps,
 		DefaultRetries: *campRetry,
-		DefaultWorkers: campWorkers,
 	})
 	if journalDir != "" {
 		if pruned := mgr.PruneJournals(*journalRet); pruned > 0 {
@@ -197,7 +122,6 @@ func main() {
 		MaxQueueWait:         *queueWait,
 		PerClientConcurrency: *perClient,
 		Campaigns:            mgr,
-		Cluster:              clu,
 	})
 	if fp := faultinject.Active(); len(fp) > 0 {
 		log.Printf("malecd FAULT INJECTION ARMED: %v", fp)

@@ -1,17 +1,9 @@
-// Command malecload drives a running malecd with open-loop load and
-// reports latency percentiles, error rate and achieved-vs-offered RPS
-// per slot as JSON — the serving-side counterpart of `malecbench
-// -throughput`, and the harness behind BENCH_serve.json and the CI
-// serving smoke.
+// Command malecload drives a running malecd with open-loop load at a
+// fixed offered rate and reports latency percentiles, error rate and
+// achieved-vs-offered RPS per slot as JSON. It is the harness behind the
+// CI serving and chaos smokes.
 //
-// The load shape follows the invitro trace-synthesizer vocabulary:
-// a starting RPS, a step size, a target RPS and a per-slot duration.
-//
-//	malecload -mode fixed -start-rps 200 -slots 3 -slot 5s        # constant rate
-//	malecload -mode sweep -start-rps 100 -step 100 -target-rps 800 # staircase
-//	malecload -mode burst -start-rps 50 -target-rps 1000 -slots 6  # alternate base/burst
-//	malecload -find-saturation -start-rps 100 -target-rps 20000    # max sustainable RPS
-//	malecload -targets http://n1:8080,http://n2:8080,http://n3:8080 # round-robin a cluster
+//	malecload -start-rps 200 -slots 3 -slot 5s -mix hit=8,run=2
 //
 // Requests are drawn from a weighted mix of populations (-mix):
 //
@@ -32,10 +24,6 @@
 // the offered rate, not by completions, so saturation shows up honestly
 // as queueing (rising percentiles), timeouts and a widening gap between
 // offered and achieved RPS rather than as a silently slowed generator.
-//
-// -find-saturation binary-searches the highest offered RPS the daemon
-// sustains (error rate and achieved/offered within bounds), growing
-// exponentially until the first failing probe brackets the answer.
 package main
 
 import (
@@ -80,24 +68,9 @@ func (k reqKind) String() string {
 	return "sweep"
 }
 
-// targetStats accumulates one replica's request/error/latency split, so a
-// multi-target run shows whether load and tail latency spread evenly
-// across the cluster or one replica is dragging.
-type targetStats struct {
-	mu       sync.Mutex
-	requests int
-	errors   int
-	latNs    []int64
-}
-
-// generator owns the targets, the client and the request mix.
+// generator owns the target, the client and the request mix.
 type generator struct {
-	// bases are the malecd replicas, walked round-robin per request on a
-	// counter independent of the mix rotation (a shared counter would
-	// correlate population with replica and skew the per-target split).
-	bases        []string
-	nextBase     atomic.Uint64
-	targets      []*targetStats // parallel to bases
+	base         string // malecd base URL
 	client       *http.Client
 	schedule     []reqKind // weight-expanded, walked round-robin
 	next         atomic.Uint64
@@ -197,16 +170,13 @@ func (g *generator) body(kind reqKind) (path, payload string) {
 }
 
 // streamCampaign lazily submits the small shared campaign the stream
-// population follows, returning its handle. The campaign is created on —
-// and streamed from — the first target only: a campaign handle lives on
-// the node that registered it, so the stream population pins there while
-// the other populations round-robin.
+// population follows, returning its handle.
 func (g *generator) streamCampaign() (string, bool) {
 	g.streamOnce.Do(func() {
 		payload := fmt.Sprintf(
 			`{"configs":["Base1ldst","MALEC"],"benchmarks":["gzip"],"instructions":%d,"seeds":[1,2]}`,
 			g.instructions)
-		resp, err := g.client.Post(g.bases[0]+"/v1/campaigns", "application/json", strings.NewReader(payload))
+		resp, err := g.client.Post(g.base+"/v1/campaigns", "application/json", strings.NewReader(payload))
 		if err != nil {
 			return
 		}
@@ -240,7 +210,7 @@ func (g *generator) doStream() outcome {
 		return out
 	}
 	resp, err := g.client.Get(fmt.Sprintf("%s/v1/campaigns/%s/results?after=%d",
-		g.bases[0], id, g.streamCursor.Load()))
+		g.base, id, g.streamCursor.Load()))
 	if err != nil {
 		out.lat = time.Since(t0)
 		return out
@@ -280,31 +250,10 @@ func (g *generator) doStream() outcome {
 	return out
 }
 
-// do performs one request against the next round-robin target, recording
-// it into that target's split.
+// do performs one request (plus up to g.retries backed-off retries after
+// shed responses), returning its outcome. Latency covers the whole
+// attempt chain — what the caller actually waited.
 func (g *generator) do(kind reqKind) outcome {
-	ti := 0
-	if kind != kindStream && len(g.bases) > 1 {
-		ti = int(g.nextBase.Add(1) % uint64(len(g.bases)))
-	}
-	out := g.doTarget(g.bases[ti], kind)
-	ts := g.targets[ti]
-	ts.mu.Lock()
-	ts.requests++
-	if out.ok {
-		ts.latNs = append(ts.latNs, out.lat.Nanoseconds())
-	} else {
-		ts.errors++
-	}
-	ts.mu.Unlock()
-	return out
-}
-
-// doTarget performs one request (plus up to g.retries backed-off retries
-// after shed responses) against one target, returning its outcome.
-// Latency covers the whole attempt chain — what the caller actually
-// waited.
-func (g *generator) doTarget(base string, kind reqKind) outcome {
 	if kind == kindStream {
 		return g.doStream()
 	}
@@ -312,7 +261,7 @@ func (g *generator) doTarget(base string, kind reqKind) outcome {
 	t0 := time.Now()
 	var out outcome
 	for attempt := 0; ; attempt++ {
-		resp, err := g.client.Post(base+path, "application/json", strings.NewReader(payload))
+		resp, err := g.client.Post(g.base+path, "application/json", strings.NewReader(payload))
 		if err != nil {
 			out.lat = time.Since(t0)
 			return out
@@ -469,51 +418,18 @@ func (g *generator) runSlot(slot int, rps float64, d time.Duration) slotReport {
 	return rep
 }
 
-// targetReport is one replica's slice of the run: request count, error
-// rate and latency summary for the requests this target served.
-type targetReport struct {
-	URL       string  `json:"url"`
-	Requests  int     `json:"requests"`
-	Errors    int     `json:"errors"`
-	ErrorRate float64 `json:"error_rate"`
-	P50Ms     float64 `json:"p50_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	MeanMs    float64 `json:"mean_ms"`
-}
-
 // report is the top-level JSON document.
 type report struct {
-	Mode           string            `json:"mode"`
-	Target         string            `json:"target"`
-	Targets        []targetReport    `json:"targets"`
-	Mix            map[string]int    `json:"mix"`
-	Instructions   int               `json:"instructions"`
-	Slots          []slotReport      `json:"slots"`
-	Saturation     *saturationReport `json:"saturation,omitempty"`
-	TotalLaunched  int               `json:"total_launched"`
-	TotalSucceeded int               `json:"total_succeeded"`
-	TotalErrors    int               `json:"total_errors"`
-	TotalShed      int               `json:"total_shed"`
-	TotalRetries   int               `json:"total_retries"`
-	WallSeconds    float64           `json:"wall_seconds"`
-}
-
-// saturationReport summarizes a -find-saturation search.
-type saturationReport struct {
-	// SustainableRPS is the highest offered rate that passed the
-	// sustainability check (error rate and achieved/offered ratio).
-	SustainableRPS float64 `json:"sustainable_rps"`
-	// FirstUnsustainableRPS is the lowest probed rate that failed; the
-	// truth lies between the two.
-	FirstUnsustainableRPS float64 `json:"first_unsustainable_rps"`
-	Probes                int     `json:"probes"`
-	// BestSlot is the passing probe at SustainableRPS.
-	BestSlot slotReport `json:"best_slot"`
-}
-
-// sustainable is the pass criterion for one saturation probe.
-func sustainable(s slotReport, maxErrRate, minAchievedRatio float64) bool {
-	return s.ErrorRate <= maxErrRate && s.AchievedRPS >= minAchievedRatio*s.OfferedRPS
+	Target         string         `json:"target"`
+	Mix            map[string]int `json:"mix"`
+	Instructions   int            `json:"instructions"`
+	Slots          []slotReport   `json:"slots"`
+	TotalLaunched  int            `json:"total_launched"`
+	TotalSucceeded int            `json:"total_succeeded"`
+	TotalErrors    int            `json:"total_errors"`
+	TotalShed      int            `json:"total_shed"`
+	TotalRetries   int            `json:"total_retries"`
+	WallSeconds    float64        `json:"wall_seconds"`
 }
 
 // parseMix parses "hit=8,run=2" into weights and the expanded schedule.
@@ -551,25 +467,17 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:8080", "malecd base URL")
-		targets   = flag.String("targets", "", "comma-separated malecd base URLs to round-robin load across (empty: just -addr; the first target hosts the stream population's campaign)")
-		mode      = flag.String("mode", "sweep", "load shape: fixed | sweep | burst")
-		startRPS  = flag.Float64("start-rps", 100, "starting (or base) offered RPS")
-		step      = flag.Float64("step", 100, "RPS increment per slot in sweep mode; saturation-search resolution")
-		targetRPS = flag.Float64("target-rps", 500, "final RPS in sweep mode; burst height; saturation-search upper bound")
-		slotDur   = flag.Duration("slot", 5*time.Second, "duration of each RPS slot")
-		slots     = flag.Int("slots", 4, "slot count in fixed and burst modes")
-		mixSpec   = flag.String("mix", "hit", "weighted request mix, e.g. hit=8,run=2,sweep=1,stream=1")
-		instr     = flag.Int("instructions", 50000, "instructions per requested simulation point")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-request timeout (a timed-out request is an error)")
-		maxInfl   = flag.Int("max-inflight", 1024, "in-flight request cap; arrivals beyond it are dropped (counted as errors)")
-		warmup    = flag.Bool("warmup", true, "synchronously prime each population once before measuring")
-		seedBase  = flag.Uint64("run-seed-base", 0, "first seed for the run population (0: derive from wall clock, unique per invocation)")
-		seedBase2 = flag.Uint64("seed-base", 0, "alias for -run-seed-base")
-		findSat   = flag.Bool("find-saturation", false, "binary-search the max sustainable RPS instead of running a fixed shape")
-		satErr    = flag.Float64("sat-max-error-rate", 0.01, "max error rate for a saturation probe to pass")
-		satRatio  = flag.Float64("sat-min-achieved", 0.95, "min achieved/offered ratio for a saturation probe to pass")
-		retries   = flag.Int("retries", 0, "retries per request after a shed (429/503) response, exponential backoff honoring Retry-After (0: shed is final)")
+		addr     = flag.String("addr", "http://127.0.0.1:8080", "malecd base URL")
+		startRPS = flag.Float64("start-rps", 100, "offered RPS")
+		slotDur  = flag.Duration("slot", 5*time.Second, "duration of each RPS slot")
+		slots    = flag.Int("slots", 4, "slot count")
+		mixSpec  = flag.String("mix", "hit", "weighted request mix, e.g. hit=8,run=2,sweep=1,stream=1")
+		instr    = flag.Int("instructions", 50000, "instructions per requested simulation point")
+		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout (a timed-out request is an error)")
+		maxInfl  = flag.Int("max-inflight", 1024, "in-flight request cap; arrivals beyond it are dropped (counted as errors)")
+		warmup   = flag.Bool("warmup", true, "synchronously prime each population once before measuring")
+		seedBase = flag.Uint64("run-seed-base", 0, "first seed for the run population (0: derive from wall clock, unique per invocation)")
+		retries  = flag.Int("retries", 0, "retries per request after a shed (429/503) response, exponential backoff honoring Retry-After (0: shed is final)")
 	)
 	flag.Parse()
 
@@ -578,17 +486,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "malecload: -mix:", err)
 		return 2
 	}
-	var bases []string
-	for _, t := range strings.Split(*targets, ",") {
-		if t = strings.TrimRight(strings.TrimSpace(t), "/"); t != "" {
-			bases = append(bases, t)
-		}
-	}
-	if len(bases) == 0 {
-		bases = []string{strings.TrimRight(*addr, "/")}
-	}
 	g := &generator{
-		bases: bases,
+		base: strings.TrimRight(*addr, "/"),
 		client: &http.Client{
 			Timeout: *timeout,
 			Transport: &http.Transport{
@@ -603,147 +502,37 @@ func run() int {
 		inflight:     make(chan struct{}, *maxInfl),
 		retries:      *retries,
 	}
-	for range bases {
-		g.targets = append(g.targets, &targetStats{})
-	}
-	if g.seedBase == 0 {
-		g.seedBase = *seedBase2
-	}
 	if g.seedBase == 0 {
 		g.seedBase = uint64(time.Now().UnixNano())
 	}
 
 	if *warmup {
-		// Prime each population once per target so the hit/sweep mixes
-		// measure the cache-hit steady state on every replica, not one
-		// cold simulation; also proves each daemon is up before load
-		// starts. The stream population pins to the first target, so it
-		// warms only there.
+		// Prime each population once so the hit/sweep mixes measure the
+		// cache-hit steady state, not one cold simulation; also proves
+		// the daemon is up before load starts.
 		for name, kind := range kindNames {
 			if weights[name] == 0 {
 				continue
 			}
-			for _, base := range bases {
-				if out := g.doTarget(base, kind); !out.ok {
-					fmt.Fprintf(os.Stderr, "malecload: warmup %s request failed after %v (is malecd up at %s?)\n",
-						name, out.lat.Round(time.Millisecond), base)
-					return 1
-				}
-				if kind == kindStream {
-					break
-				}
+			if out := g.do(kind); !out.ok {
+				fmt.Fprintf(os.Stderr, "malecload: warmup %s request failed after %v (is malecd up at %s?)\n",
+					name, out.lat.Round(time.Millisecond), g.base)
+				return 1
 			}
 		}
 	}
 
 	rep := report{
-		Mode:         *mode,
-		Target:       bases[0],
+		Target:       g.base,
 		Mix:          weights,
 		Instructions: *instr,
 	}
 	t0 := time.Now()
-	probe := 0
-	nextSlot := func(rps float64) slotReport {
-		probe++
-		fmt.Fprintf(os.Stderr, "[slot %d: offering %.0f rps for %v]\n", probe, rps, *slotDur)
-		s := g.runSlot(probe, rps, *slotDur)
-		rep.Slots = append(rep.Slots, s)
-		return s
-	}
-
-	switch {
-	case *findSat:
-		rep.Mode = "find-saturation"
-		sat := &saturationReport{}
-		var best slotReport
-		lo, hi := 0.0, 0.0 // highest passing / lowest failing offered RPS
-		rps := *startRPS
-		for probe < 20 {
-			s := nextSlot(rps)
-			if sustainable(s, *satErr, *satRatio) {
-				lo, best = rps, s
-				if hi == 0 {
-					if rps >= *targetRPS {
-						break // sustained the configured ceiling
-					}
-					rps = math.Min(rps*2, *targetRPS)
-					continue
-				}
-			} else {
-				hi = rps
-				if lo == 0 {
-					rps = rps / 2
-					if rps < 1 {
-						break
-					}
-					continue
-				}
-			}
-			if hi-lo <= math.Max(*step, 0.02*lo) {
-				break
-			}
-			rps = (lo + hi) / 2
-		}
-		sat.SustainableRPS = lo
-		sat.FirstUnsustainableRPS = hi
-		sat.Probes = probe
-		sat.BestSlot = best
-		rep.Saturation = sat
-	case *mode == "fixed":
-		for i := 0; i < *slots; i++ {
-			nextSlot(*startRPS)
-		}
-	case *mode == "sweep":
-		if *step <= 0 {
-			fmt.Fprintln(os.Stderr, "malecload: sweep mode needs -step > 0")
-			return 2
-		}
-		for rps := *startRPS; rps <= *targetRPS+1e-9; rps += *step {
-			nextSlot(rps)
-		}
-	case *mode == "burst":
-		// Alternate base and burst slots (base first), the invitro
-		// burst pattern: steady traffic punctuated by spikes at the
-		// target rate.
-		for i := 0; i < *slots; i++ {
-			if i%2 == 0 {
-				nextSlot(*startRPS)
-			} else {
-				nextSlot(*targetRPS)
-			}
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "malecload: unknown -mode %q (fixed, sweep, burst)\n", *mode)
-		return 2
+	for i := 1; i <= *slots; i++ {
+		fmt.Fprintf(os.Stderr, "[slot %d: offering %.0f rps for %v]\n", i, *startRPS, *slotDur)
+		rep.Slots = append(rep.Slots, g.runSlot(i, *startRPS, *slotDur))
 	}
 	rep.WallSeconds = time.Since(t0).Seconds()
-	for i, ts := range g.targets {
-		ts.mu.Lock()
-		tr := targetReport{URL: bases[i], Requests: ts.requests, Errors: ts.errors}
-		if ts.requests > 0 {
-			tr.ErrorRate = float64(ts.errors) / float64(ts.requests)
-		}
-		if n := len(ts.latNs); n > 0 {
-			sort.Slice(ts.latNs, func(a, b int) bool { return ts.latNs[a] < ts.latNs[b] })
-			var sum int64
-			for _, v := range ts.latNs {
-				sum += v
-			}
-			quant := func(q float64) float64 {
-				idx := int(math.Ceil(q*float64(n))) - 1
-				if idx < 0 {
-					idx = 0
-				}
-				return float64(ts.latNs[idx]) / 1e6
-			}
-			tr.P50Ms = quant(0.50)
-			tr.P99Ms = quant(0.99)
-			tr.MeanMs = float64(sum/int64(n)) / 1e6
-		}
-		ts.mu.Unlock()
-		rep.Targets = append(rep.Targets, tr)
-	}
 	for _, s := range rep.Slots {
 		rep.TotalLaunched += s.Launched
 		rep.TotalSucceeded += s.Succeeded

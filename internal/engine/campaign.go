@@ -8,11 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"time"
 
-	"malec/internal/cluster"
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/trace"
@@ -190,11 +190,27 @@ func (e *Engine) RunCampaignContext(ctx context.Context, spec CampaignSpec) (*Ca
 	return &Campaign{Spec: spec, Results: results}, nil
 }
 
-// jobBackoff is the sleep before retry number attempt (0-based): the
-// shared cluster backoff policy — 50ms doubling per attempt, capped at 2s,
-// with full jitter in the upper half of the window.
+// Retry backoff bounds: the sleep doubles from backoffBase per attempt
+// and saturates at backoffCap.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = 2 * time.Second
+)
+
+// jobBackoff is the sleep before retry number attempt (0-based): with d
+// the capped exponential, it is uniform in [d/2, d]. The jitter keeps
+// jobs that failed together from retrying in lockstep, while the d/2
+// floor still guarantees real spacing.
 func jobBackoff(attempt int) time.Duration {
-	return cluster.Backoff(attempt, 50*time.Millisecond, 2*time.Second)
+	d := backoffCap
+	// Guard the shift: past 30 doublings the exponential has long since
+	// saturated the cap.
+	if attempt < 30 {
+		if e := backoffBase << attempt; e < backoffCap {
+			d = e
+		}
+	}
+	return d/2 + rand.N(d/2+1)
 }
 
 // runJobs executes an arbitrary job list through the engine with bounded

@@ -57,12 +57,6 @@ type CampaignManagerOptions struct {
 	// DefaultRetries is the per-job retry bound applied when a spec
 	// leaves Retries unset (default 2).
 	DefaultRetries int
-	// DefaultWorkers is the campaign concurrency applied when a spec
-	// leaves Workers unset (default: the engine's worker bound). A
-	// clustered node raises it to workers × cluster size — forwarded
-	// points consume no local simulation slots, so campaign concurrency
-	// should cover the fabric's capacity, not one node's.
-	DefaultWorkers int
 }
 
 // CampaignManagerStats is a snapshot of the manager's counters.
@@ -93,7 +87,6 @@ type CampaignManager struct {
 	dir        string
 	maxActive  int
 	defRetries int
-	defWorkers int
 
 	retriesTotal  atomic.Uint64
 	failedTotal   atomic.Uint64
@@ -118,18 +111,8 @@ func NewCampaignManager(eng *Engine, opts CampaignManagerOptions) *CampaignManag
 		dir:        opts.Dir,
 		maxActive:  opts.MaxActive,
 		defRetries: opts.DefaultRetries,
-		defWorkers: opts.DefaultWorkers,
 		runs:       make(map[string]*CampaignRun),
 	}
-}
-
-// workerDefault is the campaign concurrency used when a spec leaves
-// Workers unset.
-func (m *CampaignManager) workerDefault() int {
-	if m.defWorkers > 0 {
-		return m.defWorkers
-	}
-	return m.eng.Workers()
 }
 
 // Stats returns a snapshot of the manager counters.
@@ -180,7 +163,7 @@ func (m *CampaignManager) Start(spec CampaignSpec) (*CampaignRun, error) {
 	if spec.Retries == 0 {
 		spec.Retries = m.defRetries
 	}
-	spec, err := spec.normalize(m.workerDefault())
+	spec, err := spec.normalize(m.eng.Workers())
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +286,7 @@ func (m *CampaignManager) Replay() (completed, resumed int, err error) {
 			Seeds:        rj.manifest.Spec.Seeds,
 			Retries:      rj.manifest.Spec.Retries,
 		}
-		spec, err = spec.normalize(m.workerDefault())
+		spec, err = spec.normalize(m.eng.Workers())
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -301,6 +301,34 @@ func TestRunCampaignContextRetries(t *testing.T) {
 	}
 }
 
+// TestBackoffBounds checks the jitter window: attempt n sleeps uniformly
+// in [d/2, d] where d is the capped exponential.
+func TestBackoffBounds(t *testing.T) {
+	for attempt := 0; attempt < 12; attempt++ {
+		d := backoffBase << attempt
+		if d > backoffCap || d <= 0 {
+			d = backoffCap
+		}
+		for i := 0; i < 200; i++ {
+			got := jobBackoff(attempt)
+			if got < d/2 || got > d {
+				t.Fatalf("jobBackoff(%d) = %v, want in [%v, %v]", attempt, got, d/2, d)
+			}
+		}
+	}
+}
+
+// TestBackoffCap checks that huge attempt numbers saturate at the cap
+// instead of overflowing the shift.
+func TestBackoffCap(t *testing.T) {
+	for _, attempt := range []int{29, 30, 31, 63, 1000} {
+		got := jobBackoff(attempt)
+		if got < backoffCap/2 || got > backoffCap {
+			t.Fatalf("jobBackoff(%d) = %v, want in [%v, %v]", attempt, got, backoffCap/2, backoffCap)
+		}
+	}
+}
+
 // TestCampaignSurvivesJournalFaults arms the journal failpoints hard —
 // most appends dropped or torn — and checks the durability contract still
 // holds: the journal is advisory for streaming, the content-addressed

@@ -118,8 +118,6 @@ const (
 	SourceInflight Source = "inflight"
 	// SourceSimulated: computed by running the simulator.
 	SourceSimulated Source = "simulated"
-	// SourceRemote: executed on a cluster peer via the remote hook.
-	SourceRemote Source = "remote"
 )
 
 // Stats is a snapshot of the engine's cache and scheduler counters.
@@ -132,8 +130,6 @@ type Stats struct {
 	Dedup uint64 `json:"dedup"`
 	// Simulations counts simulations actually executed.
 	Simulations uint64 `json:"simulations"`
-	// Remote counts points executed on a cluster peer via the remote hook.
-	Remote uint64 `json:"remote"`
 	// Entries is the current in-memory cache size.
 	Entries int `json:"entries"`
 	// TraceHits and TraceMisses count materialized-trace cache activity:
@@ -186,7 +182,7 @@ type Stats struct {
 
 // Lookups returns the total number of requests the engine has served.
 func (s Stats) Lookups() uint64 {
-	return s.Hits + s.DiskHits + s.Dedup + s.Simulations + s.Remote
+	return s.Hits + s.DiskHits + s.Dedup + s.Simulations
 }
 
 // SimPanicError is the structured form of a contained simulation panic.
@@ -232,11 +228,6 @@ type Engine struct {
 	// waiting for a worker slot, running counts simulations in flight.
 	queued  atomic.Int64
 	running atomic.Int64
-
-	// remote, when set, is consulted after a disk miss and before a worker
-	// slot: it may execute the point elsewhere (a cluster peer). Forwarded
-	// points never consume local simulation capacity.
-	remote atomic.Pointer[RemoteFunc]
 
 	// filesQuarantined counts corrupt result-store entries renamed aside
 	// (outside e.mu: loadDisk runs on the job path).
@@ -329,43 +320,6 @@ func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark
 
 // Workers returns the engine's concurrent-simulation bound.
 func (e *Engine) Workers() int { return cap(e.sem) }
-
-// RemoteFunc is the remote-execution hook: given one simulation point, it
-// may run the point elsewhere (handled=true and the result), decline so the
-// engine runs it locally (handled=false, nil error), or fail the request
-// (non-nil error — reserved for the caller's own context cancellation; a
-// peer failure must decline, not error, so the cluster degrades to local
-// execution instead of failing requests).
-type RemoteFunc func(ctx context.Context, key Key, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, bool, error)
-
-// SetRemote installs (or, with nil, removes) the remote-execution hook.
-// The hook is consulted on the job path after a disk miss and before a
-// worker slot is acquired; results it returns are persisted to the disk
-// store like locally simulated ones.
-func (e *Engine) SetRemote(fn RemoteFunc) {
-	if fn == nil {
-		e.remote.Store(nil)
-		return
-	}
-	e.remote.Store(&fn)
-}
-
-// localOnlyKey marks contexts that must not consult the remote hook.
-type localOnlyKey struct{}
-
-// WithLocalOnly returns a context under which the engine executes points
-// locally even when a remote hook is installed. The cluster's internal
-// point API runs handlers under it — the receiving node is the point's
-// owner, and forwarding again could loop.
-func WithLocalOnly(ctx context.Context) context.Context {
-	return context.WithValue(ctx, localOnlyKey{}, true)
-}
-
-// isLocalOnly reports whether ctx carries the WithLocalOnly marker.
-func isLocalOnly(ctx context.Context) bool {
-	v, _ := ctx.Value(localOnlyKey{}).(bool)
-	return v
-}
 
 // checkpoints returns the warmed-checkpoint view for one simulation point,
 // scoped by memory-side digest so core-side config variants share entries.
@@ -512,8 +466,6 @@ func (e *Engine) runJob(ctx context.Context, c *call, key Key, cfg config.Config
 		switch src {
 		case SourceDisk:
 			e.stats.DiskHits++
-		case SourceRemote:
-			e.stats.Remote++
 		default:
 			e.stats.Simulations++
 		}
@@ -535,16 +487,6 @@ func (e *Engine) runJob(ctx context.Context, c *call, key Key, cfg config.Config
 func (e *Engine) execute(ctx context.Context, key Key, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, Source, error) {
 	if res, ok := e.loadDisk(key); ok {
 		return res, SourceDisk, nil
-	}
-	if fn := e.remote.Load(); fn != nil && !isLocalOnly(ctx) {
-		res, handled, err := (*fn)(ctx, key, cfg, benchmark, instructions, seed)
-		if err != nil {
-			return cpu.Result{}, "", err
-		}
-		if handled {
-			e.saveDisk(key, res)
-			return res, SourceRemote, nil
-		}
 	}
 	e.queued.Add(1)
 	select {

@@ -72,10 +72,10 @@ func TestKeyIgnoresHostSimulatorToggles(t *testing.T) {
 }
 
 // TestConfigDigestPinned pins the content digest of every preset, plus one
-// sampled configuration, to the values every stored result, checkpoint,
-// campaign journal and cluster peer already uses. It fails if the JSON
-// encoding, the field order or the splice of the retired host-simulator
-// toggles (retiredFields) changes.
+// sampled configuration, to the values every stored result, checkpoint
+// and campaign journal already uses. It fails if the JSON encoding, the
+// field order or the splice of the retired host-simulator toggles
+// (retiredFields) changes.
 func TestConfigDigestPinned(t *testing.T) {
 	want := map[string]string{
 		"Base1ldst":           "83622cef8661cb23",
@@ -516,13 +516,14 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestTraceCacheCampaignEquivalence runs one real campaign over exact and
-// sampled configs twice — trace cache enabled (default) and disabled — and
-// requires byte-identical JSON and CSV exports: the shared trace arena,
-// streamed by concurrent points while its producer fills it, must be
-// indistinguishable from per-simulation generation. It also checks the
-// cache actually engaged (every exact config after the first is a trace
-// hit, and sampled configs bypass it) and that stats flow through
-// Engine.Stats.
+// sampled configs three ways — trace cache enabled (default) at 3 workers,
+// disabled at 3 workers, and enabled at 1 worker — and requires
+// byte-identical JSON and CSV exports: the shared trace arena, streamed by
+// concurrent points while its producer fills it, must be indistinguishable
+// from per-simulation generation, and the exports must not depend on how
+// points are spread over workers. It also checks the cache actually
+// engaged (every exact config after the first is a trace hit, and sampled
+// configs bypass it) and that stats flow through Engine.Stats.
 func TestTraceCacheCampaignEquivalence(t *testing.T) {
 	cfgs := []config.Config{config.Base1ldst(), config.Base2ld1st(), config.MALEC()}
 	for _, c := range cfgs[:3] {
@@ -536,37 +537,38 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 		Seeds:        []uint64{1, 2},
 		Workers:      3,
 	}
+	exports := func(e *Engine, spec CampaignSpec) (js, csv []byte) {
+		t.Helper()
+		c, err := e.RunCampaign(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js, err = c.JSON(); err != nil {
+			t.Fatal(err)
+		}
+		if csv, err = c.CSV(); err != nil {
+			t.Fatal(err)
+		}
+		return js, csv
+	}
 	cached := New(Options{Workers: 3})
 	fresh := New(Options{Workers: 3, TraceCacheRecords: -1})
-	cc, err := cached.RunCampaign(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf, err := fresh.RunCampaign(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jc, err := cc.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jf, err := cf.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	jc, vc := exports(cached, spec)
+	jf, vf := exports(fresh, spec)
 	if !bytes.Equal(jc, jf) {
 		t.Fatal("trace-cached campaign JSON differs from per-simulation generation")
 	}
-	vc, err := cc.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vf, err := cf.CSV()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(vc, vf) {
 		t.Fatal("trace-cached campaign CSV differs from per-simulation generation")
+	}
+	serial := spec
+	serial.Workers = 1
+	j1, v1 := exports(New(Options{Workers: 1}), serial)
+	if !bytes.Equal(jc, j1) {
+		t.Fatal("campaign JSON at 1 worker differs from 3 workers")
+	}
+	if !bytes.Equal(vc, v1) {
+		t.Fatal("campaign CSV at 1 worker differs from 3 workers")
 	}
 
 	cs := cached.Stats()

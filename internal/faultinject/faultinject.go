@@ -16,9 +16,6 @@
 //	MALEC_FAULT_SIM_LATENCY_MS=50  the injected delay (default 25ms)
 //	MALEC_FAULT_JOURNAL_WRITE=0.1  10% of campaign-journal appends are dropped
 //	MALEC_FAULT_JOURNAL_TORN=0.1   10% of campaign-journal appends are torn mid-line
-//	MALEC_FAULT_PEER_DIAL=0.25     25% of forwarded point calls fail to dial the peer
-//	MALEC_FAULT_PEER_TIMEOUT=0.25  25% of forwarded point calls time out
-//	MALEC_FAULT_PEER_ERR=0.25      25% of forwarded point calls lose the peer's reply
 //
 // Decisions are drawn from a per-point deterministic counter-mode generator,
 // so a fault schedule replays identically run to run; tests arm points
@@ -77,19 +74,10 @@ var (
 	// JournalTorn truncates a campaign-journal append mid-line, simulating
 	// a crash between write and fsync; replay truncates the torn tail.
 	JournalTorn = newPoint("journal_torn", "MALEC_FAULT_JOURNAL_TORN")
-	// PeerDial fails a forwarded point call before the request is sent,
-	// simulating a connection-refused peer (process down, port closed).
-	PeerDial = newPoint("peer_dial", "MALEC_FAULT_PEER_DIAL")
-	// PeerTimeout fails a forwarded point call as if the peer sat on the
-	// request past the forwarded-call timeout.
-	PeerTimeout = newPoint("peer_timeout", "MALEC_FAULT_PEER_TIMEOUT")
-	// PeerErr discards a peer's successful reply and reports an error,
-	// simulating a peer that died mid-execution (5xx, truncated response).
-	PeerErr = newPoint("peer_err", "MALEC_FAULT_PEER_ERR")
 )
 
 // points lists every registered failpoint, for Active and Reload.
-var points = []*Point{DiskRead, DiskWrite, DiskCorrupt, CkptCorrupt, SimPanic, SimLatency, JournalWrite, JournalTorn, PeerDial, PeerTimeout, PeerErr}
+var points = []*Point{DiskRead, DiskWrite, DiskCorrupt, CkptCorrupt, SimPanic, SimLatency, JournalWrite, JournalTorn}
 
 // latencyMs holds the injected delay in milliseconds (SimLatency point).
 var latencyMs atomic.Int64

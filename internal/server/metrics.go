@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"time"
 
-	"malec/internal/cluster"
 	"malec/internal/engine"
 	"malec/internal/metrics"
 )
@@ -231,34 +230,6 @@ func (s *Server) registerCampaignMetrics() {
 	s.reg.CounterFunc("malec_campaign_journals_pruned_total",
 		"Completed campaign journals removed by retention sweeps.",
 		func() float64 { return float64(st.JournalsPruned) })
-}
-
-// registerClusterMetrics re-exports the cluster's routing counters,
-// refreshed as one coherent snapshot per scrape like the engine's.
-func (s *Server) registerClusterMetrics() {
-	var st cluster.Stats
-	s.reg.OnScrape(func() { st = s.clu.Stats() })
-	s.reg.GaugeFunc("malec_cluster_nodes",
-		"Cluster members (self included).",
-		func() float64 { return float64(st.Nodes) })
-	s.reg.GaugeFunc("malec_cluster_peers_healthy",
-		"Remote peers currently passing health probes.",
-		func() float64 { return float64(st.PeersHealthy) })
-	s.reg.GaugeFunc("malec_cluster_breakers_open",
-		"Peers whose circuit breakers are currently open.",
-		func() float64 { return float64(st.BreakersOpen) })
-	s.reg.CounterFunc("malec_cluster_forwarded_total",
-		"Points successfully executed on a peer.",
-		func() float64 { return float64(st.Forwarded) })
-	s.reg.CounterFunc("malec_cluster_forward_errors_total",
-		"Failed forwarded-call attempts (each failed retry counts once).",
-		func() float64 { return float64(st.ForwardErrors) })
-	s.reg.CounterFunc("malec_cluster_failovers_total",
-		"Points not served by their primary owner (re-homed or run locally).",
-		func() float64 { return float64(st.Failovers) })
-	s.reg.CounterFunc("malec_cluster_hedges_total",
-		"Hedged (second, raced) forwarded calls launched.",
-		func() float64 { return float64(st.Hedges) })
 }
 
 // handleMetrics implements GET /metrics (Prometheus text exposition).

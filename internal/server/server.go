@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"malec/internal/cluster"
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/engine"
@@ -85,11 +84,6 @@ type Options struct {
 	// stream emits a heartbeat line, keeping intermediaries from timing
 	// out a quiet long-poll (default 10s).
 	StreamHeartbeat time.Duration
-	// Cluster, when set, enrolls this server in a malecd cluster: the
-	// internal point API (/internal/v1/point) is served, the engine's
-	// remote hook routes non-owned points to their owner replicas, and
-	// the cluster's routing counters join /metrics and /v1/stats.
-	Cluster *cluster.Cluster
 }
 
 // normalize applies option defaults.
@@ -119,7 +113,6 @@ type Server struct {
 	eng   *engine.Engine
 	opts  Options
 	camps *engine.CampaignManager
-	clu   *cluster.Cluster
 	mux   *http.ServeMux
 	reg   *metrics.Registry
 	start time.Time
@@ -173,15 +166,6 @@ func New(eng *engine.Engine, opts Options) *Server {
 	s.registerCampaignMetrics()
 	metrics.RegisterBuildInfo(s.reg, Version)
 	metrics.RegisterRuntime(s.reg)
-	if s.opts.Cluster != nil {
-		s.clu = s.opts.Cluster
-		s.handle("POST", "/internal/v1/point", s.handleInternalPoint)
-		clu := s.clu
-		eng.SetRemote(func(ctx context.Context, key engine.Key, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, bool, error) {
-			return clu.Route(ctx, key.String(), cfg, benchmark, instructions, seed)
-		})
-		s.registerClusterMetrics()
-	}
 	// The handler is fully wired over a constructed engine; readiness
 	// from here on is a question of drain state.
 	s.ready.Store(true)
@@ -327,8 +311,7 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 // "serving".
 type statsResponse struct {
 	engine.Stats
-	Serving servingStats   `json:"serving"`
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
+	Serving servingStats `json:"serving"`
 }
 
 // handleStats implements GET /v1/stats.
@@ -336,10 +319,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		Stats:   s.eng.Stats(),
 		Serving: s.servingSnapshot(),
-	}
-	if s.clu != nil {
-		cs := s.clu.Stats()
-		resp.Cluster = &cs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -437,7 +416,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	resp := runResponse{
 		Key:      engine.KeyFor(cfg, bench, req.Instructions, seed),
 		Source:   src,
-		Cached:   src != engine.SourceSimulated && src != engine.SourceRemote,
+		Cached:   src != engine.SourceSimulated,
 		Result:   res,
 		Sampling: res.Sampling,
 	}

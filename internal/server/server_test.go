@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"malec/internal/cluster"
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/engine"
@@ -582,34 +581,5 @@ func TestRunSamplingTier(t *testing.T) {
 	}
 	if sweep.Jobs != 1 {
 		t.Fatalf("sampled sweep ran %d jobs, want 1", sweep.Jobs)
-	}
-}
-
-// TestInternalPointRejectsLegacyConfig pins the rolling-upgrade behaviour
-// of the internal point API. A peer one version back still encodes the
-// retired host-simulator toggles (DisableCycleSkip, DisableWakeup,
-// DisableMemIndex) in its config. Strict decoding must answer that body
-// with 400, a request error the sender fails over from and finally runs
-// locally, never with a 500. The same point without the toggles is served.
-func TestInternalPointRejectsLegacyConfig(t *testing.T) {
-	clu := cluster.New(cluster.Options{Self: "http://127.0.0.1:1"})
-	ts, _ := newTestServer(t, stubSim, Options{Cluster: clu})
-	cfg := config.MALEC()
-	enc, err := json.Marshal(cluster.PointRequest{Config: cfg, Benchmark: "gzip",
-		Instructions: 1000, Seed: 1, Key: engine.KeyFor(cfg, "gzip", 1000, 1).String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	current := string(enc)
-	legacy := strings.Replace(current, `"Bypass":`,
-		`"DisableCycleSkip":false,"DisableWakeup":false,"DisableMemIndex":false,"Bypass":`, 1)
-	if legacy == current {
-		t.Fatal("request encoding has no Bypass field to splice before")
-	}
-	if resp, body := post(t, ts.URL+"/internal/v1/point", legacy); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("legacy point body: status %d, want 400 (%s)", resp.StatusCode, body)
-	}
-	if resp, body := post(t, ts.URL+"/internal/v1/point", current); resp.StatusCode != http.StatusOK {
-		t.Fatalf("current point body: status %d, want 200 (%s)", resp.StatusCode, body)
 	}
 }
