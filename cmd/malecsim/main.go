@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -70,11 +71,15 @@ func main() {
 			os.Exit(2)
 		}
 		eng := engine.New(engine.Options{CacheDir: *cacheDir})
-		var src engine.Source
-		res, src = eng.RunTracked(cfg, *bench, *n, *seed)
+		r, src, err := eng.RunContext(context.Background(), cfg, *bench, *n, *seed)
+		if err != nil { // a simulation panic, as *engine.SimPanicError
+			fmt.Fprintf(os.Stderr, "malecsim: %v\n", err)
+			os.Exit(1)
+		}
 		if src != engine.SourceSimulated {
 			fmt.Fprintf(os.Stderr, "[result served from %s cache]\n", src)
 		}
+		res = r
 	}
 	printResult(res, *counters)
 }

@@ -39,32 +39,17 @@ type Source interface {
 // records.
 const sourceChunk = 1024
 
-// SliceSource reads a trace arena: a flat record slice, complete or still
-// being filled by a trace.Cache producer (trace.Cache.Stream). Wait, when
-// set, is the arena's wait function: Next calls it only on reaching the
-// last watermark it saw, so a reader blocks only when it catches up with
-// the producer. A nil Wait means every record is already written. Chunks
-// are sub-slices of the arena, so reading copies no record.
+// SliceSource reads a complete trace held in memory, such as a
+// trace.Cache arena. Chunks are sub-slices of Records, so reading copies
+// no record.
 type SliceSource struct {
 	Records []trace.Record
-	Wait    func(i int) int
 	pos     int
-	ready   int // records known to be written; pos < ready reads freely
 }
 
 // Next implements Source.
 func (s *SliceSource) Next(max int) []trace.Record {
-	if s.pos >= s.ready {
-		if s.pos >= len(s.Records) {
-			return nil
-		}
-		s.ready = len(s.Records)
-		if s.Wait != nil {
-			// The arena may be longer than this reader's prefix.
-			s.ready = min(s.Wait(s.pos), s.ready)
-		}
-	}
-	end := min(s.pos+max, s.ready)
+	end := min(s.pos+max, len(s.Records))
 	recs := s.Records[s.pos:end:end]
 	s.pos = end
 	return recs
@@ -78,8 +63,7 @@ func (s *SliceSource) CaptureState() SourceState { return SourceState{Pos: uint6
 
 func (s *SliceSource) position() int { return s.pos }
 
-// RestoreState implements statefulSource. A position past the watermark is
-// accepted; the next Next waits for the producer to reach it.
+// RestoreState implements statefulSource.
 func (s *SliceSource) RestoreState(st SourceState) bool {
 	if st.Pos > uint64(len(s.Records)) {
 		return false
@@ -360,7 +344,8 @@ type SamplingEstimate struct {
 	Interval int
 	// CPIMean is the mean cycles-per-instruction across windows;
 	// CPIRelHalfWidth is the 95% confidence half-width relative to the
-	// mean (1.96 * stderr / mean).
+	// mean (t * stderr / mean, t for Windows-1 degrees of freedom); with
+	// fewer than two windows both half-widths are 0, meaning unknown.
 	CPIMean         float64
 	CPIRelHalfWidth float64
 	// EnergyMean is the mean total dynamic energy per instruction (pJ)
@@ -376,8 +361,32 @@ type SamplingEstimate struct {
 	WarmedRecords uint64
 }
 
+// t975 holds the Student-t quantiles t(0.975, df) for df = 1..30.
+var t975 = [30]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// t95 returns t(0.975, df) for df >= 1 from a table of df = 1..30, 40, 60
+// and 120, taking the entry at or below df: the wider, conservative
+// interval. The df = infinity entry, 1.960, is never at or below a finite df.
+func t95(df int) float64 {
+	switch {
+	case df >= 120:
+		return 1.980
+	case df >= 60:
+		return 2.000
+	case df >= 40:
+		return 2.021
+	}
+	return t975[min(df, 30)-1]
+}
+
 // RelHalfWidth95 returns the 95% confidence half-width of mean relative to
-// the mean, given per-window samples. Zero when fewer than two windows.
+// the mean, given per-window samples, using the Student-t quantile for
+// len(samples)-1 degrees of freedom. It returns 0, meaning unknown, when
+// there are fewer than two windows.
 func RelHalfWidth95(samples []float64) float64 {
 	n := len(samples)
 	if n < 2 {
@@ -397,7 +406,7 @@ func RelHalfWidth95(samples []float64) float64 {
 		ss += d * d
 	}
 	sd := math.Sqrt(ss / float64(n-1))
-	return 1.96 * sd / math.Sqrt(float64(n)) / math.Abs(mean)
+	return t95(n-1) * sd / math.Sqrt(float64(n)) / math.Abs(mean)
 }
 
 // SkipRate returns the fraction of simulated cycles that were fast-forwarded

@@ -3,6 +3,7 @@ package cpu
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -174,5 +175,27 @@ func TestWakeupMatchesScanOnMicroTraces(t *testing.T) {
 		if c := runCheckingStoreOrder(t, config.MALEC(), name, &SliceSource{Records: recs}); !bytes.Equal(mustJSON(t, a), mustJSON(t, c)) {
 			t.Errorf("%s: stepped result differs from Run", name)
 		}
+	}
+}
+
+// TestRelHalfWidth95UsesStudentT pins the interval to the t quantile for
+// n-1 degrees of freedom: five windows {1..5} have mean 3 and standard
+// error 0.7071, so t(0.975, 4) = 2.776 gives 0.6543 (z = 1.96 would give
+// 0.4620). Between table entries the lower df, the wider interval,
+// applies; one window gives 0, unknown.
+func TestRelHalfWidth95UsesStudentT(t *testing.T) {
+	if got := RelHalfWidth95([]float64{1, 2, 3, 4, 5}); math.Abs(got-0.6543) > 1e-4 {
+		t.Fatalf("RelHalfWidth95({1..5}) = %.4f, want 0.6543", got)
+	}
+	for _, c := range []struct {
+		df   int
+		want float64
+	}{{1, 12.706}, {30, 2.042}, {35, 2.042}, {59, 2.021}, {119, 2.000}, {1000, 1.980}} {
+		if got := t95(c.df); got != c.want {
+			t.Errorf("t95(%d) = %v, want %v", c.df, got, c.want)
+		}
+	}
+	if got := RelHalfWidth95([]float64{2}); got != 0 {
+		t.Fatalf("one window: half-width %v, want 0", got)
 	}
 }

@@ -122,10 +122,8 @@ func (s CampaignSpec) expand() []Job {
 	return jobs
 }
 
-// PanicError reports a simulation that panicked during a campaign. Direct
-// RunTracked callers see simulator panics re-raised; campaign workers
-// instead contain them here so one bad point fails the sweep, not the
-// process hosting it.
+// PanicError reports a simulation that panicked during a campaign, so one
+// bad point fails the sweep, not the process hosting it.
 type PanicError struct {
 	Job   Job
 	Value any

@@ -39,14 +39,14 @@ func TestCheckpointReuseAcrossCoreConfigs(t *testing.T) {
 	}
 
 	e := New(Options{Workers: 1})
-	first := e.Run(cold, "gzip", instructions, 1)
+	first, _ := runPoint(t, e, cold, "gzip", instructions, 1)
 	if first.Sampling == nil {
 		t.Fatal("sampled path did not engage through the engine")
 	}
 	if first.Sampling.CheckpointHits != 0 || e.Stats().CheckpointMisses == 0 {
 		t.Fatalf("first run should miss every checkpoint, got %d hits", first.Sampling.CheckpointHits)
 	}
-	second := e.Run(warm, "gzip", instructions, 1)
+	second, _ := runPoint(t, e, warm, "gzip", instructions, 1)
 	if second.Sampling == nil {
 		t.Fatal("second sampled run did not engage")
 	}
@@ -93,10 +93,10 @@ func TestCheckpointOverBudgetWarmSkipsGeneration(t *testing.T) {
 	warm.Sampling = sch
 
 	e := New(Options{Workers: 1, TraceCacheRecords: 1 << 16})
-	e.Run(cold, "gzip", instructions, 1)
+	runPoint(t, e, cold, "gzip", instructions, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := e.Run(warm, "gzip", instructions, 1)
+	res, _ := runPoint(t, e, warm, "gzip", instructions, 1)
 	runtime.ReadMemStats(&after)
 
 	if res.Sampling == nil || res.Sampling.CheckpointHits != res.Sampling.Windows {
@@ -121,7 +121,7 @@ func TestCheckpointDiskPersistence(t *testing.T) {
 	first := config.MALEC()
 	first.Sampling = sch
 	e1 := New(Options{CacheDir: dir, Workers: 1})
-	e1.Run(first, "gzip", instructions, 1)
+	runPoint(t, e1, first, "gzip", instructions, 1)
 	if st := e1.Stats(); st.CheckpointBytesWritten == 0 {
 		t.Fatalf("no checkpoint bytes written to disk: %+v", st)
 	}
@@ -133,7 +133,7 @@ func TestCheckpointDiskPersistence(t *testing.T) {
 	second.ROB = 128
 	second.Sampling = sch
 	e2 := New(Options{CacheDir: dir, Workers: 1})
-	res, src := e2.RunTracked(second, "gzip", instructions, 1)
+	res, src := runPoint(t, e2, second, "gzip", instructions, 1)
 	if src != SourceSimulated {
 		t.Fatalf("second config served from %s, want simulated", src)
 	}
@@ -151,7 +151,7 @@ func TestCheckpointEntriesDisables(t *testing.T) {
 	cfg := config.MALEC()
 	cfg.Sampling = ckTestSchedule()
 	e := New(Options{Workers: 1, CheckpointEntries: -1})
-	res := e.Run(cfg, "gzip", 60000, 1)
+	res, _ := runPoint(t, e, cfg, "gzip", 60000, 1)
 	if res.Sampling == nil {
 		t.Fatal("sampled path did not engage")
 	}

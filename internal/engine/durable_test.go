@@ -70,7 +70,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 
 	// Reference: an uninterrupted run on its own store.
 	refDir := t.TempDir()
-	refEng := New(Options{Workers: 2, CacheDir: refDir, Simulate: stubResult})
+	refEng := New(Options{Workers: 2, CacheDir: refDir, Simulate: plain(stubResult)})
 	refMgr := NewCampaignManager(refEng, CampaignManagerOptions{Dir: filepath.Join(refDir, "campaigns")})
 	refRun, err := refMgr.Start(spec)
 	if err != nil {
@@ -94,10 +94,10 @@ func TestCrashResumeDeterminism(t *testing.T) {
 		gate <- struct{}{} // let roughly the first 5 points through
 	}
 	victimEng := New(Options{Workers: 2, CacheDir: crashDir,
-		Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+		Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 			<-gate
 			return stubResult(cfg, b, n, s)
-		}})
+		})})
 	victimMgr := NewCampaignManager(victimEng, CampaignManagerOptions{Dir: filepath.Join(crashDir, "campaigns")})
 	victimRun, err := victimMgr.Start(spec)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 	// Restart: a fresh engine and manager over the same store — a new
 	// process. Replay must re-admit the campaign, resume the remainder,
 	// and never recompute a journaled point.
-	resumeEng := New(Options{Workers: 2, CacheDir: crashDir, Simulate: stubResult})
+	resumeEng := New(Options{Workers: 2, CacheDir: crashDir, Simulate: plain(stubResult)})
 	resumeMgr := NewCampaignManager(resumeEng, CampaignManagerOptions{Dir: filepath.Join(crashDir, "campaigns")})
 	completed, resumed, err := resumeMgr.Replay()
 	if err != nil {
@@ -173,7 +173,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 func TestReplayCompletedCampaignServesExport(t *testing.T) {
 	dir := t.TempDir()
 	spec := durableSpec()
-	eng := New(Options{Workers: 2, CacheDir: dir, Simulate: stubResult})
+	eng := New(Options{Workers: 2, CacheDir: dir, Simulate: plain(stubResult)})
 	mgr := NewCampaignManager(eng, CampaignManagerOptions{Dir: filepath.Join(dir, "campaigns")})
 	run, err := mgr.Start(spec)
 	if err != nil {
@@ -182,7 +182,7 @@ func TestReplayCompletedCampaignServesExport(t *testing.T) {
 	waitCampaign(t, run)
 	wantJSON, _ := exportBytes(t, run)
 
-	eng2 := New(Options{Workers: 2, CacheDir: dir, Simulate: stubResult})
+	eng2 := New(Options{Workers: 2, CacheDir: dir, Simulate: plain(stubResult)})
 	mgr2 := NewCampaignManager(eng2, CampaignManagerOptions{Dir: filepath.Join(dir, "campaigns")})
 	completed, resumed, err := mgr2.Replay()
 	if err != nil {
@@ -224,7 +224,7 @@ func TestCampaignRetryDegradesToPartial(t *testing.T) {
 		}
 		return stubResult(cfg, b, n, s)
 	}
-	eng := New(Options{Workers: 2, Simulate: sim})
+	eng := New(Options{Workers: 2, Simulate: plain(sim)})
 	mgr := NewCampaignManager(eng, CampaignManagerOptions{DefaultRetries: 3})
 	run, err := mgr.Start(spec)
 	if err != nil {
@@ -274,7 +274,7 @@ func TestRunCampaignContextRetries(t *testing.T) {
 		}
 		return stubResult(cfg, b, n, s)
 	}
-	eng := New(Options{Workers: 1, Simulate: sim})
+	eng := New(Options{Workers: 1, Simulate: plain(sim)})
 	spec := CampaignSpec{
 		Configs:      []config.Config{config.MALEC()},
 		Benchmarks:   []string{"gzip"},
@@ -292,7 +292,7 @@ func TestRunCampaignContextRetries(t *testing.T) {
 	mu.Lock()
 	left = 99
 	mu.Unlock()
-	eng2 := New(Options{Workers: 1, Simulate: sim})
+	eng2 := New(Options{Workers: 1, Simulate: plain(sim)})
 	spec.Retries = 1
 	_, err = eng2.RunCampaign(spec)
 	var pe *PanicError
@@ -344,7 +344,7 @@ func TestCampaignSurvivesJournalFaults(t *testing.T) {
 
 	dir := t.TempDir()
 	spec := durableSpec()
-	eng := New(Options{Workers: 2, CacheDir: dir, Simulate: stubResult})
+	eng := New(Options{Workers: 2, CacheDir: dir, Simulate: plain(stubResult)})
 	mgr := NewCampaignManager(eng, CampaignManagerOptions{Dir: filepath.Join(dir, "campaigns")})
 	run, err := mgr.Start(spec)
 	if err != nil {
@@ -360,7 +360,7 @@ func TestCampaignSurvivesJournalFaults(t *testing.T) {
 
 	faultinject.JournalWrite.Disarm()
 	faultinject.JournalTorn.Disarm()
-	eng2 := New(Options{Workers: 2, CacheDir: dir, Simulate: stubResult})
+	eng2 := New(Options{Workers: 2, CacheDir: dir, Simulate: plain(stubResult)})
 	mgr2 := NewCampaignManager(eng2, CampaignManagerOptions{Dir: filepath.Join(dir, "campaigns")})
 	completed, resumed, err := mgr2.Replay()
 	if err != nil {
@@ -389,9 +389,9 @@ func TestCampaignSurvivesJournalFaults(t *testing.T) {
 
 func TestPoisonedMapBounded(t *testing.T) {
 	eng := New(Options{Workers: 1, MaxPoisonedKeys: 2,
-		Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+		Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 			panic("always")
-		}})
+		})})
 	cfg := config.MALEC()
 	for seed := uint64(1); seed <= 4; seed++ {
 		_, _, err := eng.RunContext(context.Background(), cfg, "gzip", 1000, seed)
@@ -423,7 +423,7 @@ func TestPoisonedMapBounded(t *testing.T) {
 
 func TestPruneCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	eng := New(Options{CacheDir: dir, Simulate: stubResult})
+	eng := New(Options{CacheDir: dir, Simulate: plain(stubResult)})
 	shard := filepath.Join(dir, "v1", "ab")
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		t.Fatal(err)

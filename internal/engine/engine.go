@@ -37,15 +37,11 @@ import (
 	"malec/internal/trace"
 )
 
-// SimulateFunc computes the result of one simulation point. The default is
-// cpu.RunBenchmark; tests substitute stubs to observe scheduling behavior.
-type SimulateFunc func(cfg config.Config, benchmark string, instructions int, seed uint64) cpu.Result
-
-// SimulateContextFunc is SimulateFunc with cancellation: the engine passes
-// the in-flight job's context, which is cancelled once every caller has
-// abandoned the key. Tests needing to observe or block on cancellation
-// substitute stubs via Options.SimulateContext.
-type SimulateContextFunc func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error)
+// SimulateFunc computes the result of one simulation point under the
+// in-flight job's context, which is cancelled once every caller has
+// abandoned the key. The default runs the simulator; tests substitute
+// stubs to observe scheduling and cancellation.
+type SimulateFunc func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error)
 
 // Options configures an Engine. The zero value is usable.
 type Options struct {
@@ -74,8 +70,8 @@ type Options struct {
 	MaxPoisonedKeys int
 	// TraceCacheRecords bounds the engine's materialized-trace cache in
 	// total trace records (not bytes): the engine generates each
-	// (benchmark, seed) workload once per campaign and shares the flat
-	// record arena between every exact configuration simulating it,
+	// (benchmark, seed) workload once per campaign, as a finished flat
+	// record arena shared by every exact configuration simulating it,
 	// instead of regenerating the byte-identical trace per config.
 	// Sampled points never use the cache: they generate their own trace
 	// ahead of the reader. An exact point longer than the bound also runs
@@ -85,10 +81,6 @@ type Options struct {
 	TraceCacheRecords int
 	// Simulate overrides the simulation function (tests only).
 	Simulate SimulateFunc
-	// SimulateContext overrides the simulation function with a
-	// cancellation-aware stub (tests only); takes precedence over
-	// Simulate.
-	SimulateContext SimulateContextFunc
 }
 
 // DefaultMaxPoisonedKeys is the default poisoned-key quarantine bound.
@@ -101,7 +93,9 @@ const DefaultMaxPoisonedKeys = 1024
 // 8M records (128 MiB of trace arena at 16 bytes a record) holds the
 // in-flight working set of any realistic exact campaign, since
 // RunCampaign orders execution so that all configurations sharing one
-// workload run back to back. Sampled points hold no arena.
+// workload run back to back. A point generates its arena inside its
+// worker slot, so at most Workers generations run at once. Sampled points
+// hold no arena.
 const DefaultTraceCacheRecords = 1 << 23
 
 // Source reports where a result came from.
@@ -217,7 +211,7 @@ type call struct {
 // Engine schedules, deduplicates, caches and persists simulations. It is
 // safe for concurrent use.
 type Engine struct {
-	simulate   SimulateContextFunc
+	simulate   SimulateFunc
 	cacheDir   string
 	maxEntries int
 	sem        chan struct{}    // bounds concurrent simulations
@@ -263,13 +257,7 @@ func New(opts Options) *Engine {
 		poisoned:    make(map[Key]error),
 		maxPoisoned: opts.MaxPoisonedKeys,
 	}
-	e.simulate = opts.SimulateContext
-	if e.simulate == nil && opts.Simulate != nil {
-		sim := opts.Simulate
-		e.simulate = func(_ context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-			return sim(cfg, benchmark, instructions, seed), nil
-		}
-	}
+	e.simulate = opts.Simulate
 	if e.simulate == nil {
 		if opts.CheckpointEntries >= 0 {
 			e.ckpts = newCheckpointStore(opts.CacheDir, opts.CheckpointEntries)
@@ -287,9 +275,9 @@ func New(opts Options) *Engine {
 }
 
 // simulateTrace is the default simulation function. An exact point
-// within the trace budget streams its trace from the shared arena, which
-// every configuration of the workload reads, overlapping its simulation
-// with the arena's generation on a miss. Every other point (a sampled
+// within the trace budget reads its trace from the shared arena, which
+// every configuration of the workload reads; on a miss the point
+// generates the arena before it simulates. Every other point (a sampled
 // one, which reads each record once or only its bursts, or one over the
 // budget) generates its own trace ahead on a cpu.GenSource's producer, in
 // a ring of a fixed size; a sampled point's checkpoints then carry the
@@ -298,14 +286,8 @@ func New(opts Options) *Engine {
 func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
 	ck := e.checkpoints(cfg, benchmark, seed)
 	if e.traces != nil && !cpu.Sampled(cfg, instructions) {
-		if recs, wait := e.traces.Stream(benchmark, seed, instructions); recs != nil {
-			// Hold the worker slot until the prefix is written, even when
-			// the point ends early (cancelled, past its deadline): the
-			// point that starts a producer then outlives it, so at most
-			// Workers producers and unaccounted arenas exist at once. A
-			// completed point has read its prefix and does not block.
-			defer wait(instructions - 1)
-			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs, Wait: wait}, ck)
+		if recs := e.traces.Records(benchmark, seed, instructions); recs != nil {
+			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs}, ck)
 		}
 	}
 	prof, ok := trace.Profiles[benchmark]
@@ -346,30 +328,6 @@ func (e *Engine) store(key Key, res cpu.Result) {
 		e.order = e.order[1:]
 		delete(e.cache, oldest)
 	}
-}
-
-// Run returns the result of one simulation point, computing it at most
-// once per key across all concurrent callers.
-func (e *Engine) Run(cfg config.Config, benchmark string, instructions int, seed uint64) cpu.Result {
-	res, _ := e.RunTracked(cfg, benchmark, instructions, seed)
-	return res
-}
-
-// RunTracked is Run plus the source the result was served from. It is the
-// legacy non-cancellable entry point: simulator panics (contained as
-// structured errors on the context path) re-raise with their original
-// panic value, preserving pre-context behavior for CLI callers.
-func (e *Engine) RunTracked(cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, Source) {
-	res, src, err := e.RunContext(context.Background(), cfg, benchmark, instructions, seed)
-	if err != nil {
-		var pe *SimPanicError
-		if errors.As(err, &pe) {
-			panic(pe.Value)
-		}
-		// Unreachable: a Background context is never cancelled.
-		panic(err)
-	}
-	return res, src
 }
 
 // RunContext returns the result of one simulation point, computing it at

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,24 @@ import (
 	"malec/internal/cpu"
 	"malec/internal/stats"
 )
+
+// plain adapts a stub that ignores cancellation to SimulateFunc.
+func plain(sim func(cfg config.Config, b string, n int, s uint64) cpu.Result) SimulateFunc {
+	return func(_ context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
+		return sim(cfg, b, n, s), nil
+	}
+}
+
+// runPoint runs one point through RunContext and reports an error as a
+// test failure.
+func runPoint(t testing.TB, e *Engine, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, Source) {
+	t.Helper()
+	res, src, err := e.RunContext(context.Background(), cfg, benchmark, instructions, seed)
+	if err != nil {
+		t.Errorf("%s/%s: %v", cfg.Name, benchmark, err)
+	}
+	return res, src
+}
 
 // stubResult fabricates a distinguishable result for scheduler tests.
 func stubResult(cfg config.Config, benchmark string, instructions int, seed uint64) cpu.Result {
@@ -111,14 +130,14 @@ func TestConfigDigestPinned(t *testing.T) {
 
 func TestMemoryCacheHit(t *testing.T) {
 	var calls atomic.Int64
-	e := New(Options{Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		calls.Add(1)
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	cfg := config.MALEC()
 
-	r1, src1 := e.RunTracked(cfg, "gzip", 1000, 1)
-	r2, src2 := e.RunTracked(cfg, "gzip", 1000, 1)
+	r1, src1 := runPoint(t, e, cfg, "gzip", 1000, 1)
+	r2, src2 := runPoint(t, e, cfg, "gzip", 1000, 1)
 	if src1 != SourceSimulated || src2 != SourceMemory {
 		t.Fatalf("sources = %v, %v; want simulated, memory", src1, src2)
 	}
@@ -138,11 +157,11 @@ func TestSingleflightDeduplication(t *testing.T) {
 	const waiters = 16
 	var calls atomic.Int64
 	release := make(chan struct{})
-	e := New(Options{Workers: waiters, Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Workers: waiters, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		calls.Add(1)
 		<-release
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	cfg := config.MALEC()
 
 	var wg sync.WaitGroup
@@ -151,7 +170,7 @@ func TestSingleflightDeduplication(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = e.Run(cfg, "mcf", 5000, 7)
+			results[i], _ = runPoint(t, e, cfg, "mcf", 5000, 7)
 		}(i)
 	}
 	// Wait until the leader is inside simulate, then let everyone pile up
@@ -181,15 +200,15 @@ func TestSingleflightDeduplication(t *testing.T) {
 
 func TestCacheEvictionBound(t *testing.T) {
 	var calls atomic.Int64
-	e := New(Options{MaxCacheEntries: 2, Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{MaxCacheEntries: 2, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		calls.Add(1)
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	cfg := config.MALEC()
 
-	e.Run(cfg, "gzip", 1000, 1) // oldest
-	e.Run(cfg, "mcf", 1000, 1)
-	e.Run(cfg, "art", 1000, 1) // evicts gzip
+	runPoint(t, e, cfg, "gzip", 1000, 1) // oldest
+	runPoint(t, e, cfg, "mcf", 1000, 1)
+	runPoint(t, e, cfg, "art", 1000, 1) // evicts gzip
 	if s := e.Stats(); s.Entries != 2 {
 		t.Fatalf("cache holds %d entries, want 2", s.Entries)
 	}
@@ -200,10 +219,10 @@ func TestCacheEvictionBound(t *testing.T) {
 		t.Fatal("newest entry evicted")
 	}
 	// The evicted point re-simulates; the retained one stays a hit.
-	if _, src := e.RunTracked(cfg, "gzip", 1000, 1); src != SourceSimulated {
+	if _, src := runPoint(t, e, cfg, "gzip", 1000, 1); src != SourceSimulated {
 		t.Fatalf("evicted point served as %v", src)
 	}
-	if _, src := e.RunTracked(cfg, "art", 1000, 1); src != SourceMemory {
+	if _, src := runPoint(t, e, cfg, "art", 1000, 1); src != SourceMemory {
 		t.Fatalf("retained point served as %v", src)
 	}
 	if n := calls.Load(); n != 4 {
@@ -215,7 +234,7 @@ func TestPanicReleasesWaitersAndWorkerSlot(t *testing.T) {
 	var calls atomic.Int64
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	e := New(Options{Workers: 1, Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Workers: 1, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		if b == "mcf" {
 			calls.Add(1)
 			started <- struct{}{}
@@ -223,23 +242,22 @@ func TestPanicReleasesWaitersAndWorkerSlot(t *testing.T) {
 			panic("simulator exploded")
 		}
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	cfg := config.MALEC()
 
-	mustPanic := func(name string) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s returned instead of panicking", name)
-			}
-		}()
-		e.Run(cfg, "mcf", 1000, 1)
+	mustFail := func(name string) {
+		_, _, err := e.RunContext(context.Background(), cfg, "mcf", 1000, 1)
+		var pe *SimPanicError
+		if !errors.As(err, &pe) || pe.Value != "simulator exploded" {
+			t.Errorf("%s: err = %v, want *SimPanicError with the simulator's value", name, err)
+		}
 	}
 
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); mustPanic("leader") }()
+	go func() { defer wg.Done(); mustFail("leader") }()
 	<-started
-	go func() { defer wg.Done(); mustPanic("waiter") }()
+	go func() { defer wg.Done(); mustFail("waiter") }()
 	for e.Stats().Dedup == 0 {
 		runtime.Gosched()
 	}
@@ -252,7 +270,7 @@ func TestPanicReleasesWaitersAndWorkerSlot(t *testing.T) {
 	if _, ok := e.Cached(KeyFor(cfg, "mcf", 1000, 1)); ok {
 		t.Fatal("panicked simulation left a cached result")
 	}
-	if res := e.Run(cfg, "gzip", 1000, 1); res.Cycles == 0 {
+	if res, _ := runPoint(t, e, cfg, "gzip", 1000, 1); res.Cycles == 0 {
 		t.Fatalf("engine unusable after panic: %+v", res)
 	}
 	if n := calls.Load(); n != 1 {
@@ -269,8 +287,8 @@ func TestDiskPersistence(t *testing.T) {
 	}
 	cfg := config.Base1ldst()
 
-	e1 := New(Options{CacheDir: dir, Simulate: sim})
-	want := e1.Run(cfg, "gzip", 1000, 1)
+	e1 := New(Options{CacheDir: dir, Simulate: plain(sim)})
+	want, _ := runPoint(t, e1, cfg, "gzip", 1000, 1)
 
 	// The entry lands under the format-version directory, sharded by
 	// digest prefix.
@@ -281,8 +299,8 @@ func TestDiskPersistence(t *testing.T) {
 	}
 
 	// A fresh engine over the same directory serves from disk.
-	e2 := New(Options{CacheDir: dir, Simulate: sim})
-	got, src := e2.RunTracked(cfg, "gzip", 1000, 1)
+	e2 := New(Options{CacheDir: dir, Simulate: plain(sim)})
+	got, src := runPoint(t, e2, cfg, "gzip", 1000, 1)
 	if src != SourceDisk {
 		t.Fatalf("second engine source = %v, want disk", src)
 	}
@@ -297,8 +315,8 @@ func TestDiskPersistence(t *testing.T) {
 	if err := os.WriteFile(entryPath, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e3 := New(Options{CacheDir: dir, Simulate: sim})
-	if _, src := e3.RunTracked(cfg, "gzip", 1000, 1); src != SourceSimulated {
+	e3 := New(Options{CacheDir: dir, Simulate: plain(sim)})
+	if _, src := runPoint(t, e3, cfg, "gzip", 1000, 1); src != SourceSimulated {
 		t.Fatalf("corrupt entry served as %v, want re-simulation", src)
 	}
 
@@ -311,19 +329,19 @@ func TestDiskPersistence(t *testing.T) {
 	if err := os.WriteFile(entryPath, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e4 := New(Options{CacheDir: dir, Simulate: sim})
-	if _, src := e4.RunTracked(cfg, "gzip", 1000, 1); src != SourceSimulated {
+	e4 := New(Options{CacheDir: dir, Simulate: plain(sim)})
+	if _, src := runPoint(t, e4, cfg, "gzip", 1000, 1); src != SourceSimulated {
 		t.Fatalf("stale-version entry served as %v, want re-simulation", src)
 	}
 }
 
 func TestCampaignContainsSimulatorPanic(t *testing.T) {
-	e := New(Options{Workers: 2, Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Workers: 2, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		if b == "mcf" {
 			panic("bad point")
 		}
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	spec := campaignSpec(2)
 	_, err := e.RunCampaign(spec)
 	var pe *PanicError
@@ -436,10 +454,10 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 
 func TestCampaignProgressAndOrder(t *testing.T) {
 	var calls atomic.Int64
-	e := New(Options{Workers: 4, Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Workers: 4, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		calls.Add(1)
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	spec := campaignSpec(4)
 	var mu sync.Mutex
 	var seen []int
@@ -475,7 +493,7 @@ func TestCampaignProgressAndOrder(t *testing.T) {
 }
 
 func TestCampaignRejectsBadSpec(t *testing.T) {
-	e := New(Options{Simulate: stubResult})
+	e := New(Options{Simulate: plain(stubResult)})
 	if _, err := e.RunCampaign(CampaignSpec{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
@@ -598,11 +616,11 @@ func TestSchedulerQueueGauges(t *testing.T) {
 	const points = 4
 	release := make(chan struct{})
 	started := make(chan struct{}, points)
-	e := New(Options{Workers: 1, Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Workers: 1, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		started <- struct{}{}
 		<-release
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	cfg := config.MALEC()
 
 	var wg sync.WaitGroup
@@ -610,7 +628,7 @@ func TestSchedulerQueueGauges(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e.Run(cfg, "gzip", 1000, uint64(i+1))
+			runPoint(t, e, cfg, "gzip", 1000, uint64(i+1))
 		}(i)
 	}
 	<-started // one simulation holds the single worker slot

@@ -19,9 +19,9 @@ import (
 	"malec/internal/faultinject"
 )
 
-// blockingSim returns a SimulateContext stub that signals when entered and
+// blockingSim returns a Simulate stub that signals when entered and
 // then blocks until its context is cancelled or release is closed.
-func blockingSim(entered chan<- struct{}, release <-chan struct{}, calls *atomic.Int64) SimulateContextFunc {
+func blockingSim(entered chan<- struct{}, release <-chan struct{}, calls *atomic.Int64) SimulateFunc {
 	return func(ctx context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
 		calls.Add(1)
 		entered <- struct{}{}
@@ -38,7 +38,7 @@ func TestCancelledWaiterDoesNotPoisonResult(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int64
-	e := New(Options{Workers: 1, SimulateContext: blockingSim(entered, release, &calls)})
+	e := New(Options{Workers: 1, Simulate: blockingSim(entered, release, &calls)})
 	cfg := config.MALEC()
 
 	type out struct {
@@ -87,7 +87,7 @@ func TestCancelledWaiterDoesNotPoisonResult(t *testing.T) {
 func TestLastWaiterCancelStopsSimulation(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	var calls atomic.Int64
-	e := New(Options{Workers: 1, SimulateContext: blockingSim(entered, nil, &calls)})
+	e := New(Options{Workers: 1, Simulate: blockingSim(entered, nil, &calls)})
 	cfg := config.MALEC()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -118,10 +118,10 @@ func TestLastWaiterCancelStopsSimulation(t *testing.T) {
 
 func TestAlreadyCancelledContextShortCircuits(t *testing.T) {
 	var calls atomic.Int64
-	e := New(Options{Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		calls.Add(1)
 		return stubResult(cfg, b, n, s)
-	}})
+	})})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", 1000, 1)
@@ -135,10 +135,10 @@ func TestAlreadyCancelledContextShortCircuits(t *testing.T) {
 
 func TestPanicQuarantinesKey(t *testing.T) {
 	var calls atomic.Int64
-	e := New(Options{Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	e := New(Options{Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		calls.Add(1)
 		panic("simulator exploded")
-	}})
+	})})
 	cfg := config.MALEC()
 
 	_, _, err := e.RunContext(context.Background(), cfg, "mcf", 1000, 1)
@@ -175,7 +175,7 @@ func TestCorruptDiskEntryQuarantined(t *testing.T) {
 	cfg := config.Base1ldst()
 	key := KeyFor(cfg, "gzip", 1000, 1)
 
-	e := New(Options{CacheDir: dir, Simulate: sim})
+	e := New(Options{CacheDir: dir, Simulate: plain(sim)})
 	path := e.diskPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestCorruptDiskEntryQuarantined(t *testing.T) {
 
 	// First lookup detects the corruption, quarantines the file aside and
 	// re-simulates.
-	if _, src := e.RunTracked(cfg, "gzip", 1000, 1); src != SourceSimulated {
+	if _, src := runPoint(t, e, cfg, "gzip", 1000, 1); src != SourceSimulated {
 		t.Fatalf("corrupt entry served as %v, want re-simulation", src)
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
@@ -199,8 +199,8 @@ func TestCorruptDiskEntryQuarantined(t *testing.T) {
 	// The slot now holds the freshly simulated entry; a cold engine over
 	// the same directory reads it from disk — the damaged bytes are gone
 	// for good, not re-parsed as a silent miss on every lookup.
-	e2 := New(Options{CacheDir: dir, Simulate: sim})
-	if _, src := e2.RunTracked(cfg, "gzip", 1000, 1); src != SourceDisk {
+	e2 := New(Options{CacheDir: dir, Simulate: plain(sim)})
+	if _, src := runPoint(t, e2, cfg, "gzip", 1000, 1); src != SourceDisk {
 		t.Fatalf("post-quarantine entry served as %v, want disk", src)
 	}
 	if n := calls.Load(); n != 1 {
@@ -211,7 +211,7 @@ func TestCorruptDiskEntryQuarantined(t *testing.T) {
 func TestCampaignContextCancellation(t *testing.T) {
 	entered := make(chan struct{}, 64)
 	var calls atomic.Int64
-	e := New(Options{Workers: 2, SimulateContext: blockingSim(entered, nil, &calls)})
+	e := New(Options{Workers: 2, Simulate: blockingSim(entered, nil, &calls)})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -241,11 +241,11 @@ func TestInjectedDiskWriteFaultSkipsPersist(t *testing.T) {
 	}
 	cfg := config.Base1ldst()
 
-	e1 := New(Options{CacheDir: dir, Simulate: sim})
-	e1.Run(cfg, "gzip", 1000, 1)
+	e1 := New(Options{CacheDir: dir, Simulate: plain(sim)})
+	runPoint(t, e1, cfg, "gzip", 1000, 1)
 	// Nothing was persisted, so a fresh engine re-simulates.
-	e2 := New(Options{CacheDir: dir, Simulate: sim})
-	if _, src := e2.RunTracked(cfg, "gzip", 1000, 1); src != SourceSimulated {
+	e2 := New(Options{CacheDir: dir, Simulate: plain(sim)})
+	if _, src := runPoint(t, e2, cfg, "gzip", 1000, 1); src != SourceSimulated {
 		t.Fatalf("source = %v, want re-simulation under injected write faults", src)
 	}
 	if n := calls.Load(); n != 2 {
@@ -277,7 +277,7 @@ func settleGoroutines(t *testing.T, e *Engine, cancelled uint64, baseline int) {
 // producer's value, and no goroutine is left behind.
 func TestGenSourceProducerPanicIsSimPanicError(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e := New(Options{Workers: 1, SimulateContext: func(ctx context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
+	e := New(Options{Workers: 1, Simulate: func(ctx context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
 		// With no generator, the producer panics on its first record.
 		return cpu.RunWithCheckpointsContext(ctx, cfg, b, &cpu.GenSource{N: n}, nil)
 	}})

@@ -25,9 +25,9 @@ func stubSim(cfg config.Config, b string, n int, s uint64) cpu.Result {
 
 // newCampaignServer wires a server over a fresh engine and campaign
 // manager with full control of both option sets.
-func newCampaignServer(t *testing.T, sim engine.SimulateFunc, mgrOpts engine.CampaignManagerOptions, opts Options) (*httptest.Server, *engine.Engine) {
+func newCampaignServer(t *testing.T, sim func(cfg config.Config, b string, n int, s uint64) cpu.Result, mgrOpts engine.CampaignManagerOptions, opts Options) (*httptest.Server, *engine.Engine) {
 	t.Helper()
-	eng := engine.New(engine.Options{Workers: 4, Simulate: sim})
+	eng := engine.New(engine.Options{Workers: 4, Simulate: plain(sim)})
 	opts.Campaigns = engine.NewCampaignManager(eng, mgrOpts)
 	ts := httptest.NewServer(New(eng, opts))
 	t.Cleanup(ts.Close)

@@ -172,7 +172,7 @@ func TestMemoryHitEvictedAndResimulated(t *testing.T) {
 // TestMemoryHitNilCountersNotMemoized checks that a result with no
 // counters to tie a body to is encoded on every hit.
 func TestMemoryHitNilCountersNotMemoized(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 1, Simulate: stubSim})
+	eng := engine.New(engine.Options{Workers: 1, Simulate: plain(stubSim)})
 	srv := New(eng, Options{})
 	for i := 0; i < 3; i++ {
 		serveRun(t, srv, memoExactBody)

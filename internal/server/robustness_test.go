@@ -39,7 +39,7 @@ func newBlockingServer(t *testing.T, opts Options, entered chan struct{}, releas
 			return cpu.Result{Config: cfg.Name, Benchmark: b, Cycles: 777}, nil
 		}
 	}
-	eng := engine.New(engine.Options{Workers: 8, SimulateContext: sim})
+	eng := engine.New(engine.Options{Workers: 8, Simulate: sim})
 	srv := New(eng, opts)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -333,9 +333,9 @@ func TestDrainingShedsAndReadyzFails(t *testing.T) {
 }
 
 func TestNotReadyBeforeInit(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 1, Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+	eng := engine.New(engine.Options{Workers: 1, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		return cpu.Result{}
-	}})
+	})})
 	srv := New(eng, Options{})
 	srv.SetReady(false)
 	rec := httptest.NewRecorder()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -19,11 +20,22 @@ import (
 	"malec/internal/trace"
 )
 
+// plain adapts a simulate stub that ignores cancellation to
+// engine.SimulateFunc (nil: the real simulator).
+func plain(sim func(cfg config.Config, b string, n int, s uint64) cpu.Result) engine.SimulateFunc {
+	if sim == nil {
+		return nil
+	}
+	return func(_ context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
+		return sim(cfg, b, n, s), nil
+	}
+}
+
 // newTestServer wires a server over an engine with the given simulate stub
 // (nil: the real simulator).
-func newTestServer(t *testing.T, sim engine.SimulateFunc, opts Options) (*httptest.Server, *engine.Engine) {
+func newTestServer(t *testing.T, sim func(cfg config.Config, b string, n int, s uint64) cpu.Result, opts Options) (*httptest.Server, *engine.Engine) {
 	t.Helper()
-	eng := engine.New(engine.Options{Workers: 8, Simulate: sim})
+	eng := engine.New(engine.Options{Workers: 8, Simulate: plain(sim)})
 	ts := httptest.NewServer(New(eng, opts))
 	t.Cleanup(ts.Close)
 	return ts, eng

@@ -2,13 +2,9 @@ package trace
 
 import "testing"
 
-// ChunkRecords exposes the producer's publication granularity to the
-// external streaming tests.
-const ChunkRecords = chunkRecords
-
-// SetChunkHook installs f as the producer's per-chunk hook until the test
-// ends. Only producers started after the call run it.
-func SetChunkHook(t testing.TB, f func(start int)) {
-	chunkHook.Store(&f)
-	t.Cleanup(func() { chunkHook.Store(nil) })
+// SetGenHook installs f to run at the start of every generation until the
+// test ends.
+func SetGenHook(t testing.TB, f func()) {
+	genHook.Store(&f)
+	t.Cleanup(func() { genHook.Store(nil) })
 }

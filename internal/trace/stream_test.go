@@ -1,16 +1,12 @@
 package trace_test
 
-// Streaming-arena tests. They live in the external test package so they
-// can read arenas through the simulator's real reader (cpu.SliceSource)
-// and drive the engine, while pausing or failing the producer through the
-// package's unexported per-chunk hook (export_test.go).
+// Shared-arena tests that need a generation to fail or pause. They live in
+// the external test package so they can drive the engine, and they reach
+// generation through the package's unexported hook (export_test.go).
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,193 +19,98 @@ import (
 	"malec/internal/trace"
 )
 
-// pauseAt installs a chunk hook that blocks the producer reaching record
-// index at until release is closed; reached is closed when it gets there.
-func pauseAt(t *testing.T, at int) (reached, release chan struct{}) {
-	reached, release = make(chan struct{}), make(chan struct{})
-	trace.SetChunkHook(t, func(start int) {
-		if start == at {
+// arenaRecords is the length of the arenas these tests generate.
+const arenaRecords = 50000
+
+// sameRecords reports whether got equals a fresh generation of the trace.
+func sameRecords(got []trace.Record, bench string, seed uint64) bool {
+	want := trace.NewGenerator(trace.Profiles[bench], seed).Generate(len(got))
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return len(got) > 0
+}
+
+// TestCacheGenerationPanicDropsEntry fails a generation while other
+// requests for the workload wait for it: the panic reaches the generating
+// caller, the broken entry leaves the cache, and the waiting requests
+// regenerate the trace once, byte-identical to a fresh generator.
+func TestCacheGenerationPanicDropsEntry(t *testing.T) {
+	reached, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	trace.SetGenHook(t, func() {
+		if calls.Add(1) == 1 {
 			close(reached)
 			<-release
+			panic("generation boom")
 		}
 	})
-	return reached, release
-}
-
-// readAll drains a reader in chunks of at most 1000 records (never
-// aligned with the producer's chunks), optionally restored to pos first,
-// and reports the first record differing from want[pos:].
-func readAll(src *cpu.SliceSource, pos int, want []trace.Record) error {
-	if pos > 0 && !src.RestoreState(cpu.SourceState{Pos: uint64(pos)}) {
-		return errors.New("restore refused")
-	}
-	for i := pos; ; {
-		recs := src.Next(1000)
-		if len(recs) == 0 {
-			if i != len(want) {
-				return errors.New("reader ended early")
-			}
-			return nil
-		}
-		for _, rec := range recs {
-			if i >= len(want) || rec != want[i] {
-				return errors.New("record differs from fresh generation")
-			}
-			i++
-		}
-	}
-}
-
-// TestStreamReadersDuringProduction starts readers while the producer is
-// paused mid-arena: a full reader, a request joining the arena, one
-// restoring past the watermark, a Records call, and an extension to a
-// longer arena. Each must see exactly the fresh generator's records, and
-// the joins must neither generate nor count a miss.
-func TestStreamReadersDuringProduction(t *testing.T) {
-	const n = 5*trace.ChunkRecords + 123
-	const long = n + 3*trace.ChunkRecords + 45
-	want := trace.NewGenerator(trace.Profiles["gzip"], 5).Generate(long)
-	reached, release := pauseAt(t, 2*trace.ChunkRecords)
-
 	c := trace.NewCache(1 << 20)
-	recs, wait := c.Stream("gzip", 5, n)
+
+	failed := make(chan any)
+	go func() {
+		defer func() { failed <- recover() }()
+		c.Records("mcf", 2, arenaRecords)
+	}()
 	<-reached
-
 	var wg sync.WaitGroup
-	read := func(name string, src *cpu.SliceSource, pos int, want []trace.Record) {
+	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := readAll(src, pos, want); err != nil {
-				t.Errorf("%s: %v", name, err)
+			if !sameRecords(c.Records("mcf", 2, arenaRecords), "mcf", 2) {
+				t.Error("waiting request got records that differ from fresh generation")
 			}
 		}()
 	}
-	read("full reader", &cpu.SliceSource{Records: recs, Wait: wait}, 0, want[:n])
-	jr, jw := c.Stream("gzip", 5, n/2)
-	read("joining reader", &cpu.SliceSource{Records: jr, Wait: jw}, 0, want[:n/2])
-	past := 3*trace.ChunkRecords + 7
-	restored := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(restored)
-		if err := readAll(&cpu.SliceSource{Records: recs, Wait: wait}, past, want[:n]); err != nil {
-			t.Errorf("restoring reader: %v", err)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		got := c.Records("gzip", 5, n)
-		if err := readAll(&cpu.SliceSource{Records: got}, 0, want[:n]); err != nil {
-			t.Errorf("Records: %v", err)
-		}
-	}()
-	lr, lw := c.Stream("gzip", 5, long)
-	read("extension reader", &cpu.SliceSource{Records: lr, Wait: lw}, 0, want)
-
-	select {
-	case <-restored:
-		t.Fatal("reader restored past the watermark finished while the producer was paused")
-	default:
-	}
+	// Give the waiting requests time to queue on the entry.
+	time.Sleep(20 * time.Millisecond)
 	close(release)
-	wg.Wait()
-
-	s := c.Stats()
-	if s.Misses != 2 || s.Hits != 2 || s.GeneratedRecords != long {
-		t.Fatalf("stats %+v, want 2 misses (arena, extension), 2 hits (join, Records), %d generated", s, long)
-	}
-	if s.Entries != 1 || s.Records != long {
-		t.Fatalf("stats %+v, want one %d-record entry", s, long)
-	}
-}
-
-// TestStreamProducerPanicReachesReaders fails the producer mid-arena:
-// every reader past the watermark re-panics with the producer's value on
-// its own goroutine, the broken arena leaves the cache, and the next
-// request regenerates the trace.
-func TestStreamProducerPanicReachesReaders(t *testing.T) {
-	const n = 3 * trace.ChunkRecords
-	var fail atomic.Bool
-	fail.Store(true)
-	trace.SetChunkHook(t, func(start int) {
-		if fail.Load() && start == trace.ChunkRecords {
-			panic("producer boom")
-		}
-	})
-	c := trace.NewCache(1 << 20)
-	recs, wait := c.Stream("mcf", 2, n)
-	want := trace.NewGenerator(trace.Profiles["mcf"], 2).Generate(n)
-
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			read := 0
-			defer func() {
-				if v := recover(); v != "producer boom" {
-					t.Errorf("reader recovered %v, want the producer's panic value", v)
-				}
-				if read != trace.ChunkRecords {
-					t.Errorf("reader got %d records before the panic, want %d", read, trace.ChunkRecords)
-				}
-			}()
-			src := &cpu.SliceSource{Records: recs, Wait: wait}
-			for {
-				recs := src.Next(1000)
-				if len(recs) == 0 {
-					return
-				}
-				for _, rec := range recs {
-					if rec != want[read] {
-						t.Errorf("record %d differs before the failure", read)
-					}
-					read++
-				}
-			}
-		}()
+	if v := <-failed; v != "generation boom" {
+		t.Fatalf("generating request recovered %v, want the generation's panic value", v)
 	}
 	wg.Wait()
 
-	if s := c.Stats(); s.Entries != 0 || s.Records != 0 {
-		t.Fatalf("stats %+v: the failed arena is still cached", s)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d generations, want 2 (the failed one and one regeneration)", n)
 	}
-	fail.Store(false)
-	if err := readAll(&cpu.SliceSource{Records: c.Records("mcf", 2, n)}, 0, want); err != nil {
-		t.Fatalf("regenerated arena: %v", err)
+	if s := c.Stats(); s.Entries != 1 || s.Records != arenaRecords || s.Misses != 2 || s.Hits != 1 {
+		t.Fatalf("stats %+v, want one %d-record entry, 2 misses and 1 hit", s, arenaRecords)
 	}
 }
 
-// TestStreamPanicIsSimPanicError drives a producer panic through the
-// engine: the consuming point fails with a *SimPanicError carrying the
-// producer's value, and the process (this test) survives.
+// TestStreamPanicIsSimPanicError drives a generation panic through the
+// engine: the point fails with a *SimPanicError carrying the panic value,
+// the process (this test) survives, and the broken arena is not kept.
 func TestStreamPanicIsSimPanicError(t *testing.T) {
-	trace.SetChunkHook(t, func(start int) {
-		if start == trace.ChunkRecords {
-			panic("producer boom")
-		}
-	})
+	trace.SetGenHook(t, func() { panic("generation boom") })
 	e := engine.New(engine.Options{Workers: 1})
-	_, _, err := e.RunContext(context.Background(), config.MALEC(), "gzip", 3*trace.ChunkRecords, 1)
+	_, _, err := e.RunContext(context.Background(), config.MALEC(), "gzip", arenaRecords, 1)
 	var pe *engine.SimPanicError
-	if !errors.As(err, &pe) || pe.Value != "producer boom" {
-		t.Fatalf("err = %v, want *SimPanicError with the producer's value", err)
+	if !errors.As(err, &pe) || pe.Value != "generation boom" {
+		t.Fatalf("err = %v, want *SimPanicError with the generation's value", err)
 	}
-	if s := e.Stats(); s.Panics != 1 {
-		t.Fatalf("engine counted %d panics, want 1", s.Panics)
+	if s := e.Stats(); s.Panics != 1 || s.TraceRecords != 0 {
+		t.Fatalf("stats %+v, want 1 panic and no cached trace records", s)
 	}
 }
 
 // TestStreamEngineJoinMidGeneration runs a second configuration of one
-// workload while the first point's producer is paused mid-arena: the
-// joining point adds a trace hit, not a miss, and both points match an
-// engine that generates every trace privately.
+// workload while the first point's generation is paused: the second point
+// waits for that generation instead of starting its own, counts a trace
+// hit, and both points match an engine that generates every trace
+// privately.
 func TestStreamEngineJoinMidGeneration(t *testing.T) {
-	const n = 4 * trace.ChunkRecords
-	reached, release := pauseAt(t, trace.ChunkRecords)
+	reached, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	trace.SetGenHook(t, func() {
+		if calls.Add(1) == 1 {
+			close(reached)
+			<-release
+		}
+	})
 	e := engine.New(engine.Options{Workers: 2})
 	cfgs := []config.Config{config.Base1ldst(), config.MALEC()}
 	got := make([]cpu.Result, len(cfgs))
@@ -218,71 +119,60 @@ func TestStreamEngineJoinMidGeneration(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = e.Run(cfgs[i], "gzip", n, 4)
+			var err error
+			if got[i], _, err = e.RunContext(context.Background(), cfgs[i], "gzip", arenaRecords, 4); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	run(0)
 	<-reached
 	run(1)
-	for e.Stats().TraceHits == 0 {
+	for e.Stats().Running < 2 {
 		runtime.Gosched()
-	}
-	if s := e.Stats(); s.TraceMisses != 1 || s.TraceHits != 1 {
-		t.Fatalf("stats %+v, want 1 trace miss and 1 hit (the mid-generation join)", s)
 	}
 	close(release)
 	wg.Wait()
 
-	fresh := engine.New(engine.Options{Workers: 1, TraceCacheRecords: -1})
-	for i, cfg := range cfgs {
-		if w := fresh.Run(cfg, "gzip", n, 4); got[i].Cycles != w.Cycles || got[i].Energy.Total() != w.Energy.Total() {
-			t.Fatalf("%s: streamed run differs from private generation", cfg.Name)
-		}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d generations, want 1 shared by both points", n)
 	}
 	if s := e.Stats(); s.TraceMisses != 1 || s.TraceHits != 1 {
-		t.Fatalf("stats %+v after completion, want 1 miss and 1 hit", s)
+		t.Fatalf("stats %+v, want 1 trace miss and 1 hit (the joining point)", s)
+	}
+	fresh := engine.New(engine.Options{Workers: 1, TraceCacheRecords: -1})
+	for i, cfg := range cfgs {
+		w, _, err := fresh.RunContext(context.Background(), cfg, "gzip", arenaRecords, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Cycles != w.Cycles || got[i].Energy.Total() != w.Energy.Total() {
+			t.Fatalf("%s: shared-arena run differs from private generation", cfg.Name)
+		}
 	}
 }
 
-// pollRecords is where gated producers pause after their first chunk: a
-// whole number of chunks past the records an exact point can retire in
-// 2^18 cycles, the cycle loop's first context poll after cycle 0, at the
-// core's 6-wide fetch. A cancelled point so observes its cancellation
-// before it catches up with a paused producer.
-const pollRecords = (6<<18/trace.ChunkRecords + 1) * trace.ChunkRecords
-
-// cancellablePoints is the length of the cancelled exact points: the
-// paused arena prefix plus some records the producer writes on release.
-const cancellablePoints = pollRecords + 4*trace.ChunkRecords
-
-// gateProducers installs a chunk hook under which every producer reports
-// its start on started and waits for a token on proceed before writing
-// anything, then pauses at pollRecords until release is closed. The test
-// so cancels a point before the point can read a record.
-func gateProducers(t *testing.T, capacity int) (started, proceed, release chan struct{}) {
-	started, proceed = make(chan struct{}, capacity), make(chan struct{}, capacity)
-	release = make(chan struct{})
-	trace.SetChunkHook(t, func(start int) {
-		switch start {
-		case 0:
-			started <- struct{}{}
-			<-proceed
-		case pollRecords:
-			<-release
-		}
+// pauseGenerations installs a generation hook under which every
+// generation reports its start on started and then waits until release is
+// closed.
+func pauseGenerations(t *testing.T, capacity int) (started, release chan struct{}) {
+	started, release = make(chan struct{}, capacity), make(chan struct{})
+	trace.SetGenHook(t, func() {
+		started <- struct{}{}
+		<-release
 	})
-	return started, proceed, release
+	return started, release
 }
 
 // holdsSlot fails the test unless the engine keeps running points
-// simulations throughout a grace period: a cancelled point whose producer
-// is paused must keep its worker slot until the arena prefix it started
-// is written. (Its caller returns at once; the job holds the slot.)
+// simulations throughout a grace period: a cancelled point whose
+// generation is paused keeps its worker slot until the generation ends.
+// (Its caller returns at once; the job holds the slot.)
 func holdsSlot(t *testing.T, e *engine.Engine, running int) {
 	t.Helper()
 	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); runtime.Gosched() {
 		if n := e.Stats().Running; n != running {
-			t.Fatalf("%d points running, want %d: a cancelled point gave its slot back while its producer was paused", n, running)
+			t.Fatalf("%d points running, want %d: a cancelled point gave its slot back while its generation was paused", n, running)
 		}
 	}
 }
@@ -298,7 +188,7 @@ func returnsCanceled(t *testing.T, done <-chan error) {
 
 // settle waits until the engine has counted at least cancelled cancelled
 // simulations, runs and queues none, and the goroutine count is back at
-// baseline: every job and producer has exited.
+// baseline: every job has exited.
 func settle(t *testing.T, e *engine.Engine, cancelled uint64, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -316,60 +206,58 @@ func settle(t *testing.T, e *engine.Engine, cancelled uint64, baseline int) {
 	}
 }
 
-// TestStreamCancelledConsumerGoroutines cancels a point whose producer
-// then pauses mid-arena: the point keeps its worker slot until the
-// released producer has filled its bounded arena, returns
-// context.Canceled, and the goroutine count returns to baseline.
+// TestStreamCancelledConsumerGoroutines cancels a point whose generation
+// is paused: its caller returns context.Canceled at once, the point keeps
+// its worker slot until the generation ends, then stops before it
+// simulates, and the goroutine count returns to baseline.
 func TestStreamCancelledConsumerGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	started, proceed, release := gateProducers(t, 1)
+	started, release := pauseGenerations(t, 1)
 	e := engine.New(engine.Options{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", cancellablePoints, 1)
+		_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", arenaRecords, 1)
 		done <- err
 	}()
 	<-started
 	cancel()
-	proceed <- struct{}{}
 	returnsCanceled(t, done)
 	holdsSlot(t, e, 1)
 	close(release)
 	settle(t, e, 1, baseline)
-	if s := e.Stats(); s.Cancelled != 1 {
-		t.Fatalf("engine counted %d cancelled simulations, want 1", s.Cancelled)
+	if s := e.Stats(); s.Cancelled != 1 || s.Simulations != 0 {
+		t.Fatalf("stats %+v, want 1 cancelled simulation and none completed", s)
 	}
 }
 
 // TestStreamCancelledPointsBoundProducers sends points over distinct
-// seeds one after another and cancels each once it has started a producer
-// or queued for a worker slot, while every producer stays paused. The
-// cancelled running points keep their slots, so the queued ones give up
-// without starting a producer: no more than Workers producers (and arenas
-// outside the record budget) ever exist.
+// seeds one after another and cancels each once it has started a
+// generation or queued for a worker slot, while every generation stays
+// paused. The cancelled generating points keep their slots, so the queued
+// ones give up without generating: no more than Workers generations (and
+// arenas being filled) ever exist at once.
 func TestStreamCancelledPointsBoundProducers(t *testing.T) {
 	const workers, points = 2, 8
 	baseline := runtime.NumGoroutine()
-	started, proceed, release := gateProducers(t, points)
+	started, release := pauseGenerations(t, points)
 	e := engine.New(engine.Options{Workers: workers})
 	done := make(chan error, points)
-	producers := 0
+	generations := 0
 	arrive := func(seed uint64) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		go func() {
-			_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", cancellablePoints, seed)
+			_, _, err := e.RunContext(ctx, config.MALEC(), "gzip", arenaRecords, seed)
 			done <- err
 		}()
 		for {
 			select {
 			case <-started:
-				producers++
+				generations++
 				cancel()
-				proceed <- struct{}{}
 				returnsCanceled(t, done)
-				holdsSlot(t, e, producers)
+				holdsSlot(t, e, generations)
 				return
 			default:
 			}
@@ -384,85 +272,9 @@ func TestStreamCancelledPointsBoundProducers(t *testing.T) {
 	for seed := uint64(1); seed <= points; seed++ {
 		arrive(seed)
 	}
-	if producers != workers {
-		t.Fatalf("%d cancelled points started producers, want %d (the worker bound)", producers, workers)
+	if generations != workers {
+		t.Fatalf("%d cancelled points started generations, want %d (the worker bound)", generations, workers)
 	}
 	close(release)
 	settle(t, e, workers, baseline)
-}
-
-// ckStore is a map checkpoint store that keeps every save.
-type ckStore map[uint64]*cpu.Checkpoint
-
-func (s ckStore) Load(n uint64) (*cpu.Checkpoint, bool) { ck, ok := s[n]; return ck, ok }
-func (s ckStore) Save(n uint64, ck *cpu.Checkpoint)     { s[n] = ck }
-
-// lockstepArena streams an arena whose producer pauses before every chunk
-// until the reader has caught up with the watermark: each chunk boundary
-// is a read that must wait. It returns a SliceSource over the arena.
-func lockstepArena(t *testing.T, bench string, seed uint64, n int) *cpu.SliceSource {
-	var readerAt atomic.Int64
-	trace.SetChunkHook(t, func(start int) {
-		for readerAt.Load() < int64(start) {
-			runtime.Gosched()
-		}
-	})
-	recs, wait := trace.NewCache(1<<20).Stream(bench, seed, n)
-	return &cpu.SliceSource{Records: recs, Wait: func(i int) int {
-		readerAt.Store(int64(i))
-		return wait(i)
-	}}
-}
-
-// TestStreamChunkedRunsMatchCompleteArena runs exact and sampled points
-// from a streaming arena read in lockstep with its producer, cold (saving
-// checkpoints) and warm (restoring them, which jumps the reader past the
-// watermark). Each Result JSON must be byte-identical to a run over the
-// complete arena, and every checkpoint must match that run's, taken at its
-// own trace index.
-func TestStreamChunkedRunsMatchCompleteArena(t *testing.T) {
-	const n = 5*trace.ChunkRecords + 123
-	points := []struct {
-		cfg   config.Config
-		bench string
-	}{{config.Base1ldst(), "gzip"}, {config.MALEC(), "ptrchase"}}
-	for _, p := range points {
-		for _, sampled := range []bool{false, true} {
-			cfg := p.cfg
-			if sampled {
-				cfg.Sampling = &config.Sampling{Warmup: 100, Detail: 400, Interval: 8000}
-			}
-			name := fmt.Sprintf("%s/%s/sampled=%v", cfg.Name, p.bench, sampled)
-			run := func(src cpu.Source, st ckStore) []byte {
-				j, err := json.Marshal(cpu.RunWithCheckpoints(cfg, p.bench, src, st))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return j
-			}
-			wantStore := ckStore{}
-			want := run(&cpu.SliceSource{Records: trace.NewGenerator(trace.Profiles[p.bench], 1).Generate(n)}, wantStore)
-			store := ckStore{}
-			if got := run(lockstepArena(t, p.bench, 1, n), store); !bytes.Equal(got, want) {
-				t.Errorf("%s: streamed run differs from the complete arena", name)
-			}
-			if len(store) != len(wantStore) {
-				t.Fatalf("%s: %d checkpoints, want %d", name, len(store), len(wantStore))
-			}
-			for k, w := range wantStore {
-				g, ok := store[k]
-				if !ok || g.Src == nil || g.Src.Pos != k {
-					t.Fatalf("%s: checkpoint %d missing or taken at another position", name, k)
-				}
-				gj, _ := json.Marshal(g)
-				wj, _ := json.Marshal(w)
-				if !bytes.Equal(gj, wj) {
-					t.Fatalf("%s: checkpoint %d differs from the complete arena's", name, k)
-				}
-			}
-			if got := run(lockstepArena(t, p.bench, 1, n), store); !bytes.Equal(got, want) {
-				t.Errorf("%s: warm streamed run differs from the complete arena", name)
-			}
-		}
-	}
 }
