@@ -41,14 +41,14 @@ import (
 
 // samplingInfo summarizes a sampled run's estimate quality in JSON output.
 type samplingInfo struct {
-	Windows          int     `json:"windows"`
-	Warmup           int     `json:"warmup"`
-	Detail           int     `json:"detail"`
-	Interval         int     `json:"interval"`
-	CPIRelCI         float64 `json:"cpi_rel_ci95"`
-	EnergyRelCI      float64 `json:"energy_rel_ci95"`
-	CheckpointHits   int     `json:"checkpoint_hits"`
-	CheckpointMisses int     `json:"checkpoint_misses"`
+	Windows          int      `json:"windows"`
+	Warmup           int      `json:"warmup"`
+	Detail           int      `json:"detail"`
+	Interval         int      `json:"interval"`
+	CPIRelCI         *float64 `json:"cpi_rel_ci95,omitempty"` // nil with fewer than two windows: unknown
+	EnergyRelCI      *float64 `json:"energy_rel_ci95,omitempty"`
+	CheckpointHits   int      `json:"checkpoint_hits"`
+	CheckpointMisses int      `json:"checkpoint_misses"`
 }
 
 func samplingInfoOf(s *cpu.SamplingEstimate) *samplingInfo {

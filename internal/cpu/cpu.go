@@ -344,14 +344,15 @@ type SamplingEstimate struct {
 	Interval int
 	// CPIMean is the mean cycles-per-instruction across windows;
 	// CPIRelHalfWidth is the 95% confidence half-width relative to the
-	// mean (t * stderr / mean, t for Windows-1 degrees of freedom); with
-	// fewer than two windows both half-widths are 0, meaning unknown.
+	// mean (t * stderr / mean, t for Windows-1 degrees of freedom). With
+	// fewer than two windows the interval is unknown: both half-widths
+	// are nil and left out of the JSON encoding.
 	CPIMean         float64
-	CPIRelHalfWidth float64
+	CPIRelHalfWidth *float64 `json:",omitempty"`
 	// EnergyMean is the mean total dynamic energy per instruction (pJ)
 	// across windows; EnergyRelHalfWidth is its relative 95% half-width.
 	EnergyMean         float64
-	EnergyRelHalfWidth float64
+	EnergyRelHalfWidth *float64 `json:",omitempty"`
 	// CheckpointHits/Misses count warm-state restores vs fresh warms at
 	// window boundaries (always Misses == Windows when no store is wired).
 	CheckpointHits   int
@@ -385,8 +386,8 @@ func t95(df int) float64 {
 
 // RelHalfWidth95 returns the 95% confidence half-width of mean relative to
 // the mean, given per-window samples, using the Student-t quantile for
-// len(samples)-1 degrees of freedom. It returns 0, meaning unknown, when
-// there are fewer than two windows.
+// len(samples)-1 degrees of freedom. It returns 0 when there are fewer
+// than two windows; SamplingEstimate reports that case as nil, unknown.
 func RelHalfWidth95(samples []float64) float64 {
 	n := len(samples)
 	if n < 2 {

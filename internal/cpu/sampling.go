@@ -272,14 +272,24 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 			Detail:             detail,
 			Interval:           interval,
 			CPIMean:            cpiMean,
-			CPIRelHalfWidth:    RelHalfWidth95(cpiSamples),
+			CPIRelHalfWidth:    knownHalfWidth(cpiSamples),
 			EnergyMean:         epiMean,
-			EnergyRelHalfWidth: RelHalfWidth95(epiSamples),
+			EnergyRelHalfWidth: knownHalfWidth(epiSamples),
 			CheckpointHits:     hits,
 			CheckpointMisses:   nWin - hits,
 			WarmedRecords:      rd.warmed,
 		},
 	}, nil
+}
+
+// knownHalfWidth is RelHalfWidth95 for a SamplingEstimate: nil, unknown,
+// with fewer than two windows.
+func knownHalfWidth(samples []float64) *float64 {
+	if len(samples) < 2 {
+		return nil
+	}
+	hw := RelHalfWidth95(samples)
+	return &hw
 }
 
 // measureBurst replays src, a burst's records, on shadow restored to the

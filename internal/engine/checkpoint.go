@@ -6,19 +6,18 @@ package engine
 // functional-warming trajectory depends only on the memory side of the
 // configuration and the workload, every core-side variant in a campaign
 // sweep maps to the same entries — the first config warms, the rest
-// restore. RunCampaign's benchmark-major job ordering clusters exactly
-// those reuses back to back.
+// restore. runJobs feeds jobs grouped by (benchmark, seed), which clusters
+// exactly those reuses back to back.
 //
-// The store is two-level: a bounded in-memory FIFO of live snapshots (so
-// reuse works with no CacheDir configured, e.g. in tests and CI smokes),
-// plus optional JSON persistence under the engine's cache directory using
-// the same temp-file-and-rename discipline as the result store.
+// The store is two-level, like the result store and on the same keyed
+// store (store.go): a bounded in-memory FIFO of live snapshots (so reuse
+// works with no CacheDir configured, e.g. in tests and CI smokes), plus
+// optional JSON persistence under the engine's cache directory.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -49,18 +48,16 @@ func (k ckKey) filename() string {
 // checkpointStore is the engine-level store; scoped views implementing
 // cpu.Checkpoints are curried per simulation. Safe for concurrent use.
 type checkpointStore struct {
-	dir        string // disk root ("" disables persistence)
-	maxEntries int
+	dir string // disk root ("" disables persistence)
 
 	hits         atomic.Uint64
 	misses       atomic.Uint64
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
-	quarantined  atomic.Uint64 // corrupt disk entries renamed aside
+	quarantined  *atomic.Uint64 // the engine's count of corrupt entries renamed aside
 
-	mu      sync.Mutex
-	entries map[ckKey]*cpu.Checkpoint
-	order   []ckKey // insertion order, for FIFO eviction
+	mu  sync.Mutex
+	mem fifo[ckKey, *cpu.Checkpoint]
 
 	// encMu serializes disk saves over one encode buffer, which keeps its
 	// capacity: a snapshot encodes to a few hundred KB, and a fresh
@@ -70,14 +67,14 @@ type checkpointStore struct {
 	enc    *json.Encoder
 }
 
-func newCheckpointStore(dir string, maxEntries int) *checkpointStore {
+func newCheckpointStore(dir string, maxEntries int, quarantined *atomic.Uint64) *checkpointStore {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCheckpointEntries
 	}
 	s := &checkpointStore{
-		dir:        dir,
-		maxEntries: maxEntries,
-		entries:    make(map[ckKey]*cpu.Checkpoint),
+		dir:         dir,
+		quarantined: quarantined,
+		mem:         newFIFO[ckKey, *cpu.Checkpoint](maxEntries),
 	}
 	s.enc = json.NewEncoder(&s.encBuf)
 	return s
@@ -104,7 +101,7 @@ func (s *checkpointStore) diskPath(key ckKey) string {
 // out of it).
 func (s *checkpointStore) load(key ckKey) (*cpu.Checkpoint, bool) {
 	s.mu.Lock()
-	st, ok := s.entries[key]
+	st, ok := s.mem.get(key)
 	s.mu.Unlock()
 	if ok {
 		s.hits.Add(1)
@@ -113,7 +110,7 @@ func (s *checkpointStore) load(key ckKey) (*cpu.Checkpoint, bool) {
 	if s.dir != "" {
 		if st, ok := s.loadDisk(key); ok {
 			s.mu.Lock()
-			s.put(key, st)
+			s.mem.put(key, st)
 			s.mu.Unlock()
 			s.hits.Add(1)
 			return st, true
@@ -125,49 +122,30 @@ func (s *checkpointStore) load(key ckKey) (*cpu.Checkpoint, bool) {
 
 // loadDisk fetches a persisted snapshot. Read failures are plain misses;
 // an entry that reads but fails to decode or validate is corrupt and is
-// quarantined aside (.corrupt rename) so it is never re-read hot. A
-// snapshot that decodes but whose instruction count, source position or
-// generator index differs from its record index, or whose arrays do not
-// fit the system's geometry (a damaged entry, or one written before the
-// L2 snapshot held tags and ranks), is rejected by the sampled run
-// itself, which re-warms and overwrites it: a damaged checkpoint degrades
-// to re-warming, never to wrong state.
+// quarantined (see readEntry). A snapshot that decodes but whose
+// instruction count, source position or generator index differs from its
+// record index, or whose arrays do not fit the system's geometry (a
+// damaged entry, or one written before the L2 snapshot held tags and
+// ranks), is rejected by the sampled run itself, which re-warms and
+// overwrites it: a damaged checkpoint degrades to re-warming, never to
+// wrong state.
 func (s *checkpointStore) loadDisk(key ckKey) (*cpu.Checkpoint, bool) {
-	path := s.diskPath(key)
-	if faultinject.DiskRead.Fire() {
+	ent, n, ok := readEntry(s.diskPath(key), faultinject.CkptCorrupt, func(ent *ckDiskEntry) bool {
+		return ent.Version == DiskFormatVersion && ent.Key == key && ent.State != nil && ent.State.Sys != nil
+	}, s.quarantined)
+	if !ok {
 		return nil, false
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	faultinject.CkptCorrupt.CorruptBytes(data)
-	var ent ckDiskEntry
-	if err := json.Unmarshal(data, &ent); err != nil ||
-		ent.Version != DiskFormatVersion || ent.Key != key || ent.State == nil || ent.State.Sys == nil {
-		if quarantineCorrupt(path) {
-			s.quarantined.Add(1)
-		}
-		return nil, false
-	}
-	s.bytesRead.Add(uint64(len(data)))
+	s.bytesRead.Add(uint64(n))
 	return ent.State, true
 }
 
 // save stores a snapshot in memory and, when configured, on disk.
 func (s *checkpointStore) save(key ckKey, st *cpu.Checkpoint) {
 	s.mu.Lock()
-	s.put(key, st)
+	s.mem.put(key, st)
 	s.mu.Unlock()
-	if s.dir == "" {
-		return
-	}
-	if faultinject.DiskWrite.Fire() {
-		return
-	}
-	path := s.diskPath(key)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if s.dir == "" || faultinject.DiskWrite.Fire() {
 		return
 	}
 	s.encMu.Lock()
@@ -178,36 +156,8 @@ func (s *checkpointStore) save(key ckKey, st *cpu.Checkpoint) {
 	}
 	// Encode ends the value with a newline, which json.Marshal does not.
 	data := bytes.TrimSuffix(s.encBuf.Bytes(), []byte("\n"))
-	tmp, err := os.CreateTemp(dir, key.filename()+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	s.bytesWritten.Add(uint64(len(data)))
-}
-
-// put inserts under the FIFO bound. Caller holds s.mu.
-func (s *checkpointStore) put(key ckKey, st *cpu.Checkpoint) {
-	if _, ok := s.entries[key]; !ok {
-		s.order = append(s.order, key)
-	}
-	s.entries[key] = st
-	for len(s.entries) > s.maxEntries {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		delete(s.entries, oldest)
+	if publish(s.diskPath(key), data, false) == nil {
+		s.bytesWritten.Add(uint64(len(data)))
 	}
 }
 

@@ -261,7 +261,7 @@ func TestCampaignRetryDegradesToPartial(t *testing.T) {
 
 // TestRunCampaignContextRetries covers the synchronous path: Retries turns
 // a transient panic into a success, and an exhausted bound surfaces as
-// PanicError.
+// the point's SimPanicError.
 func TestRunCampaignContextRetries(t *testing.T) {
 	var mu sync.Mutex
 	left := 2
@@ -295,9 +295,9 @@ func TestRunCampaignContextRetries(t *testing.T) {
 	eng2 := New(Options{Workers: 1, Simulate: plain(sim)})
 	spec.Retries = 1
 	_, err = eng2.RunCampaign(spec)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("exhausted retries returned %v, want PanicError", err)
+	var pe *SimPanicError
+	if !errors.As(err, &pe) || pe.Key != KeyFor(config.MALEC(), "gzip", 1000, 1) {
+		t.Fatalf("exhausted retries returned %v, want the point's SimPanicError", err)
 	}
 }
 
@@ -387,13 +387,17 @@ func TestCampaignSurvivesJournalFaults(t *testing.T) {
 	}
 }
 
+// TestPoisonedMapBounded poisons two keys past the quarantine bound: the
+// two oldest are forgotten (FIFO) and re-runnable, the rest still fail
+// fast.
 func TestPoisonedMapBounded(t *testing.T) {
-	eng := New(Options{Workers: 1, MaxPoisonedKeys: 2,
+	eng := New(Options{Workers: 1,
 		Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 			panic("always")
 		})})
 	cfg := config.MALEC()
-	for seed := uint64(1); seed <= 4; seed++ {
+	const n = maxPoisonedKeys + 2
+	for seed := uint64(1); seed <= n; seed++ {
 		_, _, err := eng.RunContext(context.Background(), cfg, "gzip", 1000, seed)
 		var pe *SimPanicError
 		if !errors.As(err, &pe) {
@@ -401,23 +405,37 @@ func TestPoisonedMapBounded(t *testing.T) {
 		}
 	}
 	st := eng.Stats()
-	if st.PoisonedKeys != 2 {
-		t.Fatalf("poisoned map holds %d keys, want FIFO bound 2", st.PoisonedKeys)
+	if st.PoisonedKeys != maxPoisonedKeys {
+		t.Fatalf("poisoned map holds %d keys, want FIFO bound %d", st.PoisonedKeys, maxPoisonedKeys)
 	}
-	if st.Panics != 4 {
-		t.Fatalf("panics %d, want 4", st.Panics)
+	if st.Panics != n {
+		t.Fatalf("panics %d, want %d", st.Panics, n)
 	}
-	// The two oldest keys were evicted, so they are re-runnable (and
-	// re-panic); the newest is still quarantined and fails fast.
-	newest := KeyFor(cfg, "gzip", 1000, 4)
-	if !eng.ForgetPoisoned(newest) {
-		t.Fatal("newest key not quarantined")
+	// The two oldest keys were evicted; the third oldest and the newest
+	// are still quarantined.
+	for seed := uint64(1); seed <= 2; seed++ {
+		if eng.ForgetPoisoned(KeyFor(cfg, "gzip", 1000, seed)) {
+			t.Fatalf("seed %d still quarantined past the bound", seed)
+		}
 	}
-	if eng.ForgetPoisoned(newest) {
-		t.Fatal("ForgetPoisoned reported a forgotten key as quarantined")
+	for _, seed := range []uint64{3, n} {
+		key := KeyFor(cfg, "gzip", 1000, seed)
+		if !eng.ForgetPoisoned(key) {
+			t.Fatalf("seed %d not quarantined", seed)
+		}
+		if eng.ForgetPoisoned(key) {
+			t.Fatalf("ForgetPoisoned reported forgotten seed %d as quarantined", seed)
+		}
 	}
-	if eng.Stats().PoisonedKeys != 1 {
-		t.Fatalf("poisoned map holds %d keys after forget, want 1", eng.Stats().PoisonedKeys)
+	if got := eng.Stats().PoisonedKeys; got != maxPoisonedKeys-2 {
+		t.Fatalf("poisoned map holds %d keys after two forgets, want %d", got, maxPoisonedKeys-2)
+	}
+	// A forgotten key re-runs (and panics again) instead of failing fast.
+	if _, _, err := eng.RunContext(context.Background(), cfg, "gzip", 1000, 3); err == nil {
+		t.Fatal("forgotten key did not re-run")
+	}
+	if st := eng.Stats(); st.Panics != n+1 {
+		t.Fatalf("panics %d after re-running a forgotten key, want %d", st.Panics, n+1)
 	}
 }
 

@@ -63,11 +63,6 @@ type Options struct {
 	// Checkpoints persist to disk alongside results when CacheDir is set;
 	// they only apply to sampled simulations (Config.Sampling != nil).
 	CheckpointEntries int
-	// MaxPoisonedKeys bounds the poisoned-key quarantine map; when full,
-	// the oldest poisoned key is forgotten (FIFO), so panic churn cannot
-	// grow the map without limit. Zero selects DefaultMaxPoisonedKeys;
-	// negative disables the bound.
-	MaxPoisonedKeys int
 	// TraceCacheRecords bounds the engine's materialized-trace cache in
 	// total trace records (not bytes): the engine generates each
 	// (benchmark, seed) workload once per campaign, as a finished flat
@@ -83,11 +78,11 @@ type Options struct {
 	Simulate SimulateFunc
 }
 
-// DefaultMaxPoisonedKeys is the default poisoned-key quarantine bound.
-// A thousand distinct panicking points means something systemic, not a
-// per-key record worth keeping; FIFO eviction past the bound keeps the
-// map a fixed-size incident log.
-const DefaultMaxPoisonedKeys = 1024
+// maxPoisonedKeys bounds the poisoned-key quarantine. A thousand
+// distinct panicking points means something systemic, not a per-key
+// record worth keeping; FIFO eviction past the bound keeps the map a
+// fixed-size incident log.
+const maxPoisonedKeys = 1024
 
 // DefaultTraceCacheRecords is the default materialized-trace cache bound:
 // 8M records (128 MiB of trace arena at 16 bytes a record) holds the
@@ -166,8 +161,8 @@ type Stats struct {
 	// never re-run hot) plus corrupt disk-store and checkpoint entries
 	// renamed aside with a .corrupt suffix.
 	Quarantined uint64 `json:"quarantined"`
-	// PoisonedKeys is the current poisoned-map size (a gauge, bounded by
-	// Options.MaxPoisonedKeys).
+	// PoisonedKeys is the current poisoned-map size (a gauge, bounded at
+	// 1024 keys; past the bound the oldest key is forgotten).
 	PoisonedKeys int `json:"poisonedKeys"`
 	// CorruptPruned counts .corrupt quarantine files removed by retention
 	// sweeps (PruneCorrupt).
@@ -182,7 +177,9 @@ func (s Stats) Lookups() uint64 {
 // SimPanicError is the structured form of a contained simulation panic.
 // The engine recovers worker panics instead of letting them unwind the
 // process, returns this error to every caller of the key, and quarantines
-// the key so a poisoned point is never re-run hot (no re-panic storm).
+// the key so a poisoned point is never re-run hot (no re-panic storm). A
+// campaign whose point panics past its retries fails with this error, so
+// one bad point fails the sweep, not the process hosting it.
 type SimPanicError struct {
 	Key   Key
 	Value any
@@ -211,33 +208,28 @@ type call struct {
 // Engine schedules, deduplicates, caches and persists simulations. It is
 // safe for concurrent use.
 type Engine struct {
-	simulate   SimulateFunc
-	cacheDir   string
-	maxEntries int
-	sem        chan struct{}    // bounds concurrent simulations
-	traces     *trace.Cache     // shared materialized traces (nil: disabled)
-	ckpts      *checkpointStore // warmed checkpoints (nil: disabled)
+	simulate SimulateFunc
+	cacheDir string
+	sem      chan struct{}    // bounds concurrent simulations
+	traces   *trace.Cache     // shared materialized traces (nil: disabled)
+	ckpts    *checkpointStore // warmed checkpoints (nil: disabled)
 
 	// Scheduler gauges, updated outside e.mu: queued counts goroutines
 	// waiting for a worker slot, running counts simulations in flight.
 	queued  atomic.Int64
 	running atomic.Int64
 
-	// filesQuarantined counts corrupt result-store entries renamed aside
-	// (outside e.mu: loadDisk runs on the job path).
+	// filesQuarantined counts corrupt result and checkpoint entries
+	// renamed aside (outside e.mu: disk reads run on the job path).
 	filesQuarantined atomic.Uint64
 	// corruptPruned counts .corrupt files removed by PruneCorrupt sweeps.
 	corruptPruned atomic.Uint64
 
-	maxPoisoned int // poisoned-map bound (<= 0: unbounded)
-
-	mu          sync.Mutex
-	cache       map[Key]cpu.Result
-	order       []Key // cache insertion order, for FIFO eviction
-	inflight    map[Key]*call
-	poisoned    map[Key]error // keys whose simulation panicked, never re-run
-	poisonOrder []Key         // poisoning order, for FIFO eviction
-	stats       Stats
+	mu       sync.Mutex
+	results  fifo[Key, cpu.Result]
+	inflight map[Key]*call
+	poisoned fifo[Key, error] // keys whose simulation panicked, never re-run
+	stats    Stats
 }
 
 // New returns an Engine with the given options.
@@ -245,22 +237,17 @@ func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.MaxPoisonedKeys == 0 {
-		opts.MaxPoisonedKeys = DefaultMaxPoisonedKeys
-	}
 	e := &Engine{
-		cacheDir:    opts.CacheDir,
-		maxEntries:  opts.MaxCacheEntries,
-		sem:         make(chan struct{}, opts.Workers),
-		cache:       make(map[Key]cpu.Result),
-		inflight:    make(map[Key]*call),
-		poisoned:    make(map[Key]error),
-		maxPoisoned: opts.MaxPoisonedKeys,
+		cacheDir: opts.CacheDir,
+		sem:      make(chan struct{}, opts.Workers),
+		results:  newFIFO[Key, cpu.Result](opts.MaxCacheEntries),
+		inflight: make(map[Key]*call),
+		poisoned: newFIFO[Key, error](maxPoisonedKeys),
 	}
 	e.simulate = opts.Simulate
 	if e.simulate == nil {
 		if opts.CheckpointEntries >= 0 {
-			e.ckpts = newCheckpointStore(opts.CacheDir, opts.CheckpointEntries)
+			e.ckpts = newCheckpointStore(opts.CacheDir, opts.CheckpointEntries, &e.filesQuarantined)
 		}
 		bound := opts.TraceCacheRecords
 		if bound == 0 {
@@ -313,23 +300,6 @@ func (e *Engine) checkpoints(cfg config.Config, benchmark string, seed uint64) c
 	return e.ckpts.scoped(MemSideDigest(cfg), benchmark, seed)
 }
 
-// store inserts a result into the in-memory cache, evicting the oldest
-// entries past the bound. Caller holds e.mu.
-func (e *Engine) store(key Key, res cpu.Result) {
-	if _, ok := e.cache[key]; !ok {
-		e.order = append(e.order, key)
-	}
-	e.cache[key] = res
-	if e.maxEntries <= 0 {
-		return
-	}
-	for len(e.cache) > e.maxEntries {
-		oldest := e.order[0]
-		e.order = e.order[1:]
-		delete(e.cache, oldest)
-	}
-}
-
 // RunContext returns the result of one simulation point, computing it at
 // most once per key across all concurrent callers. The work runs on a
 // detached goroutine: ctx cancellation detaches this caller immediately,
@@ -348,12 +318,12 @@ func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark st
 			return cpu.Result{}, "", err
 		}
 		e.mu.Lock()
-		if res, ok := e.cache[key]; ok {
+		if res, ok := e.results.get(key); ok {
 			e.stats.Hits++
 			e.mu.Unlock()
 			return res, SourceMemory, nil
 		}
-		if err, ok := e.poisoned[key]; ok {
+		if err, ok := e.poisoned.get(key); ok {
 			e.mu.Unlock()
 			return cpu.Result{}, "", err
 		}
@@ -420,7 +390,7 @@ func (e *Engine) runJob(ctx context.Context, c *call, key Key, cfg config.Config
 	delete(e.inflight, key)
 	switch {
 	case err == nil:
-		e.store(key, res)
+		e.results.put(key, res)
 		switch src {
 		case SourceDisk:
 			e.stats.DiskHits++
@@ -432,7 +402,7 @@ func (e *Engine) runJob(ctx context.Context, c *call, key Key, cfg config.Config
 	default:
 		e.stats.Panics++
 		e.stats.Quarantined++
-		e.poison(key, err)
+		e.poisoned.put(key, err)
 	}
 	c.res, c.src, c.err = res, src, err
 	e.mu.Unlock()
@@ -497,23 +467,6 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// poison quarantines a key whose simulation panicked, evicting the oldest
-// poisoned key past the bound. Caller holds e.mu.
-func (e *Engine) poison(key Key, err error) {
-	if _, ok := e.poisoned[key]; !ok {
-		e.poisonOrder = append(e.poisonOrder, key)
-	}
-	e.poisoned[key] = err
-	if e.maxPoisoned <= 0 {
-		return
-	}
-	for len(e.poisoned) > e.maxPoisoned {
-		oldest := e.poisonOrder[0]
-		e.poisonOrder = e.poisonOrder[1:]
-		delete(e.poisoned, oldest)
-	}
-}
-
 // ForgetPoisoned lifts a key's quarantine so the next request re-runs it —
 // the escape hatch retry logic needs when a panic was transient (an
 // injected fault, a since-fixed environmental problem). Reports whether
@@ -521,17 +474,7 @@ func (e *Engine) poison(key Key, err error) {
 func (e *Engine) ForgetPoisoned(key Key) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.poisoned[key]; !ok {
-		return false
-	}
-	delete(e.poisoned, key)
-	for i, k := range e.poisonOrder {
-		if k == key {
-			e.poisonOrder = append(e.poisonOrder[:i], e.poisonOrder[i+1:]...)
-			break
-		}
-	}
-	return true
+	return e.poisoned.remove(key)
 }
 
 // PruneCorrupt removes .corrupt quarantine files under the cache dir older
@@ -565,16 +508,15 @@ func (e *Engine) PruneCorrupt(maxAge time.Duration) int {
 func (e *Engine) Cached(key Key) (cpu.Result, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	res, ok := e.cache[key]
-	return res, ok
+	return e.results.get(key)
 }
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := e.stats
-	s.Entries = len(e.cache)
-	s.PoisonedKeys = len(e.poisoned)
+	s.Entries = e.results.len()
+	s.PoisonedKeys = e.poisoned.len()
 	e.mu.Unlock()
 	s.CorruptPruned = e.corruptPruned.Load()
 	s.QueueDepth = int(e.queued.Load())
@@ -590,7 +532,6 @@ func (e *Engine) Stats() Stats {
 		s.CheckpointMisses = e.ckpts.misses.Load()
 		s.CheckpointBytesRead = e.ckpts.bytesRead.Load()
 		s.CheckpointBytesWritten = e.ckpts.bytesWritten.Load()
-		s.Quarantined += e.ckpts.quarantined.Load()
 	}
 	s.Quarantined += e.filesQuarantined.Load()
 	return s
@@ -623,73 +564,25 @@ func (e *Engine) diskPath(key Key) string {
 	return filepath.Join(e.cacheDir, fmt.Sprintf("v%d", DiskFormatVersion), key.shard(), key.filename())
 }
 
-// loadDisk fetches a persisted result. A read failure (including an
-// injected one) is a plain miss: the store is a cache, never a source of
-// truth. A file that reads fine but fails to decode or validate is
-// corrupt: it is quarantined aside with a .corrupt rename and counted, so
-// a damaged entry is never re-parsed hot on every subsequent lookup.
+// loadDisk fetches a persisted result through readEntry: a read failure
+// is a miss, and an entry that fails to decode or validate is quarantined.
 func (e *Engine) loadDisk(key Key) (cpu.Result, bool) {
 	if e.cacheDir == "" {
 		return cpu.Result{}, false
 	}
-	path := e.diskPath(key)
-	if faultinject.DiskRead.Fire() {
-		return cpu.Result{}, false
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return cpu.Result{}, false
-	}
-	faultinject.DiskCorrupt.CorruptBytes(data)
-	var ent diskEntry
-	if err := json.Unmarshal(data, &ent); err != nil || ent.Version != DiskFormatVersion || ent.Key != key {
-		if quarantineCorrupt(path) {
-			e.filesQuarantined.Add(1)
-		}
-		return cpu.Result{}, false
-	}
-	return ent.Result, true
+	ent, _, ok := readEntry(e.diskPath(key), faultinject.DiskCorrupt, func(ent *diskEntry) bool {
+		return ent.Version == DiskFormatVersion && ent.Key == key
+	}, &e.filesQuarantined)
+	return ent.Result, ok
 }
 
-// quarantineCorrupt moves a damaged store entry aside so it is read (and
-// fails) exactly once; the .corrupt sibling is kept for post-mortems.
-// Reports whether the rename succeeded.
-func quarantineCorrupt(path string) bool {
-	return os.Rename(path, path+".corrupt") == nil
-}
-
-// saveDisk persists a result, writing to a temp file and renaming so a
-// concurrent reader never observes a partial entry. Persistence is best
-// effort: on any error the entry is simply not stored.
+// saveDisk persists a result. Persistence is best effort: on any error
+// the entry is simply not stored.
 func (e *Engine) saveDisk(key Key, res cpu.Result) {
-	if e.cacheDir == "" {
+	if e.cacheDir == "" || faultinject.DiskWrite.Fire() {
 		return
 	}
-	if faultinject.DiskWrite.Fire() {
-		return
-	}
-	dir := filepath.Dir(e.diskPath(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	data, err := json.Marshal(diskEntry{Version: DiskFormatVersion, Key: key, Result: res})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, key.filename()+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), e.diskPath(key)); err != nil {
-		os.Remove(tmp.Name())
+	if data, err := json.Marshal(diskEntry{Version: DiskFormatVersion, Key: key, Result: res}); err == nil {
+		publish(e.diskPath(key), data, false) //nolint:errcheck // best effort
 	}
 }

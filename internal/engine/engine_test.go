@@ -344,12 +344,12 @@ func TestCampaignContainsSimulatorPanic(t *testing.T) {
 	})})
 	spec := campaignSpec(2)
 	_, err := e.RunCampaign(spec)
-	var pe *PanicError
+	var pe *SimPanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("campaign error = %v, want *PanicError", err)
+		t.Fatalf("campaign error = %v, want *SimPanicError", err)
 	}
-	if pe.Job.Benchmark != "mcf" {
-		t.Fatalf("panic attributed to %q, want mcf", pe.Job.Benchmark)
+	if pe.Key.Benchmark != "mcf" {
+		t.Fatalf("panic attributed to %q, want mcf", pe.Key.Benchmark)
 	}
 	// The engine and its workers survive: a spec without the bad point
 	// completes normally.

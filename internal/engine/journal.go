@@ -95,57 +95,15 @@ const (
 	doneName     = "done"
 )
 
-// fsyncDir flushes a directory entry (the rename that published a file).
-func fsyncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // best-effort metadata flush
-		d.Close()
-	}
-}
-
-// writeFileDurable publishes data at path via temp-file, fsync, rename,
-// directory fsync — the same discipline as the result store, plus the
-// syncs a completion marker needs.
-func writeFileDurable(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	fsyncDir(dir)
-	return nil
-}
-
 // createJournal initializes a campaign's journal directory: manifest
 // published durably, record log opened for appending.
 func createJournal(root string, man journalManifest) (*journal, error) {
 	dir := filepath.Join(root, man.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileDurable(filepath.Join(dir, manifestName), data); err != nil {
+	if err := publish(filepath.Join(dir, manifestName), data, true); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, recordsName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -191,7 +149,7 @@ func (j *journal) finish(mark doneMarker) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileDurable(filepath.Join(j.dir, doneName), data); err != nil {
+	if err := publish(filepath.Join(j.dir, doneName), data, true); err != nil {
 		return err
 	}
 	return j.close()

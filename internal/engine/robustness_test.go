@@ -6,7 +6,9 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -165,46 +167,141 @@ func TestPanicQuarantinesKey(t *testing.T) {
 	}
 }
 
+// TestCorruptDiskEntryQuarantined damages one disk entry at a time, in
+// the result store and in the checkpoint store. The damaged file must be
+// renamed aside once and counted once, the point must re-simulate (or the
+// window re-warm), and a fresh engine over the same directory must then
+// read the rewritten entry as a hit: the damaged bytes are gone for good,
+// not re-parsed as a silent miss on every lookup.
 func TestCorruptDiskEntryQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	var calls atomic.Int64
-	sim := func(cfg config.Config, b string, n int, s uint64) cpu.Result {
-		calls.Add(1)
-		return stubResult(cfg, b, n, s)
+	truncate := func(data []byte) []byte { return data[:len(data)/2] }
+	results := []struct {
+		name   string
+		damage func(ent *diskEntry)
+	}{
+		{"truncated JSON", nil},
+		{"wrong version", func(ent *diskEntry) { ent.Version++ }},
+		{"key mismatch", func(ent *diskEntry) { ent.Key.Seed++ }},
 	}
-	cfg := config.Base1ldst()
-	key := KeyFor(cfg, "gzip", 1000, 1)
+	for _, c := range results {
+		t.Run("result/"+c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var calls atomic.Int64
+			sim := plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+				calls.Add(1)
+				return stubResult(cfg, b, n, s)
+			})
+			cfg := config.Base1ldst()
+			key := KeyFor(cfg, "gzip", 1000, 1)
+			e := New(Options{CacheDir: dir, Simulate: sim})
+			path := e.diskPath(key)
+			ent := diskEntry{Version: DiskFormatVersion, Key: key, Result: stubResult(cfg, "gzip", 1000, 1)}
+			if c.damage != nil {
+				c.damage(&ent)
+			}
+			data, err := json.Marshal(ent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.damage == nil {
+				data = truncate(data)
+			}
+			if err := publish(path, data, false); err != nil {
+				t.Fatal(err)
+			}
+			if _, src := runPoint(t, e, cfg, "gzip", 1000, 1); src != SourceSimulated {
+				t.Fatalf("corrupt entry served as %v, want re-simulation", src)
+			}
+			checkQuarantined(t, e, path)
+			e2 := New(Options{CacheDir: dir, Simulate: sim})
+			if _, src := runPoint(t, e2, cfg, "gzip", 1000, 1); src != SourceDisk {
+				t.Fatalf("post-quarantine entry served as %v, want disk", src)
+			}
+			if n := calls.Load(); n != 1 {
+				t.Fatalf("simulate ran %d times, want 1", n)
+			}
+		})
+	}
 
-	e := New(Options{CacheDir: dir, Simulate: plain(sim)})
-	path := e.diskPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
+	checkpoints := []struct {
+		name   string
+		damage func(ent *ckDiskEntry)
+	}{
+		{"truncated JSON", nil},
+		{"wrong version", func(ent *ckDiskEntry) { ent.Version++ }},
+		{"key mismatch", func(ent *ckDiskEntry) { ent.Key.Seed++ }},
+		{"null state", func(ent *ckDiskEntry) { ent.State = nil }},
+		{"missing Sys", func(ent *ckDiskEntry) { ent.State.Sys = nil }},
 	}
-	if err := os.WriteFile(path, []byte(`{"version":1,"key"`), 0o644); err != nil {
-		t.Fatal(err)
+	// Three configs that differ only core-side share every checkpoint but
+	// no result, so each engine below simulates and reads checkpoints.
+	sampled := func(rob int) config.Config {
+		cfg := config.MALEC()
+		cfg.Name = fmt.Sprintf("MALEC_rob%d", rob)
+		cfg.ROB = rob
+		cfg.Sampling = ckTestSchedule()
+		return cfg
 	}
+	const instructions = 60000
+	for _, c := range checkpoints {
+		t.Run("checkpoint/"+c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			runPoint(t, New(Options{CacheDir: dir, Workers: 1}), sampled(64), "gzip", instructions, 1)
+			paths, err := filepath.Glob(filepath.Join(dir, "v1", "ckpt", "*", "*.json"))
+			if err != nil || len(paths) < 2 {
+				t.Fatalf("want several checkpoint files, got %v (%v)", paths, err)
+			}
+			path := paths[0]
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.damage == nil {
+				data = truncate(data)
+			} else {
+				var ent ckDiskEntry
+				if err := json.Unmarshal(data, &ent); err != nil {
+					t.Fatal(err)
+				}
+				c.damage(&ent)
+				if data, err = json.Marshal(ent); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// First lookup detects the corruption, quarantines the file aside and
-	// re-simulates.
-	if _, src := runPoint(t, e, cfg, "gzip", 1000, 1); src != SourceSimulated {
-		t.Fatalf("corrupt entry served as %v, want re-simulation", src)
+			e := New(Options{CacheDir: dir, Workers: 1})
+			res, _ := runPoint(t, e, sampled(128), "gzip", instructions, 1)
+			if sp := res.Sampling; sp == nil || sp.CheckpointMisses != 1 || sp.CheckpointHits != sp.Windows-1 {
+				t.Fatalf("sampling %+v, want exactly the damaged window re-warmed", sp)
+			}
+			checkQuarantined(t, e, path)
+			e2 := New(Options{CacheDir: dir, Workers: 1})
+			res, _ = runPoint(t, e2, sampled(96), "gzip", instructions, 1)
+			if sp := res.Sampling; sp == nil || sp.CheckpointHits != sp.Windows {
+				t.Fatalf("sampling %+v, want every window restored from disk", sp)
+			}
+			if q := e2.Stats().Quarantined; q != 0 {
+				t.Fatalf("rewritten checkpoint quarantined again: Quarantined = %d", q)
+			}
+		})
 	}
+}
+
+// checkQuarantined checks that the damaged entry at path was renamed aside
+// and counted exactly once, and that a fresh entry replaced it.
+func checkQuarantined(t *testing.T, e *Engine, path string) {
+	t.Helper()
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("corrupt entry not quarantined aside: %v", err)
 	}
 	if st := e.Stats(); st.Quarantined != 1 {
 		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
 	}
-
-	// The slot now holds the freshly simulated entry; a cold engine over
-	// the same directory reads it from disk — the damaged bytes are gone
-	// for good, not re-parsed as a silent miss on every lookup.
-	e2 := New(Options{CacheDir: dir, Simulate: plain(sim)})
-	if _, src := runPoint(t, e2, cfg, "gzip", 1000, 1); src != SourceDisk {
-		t.Fatalf("post-quarantine entry served as %v, want disk", src)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("simulate ran %d times, want 1", n)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("entry not rewritten after quarantine: %v", err)
 	}
 }
 

@@ -590,7 +590,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Seeds:        req.Seeds,
 	})
 	if err != nil {
-		var pe *engine.PanicError
+		var pe *engine.SimPanicError
 		switch {
 		case errors.As(err, &pe):
 			writeError(w, http.StatusInternalServerError, "%v", err)

@@ -595,3 +595,35 @@ func TestRunSamplingTier(t *testing.T) {
 		t.Fatalf("sampled sweep ran %d jobs, want 1", sweep.Jobs)
 	}
 }
+
+// TestRunSamplingUnknownInterval checks that a sampled point with one
+// measurement window reports its interval as unknown, leaving both
+// half-widths out of the sampling block, while a two-window point keeps
+// them.
+func TestRunSamplingUnknownInterval(t *testing.T) {
+	ts, _ := newTestServer(t, nil, Options{})
+	for _, c := range []struct {
+		instructions, interval, windows int
+	}{{150000, 100000, 1}, {40000, 20000, 2}} {
+		resp, body := post(t, ts.URL+"/v1/run", fmt.Sprintf(
+			`{"config": "MALEC", "benchmark": "gzip", "instructions": %d,
+			  "sampling": {"Warmup": 200, "Detail": 800, "Interval": %d}}`, c.instructions, c.interval))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var out struct {
+			Sampling map[string]json.RawMessage `json:"sampling"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(out.Sampling["Windows"]); got != fmt.Sprint(c.windows) {
+			t.Fatalf("Windows = %s, want %d: %s", got, c.windows, body)
+		}
+		for _, f := range []string{"CPIRelHalfWidth", "EnergyRelHalfWidth"} {
+			if _, ok := out.Sampling[f]; ok != (c.windows >= 2) {
+				t.Errorf("%d windows: %s present = %v, want %v: %s", c.windows, f, ok, c.windows >= 2, body)
+			}
+		}
+	}
+}

@@ -85,10 +85,13 @@ func TestSampledDifferentialGrid(t *testing.T) {
 				sampled.Loads, exact.Loads, sampled.Stores, exact.Stores)
 		}
 
+		if est.CPIRelHalfWidth == nil || est.EnergyRelHalfWidth == nil {
+			t.Fatalf("%s/%s/seed=%d: %d windows reported no interval", g.Cfg.Name, g.Bench, g.Seed, est.Windows)
+		}
 		cycleErr := relErr(float64(sampled.Cycles), float64(exact.Cycles))
 		energyErr := relErr(sampled.Energy.Total(), exact.Energy.Total())
-		cycleBound := 3*est.CPIRelHalfWidth + 0.03
-		energyBound := 3*est.EnergyRelHalfWidth + 0.03
+		cycleBound := 3*(*est.CPIRelHalfWidth) + 0.03
+		energyBound := 3*(*est.EnergyRelHalfWidth) + 0.03
 		if cycleErr > cycleBound {
 			t.Errorf("%s/%s/seed=%d: cycle error %.4f exceeds bound %.4f (sampled %d, exact %d)",
 				g.Cfg.Name, g.Bench, g.Seed, cycleErr, cycleBound, sampled.Cycles, exact.Cycles)
