@@ -504,11 +504,17 @@ func (e *Engine) PruneCorrupt(maxAge time.Duration) int {
 	return pruned
 }
 
-// Cached returns the cached result for a key, if present in memory.
-func (e *Engine) Cached(key Key) (cpu.Result, bool) {
+// Resident returns key's result if it is resident in memory, counting the
+// lookup in Stats.Hits when it is. A miss counts nothing: it neither
+// joins a flight nor reads the disk, so the caller goes on to RunContext.
+func (e *Engine) Resident(key Key) (cpu.Result, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.results.get(key)
+	res, ok := e.results.get(key)
+	if ok {
+		e.stats.Hits++
+	}
+	return res, ok
 }
 
 // Stats returns a snapshot of the engine counters.

@@ -198,6 +198,24 @@ func TestSingleflightDeduplication(t *testing.T) {
 	}
 }
 
+// TestResidentCountsHitsOnly checks that Resident counts a resident result
+// as one memory hit and a missing one as nothing.
+func TestResidentCountsHitsOnly(t *testing.T) {
+	e := New(Options{Simulate: plain(stubResult)})
+	cfg := config.MALEC()
+	key := KeyFor(cfg, "gzip", 1000, 1)
+	if _, ok := e.Resident(key); ok {
+		t.Fatal("resident before it ran")
+	}
+	runPoint(t, e, cfg, "gzip", 1000, 1)
+	if res, ok := e.Resident(key); !ok || res.Benchmark != "gzip" {
+		t.Fatalf("resident = %+v, %v", res, ok)
+	}
+	if s := e.Stats(); s.Hits != 1 || s.Simulations != 1 || s.Lookups() != 2 {
+		t.Fatalf("stats %+v, want 1 simulation and 1 hit", s)
+	}
+}
+
 func TestCacheEvictionBound(t *testing.T) {
 	var calls atomic.Int64
 	e := New(Options{MaxCacheEntries: 2, Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
@@ -212,10 +230,10 @@ func TestCacheEvictionBound(t *testing.T) {
 	if s := e.Stats(); s.Entries != 2 {
 		t.Fatalf("cache holds %d entries, want 2", s.Entries)
 	}
-	if _, ok := e.Cached(KeyFor(cfg, "gzip", 1000, 1)); ok {
+	if _, ok := e.Resident(KeyFor(cfg, "gzip", 1000, 1)); ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if _, ok := e.Cached(KeyFor(cfg, "art", 1000, 1)); !ok {
+	if _, ok := e.Resident(KeyFor(cfg, "art", 1000, 1)); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	// The evicted point re-simulates; the retained one stays a hit.
@@ -267,7 +285,7 @@ func TestPanicReleasesWaitersAndWorkerSlot(t *testing.T) {
 	// The Workers=1 slot must have been released despite the panic and no
 	// bogus result may be cached (the key itself is quarantined: repeat
 	// calls fail fast without re-running, see TestPanicQuarantinesKey).
-	if _, ok := e.Cached(KeyFor(cfg, "mcf", 1000, 1)); ok {
+	if _, ok := e.Resident(KeyFor(cfg, "mcf", 1000, 1)); ok {
 		t.Fatal("panicked simulation left a cached result")
 	}
 	if res, _ := runPoint(t, e, cfg, "gzip", 1000, 1); res.Cycles == 0 {

@@ -113,7 +113,7 @@ func TestLastWaiterCancelStopsSimulation(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if _, ok := e.Cached(KeyFor(cfg, "gzip", 1000, 1)); ok {
+	if _, ok := e.Resident(KeyFor(cfg, "gzip", 1000, 1)); ok {
 		t.Fatal("cancelled simulation left a cached result")
 	}
 }

@@ -8,6 +8,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"maps"
 	"net/http"
@@ -55,7 +56,7 @@ func checkHit(t *testing.T, srv *Server, eng *engine.Engine, body string) []byte
 	if src != engine.SourceMemory {
 		t.Fatalf("source %q, want memory", src)
 	}
-	res, ok := eng.Cached(key)
+	res, ok := eng.Resident(key)
 	if !ok {
 		t.Fatal("memory hit for a key the engine does not hold")
 	}
@@ -185,9 +186,12 @@ func TestMemoryHitNilCountersNotMemoized(t *testing.T) {
 // memoryHitAllocCeiling pins the allocations of one /v1/run memory hit
 // through the full handler (routing, instrumentation, admission, request
 // decoding, engine lookup and the response) plus the recorder and request
-// the test builds. Measured at 35 with the response body, the config
-// digest and the header values all built once per resident result.
-const memoryHitAllocCeiling = 37
+// the test builds. Measured at 29: the response body, the config digest
+// and the header values are built once per resident result, the body is
+// read into pooled storage, and a hit builds no context. What remains is
+// routing, the status writer, the json.Decoder with what it decodes, and
+// net/http's header map and clone.
+const memoryHitAllocCeiling = 31
 
 // raceDetector is set under -race, which changes allocation counts.
 var raceDetector bool
@@ -210,5 +214,77 @@ func TestMemoryHitAllocations(t *testing.T) {
 	t.Logf("memory hit: %.1f allocs", n)
 	if n > memoryHitAllocCeiling {
 		t.Fatalf("memory hit allocates %.1f/op, ceiling %d", n, memoryHitAllocCeiling)
+	}
+}
+
+// statsHits reads hits from GET /v1/stats.
+func statsHits(t *testing.T, srv *Server) uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var s struct {
+		Hits uint64 `json:"hits"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
+		t.Fatal(err)
+	}
+	return s.Hits
+}
+
+// TestResidentHitCountedOnce checks that each memory hit adds exactly one
+// to /v1/stats hits, whether its body comes from the memo or, for a
+// counter-less result, from a fresh encode.
+func TestResidentHitCountedOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sim  engine.SimulateFunc
+	}{{"memoized", nil}, {"counter-less", plain(stubSim)}} {
+		eng := engine.New(engine.Options{Workers: 1, Simulate: c.sim})
+		srv := New(eng, Options{})
+		if _, src, _ := serveRun(t, srv, memoExactBody); src != engine.SourceSimulated {
+			t.Fatalf("%s: first request served from %q", c.name, src)
+		}
+		for want := uint64(1); want <= 3; want++ {
+			if _, src, _ := serveRun(t, srv, memoExactBody); src != engine.SourceMemory {
+				t.Fatalf("%s: repeat served from %q", c.name, src)
+			}
+			if got := statsHits(t, srv); got != want {
+				t.Fatalf("%s: hits %d after %d memory hits", c.name, got, want)
+			}
+		}
+	}
+}
+
+// TestResidentHitCancelledClient checks that a client that has already
+// gone away gets 499 even for a resident point, and no hit is counted.
+func TestResidentHitCancelledClient(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	srv := New(eng, Options{})
+	serveRun(t, srv, memoExactBody)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(memoExactBody))
+	srv.ServeHTTP(rec, req.WithContext(ctx))
+	if rec.Code != statusClientClosedRequest || !strings.Contains(rec.Body.String(), `"client closed request"`) {
+		t.Fatalf("cancelled client got %d %s, want 499", rec.Code, rec.Body)
+	}
+	if got := statsHits(t, srv); got != 0 {
+		t.Fatalf("hits %d after a cancelled request", got)
+	}
+}
+
+// TestResidentHitIgnoresDeadline checks that a resident point is served
+// however short the request's deadline: the deadline bounds simulation,
+// and a hit simulates nothing.
+func TestResidentHitIgnoresDeadline(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	srv := New(eng, Options{})
+	serveRun(t, srv, memoExactBody)
+	tight := strings.Replace(memoExactBody, "}", `,"deadline_ms":1}`, 1)
+	for i := 0; i < 20; i++ {
+		if _, src, _ := serveRun(t, srv, tight); src != engine.SourceMemory {
+			t.Fatalf("deadline_ms 1 served from %q", src)
+		}
 	}
 }

@@ -210,24 +210,66 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // sweep spec, far below anything that could pressure memory.
 const maxBodyBytes = 1 << 20
 
-// readBody decodes a JSON request body into v, rejecting unknown fields so
-// client typos fail loudly instead of silently running defaults. Oversized
-// bodies are cut off by http.MaxBytesReader (which also closes the
-// connection) and reported as 413.
-func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// maxPooledBody caps the buffer a requestBody takes back to the pool. Run
+// and sweep bodies are a few hundred bytes; the storage of a larger one is
+// left to the collector rather than kept for every later request.
+const maxPooledBody = 8 << 10
+
+// requestBody is pooled storage for reading one request body: the bytes,
+// the reader that bounds them, and the /v1/run request decoded in place.
+type requestBody struct {
+	buf bytes.Buffer
+	lim io.LimitedReader
+	run runRequest
+}
+
+var requestBodies = sync.Pool{New: func() any { return new(requestBody) }}
+
+// getRequestBody takes empty body storage from the pool.
+func getRequestBody() *requestBody { return requestBodies.Get().(*requestBody) }
+
+// release empties b and returns it to the pool, unless its buffer grew
+// past maxPooledBody. Nothing decoded into b may be used afterwards.
+func (b *requestBody) release() {
+	if b.buf.Cap() > maxPooledBody {
+		return
+	}
+	b.buf.Reset()
+	b.lim = io.LimitedReader{}
+	b.run = runRequest{}
+	requestBodies.Put(b)
+}
+
+// decode reads r's body into b and decodes it into v, rejecting unknown
+// fields so client typos fail loudly instead of silently running defaults.
+// A body over maxBodyBytes is a 413 and closes the connection, since the
+// rest of it is never read.
+func (b *requestBody) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	b.lim = io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+	if _, err := b.buf.ReadFrom(&b.lim); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return false
+	}
+	if b.buf.Len() > maxBodyBytes {
+		w.Header().Set("Connection", "close")
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+		return false
+	}
+	dec := json.NewDecoder(&b.buf)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// readBody decodes r's body into v through pooled storage (see
+// requestBody.decode).
+func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	b := getRequestBody()
+	defer b.release()
+	return b.decode(w, r, v)
 }
 
 // handleHealthz implements GET /healthz: pure liveness, green as long as
@@ -334,6 +376,7 @@ type runRequest struct {
 	// DeadlineMs, when positive, bounds this request's processing time in
 	// milliseconds; it can only tighten the server's -request-timeout.
 	// Past the deadline the simulation is cancelled and the reply is 504.
+	// A result already resident in memory is served without a deadline.
 	DeadlineMs int `json:"deadline_ms"`
 	// Sampling, when present, switches the run to the sampled fast path
 	// (SMARTS-style interval sampling; see README "Sampled simulation").
@@ -389,42 +432,57 @@ func (s *Server) resolveRun(req *runRequest) (config.Config, uint64, error) {
 	return cfg, seed, nil
 }
 
-// handleRun implements POST /v1/run.
+// handleRun implements POST /v1/run. A point resident in memory is
+// written straight from the engine's store: it neither simulates nor
+// waits, so it needs no deadline context. Anything else goes through
+// RunContext under the request's deadline and is encoded per request,
+// including a point another request stored since the lookup.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.adm.admit(w, r, s.draining.Load())
 	if !ok {
 		return
 	}
 	defer release()
-	var req runRequest
-	if !readBody(w, r, &req) {
+	body := getRequestBody()
+	defer body.release()
+	req := &body.run
+	if !body.decode(w, r, req) {
 		return
 	}
-	cfg, seed, err := s.resolveRun(&req)
+	cfg, seed, err := s.resolveRun(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	bench := req.Benchmark
+	// A client that has already gone away gets 499, resident point or not.
+	if err := r.Context().Err(); err != nil {
+		s.writeSimError(w, err)
+		return
+	}
+	key := engine.KeyFor(cfg, req.Benchmark, req.Instructions, seed)
+	if res, ok := s.eng.Resident(key); ok {
+		s.writeMemoryHit(w, key, res)
+		return
+	}
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
 	defer cancel()
-	res, src, err := s.eng.RunContext(ctx, cfg, bench, req.Instructions, seed)
+	res, src, err := s.eng.RunContext(ctx, cfg, req.Benchmark, req.Instructions, seed)
 	if err != nil {
 		s.writeSimError(w, err)
 		return
 	}
-	resp := runResponse{
-		Key:      engine.KeyFor(cfg, bench, req.Instructions, seed),
+	writeJSON(w, http.StatusOK, newRunResponse(key, src, res))
+}
+
+// newRunResponse builds the /v1/run reply for a result served from src.
+func newRunResponse(key engine.Key, src engine.Source, res cpu.Result) runResponse {
+	return runResponse{
+		Key:      key,
 		Source:   src,
 		Cached:   src != engine.SourceSimulated,
 		Result:   res,
 		Sampling: res.Sampling,
 	}
-	if src == engine.SourceMemory && res.Counters != nil {
-		s.writeMemoryHit(w, &resp, res.Counters)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // hitMemo holds the /v1/run response body of resident results, keyed by
@@ -453,22 +511,28 @@ type memoBody struct {
 // handler's header slices (net/http clones the map on WriteHeader).
 var jsonContentType = []string{"application/json"}
 
-// writeMemoryHit writes the /v1/run response of a memory hit from the
-// memo, building the body on the key's first hit with writeJSON's exact
-// encoding, so the bytes are identical to a per-request encode.
-func (s *Server) writeMemoryHit(w http.ResponseWriter, resp *runResponse, counters *stats.Counters) {
+// writeMemoryHit writes the /v1/run response of a resident result. A
+// result with counters is written from the memo, whose body is built on
+// the key's first hit with writeJSON's exact encoding, so the bytes are
+// identical to a per-request encode; one without is encoded every time.
+func (s *Server) writeMemoryHit(w http.ResponseWriter, key engine.Key, res cpu.Result) {
+	if res.Counters == nil {
+		writeJSON(w, http.StatusOK, newRunResponse(key, engine.SourceMemory, res))
+		return
+	}
 	m := &s.hits
 	m.mu.Lock()
-	b, ok := m.bodies[resp.Key]
+	b, ok := m.bodies[key]
 	m.mu.Unlock()
-	if !ok || b.counters != counters {
+	if !ok || b.counters != res.Counters {
+		resp := newRunResponse(key, engine.SourceMemory, res)
 		var buf bytes.Buffer
 		if err := encodeJSON(&buf, resp); err != nil {
 			writeJSON(w, http.StatusOK, resp) // unencodable: fail as a per-request encode does
 			return
 		}
-		b = memoBody{counters: counters, body: buf.Bytes(), length: []string{strconv.Itoa(buf.Len())}}
-		m.add(resp.Key, b, s.eng.Stats().Entries)
+		b = memoBody{counters: res.Counters, body: buf.Bytes(), length: []string{strconv.Itoa(buf.Len())}}
+		m.add(key, b, s.eng.Stats().Entries)
 	}
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
