@@ -205,7 +205,6 @@ func run() (code int) {
 		bench      = flag.String("bench", "", "comma-separated benchmark subset (default all)")
 		cacheDir   = flag.String("cache-dir", "", "persist/reuse simulation results in this directory")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (default GOMAXPROCS)")
-		traceCache = flag.Int("trace-cache", 0, "materialized-trace cache bound in records shared across configs (0 = default, negative = regenerate traces per simulation)")
 		quiet      = flag.Bool("quiet", false, "suppress progress notes on stderr")
 		sampledCmp = flag.Bool("sampled-compare", false, "run each variant exactly and sampled, print the differential as JSON; exit nonzero past -sample-max-err")
 		sampleWarm = flag.Int("sample-warmup", config.DefaultSampling().Warmup, "detailed-warmup instructions per measurement window")
@@ -273,9 +272,8 @@ func run() (code int) {
 	// All experiments share one engine, so simulation points common to
 	// several figures (every driver includes MALEC and the baselines) run
 	// once, and with -cache-dir repeat invocations are disk hits.
-	eng := engine.New(engine.Options{Workers: *workers, CacheDir: *cacheDir,
-		TraceCacheRecords: *traceCache})
-	opt := experiments.Options{Instructions: *n, Seed: *seed, Workers: *workers, Engine: eng}
+	eng := engine.New(engine.Options{Workers: *workers, CacheDir: *cacheDir})
+	opt := experiments.Options{Instructions: *n, Seed: *seed, Engine: eng}
 	if *bench != "" {
 		opt.Benchmarks = strings.Split(*bench, ",")
 	}

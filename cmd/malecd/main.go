@@ -49,8 +49,6 @@ func main() {
 		maxInstr   = flag.Int("max-instructions", 5_000_000, "per-request instruction limit")
 		maxJobs    = flag.Int("max-sweep-jobs", 4096, "per-sweep expanded job limit")
 		maxCache   = flag.Int("max-cache-entries", 1<<14, "in-memory result cache bound (oldest evicted; 0 = unbounded)")
-		traceRec   = flag.Int("trace-cache", 0, "materialized-trace cache bound in records shared across configs (0 = default, negative = regenerate traces per simulation)")
-		ckptEnt    = flag.Int("checkpoint-entries", 0, "in-memory warmed-checkpoint cache bound for sampled simulations (0 = default, negative = disable checkpointing)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the same listener")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests on SIGINT/SIGTERM")
 		drainGrace = flag.Duration("drain-grace", 0, "pause between failing /readyz and closing the listener, so load balancers stop routing first")
@@ -60,18 +58,15 @@ func main() {
 		queueWait  = flag.Duration("queue-wait", 5*time.Second, "max time a request may wait in the admission queue before being shed")
 		perClient  = flag.Int("per-client", 32, "concurrent simulation-bearing requests per client (X-API-Key or remote address; 0 = unbounded)")
 		maxCamps   = flag.Int("max-campaigns", 8, "concurrently running durable campaigns; excess submissions shed with 429")
-		campRetry  = flag.Int("campaign-retries", 2, "default per-job retry bound for durable campaigns")
 		journalRet = flag.Duration("journal-retention", 7*24*time.Hour, "age past which completed campaign journals are pruned at startup (0 = keep forever)")
 		corruptRet = flag.Duration("corrupt-retention", 7*24*time.Hour, "age past which .corrupt quarantine files are pruned at startup (0 = keep forever)")
 	)
 	flag.Parse()
 
 	eng := engine.New(engine.Options{
-		Workers:           *workers,
-		CacheDir:          *cacheDir,
-		MaxCacheEntries:   *maxCache,
-		TraceCacheRecords: *traceRec,
-		CheckpointEntries: *ckptEnt,
+		Workers:         *workers,
+		CacheDir:        *cacheDir,
+		MaxCacheEntries: *maxCache,
 	})
 	// Admission defaults scale with simulation capacity: admit up to twice
 	// the worker count (the extra headroom keeps workers fed through cache
@@ -97,9 +92,8 @@ func main() {
 		journalDir = filepath.Join(*cacheDir, "v1", "campaigns")
 	}
 	mgr := engine.NewCampaignManager(eng, engine.CampaignManagerOptions{
-		Dir:            journalDir,
-		MaxActive:      *maxCamps,
-		DefaultRetries: *campRetry,
+		Dir:       journalDir,
+		MaxActive: *maxCamps,
 	})
 	if journalDir != "" {
 		if pruned := mgr.PruneJournals(*journalRet); pruned > 0 {

@@ -26,12 +26,11 @@ import (
 	"malec/internal/faultinject"
 )
 
-// DefaultCheckpointEntries bounds the in-memory checkpoint cache when
-// Options leaves it unset. A snapshot is about 100-150 KB of slabs: 80 KB
-// of L2 tags and one-byte LRU ranks, 12 KB of L1 lines and stamps, and 4
-// bytes per mapped page, so the default holds a campaign's working set in
-// under 20 MB.
-const DefaultCheckpointEntries = 128
+// checkpointEntries bounds the in-memory checkpoint cache. A snapshot is
+// about 100-150 KB of slabs: 80 KB of L2 tags and one-byte LRU ranks, 12
+// KB of L1 lines and stamps, and 4 bytes per mapped page, so the bound
+// holds a campaign's working set in under 20 MB.
+const checkpointEntries = 128
 
 // ckKey identifies one warmed snapshot.
 type ckKey struct {
@@ -67,14 +66,11 @@ type checkpointStore struct {
 	enc    *json.Encoder
 }
 
-func newCheckpointStore(dir string, maxEntries int, quarantined *atomic.Uint64) *checkpointStore {
-	if maxEntries <= 0 {
-		maxEntries = DefaultCheckpointEntries
-	}
+func newCheckpointStore(dir string, quarantined *atomic.Uint64) *checkpointStore {
 	s := &checkpointStore{
 		dir:         dir,
 		quarantined: quarantined,
-		mem:         newFIFO[ckKey, *cpu.Checkpoint](maxEntries),
+		mem:         newFIFO[ckKey, *cpu.Checkpoint](checkpointEntries),
 	}
 	s.enc = json.NewEncoder(&s.encBuf)
 	return s

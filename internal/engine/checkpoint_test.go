@@ -8,6 +8,7 @@ import (
 
 	"malec/internal/config"
 	"malec/internal/cpu"
+	"malec/internal/trace"
 )
 
 // ckTestSchedule is a scaled-down sampling schedule for engine tests:
@@ -92,7 +93,8 @@ func TestCheckpointOverBudgetWarmSkipsGeneration(t *testing.T) {
 	warm := config.MALEC3cycleL1()
 	warm.Sampling = sch
 
-	e := New(Options{Workers: 1, TraceCacheRecords: 1 << 16})
+	e := New(Options{Workers: 1})
+	e.traces = trace.NewCache(1 << 16)
 	runPoint(t, e, cold, "gzip", instructions, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -142,25 +144,5 @@ func TestCheckpointDiskPersistence(t *testing.T) {
 	}
 	if st := e2.Stats(); st.CheckpointBytesRead == 0 {
 		t.Fatalf("disk restore reported no bytes read: %+v", st)
-	}
-}
-
-// TestCheckpointEntriesDisables checks the negative-bound escape hatch: no
-// store is constructed, so sampled runs neither save nor restore.
-func TestCheckpointEntriesDisables(t *testing.T) {
-	cfg := config.MALEC()
-	cfg.Sampling = ckTestSchedule()
-	e := New(Options{Workers: 1, CheckpointEntries: -1})
-	res, _ := runPoint(t, e, cfg, "gzip", 60000, 1)
-	if res.Sampling == nil {
-		t.Fatal("sampled path did not engage")
-	}
-	if res.Sampling.CheckpointHits != 0 || res.Sampling.CheckpointMisses != res.Sampling.Windows {
-		t.Fatalf("disabled store still hit checkpoints: %+v", res.Sampling)
-	}
-	st := e.Stats()
-	if st.CheckpointHits != 0 || st.CheckpointMisses != 0 ||
-		st.CheckpointBytesRead != 0 || st.CheckpointBytesWritten != 0 {
-		t.Fatalf("disabled store reported traffic: %+v", st)
 	}
 }

@@ -54,10 +54,11 @@ type CampaignManagerOptions struct {
 	// MaxActive bounds concurrently running campaigns (default 8);
 	// Start returns ErrTooManyCampaigns past it.
 	MaxActive int
-	// DefaultRetries is the per-job retry bound applied when a spec
-	// leaves Retries unset (default 2).
-	DefaultRetries int
 }
+
+// defaultRetries is the per-job retry bound of a campaign whose spec
+// leaves Retries unset.
+const defaultRetries = 2
 
 // CampaignManagerStats is a snapshot of the manager's counters.
 type CampaignManagerStats struct {
@@ -83,10 +84,9 @@ type CampaignManagerStats struct {
 // CampaignManager registers, executes, journals and resumes campaigns over
 // one engine. Safe for concurrent use.
 type CampaignManager struct {
-	eng        *Engine
-	dir        string
-	maxActive  int
-	defRetries int
+	eng       *Engine
+	dir       string
+	maxActive int
 
 	retriesTotal  atomic.Uint64
 	failedTotal   atomic.Uint64
@@ -103,15 +103,11 @@ func NewCampaignManager(eng *Engine, opts CampaignManagerOptions) *CampaignManag
 	if opts.MaxActive <= 0 {
 		opts.MaxActive = 8
 	}
-	if opts.DefaultRetries <= 0 {
-		opts.DefaultRetries = 2
-	}
 	return &CampaignManager{
-		eng:        eng,
-		dir:        opts.Dir,
-		maxActive:  opts.MaxActive,
-		defRetries: opts.DefaultRetries,
-		runs:       make(map[string]*CampaignRun),
+		eng:       eng,
+		dir:       opts.Dir,
+		maxActive: opts.MaxActive,
+		runs:      make(map[string]*CampaignRun),
 	}
 }
 
@@ -161,7 +157,7 @@ func (m *CampaignManager) active() int {
 // it asynchronously. The returned run is immediately streamable.
 func (m *CampaignManager) Start(spec CampaignSpec) (*CampaignRun, error) {
 	if spec.Retries == 0 {
-		spec.Retries = m.defRetries
+		spec.Retries = defaultRetries
 	}
 	spec, err := spec.normalize(m.eng.Workers())
 	if err != nil {

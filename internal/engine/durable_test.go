@@ -205,6 +205,7 @@ func TestReplayCompletedCampaignServesExport(t *testing.T) {
 // panics outlast its retries fails alone; a transient panic retries away.
 func TestCampaignRetryDegradesToPartial(t *testing.T) {
 	spec := durableSpec()
+	spec.Retries = 3
 	total := len(spec.Configs) * len(spec.Benchmarks) * len(spec.Seeds)
 	var mu sync.Mutex
 	panicsLeft := map[string]int{
@@ -225,7 +226,7 @@ func TestCampaignRetryDegradesToPartial(t *testing.T) {
 		return stubResult(cfg, b, n, s)
 	}
 	eng := New(Options{Workers: 2, Simulate: plain(sim)})
-	mgr := NewCampaignManager(eng, CampaignManagerOptions{DefaultRetries: 3})
+	mgr := NewCampaignManager(eng, CampaignManagerOptions{})
 	run, err := mgr.Start(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -58,22 +58,6 @@ type Options struct {
 	// means unbounded — appropriate for one-shot campaigns; long-lived
 	// processes should set a bound.
 	MaxCacheEntries int
-	// CheckpointEntries bounds the in-memory warmed-checkpoint cache (zero
-	// selects DefaultCheckpointEntries, negative disables checkpointing).
-	// Checkpoints persist to disk alongside results when CacheDir is set;
-	// they only apply to sampled simulations (Config.Sampling != nil).
-	CheckpointEntries int
-	// TraceCacheRecords bounds the engine's materialized-trace cache in
-	// total trace records (not bytes): the engine generates each
-	// (benchmark, seed) workload once per campaign, as a finished flat
-	// record arena shared by every exact configuration simulating it,
-	// instead of regenerating the byte-identical trace per config.
-	// Sampled points never use the cache: they generate their own trace
-	// ahead of the reader. An exact point longer than the bound also runs
-	// from its own generator. Zero selects DefaultTraceCacheRecords; a
-	// negative value disables trace caching (every simulation generates
-	// its own trace). Ignored when Simulate is set.
-	TraceCacheRecords int
 	// Simulate overrides the simulation function (tests only).
 	Simulate SimulateFunc
 }
@@ -84,14 +68,15 @@ type Options struct {
 // fixed-size incident log.
 const maxPoisonedKeys = 1024
 
-// DefaultTraceCacheRecords is the default materialized-trace cache bound:
-// 8M records (128 MiB of trace arena at 16 bytes a record) holds the
-// in-flight working set of any realistic exact campaign, since
+// traceCacheRecords bounds the engine's shared trace cache in total trace
+// records: 8M records (128 MiB of trace arena at 16 bytes a record) holds
+// the in-flight working set of any realistic exact campaign, since
 // RunCampaign orders execution so that all configurations sharing one
 // workload run back to back. A point generates its arena inside its
 // worker slot, so at most Workers generations run at once. Sampled points
-// hold no arena.
-const DefaultTraceCacheRecords = 1 << 23
+// hold no arena, and an exact point over the bound generates its own
+// trace.
+const traceCacheRecords = 1 << 23
 
 // Source reports where a result came from.
 type Source string
@@ -124,8 +109,8 @@ type Stats struct {
 	// TraceHits and TraceMisses count materialized-trace cache activity:
 	// hits are simulations served from an already-generated shared trace
 	// arena, misses had to generate (or extend) one. Only exact points
-	// count: both stay zero for sampled points, when trace caching is
-	// disabled or when a custom Simulate is installed.
+	// count: both stay zero for sampled points and when a custom
+	// Simulate is installed.
 	TraceHits   uint64 `json:"traceHits"`
 	TraceMisses uint64 `json:"traceMisses"`
 	// TraceRecords is the number of trace records currently held by the
@@ -142,7 +127,7 @@ type Stats struct {
 	// CheckpointHits and CheckpointMisses count warmed-checkpoint lookups
 	// at sampled-simulation window boundaries: a hit restores warm
 	// memory-side state instead of re-warming the interval. Both stay zero
-	// when checkpointing is disabled or no sampled simulation has run.
+	// until a sampled simulation has run.
 	CheckpointHits   uint64 `json:"checkpointHits"`
 	CheckpointMisses uint64 `json:"checkpointMisses"`
 	// CheckpointBytesRead and CheckpointBytesWritten count checkpoint disk
@@ -211,8 +196,8 @@ type Engine struct {
 	simulate SimulateFunc
 	cacheDir string
 	sem      chan struct{}    // bounds concurrent simulations
-	traces   *trace.Cache     // shared materialized traces (nil: disabled)
-	ckpts    *checkpointStore // warmed checkpoints (nil: disabled)
+	traces   *trace.Cache     // shared materialized traces
+	ckpts    *checkpointStore // warmed checkpoints
 
 	// Scheduler gauges, updated outside e.mu: queued counts goroutines
 	// waiting for a worker slot, running counts simulations in flight.
@@ -244,18 +229,10 @@ func New(opts Options) *Engine {
 		inflight: make(map[Key]*call),
 		poisoned: newFIFO[Key, error](maxPoisonedKeys),
 	}
+	e.traces = trace.NewCache(traceCacheRecords)
+	e.ckpts = newCheckpointStore(opts.CacheDir, &e.filesQuarantined)
 	e.simulate = opts.Simulate
 	if e.simulate == nil {
-		if opts.CheckpointEntries >= 0 {
-			e.ckpts = newCheckpointStore(opts.CacheDir, opts.CheckpointEntries, &e.filesQuarantined)
-		}
-		bound := opts.TraceCacheRecords
-		if bound == 0 {
-			bound = DefaultTraceCacheRecords
-		}
-		if bound > 0 {
-			e.traces = trace.NewCache(bound)
-		}
 		e.simulate = e.simulateTrace
 	}
 	return e
@@ -271,8 +248,8 @@ func New(opts Options) *Engine {
 // generator state, so a warm run restores past the fast-forwarded stretch
 // without generating it.
 func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-	ck := e.checkpoints(cfg, benchmark, seed)
-	if e.traces != nil && !cpu.Sampled(cfg, instructions) {
+	ck := e.ckpts.scoped(MemSideDigest(cfg), benchmark, seed)
+	if !cpu.Sampled(cfg, instructions) {
 		if recs := e.traces.Records(benchmark, seed, instructions); recs != nil {
 			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs}, ck)
 		}
@@ -289,16 +266,6 @@ func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark
 
 // Workers returns the engine's concurrent-simulation bound.
 func (e *Engine) Workers() int { return cap(e.sem) }
-
-// checkpoints returns the warmed-checkpoint view for one simulation point,
-// scoped by memory-side digest so core-side config variants share entries.
-// Nil when checkpointing is disabled.
-func (e *Engine) checkpoints(cfg config.Config, benchmark string, seed uint64) cpu.Checkpoints {
-	if e.ckpts == nil {
-		return nil
-	}
-	return e.ckpts.scoped(MemSideDigest(cfg), benchmark, seed)
-}
 
 // RunContext returns the result of one simulation point, computing it at
 // most once per key across all concurrent callers. The work runs on a
@@ -527,18 +494,14 @@ func (e *Engine) Stats() Stats {
 	s.CorruptPruned = e.corruptPruned.Load()
 	s.QueueDepth = int(e.queued.Load())
 	s.Running = int(e.running.Load())
-	if e.traces != nil {
-		ts := e.traces.Stats()
-		s.TraceHits = ts.Hits
-		s.TraceMisses = ts.Misses
-		s.TraceRecords = ts.Records
-	}
-	if e.ckpts != nil {
-		s.CheckpointHits = e.ckpts.hits.Load()
-		s.CheckpointMisses = e.ckpts.misses.Load()
-		s.CheckpointBytesRead = e.ckpts.bytesRead.Load()
-		s.CheckpointBytesWritten = e.ckpts.bytesWritten.Load()
-	}
+	ts := e.traces.Stats()
+	s.TraceHits = ts.Hits
+	s.TraceMisses = ts.Misses
+	s.TraceRecords = ts.Records
+	s.CheckpointHits = e.ckpts.hits.Load()
+	s.CheckpointMisses = e.ckpts.misses.Load()
+	s.CheckpointBytesRead = e.ckpts.bytesRead.Load()
+	s.CheckpointBytesWritten = e.ckpts.bytesWritten.Load()
 	s.Quarantined += e.filesQuarantined.Load()
 	return s
 }

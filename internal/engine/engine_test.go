@@ -16,6 +16,7 @@ import (
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/stats"
+	"malec/internal/trace"
 )
 
 // plain adapts a stub that ignores cancellation to SimulateFunc.
@@ -552,11 +553,11 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestTraceCacheCampaignEquivalence runs one real campaign over exact and
-// sampled configs three ways — trace cache enabled (default) at 3 workers,
-// disabled at 3 workers, and enabled at 1 worker — and requires
-// byte-identical JSON and CSV exports: the shared trace arena, streamed by
-// concurrent points while its producer fills it, must be indistinguishable
-// from per-simulation generation, and the exports must not depend on how
+// sampled configs three ways — the default trace cache at 3 workers, a
+// one-record trace cache at 3 workers, and the default at 1 worker — and
+// requires byte-identical JSON and CSV exports: the shared trace arena
+// must be indistinguishable from per-simulation generation, and the
+// exports must not depend on how
 // points are spread over workers. It also checks the cache actually
 // engaged (every exact config after the first is a trace hit, and sampled
 // configs bypass it) and that stats flow through Engine.Stats.
@@ -588,7 +589,9 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 		return js, csv
 	}
 	cached := New(Options{Workers: 3})
-	fresh := New(Options{Workers: 3, TraceCacheRecords: -1})
+	// A one-record budget makes every exact point generate its own trace.
+	fresh := New(Options{Workers: 3})
+	fresh.traces = trace.NewCache(1)
 	jc, vc := exports(cached, spec)
 	jf, vf := exports(fresh, spec)
 	if !bytes.Equal(jc, jf) {
@@ -621,8 +624,8 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 		t.Fatal("sampled configs restored no checkpoints")
 	}
 	fs := fresh.Stats()
-	if fs.TraceHits != 0 || fs.TraceMisses != 0 || fs.TraceRecords != 0 {
-		t.Fatalf("disabled trace cache reported activity: %+v", fs)
+	if fs.TraceHits != 0 || fs.TraceRecords != 0 {
+		t.Fatalf("one-record trace cache served or held records: %+v", fs)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/faultinject"
+	"malec/internal/trace"
 )
 
 // blockingSim returns a Simulate stub that signals when entered and
@@ -403,7 +404,8 @@ func TestGenSourceProducerPanicIsSimPanicError(t *testing.T) {
 // miss and holds no arena.
 func TestGenSourceCancelledOverBudgetExactRun(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e := New(Options{Workers: 1, TraceCacheRecords: 1 << 16})
+	e := New(Options{Workers: 1})
+	e.traces = trace.NewCache(1 << 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

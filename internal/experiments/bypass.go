@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 
 	"malec/internal/config"
@@ -62,23 +63,9 @@ func (r BypassResult) Table() string {
 	for _, row := range r.Rows {
 		rows = append(rows, []string{row.Benchmark,
 			pct(row.Time), pct(row.Energy),
-			itoa(row.BypassedFills), itoa(row.FillsPlain), itoa(row.FillsBypass)})
+			strconv.FormatUint(row.BypassedFills, 10), strconv.FormatUint(row.FillsPlain, 10),
+			strconv.FormatUint(row.FillsBypass, 10)})
 	}
 	b.WriteString(markdownTable(header, rows))
 	return b.String()
-}
-
-// itoa formats a uint64 without strconv noise elsewhere.
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -30,9 +29,6 @@ type Options struct {
 	Seed uint64
 	// Benchmarks restricts the run (default: all 38).
 	Benchmarks []string
-	// Workers bounds parallel simulations (default: GOMAXPROCS). When
-	// Engine is set, the engine's own worker bound applies on top.
-	Workers int
 	// Engine, if set, runs the experiment's simulations through the
 	// given campaign engine instead of the process-wide shared one.
 	// Drivers sharing an engine share its result cache: configurations
@@ -48,16 +44,14 @@ var (
 	sharedEngineOnce sync.Once
 )
 
-// defaultEngine returns the lazily created process-wide engine. Its own
-// worker bound is set effectively unlimited so that Options.Workers alone
-// governs parallelism, exactly as runGrid's private pool did before the
-// engine existed (a zero-size-element channel costs no buffer memory).
-// The cache is bounded so a long-lived process sweeping many distinct
-// points doesn't grow without limit; 1<<14 entries covers ~30 full-suite
-// figure drivers before anything is evicted.
+// defaultEngine returns the lazily created process-wide engine, which
+// runs GOMAXPROCS simulations at once. The cache is bounded so a
+// long-lived process sweeping many distinct points doesn't grow without
+// limit; 1<<14 entries covers ~30 full-suite figure drivers before
+// anything is evicted.
 func defaultEngine() *engine.Engine {
 	sharedEngineOnce.Do(func() {
-		sharedEngine = engine.New(engine.Options{Workers: 1 << 20, MaxCacheEntries: 1 << 14})
+		sharedEngine = engine.New(engine.Options{MaxCacheEntries: 1 << 14})
 	})
 	return sharedEngine
 }
@@ -73,9 +67,6 @@ func (o Options) normalize() Options {
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = trace.AllBenchmarks()
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
@@ -86,6 +77,46 @@ type Grid struct {
 	Benchmarks []string
 	// Results[config][benchmark]
 	Results map[string]map[string]cpu.Result
+}
+
+// ratio returns the geometric mean over the grid's benchmarks of cfg's
+// metric relative to ref's.
+func (g *Grid) ratio(cfg, ref string, metric func(cpu.Result) float64) float64 {
+	return geoOver(g.Benchmarks, func(b string) float64 {
+		return metric(g.Results[cfg][b]) / metric(g.Results[ref][b])
+	})
+}
+
+// Metrics for Grid.ratio.
+func cycles(r cpu.Result) float64        { return float64(r.Cycles) }
+func totalEnergy(r cpu.Result) float64   { return r.Energy.Total() }
+func dynamicEnergy(r cpu.Result) float64 { return r.Energy.TotalDynamic() }
+
+// coverage returns cfg's way-determination coverage pooled over the
+// grid's benchmarks, or zero when no access was classified.
+func (g *Grid) coverage(cfg string) float64 {
+	var known, total float64
+	for _, b := range g.Benchmarks {
+		r := g.Results[cfg][b]
+		known += float64(r.CoverageKnown)
+		total += float64(r.CoverageTotal)
+	}
+	if total == 0 {
+		return 0
+	}
+	return known / total
+}
+
+// mergedShare returns the share of cfg's loads, pooled over the grid's
+// benchmarks, that MALEC serviced by merging.
+func (g *Grid) mergedShare(cfg string) float64 {
+	var merged, loads float64
+	for _, b := range g.Benchmarks {
+		r := g.Results[cfg][b]
+		merged += float64(r.Counters.Get(stats.CtrMalecMergedLoads))
+		loads += float64(r.Loads)
+	}
+	return merged / loads
 }
 
 // runGrid simulates every (config, benchmark) pair through the campaign
@@ -103,7 +134,6 @@ func runGrid(cfgs []config.Config, opt Options) *Grid {
 		Benchmarks:   opt.Benchmarks,
 		Instructions: opt.Instructions,
 		Seeds:        []uint64{opt.Seed},
-		Workers:      opt.Workers,
 	})
 	if err != nil {
 		// Experiment drivers, like cpu.RunBenchmark, treat invalid

@@ -52,21 +52,9 @@ func SegmentedWT(opt Options) SegmentedResult {
 			row.ChunkLines = variants[i-1].chunk
 			row.PoolFraction = variants[i-1].frac
 		}
-		var known, total float64
-		for _, b := range g.Benchmarks {
-			res := g.Results[c][b]
-			known += float64(res.CoverageKnown)
-			total += float64(res.CoverageTotal)
-		}
-		if total > 0 {
-			row.Coverage = known / total
-		}
-		row.Time = geoOver(g.Benchmarks, func(b string) float64 {
-			return float64(g.Results[c][b].Cycles) / float64(g.Results[full.Name][b].Cycles)
-		})
-		row.Energy = geoOver(g.Benchmarks, func(b string) float64 {
-			return g.Results[c][b].Energy.Total() / g.Results[full.Name][b].Energy.Total()
-		})
+		row.Coverage = g.coverage(c)
+		row.Time = g.ratio(c, full.Name, cycles)
+		row.Energy = g.ratio(c, full.Name, totalEnergy)
 		row.StorageBits = storageBits(cfgs[i])
 		out.Rows = append(out.Rows, row)
 	}

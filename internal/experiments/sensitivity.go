@@ -5,12 +5,39 @@ import (
 	"strings"
 
 	"malec/internal/config"
-	"malec/internal/stats"
 )
 
 // Sensitivity experiments for Sec. VI-D, which discusses MALEC's
 // dependence on L1 latency, the number of result buses, the arbitration
 // unit's comparator budget, and the sub-blocked merge window.
+
+// sweepPoint is one MALEC variant of a one-parameter sweep: the swept
+// value, the geomean cycle ratio to the reference variant and the share
+// of loads serviced by merging.
+type sweepPoint struct {
+	value        int
+	time, merged float64
+}
+
+// malecSweep runs MALEC with one int field, written by set, at each of
+// values (variant names format the value with format) and returns the
+// variants in values order, timed against the variant at ref.
+func malecSweep(opt Options, format string, values []int, ref int, set func(c *config.Config, v int)) []sweepPoint {
+	cfgs := make([]config.Config, len(values))
+	for i, v := range values {
+		cfgs[i] = config.MALEC()
+		cfgs[i].Name = fmt.Sprintf(format, v)
+		set(&cfgs[i], v)
+	}
+	g := runGrid(cfgs, opt)
+	points := make([]sweepPoint, len(values))
+	for i, v := range values {
+		points[i] = sweepPoint{value: v,
+			time:   g.ratio(cfgs[i].Name, fmt.Sprintf(format, ref), cycles),
+			merged: g.mergedShare(cfgs[i].Name)}
+	}
+	return points
+}
 
 // LatencyRow is one L1-latency point for one interface.
 type LatencyRow struct {
@@ -41,15 +68,10 @@ func LatencySensitivity(opt Options) LatencyResult {
 		cfgs = append(cfgs, b, m)
 	}
 	g := runGrid(cfgs, opt)
-	ref := "MALEC_2c"
 	var out LatencyResult
 	for lat := 1; lat <= 4; lat++ {
 		for _, base := range []string{"Base2ld1st", "MALEC"} {
-			name := fmt.Sprintf("%s_%dc", base, lat)
-			t := geoOver(g.Benchmarks, func(b string) float64 {
-				return float64(g.Results[name][b].Cycles) /
-					float64(g.Results[ref][b].Cycles)
-			})
+			t := g.ratio(fmt.Sprintf("%s_%dc", base, lat), "MALEC_2c", cycles)
 			out.Rows = append(out.Rows, LatencyRow{Config: base, Latency: lat, Time: t})
 		}
 	}
@@ -96,31 +118,10 @@ type BusResult struct {
 // limited [by] the number of memory references issued per cycle and the
 // number of available result busses."
 func ResultBusSweep(opt Options) BusResult {
-	opt = opt.normalize()
-	var cfgs []config.Config
-	for buses := 1; buses <= 4; buses++ {
-		c := config.MALEC()
-		c.Name = fmt.Sprintf("MALEC_%dbus", buses)
-		c.MaxLoadsPerCycle = buses
-		cfgs = append(cfgs, c)
-	}
-	g := runGrid(cfgs, opt)
-	ref := "MALEC_4bus"
 	var out BusResult
-	for buses := 1; buses <= 4; buses++ {
-		name := fmt.Sprintf("MALEC_%dbus", buses)
-		t := geoOver(g.Benchmarks, func(b string) float64 {
-			return float64(g.Results[name][b].Cycles) /
-				float64(g.Results[ref][b].Cycles)
-		})
-		var merged, loads float64
-		for _, b := range g.Benchmarks {
-			res := g.Results[name][b]
-			merged += float64(res.Counters.Get(stats.CtrMalecMergedLoads))
-			loads += float64(res.Loads)
-		}
-		out.Rows = append(out.Rows, BusRow{Buses: buses, Time: t,
-			MergedFrac: merged / loads})
+	for _, p := range malecSweep(opt, "MALEC_%dbus", []int{1, 2, 3, 4}, 4,
+		func(c *config.Config, v int) { c.MaxLoadsPerCycle = v }) {
+		out.Rows = append(out.Rows, BusRow{Buses: p.value, Time: p.time, MergedFrac: p.merged})
 	}
 	return out
 }
@@ -156,32 +157,10 @@ type CompareLimitResult struct {
 // claims "the performance degradation due to this limitation is less than
 // 0.5%".
 func CompareLimitAblation(opt Options) CompareLimitResult {
-	opt = opt.normalize()
-	limits := []int{1, 3, 16}
-	var cfgs []config.Config
-	for _, l := range limits {
-		c := config.MALEC()
-		c.Name = fmt.Sprintf("MALEC_cmp%d", l)
-		c.MergeCompareLimit = l
-		cfgs = append(cfgs, c)
-	}
-	g := runGrid(cfgs, opt)
-	ref := "MALEC_cmp16"
 	var out CompareLimitResult
-	for _, l := range limits {
-		name := fmt.Sprintf("MALEC_cmp%d", l)
-		t := geoOver(g.Benchmarks, func(b string) float64 {
-			return float64(g.Results[name][b].Cycles) /
-				float64(g.Results[ref][b].Cycles)
-		})
-		var merged, loads float64
-		for _, b := range g.Benchmarks {
-			res := g.Results[name][b]
-			merged += float64(res.Counters.Get(stats.CtrMalecMergedLoads))
-			loads += float64(res.Loads)
-		}
-		out.Rows = append(out.Rows, CompareLimitRow{Limit: l, Time: t,
-			MergedFrac: merged / loads})
+	for _, p := range malecSweep(opt, "MALEC_cmp%d", []int{1, 3, 16}, 16,
+		func(c *config.Config, v int) { c.MergeCompareLimit = v }) {
+		out.Rows = append(out.Rows, CompareLimitRow{Limit: p.value, Time: p.time, MergedFrac: p.merged})
 	}
 	return out
 }
@@ -217,32 +196,10 @@ type MergeWindowResult struct {
 // "doubles the probability for loads to be merged"), and idealized
 // whole-line sharing (64 B).
 func MergeWindowAblation(opt Options) MergeWindowResult {
-	opt = opt.normalize()
-	windows := []int{16, 32, 64}
-	var cfgs []config.Config
-	for _, w := range windows {
-		c := config.MALEC()
-		c.Name = fmt.Sprintf("MALEC_w%d", w)
-		c.MergeWindowBytes = w
-		cfgs = append(cfgs, c)
-	}
-	g := runGrid(cfgs, opt)
-	ref := "MALEC_w32"
 	var out MergeWindowResult
-	for _, w := range windows {
-		name := fmt.Sprintf("MALEC_w%d", w)
-		t := geoOver(g.Benchmarks, func(b string) float64 {
-			return float64(g.Results[name][b].Cycles) /
-				float64(g.Results[ref][b].Cycles)
-		})
-		var merged, loads float64
-		for _, b := range g.Benchmarks {
-			res := g.Results[name][b]
-			merged += float64(res.Counters.Get(stats.CtrMalecMergedLoads))
-			loads += float64(res.Loads)
-		}
-		out.Rows = append(out.Rows, MergeWindowRow{WindowBytes: w,
-			MergedFrac: merged / loads, Time: t})
+	for _, p := range malecSweep(opt, "MALEC_w%d", []int{16, 32, 64}, 32,
+		func(c *config.Config, v int) { c.MergeWindowBytes = v }) {
+		out.Rows = append(out.Rows, MergeWindowRow{WindowBytes: p.value, MergedFrac: p.merged, Time: p.time})
 	}
 	return out
 }

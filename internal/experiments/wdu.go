@@ -36,23 +36,12 @@ func WDUComparison(opt Options) WDUResult {
 	ref := cfgs[0].Name
 	var out WDUResult
 	for _, c := range g.Configs {
-		row := WDURow{Name: c}
-		var knownSum, totalSum float64
-		for _, b := range g.Benchmarks {
-			r := g.Results[c][b]
-			knownSum += float64(r.CoverageKnown)
-			totalSum += float64(r.CoverageTotal)
-		}
-		if totalSum > 0 {
-			row.Coverage = knownSum / totalSum
-		}
-		row.Energy = geoOver(g.Benchmarks, func(b string) float64 {
-			return g.Results[c][b].Energy.Total() / g.Results[ref][b].Energy.Total()
+		out.Rows = append(out.Rows, WDURow{
+			Name:     c,
+			Coverage: g.coverage(c),
+			Energy:   g.ratio(c, ref, totalEnergy),
+			Dynamic:  g.ratio(c, ref, dynamicEnergy),
 		})
-		row.Dynamic = geoOver(g.Benchmarks, func(b string) float64 {
-			return g.Results[c][b].Energy.TotalDynamic() / g.Results[ref][b].Energy.TotalDynamic()
-		})
-		out.Rows = append(out.Rows, row)
 	}
 	return out
 }
@@ -91,17 +80,7 @@ func CoverageAblation(opt Options) CoverageResult {
 	g := runGrid(cfgs, opt)
 	var out CoverageResult
 	for _, c := range g.Configs {
-		var knownSum, totalSum float64
-		for _, b := range g.Benchmarks {
-			r := g.Results[c][b]
-			knownSum += float64(r.CoverageKnown)
-			totalSum += float64(r.CoverageTotal)
-		}
-		cov := 0.0
-		if totalSum > 0 {
-			cov = knownSum / totalSum
-		}
-		out.Rows = append(out.Rows, CoverageRow{Name: c, Coverage: cov})
+		out.Rows = append(out.Rows, CoverageRow{Name: c, Coverage: g.coverage(c)})
 	}
 	return out
 }

@@ -30,9 +30,10 @@ type bodyCase struct {
 }
 
 // bodyCases returns the malformed-body cases of one endpoint: grid bodies
-// (sweep, campaigns) name their fields configs, run bodies config; wrong
-// names the decoded struct in the type error.
-func bodyCases(grid bool, wrong string) []bodyCase {
+// (sweep, campaigns) name their fields configs, run bodies config. Type
+// errors read the same for every endpoint: they name the key path and the
+// JSON kinds, never the Go structs behind them.
+func bodyCases(grid bool) []bodyCase {
 	field, bad := `"config":"`, `{"config":"NoSuch","benchmark":"gzip"}`
 	if grid {
 		field, bad = `"configs":["`, `{"configs":["NoSuch"]}`
@@ -47,7 +48,13 @@ func bodyCases(grid bool, wrong string) []bodyCase {
 		{"empty", "",
 			http.StatusBadRequest, "invalid request body: EOF"},
 		{"wrong type", `{"instructions":"many"}`,
-			http.StatusBadRequest, "invalid request body: json: cannot unmarshal string into Go struct field " + wrong + ".instructions of type int"},
+			http.StatusBadRequest, `invalid request body: field "instructions" must be an integer, not a string`},
+		{"fractional", `{"instructions":1.5}`,
+			http.StatusBadRequest, `invalid request body: field "instructions" must be an integer, not 1.5`},
+		{"nested wrong type", `{"sampling":{"Warmup":true}}`,
+			http.StatusBadRequest, `invalid request body: field "sampling.Warmup" must be an integer, not a boolean`},
+		{"not an object", `[1]`,
+			http.StatusBadRequest, `invalid request body: the body must be an object, not an array`},
 		// The decoder reads one value and ignores what follows, so the
 		// reply is the validation error of the first object.
 		{"trailing bytes", bad + ` {"more":`,
@@ -71,9 +78,9 @@ func TestRequestBodyErrors(t *testing.T) {
 		path  string
 		cases []bodyCase
 	}{
-		{"/v1/run", bodyCases(false, "runRequest")},
-		{"/v1/sweep", bodyCases(true, "sweepRequest.gridRequest")},
-		{"/v1/campaigns", bodyCases(true, "campaignRequest.gridRequest")},
+		{"/v1/run", bodyCases(false)},
+		{"/v1/sweep", bodyCases(true)},
+		{"/v1/campaigns", bodyCases(true)},
 	} {
 		for _, c := range ep.cases {
 			before := closed.Load()
@@ -106,7 +113,8 @@ func TestRequestBodyErrors(t *testing.T) {
 }
 
 // oracleReadBody is the reference decode: the request body read through
-// http.MaxBytesReader by a json.Decoder that rejects unknown fields.
+// http.MaxBytesReader by a json.Decoder that rejects unknown fields, with
+// errors worded by bodyError.
 func oracleReadBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -117,7 +125,7 @@ func oracleReadBody(w http.ResponseWriter, r *http.Request, v any) bool {
 				"request body exceeds %d bytes", mbe.Limit)
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid request body: %s", bodyError(v, err))
 		return false
 	}
 	return true

@@ -25,11 +25,10 @@ func stubSim(cfg config.Config, b string, n int, s uint64) cpu.Result {
 
 // newCampaignServer wires a server over a fresh engine and campaign
 // manager with full control of both option sets.
-func newCampaignServer(t *testing.T, sim func(cfg config.Config, b string, n int, s uint64) cpu.Result, mgrOpts engine.CampaignManagerOptions, opts Options) (*httptest.Server, *engine.Engine) {
+func newCampaignServer(t *testing.T, sim func(cfg config.Config, b string, n int, s uint64) cpu.Result, mgrOpts engine.CampaignManagerOptions) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 4, Simulate: plain(sim)})
-	opts.Campaigns = engine.NewCampaignManager(eng, mgrOpts)
-	ts := httptest.NewServer(New(eng, opts))
+	ts := httptest.NewServer(New(eng, Options{Campaigns: engine.NewCampaignManager(eng, mgrOpts)}))
 	t.Cleanup(ts.Close)
 	return ts, eng
 }
@@ -84,7 +83,7 @@ func readStream(t *testing.T, url string) (records []streamLine, heartbeats int,
 const campaignBody = `{"configs":["MALEC"],"benchmarks":["gzip","mcf"],"instructions":2000,"seeds":[1,2]}`
 
 func TestCampaignLifecycleAndStreamResume(t *testing.T) {
-	ts, _ := newCampaignServer(t, stubSim, engine.CampaignManagerOptions{}, Options{})
+	ts, _ := newCampaignServer(t, stubSim, engine.CampaignManagerOptions{})
 
 	resp, body := post(t, ts.URL+"/v1/campaigns", campaignBody)
 	if resp.StatusCode != http.StatusAccepted {
@@ -196,7 +195,7 @@ func TestCampaignValidationAndBackpressure(t *testing.T) {
 		<-gate
 		return stubSim(cfg, b, n, s)
 	}
-	ts, _ := newCampaignServer(t, sim, engine.CampaignManagerOptions{MaxActive: 1}, Options{})
+	ts, _ := newCampaignServer(t, sim, engine.CampaignManagerOptions{MaxActive: 1})
 
 	if resp, body := post(t, ts.URL+"/v1/campaigns", `{"configs":["nope"]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown config: status %d body %s", resp.StatusCode, body)
@@ -274,8 +273,11 @@ func TestCampaignStreamHeartbeat(t *testing.T) {
 		<-gate
 		return stubSim(cfg, b, n, s)
 	}
-	ts, _ := newCampaignServer(t, sim, engine.CampaignManagerOptions{},
-		Options{StreamHeartbeat: 20 * time.Millisecond})
+	eng := engine.New(engine.Options{Workers: 4, Simulate: plain(sim)})
+	srv := New(eng, Options{})
+	srv.heartbeat = 20 * time.Millisecond
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 
 	_, body := post(t, ts.URL+"/v1/campaigns", campaignBody)
 	var st engine.CampaignStatus

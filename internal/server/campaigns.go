@@ -184,7 +184,7 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, run *engi
 		}
 	}
 	enc := json.NewEncoder(w)
-	hb := time.NewTimer(s.opts.StreamHeartbeat)
+	hb := time.NewTimer(s.heartbeat)
 	defer hb.Stop()
 	cursor := after
 	for {
@@ -220,7 +220,7 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, run *engi
 			default:
 			}
 		}
-		hb.Reset(s.opts.StreamHeartbeat)
+		hb.Reset(s.heartbeat)
 		select {
 		case <-changed:
 		case <-hb.C:

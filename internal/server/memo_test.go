@@ -186,12 +186,12 @@ func TestMemoryHitNilCountersNotMemoized(t *testing.T) {
 // memoryHitAllocCeiling pins the allocations of one /v1/run memory hit
 // through the full handler (routing, instrumentation, admission, request
 // decoding, engine lookup and the response) plus the recorder and request
-// the test builds. Measured at 29: the response body, the config digest
+// the test builds. Measured at 28: the response body, the config digest
 // and the header values are built once per resident result, the body is
-// read into pooled storage, and a hit builds no context. What remains is
-// routing, the status writer, the json.Decoder with what it decodes, and
-// net/http's header map and clone.
-const memoryHitAllocCeiling = 31
+// read into pooled storage, the status writer is pooled, and a hit builds
+// no context. What remains is routing, the json.Decoder with what it
+// decodes, and net/http's header map and clone.
+const memoryHitAllocCeiling = 30
 
 // raceDetector is set under -race, which changes allocation counts.
 var raceDetector bool

@@ -10,6 +10,7 @@ package server
 
 import (
 	"net/http"
+	"sync"
 	"time"
 
 	"malec/internal/engine"
@@ -81,6 +82,10 @@ type statusWriter struct {
 	code int
 }
 
+// statusWriters recycles the wrappers, so instrumentation allocates
+// nothing per request.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
+
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
 	w.ResponseWriter.WriteHeader(code)
@@ -114,11 +119,14 @@ func (s *Server) handle(method, route string, h http.HandlerFunc) {
 	s.mux.HandleFunc(method+" "+route, func(w http.ResponseWriter, r *http.Request) {
 		ep.inFlight.Inc()
 		defer ep.inFlight.Dec()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := statusWriters.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
 		ep.latency.Observe(time.Since(start))
 		ep.codes[classIndex(sw.code)].Inc()
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
 	})
 }
 

@@ -29,7 +29,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,10 +83,6 @@ type Options struct {
 	// creates an in-memory manager over the engine: asynchronous and
 	// streamable, but not crash-durable (malecd wires a journaled one).
 	Campaigns *engine.CampaignManager
-	// StreamHeartbeat is the idle interval after which a campaign results
-	// stream emits a heartbeat line, keeping intermediaries from timing
-	// out a quiet long-poll (default 10s).
-	StreamHeartbeat time.Duration
 }
 
 // normalize applies option defaults.
@@ -101,9 +100,6 @@ func (o Options) normalize() Options {
 		if o.MaxQueueWait <= 0 {
 			o.MaxQueueWait = 5 * time.Second
 		}
-	}
-	if o.StreamHeartbeat <= 0 {
-		o.StreamHeartbeat = 10 * time.Second
 	}
 	return o
 }
@@ -130,6 +126,10 @@ type Server struct {
 	endpoints []routeMetrics
 	// hits memoizes /v1/run response bodies of resident results.
 	hits hitMemo
+	// heartbeat is the idle interval after which a campaign results
+	// stream emits a heartbeat line, keeping intermediaries from timing
+	// out a quiet long-poll.
+	heartbeat time.Duration
 }
 
 // New returns a handler serving the malecd API on eng.
@@ -141,6 +141,8 @@ func New(eng *engine.Engine, opts Options) *Server {
 		reg:   metrics.NewRegistry(),
 		start: time.Now(),
 		hits:  hitMemo{bodies: make(map[engine.Key]memoBody)},
+
+		heartbeat: 10 * time.Second,
 	}
 	s.camps = s.opts.Campaigns
 	if s.camps == nil {
@@ -258,10 +260,73 @@ func (b *requestBody) decode(w http.ResponseWriter, r *http.Request, v any) bool
 	dec := json.NewDecoder(&b.buf)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid request body: %s", bodyError(v, err))
 		return false
 	}
 	return true
+}
+
+// bodyError words an error decoding a body into v. A type error names the
+// body's key path and the JSON kinds involved, not the Go structs the body
+// decodes into, so run, sweep and campaign bodies read alike.
+func bodyError(v any, err error) string {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return err.Error()
+	}
+	what := "the body"
+	if path := keyPath(reflect.TypeOf(v).Elem(), te.Field); path != "" {
+		what = fmt.Sprintf("field %q", path)
+	}
+	return fmt.Sprintf("%s must be %s, not %s", what, jsonKind(te.Type), valueKind(te.Value))
+}
+
+// keyPath turns a type error's field path into the body's key path: the
+// decoder's path also names embedded structs (gridRequest), which have no
+// key of their own.
+func keyPath(t reflect.Type, field string) string {
+	keys := strings.Split(field, ".")
+	for _, f := range reflect.VisibleFields(t) {
+		if f.Anonymous {
+			keys = slices.DeleteFunc(keys, func(k string) bool { return k == f.Name })
+		}
+	}
+	return strings.Join(keys, ".")
+}
+
+// jsonKind names the JSON a Go type decodes from. Integers say so, since
+// a number that is fractional or out of range is a type error too.
+func jsonKind(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return "an integer"
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return "a non-negative integer"
+	case reflect.Float32, reflect.Float64:
+		return "a number"
+	case reflect.String:
+		return "a string"
+	case reflect.Bool:
+		return "a boolean"
+	case reflect.Slice, reflect.Array:
+		return "an array"
+	}
+	return "an object"
+}
+
+// valueKind names the JSON value of a type error: its kind, or the
+// literal of a number that does not fit.
+func valueKind(v string) string {
+	if lit, ok := strings.CutPrefix(v, "number "); ok {
+		return lit
+	}
+	switch v {
+	case "bool":
+		return "a boolean"
+	case "array", "object":
+		return "an " + v
+	}
+	return "a " + v
 }
 
 // readBody decodes r's body into v through pooled storage (see

@@ -86,8 +86,7 @@ type Cache struct {
 }
 
 // NewCache returns a trace cache bounded to maxRecords total records
-// across all entries. It panics on a non-positive bound (callers disable
-// trace caching by not constructing one).
+// across all entries. It panics on a non-positive bound.
 func NewCache(maxRecords int) *Cache {
 	if maxRecords <= 0 {
 		panic("trace: cache record bound must be positive")

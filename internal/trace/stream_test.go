@@ -100,7 +100,7 @@ func TestStreamPanicIsSimPanicError(t *testing.T) {
 // TestStreamEngineJoinMidGeneration runs a second configuration of one
 // workload while the first point's generation is paused: the second point
 // waits for that generation instead of starting its own, counts a trace
-// hit, and both points match an engine that generates every trace
+// hit, and both points match cpu.RunBenchmark, which generates its trace
 // privately.
 func TestStreamEngineJoinMidGeneration(t *testing.T) {
 	reached, release := make(chan struct{}), make(chan struct{})
@@ -140,12 +140,8 @@ func TestStreamEngineJoinMidGeneration(t *testing.T) {
 	if s := e.Stats(); s.TraceMisses != 1 || s.TraceHits != 1 {
 		t.Fatalf("stats %+v, want 1 trace miss and 1 hit (the joining point)", s)
 	}
-	fresh := engine.New(engine.Options{Workers: 1, TraceCacheRecords: -1})
 	for i, cfg := range cfgs {
-		w, _, err := fresh.RunContext(context.Background(), cfg, "gzip", arenaRecords, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := cpu.RunBenchmark(cfg, "gzip", arenaRecords, 4)
 		if got[i].Cycles != w.Cycles || got[i].Energy.Total() != w.Energy.Total() {
 			t.Fatalf("%s: shared-arena run differs from private generation", cfg.Name)
 		}

@@ -69,53 +69,10 @@ type Result = cpu.Result
 // Counters is the typed event-counter set attached to every Result.
 type Counters = stats.Counters
 
-// Counter is a typed event-counter ID. Hot paths count through these IDs;
-// each maps to a canonical dotted name (Counter.Name, CounterByName) used
-// by the JSON encoding and the name-keyed accessors.
+// Counter is a typed event-counter ID. Each maps to a canonical dotted
+// name (Counter.Name, CounterByName) used by the JSON encoding and the
+// name-keyed accessors; CounterNames lists them all.
 type Counter = stats.Counter
-
-// Typed counter IDs (canonical names in parentheses).
-const (
-	CtrIssueLoads  = stats.CtrIssueLoads  // issue.loads
-	CtrIssueStores = stats.CtrIssueStores // issue.stores
-	CtrIBStalls    = stats.CtrIBStalls    // ib.stalls
-	CtrIBCarried   = stats.CtrIBCarried   // ib.carried
-
-	CtrUTLBLookups = stats.CtrUTLBLookups // tlb.utlb_lookups
-	CtrTLBLookups  = stats.CtrTLBLookups  // tlb.tlb_lookups
-	CtrTLBWalks    = stats.CtrTLBWalks    // tlb.walks
-
-	CtrL1ReducedReads       = stats.CtrL1ReducedReads       // l1.reduced_reads
-	CtrL1ConventionalReads  = stats.CtrL1ConventionalReads  // l1.conventional_reads
-	CtrL1LoadMisses         = stats.CtrL1LoadMisses         // l1.load_misses
-	CtrL1StoreMisses        = stats.CtrL1StoreMisses        // l1.store_misses
-	CtrL1Fills              = stats.CtrL1Fills              // l1.fills
-	CtrL1BypassedFills      = stats.CtrL1BypassedFills      // l1.bypassed_fills
-	CtrL1Writebacks         = stats.CtrL1Writebacks         // l1.writebacks
-	CtrL1ReducedWrites      = stats.CtrL1ReducedWrites      // l1.reduced_writes
-	CtrL1ConventionalWrites = stats.CtrL1ConventionalWrites // l1.conventional_writes
-	CtrL1MSHRStalls         = stats.CtrL1MSHRStalls         // l1.mshr_stalls
-
-	CtrSBForwards  = stats.CtrSBForwards  // sb.forwards
-	CtrMBForwards  = stats.CtrMBForwards  // mb.forwards
-	CtrMBMBEWrites = stats.CtrMBMBEWrites // mb.mbe_writes
-
-	CtrMalecGroups        = stats.CtrMalecGroups        // malec.groups
-	CtrMalecGroupLoads    = stats.CtrMalecGroupLoads    // malec.group_loads
-	CtrMalecMergedLoads   = stats.CtrMalecMergedLoads   // malec.merged_loads
-	CtrMalecBankConflicts = stats.CtrMalecBankConflicts // malec.bank_conflicts
-
-	// Host-simulator telemetry counters, reported via Result.Telemetry:
-	// cycle-skipping fast-forward activity (see README "Cycle skipping").
-	CtrSkippedCycles = stats.CtrSkippedCycles // sim.skipped_cycles
-	CtrSkipJumps     = stats.CtrSkipJumps     // sim.skip_jumps
-
-	// Sampled-simulation telemetry (see README "Sampled simulation").
-	CtrSampledWindows       = stats.CtrSampledWindows       // sim.sampled_windows
-	CtrSampledWarmedRecords = stats.CtrSampledWarmedRecords // sim.sampled_warmed_records
-	CtrCheckpointRestores   = stats.CtrCheckpointRestores   // sim.checkpoint_restores
-	CtrCheckpointSaves      = stats.CtrCheckpointSaves      // sim.checkpoint_saves
-)
 
 // CounterByName resolves a canonical counter name (e.g. "l1.fills") to its
 // typed ID.

@@ -14,7 +14,7 @@ func TestSkipTelemetryOnStressProfiles(t *testing.T) {
 		if rate := r.SkipRate(); rate < 0.5 {
 			t.Errorf("%s: skip rate %.2f, want >= 0.5 on a stall-heavy profile", bench, rate)
 		}
-		if jumps := r.Telemetry.Get(CtrSkipJumps); jumps == 0 {
+		if jumps := r.Telemetry.GetName("sim.skip_jumps"); jumps == 0 {
 			t.Errorf("%s: skipped cycles but recorded no jumps", bench)
 		}
 	}
