@@ -47,12 +47,11 @@ func main() {
 		workers    = flag.Int("workers", 0, "max concurrent simulations (default GOMAXPROCS)")
 		cacheDir   = flag.String("cache-dir", "", "persist results in this directory across restarts")
 		maxInstr   = flag.Int("max-instructions", 5_000_000, "per-request instruction limit")
-		maxJobs    = flag.Int("max-sweep-jobs", 4096, "per-sweep expanded job limit")
 		maxCache   = flag.Int("max-cache-entries", 1<<14, "in-memory result cache bound (oldest evicted; 0 = unbounded)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the same listener")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests on SIGINT/SIGTERM")
 		drainGrace = flag.Duration("drain-grace", 0, "pause between failing /readyz and closing the listener, so load balancers stop routing first")
-		reqTimeout = flag.Duration("request-timeout", 5*time.Minute, "per-request processing deadline for /v1/run and /v1/sweep (0 = unbounded; deadline_ms can only tighten it)")
+		reqTimeout = flag.Duration("request-timeout", 5*time.Minute, "processing deadline for a /v1/run request or a campaign export (0 = unbounded; a run's deadline_ms can only tighten it)")
 		maxConc    = flag.Int("max-concurrent", 0, "simulation-bearing requests admitted at once (0 = 2x workers, negative = unbounded)")
 		maxQueue   = flag.Int("max-queue", 256, "admission queue depth beyond -max-concurrent; excess shed with 429 + Retry-After")
 		queueWait  = flag.Duration("queue-wait", 5*time.Second, "max time a request may wait in the admission queue before being shed")
@@ -109,7 +108,6 @@ func main() {
 	}
 	api := server.New(eng, server.Options{
 		MaxInstructions:      *maxInstr,
-		MaxSweepJobs:         *maxJobs,
 		RequestTimeout:       *reqTimeout,
 		MaxConcurrent:        concurrent,
 		MaxQueueDepth:        *maxQueue,
@@ -138,9 +136,9 @@ func main() {
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: handler,
-		// Simulations (and whole sweeps) legitimately take a while, so
-		// no write timeout; only bound header reads against slow-loris
-		// clients.
+		// Simulations and campaign result streams legitimately take a
+		// while, so no write timeout; only bound header reads against
+		// slow-loris clients.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

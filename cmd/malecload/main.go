@@ -7,17 +7,11 @@
 //
 // Requests are drawn from a weighted mix of populations (-mix):
 //
-//	hit    repeated /v1/run for one fixed point — after the first
-//	       response every request is an in-memory cache hit, measuring
-//	       the pure serving path;
-//	sweep  a small fixed /v1/sweep campaign — cache-hit dominated after
-//	       the first response, measuring the campaign/export path;
-//	run    /v1/run with a fresh seed per request — every request is a
-//	       real simulation, measuring the engine under simulate load;
-//	stream resume a shared durable campaign's NDJSON results stream from
-//	       the last cursor seen, read a few records, and deliberately
-//	       disconnect — the churn of a streaming client on flaky
-//	       connectivity, measuring the campaign resume path.
+//	hit  repeated /v1/run for one fixed point — after the first response
+//	     every request is an in-memory cache hit, measuring the pure
+//	     serving path;
+//	run  /v1/run with a fresh seed per request — every request is a real
+//	     simulation, measuring the engine under simulate load.
 //
 // e.g. -mix hit=8,run=2 offers 80% cache hits and 20% fresh
 // simulations. The generator is open-loop: arrivals are scheduled by
@@ -27,8 +21,8 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,23 +44,9 @@ type reqKind int
 const (
 	kindHit reqKind = iota
 	kindRun
-	kindSweep
-	kindStream
 )
 
-var kindNames = map[string]reqKind{"hit": kindHit, "run": kindRun, "sweep": kindSweep, "stream": kindStream}
-
-func (k reqKind) String() string {
-	switch k {
-	case kindHit:
-		return "hit"
-	case kindRun:
-		return "run"
-	case kindStream:
-		return "stream"
-	}
-	return "sweep"
-}
+var kindNames = map[string]reqKind{"hit": kindHit, "run": kindRun}
 
 // generator owns the target, the client and the request mix.
 type generator struct {
@@ -83,14 +63,6 @@ type generator struct {
 	// 0 (the default) keeps the generator strictly open-loop: a shed is a
 	// shed, counted and done.
 	retries int
-	// The stream population shares one lazily created campaign and a
-	// resume cursor: each request resumes the results stream at the
-	// cursor, reads a few records, deliberately disconnects, and leaves
-	// the cursor where the next request should pick up — the churn of a
-	// realistic streaming client under flaky connectivity.
-	streamOnce   sync.Once
-	campaignID   atomic.Value // string
-	streamCursor atomic.Uint64
 }
 
 // backoffCap bounds one retry sleep, whatever Retry-After claims, so a
@@ -99,16 +71,21 @@ const backoffCap = 5 * time.Second
 
 // parseRetryAfter interprets a Retry-After value, which arrives as either
 // a second count (fractional from some proxies, though the RFC says
-// integer) or an HTTP-date. Absent or unparsable values return 0.
+// integer) or an HTTP-date. Absent or unparsable values, NaN and counts
+// of zero or less return 0; a count too large for a Duration saturates.
 func parseRetryAfter(v string) time.Duration {
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.ParseFloat(v, 64); err == nil {
-		if secs <= 0 {
+	if secs, err := strconv.ParseFloat(v, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch ns := secs * float64(time.Second); {
+		case math.IsNaN(ns) || ns <= 0:
 			return 0
+		case ns >= math.MaxInt64:
+			return math.MaxInt64
+		default:
+			return time.Duration(ns)
 		}
-		return time.Duration(secs * float64(time.Second))
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		if d := time.Until(t); d > 0 {
@@ -147,121 +124,31 @@ func (g *generator) pick() reqKind {
 	return g.schedule[g.next.Add(1)%uint64(len(g.schedule))]
 }
 
-// body builds the request body and path for one request.
-func (g *generator) body(kind reqKind) (path, payload string) {
-	switch kind {
-	case kindHit:
-		return "/v1/run", fmt.Sprintf(
+// body builds the /v1/run request body for one request.
+func (g *generator) body(kind reqKind) string {
+	if kind == kindHit {
+		return fmt.Sprintf(
 			`{"config":"MALEC","benchmark":"gzip","instructions":%d,"seed":1}`, g.instructions)
-	case kindRun:
-		// A fresh seed per request: a distinct simulation point every
-		// time, so this population exercises the simulate path (and the
-		// trace cache) instead of the result cache. The base is unique
-		// per invocation (see -run-seed-base) or a second malecload run
-		// against a warm daemon would measure cache hits by accident.
-		return "/v1/run", fmt.Sprintf(
-			`{"config":"MALEC","benchmark":"gzip","instructions":%d,"seed":%d}`,
-			g.instructions, g.seedBase+g.seed.Add(1))
-	default:
-		return "/v1/sweep", fmt.Sprintf(
-			`{"configs":["Base1ldst","MALEC"],"benchmarks":["gzip"],"instructions":%d,"seeds":[1,2]}`,
-			g.instructions)
 	}
-}
-
-// streamCampaign lazily submits the small shared campaign the stream
-// population follows, returning its handle.
-func (g *generator) streamCampaign() (string, bool) {
-	g.streamOnce.Do(func() {
-		payload := fmt.Sprintf(
-			`{"configs":["Base1ldst","MALEC"],"benchmarks":["gzip"],"instructions":%d,"seeds":[1,2]}`,
-			g.instructions)
-		resp, err := g.client.Post(g.base+"/v1/campaigns", "application/json", strings.NewReader(payload))
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
-			return
-		}
-		var st struct {
-			ID string `json:"id"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&st) == nil && st.ID != "" {
-			g.campaignID.Store(st.ID)
-		}
-	})
-	id, _ := g.campaignID.Load().(string)
-	return id, id != ""
-}
-
-// doStream performs one stream-population request: resume the shared
-// campaign's NDJSON results stream from the population's cursor, read a
-// few records, then deliberately hang up. The next request resumes with
-// ?after= where this one left off — exercising exactly the
-// disconnect/resume path the campaign API guarantees.
-func (g *generator) doStream() outcome {
-	t0 := time.Now()
-	var out outcome
-	id, ok := g.streamCampaign()
-	if !ok {
-		out.lat = time.Since(t0)
-		return out
-	}
-	resp, err := g.client.Get(fmt.Sprintf("%s/v1/campaigns/%s/results?after=%d",
-		g.base, id, g.streamCursor.Load()))
-	if err != nil {
-		out.lat = time.Since(t0)
-		return out
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for connection reuse
-		out.lat = time.Since(t0)
-		return out
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for lines := 0; lines < 4 && sc.Scan(); lines++ {
-		var line struct {
-			Seq  uint64 `json:"seq"`
-			Done bool   `json:"done"`
-		}
-		if json.Unmarshal(sc.Bytes(), &line) != nil {
-			out.lat = time.Since(t0)
-			return out
-		}
-		// Publish the furthest cursor seen so the next stream request
-		// resumes past it (concurrent streams race; max wins).
-		for line.Seq > 0 {
-			cur := g.streamCursor.Load()
-			if line.Seq <= cur || g.streamCursor.CompareAndSwap(cur, line.Seq) {
-				break
-			}
-		}
-		if line.Done {
-			g.streamCursor.Store(0) // re-stream from the top next time
-			break
-		}
-	}
-	// Returning closes the body mid-stream: the deliberate disconnect.
-	out.ok = true
-	out.lat = time.Since(t0)
-	return out
+	// A fresh seed per request: a distinct simulation point every time,
+	// so this population exercises the simulate path (and the trace
+	// cache) instead of the result cache. The base is unique per
+	// invocation (see -run-seed-base) or a second malecload run against a
+	// warm daemon would measure cache hits by accident.
+	return fmt.Sprintf(
+		`{"config":"MALEC","benchmark":"gzip","instructions":%d,"seed":%d}`,
+		g.instructions, g.seedBase+g.seed.Add(1))
 }
 
 // do performs one request (plus up to g.retries backed-off retries after
 // shed responses), returning its outcome. Latency covers the whole
 // attempt chain — what the caller actually waited.
 func (g *generator) do(kind reqKind) outcome {
-	if kind == kindStream {
-		return g.doStream()
-	}
-	path, payload := g.body(kind)
+	payload := g.body(kind)
 	t0 := time.Now()
 	var out outcome
 	for attempt := 0; ; attempt++ {
-		resp, err := g.client.Post(g.base+path, "application/json", strings.NewReader(payload))
+		resp, err := g.client.Post(g.base+"/v1/run", "application/json", strings.NewReader(payload))
 		if err != nil {
 			out.lat = time.Since(t0)
 			return out
@@ -447,7 +334,7 @@ func parseMix(spec string) (map[string]int, []reqKind, error) {
 		}
 		kind, ok := kindNames[name]
 		if !ok {
-			return nil, nil, fmt.Errorf("unknown population %q (hit, run, sweep, stream)", name)
+			return nil, nil, fmt.Errorf("unknown population %q (hit or run)", name)
 		}
 		if _, dup := weights[name]; dup {
 			return nil, nil, fmt.Errorf("population %q listed twice", name)
@@ -471,7 +358,7 @@ func run() int {
 		startRPS = flag.Float64("start-rps", 100, "offered RPS")
 		slotDur  = flag.Duration("slot", 5*time.Second, "duration of each RPS slot")
 		slots    = flag.Int("slots", 4, "slot count")
-		mixSpec  = flag.String("mix", "hit", "weighted request mix, e.g. hit=8,run=2,sweep=1,stream=1")
+		mixSpec  = flag.String("mix", "hit", "weighted request mix of the hit and run populations, e.g. hit=8,run=2")
 		instr    = flag.Int("instructions", 50000, "instructions per requested simulation point")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout (a timed-out request is an error)")
 		maxInfl  = flag.Int("max-inflight", 1024, "in-flight request cap; arrivals beyond it are dropped (counted as errors)")
@@ -507,7 +394,7 @@ func run() int {
 	}
 
 	if *warmup {
-		// Prime each population once so the hit/sweep mixes measure the
+		// Prime each population once so the hit population measures the
 		// cache-hit steady state, not one cold simulation; also proves
 		// the daemon is up before load starts.
 		for name, kind := range kindNames {

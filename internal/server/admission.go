@@ -1,8 +1,8 @@
 package server
 
-// Admission control for the simulation-bearing endpoints (/v1/run,
-// /v1/sweep): a bounded concurrency gate with a bounded, time-limited
-// queue, per-client concurrency caps, and drain-aware rejection. Requests
+// Admission control for the synchronous simulation endpoint (/v1/run):
+// a bounded concurrency gate with a bounded, time-limited queue,
+// per-client concurrency caps, and drain-aware rejection. Requests
 // past the bounds are shed immediately with 429 + Retry-After (503 while
 // draining) instead of silently piling onto the engine's worker
 // semaphore, so overload degrades into fast, explicit backpressure the

@@ -1,7 +1,7 @@
 package server
 
 // Tests for request-body decoding: every 400 and 413 a malformed body can
-// get from /v1/run, /v1/sweep and POST /v1/campaigns, with its exact
+// get from /v1/run and POST /v1/campaigns, with its exact
 // message, and a differential fuzz target against the plain
 // json.NewDecoder(http.MaxBytesReader(...)) decode.
 
@@ -29,8 +29,8 @@ type bodyCase struct {
 	msg        string
 }
 
-// bodyCases returns the malformed-body cases of one endpoint: grid bodies
-// (sweep, campaigns) name their fields configs, run bodies config. Type
+// bodyCases returns the malformed-body cases of one endpoint: campaign
+// bodies name their fields configs, run bodies config. Type
 // errors read the same for every endpoint: they name the key path and the
 // JSON kinds, never the Go structs behind them.
 func bodyCases(grid bool) []bodyCase {
@@ -79,7 +79,6 @@ func TestRequestBodyErrors(t *testing.T) {
 		cases []bodyCase
 	}{
 		{"/v1/run", bodyCases(false)},
-		{"/v1/sweep", bodyCases(true)},
 		{"/v1/campaigns", bodyCases(true)},
 	} {
 		for _, c := range ep.cases {
@@ -125,7 +124,7 @@ func oracleReadBody(w http.ResponseWriter, r *http.Request, v any) bool {
 				"request body exceeds %d bytes", mbe.Limit)
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "invalid request body: %s", bodyError(v, err))
+		writeError(w, http.StatusBadRequest, "invalid request body: %s", bodyError(err))
 		return false
 	}
 	return true

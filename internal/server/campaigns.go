@@ -1,6 +1,8 @@
 package server
 
-// Durable-campaign routes: asynchronous sweeps as first-class handles.
+// Durable-campaign routes: a config x benchmark x seed grid run
+// asynchronously behind a first-class handle. They are the only way to run
+// a grid over HTTP.
 //
 //	POST   /v1/campaigns               submit a grid, get a handle (202)
 //	GET    /v1/campaigns               list campaign statuses
@@ -20,19 +22,75 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
+	"malec/internal/config"
 	"malec/internal/engine"
+	"malec/internal/trace"
 )
+
+// maxGridJobs caps the number of jobs one campaign may expand to.
+const maxGridJobs = 4096
 
 // campaignRequest is the POST /v1/campaigns body.
 type campaignRequest struct {
-	gridRequest
+	Configs      []string `json:"configs"`
+	Benchmarks   []string `json:"benchmarks"`
+	Instructions int      `json:"instructions"`
+	Seeds        []uint64 `json:"seeds"`
+	// Sampling, when present, runs every point of the grid on the
+	// sampled fast path — the quality tier for large grids: core-side
+	// config variants share warmed checkpoints, so only the first config
+	// per (benchmark, seed) pays the functional-warming pass.
+	Sampling *config.Sampling `json:"sampling"`
 	// Retries bounds per-job retry attempts before a point is declared
 	// failed (default: the manager's default, 2).
 	Retries int `json:"retries"`
+}
+
+// resolveGrid validates a campaign's grid against the registry and
+// limits, returning the resolved configs. req.Instructions is normalized
+// in place to its effective value (mirroring CampaignSpec.normalize), so
+// the limit check and the campaign spec can never disagree.
+func (s *Server) resolveGrid(req *campaignRequest) ([]config.Config, error) {
+	if len(req.Configs) == 0 {
+		return nil, fmt.Errorf("configs is required (see /v1/configs)")
+	}
+	if err := validSampling(req.Sampling); err != nil {
+		return nil, err
+	}
+	cfgs := make([]config.Config, 0, len(req.Configs))
+	for _, name := range req.Configs {
+		cfg, ok := config.Named(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown config %q (see /v1/configs)", name)
+		}
+		cfg.Sampling = req.Sampling
+		cfgs = append(cfgs, cfg)
+	}
+	// Unknown benchmarks are rejected by CampaignSpec.normalize — no
+	// duplicate validation here, so the two can't drift.
+	if req.Instructions <= 0 {
+		req.Instructions = engine.DefaultInstructions
+	}
+	if req.Instructions > s.opts.MaxInstructions {
+		return nil, fmt.Errorf("instructions %d exceeds limit %d", req.Instructions, s.opts.MaxInstructions)
+	}
+	benchmarks := len(req.Benchmarks)
+	if benchmarks == 0 {
+		benchmarks = len(trace.AllBenchmarks())
+	}
+	seeds := len(req.Seeds)
+	if seeds == 0 {
+		seeds = 1
+	}
+	if jobs := len(cfgs) * benchmarks * seeds; jobs > maxGridJobs {
+		return nil, fmt.Errorf("campaign expands to %d jobs, limit %d", jobs, maxGridJobs)
+	}
+	return cfgs, nil
 }
 
 // handleCampaignCreate implements POST /v1/campaigns: validate the grid,
@@ -46,7 +104,7 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	cfgs, err := s.resolveGrid(&req.gridRequest)
+	cfgs, err := s.resolveGrid(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -378,9 +378,4 @@ func TestSimPanicReturns500NotCrash(t *testing.T) {
 	if !strings.Contains(m, "malec_engine_panics_total 1") {
 		t.Fatal("/metrics missing malec_engine_panics_total 1")
 	}
-	// A sweep over a panicking point fails the same way, not as a 400.
-	resp, raw = post(t, ts.URL+"/v1/sweep", `{"configs":["MALEC"],"benchmarks":["mcf"],"instructions":1000}`)
-	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(raw, []byte("panicked")) {
-		t.Fatalf("sweep status = %d (%s), want 500 with the panic", resp.StatusCode, raw)
-	}
 }

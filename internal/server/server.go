@@ -13,7 +13,9 @@
 //	GET  /v1/benchmarks  benchmark workloads with their suites
 //	GET  /v1/stats       engine cache/scheduler counters + serving summary
 //	POST /v1/run         one simulation point
-//	POST /v1/sweep       a config x benchmark x seed campaign (JSON or CSV)
+//
+// A config x benchmark x seed grid runs as a durable campaign under
+// /v1/campaigns (campaigns.go).
 //
 // Every route is instrumented by middleware (metrics.go): request
 // counters by status class, an in-flight gauge and a latency histogram
@@ -30,7 +32,6 @@ import (
 	"math"
 	"net/http"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,13 +55,10 @@ type Options struct {
 	// point (default 5e6). Simulation time is linear in instructions;
 	// the cap keeps one request from monopolizing workers.
 	MaxInstructions int
-	// MaxSweepJobs caps the number of jobs one sweep may expand to
-	// (default 4096).
-	MaxSweepJobs int
-	// RequestTimeout bounds the server-side processing time of
-	// simulation-bearing requests (/v1/run, /v1/sweep); past it the
-	// simulation is cancelled and the client gets 504. A request's own
-	// deadline_ms tightens it further, never loosens it. Zero disables.
+	// RequestTimeout bounds the server-side processing time of /v1/run
+	// requests and campaign exports; past it the simulation is cancelled
+	// and the client gets 504. A run's own deadline_ms tightens it
+	// further, never loosens it. Zero disables.
 	RequestTimeout time.Duration
 	// MaxConcurrent bounds how many simulation-bearing requests are
 	// admitted at once; excess requests queue (see MaxQueueDepth) and are
@@ -76,7 +74,7 @@ type Options struct {
 	MaxQueueWait time.Duration
 	// PerClientConcurrency caps concurrent simulation-bearing requests
 	// per client (X-API-Key header, else remote address), so one client's
-	// sweep burst cannot starve everyone else's interactive traffic. Zero
+	// burst cannot starve everyone else's interactive traffic. Zero
 	// disables.
 	PerClientConcurrency int
 	// Campaigns serves the durable-campaign routes (/v1/campaigns). Nil
@@ -89,9 +87,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.MaxInstructions <= 0 {
 		o.MaxInstructions = 5_000_000
-	}
-	if o.MaxSweepJobs <= 0 {
-		o.MaxSweepJobs = 4096
 	}
 	if o.MaxConcurrent > 0 {
 		if o.MaxQueueDepth == 0 {
@@ -158,7 +153,6 @@ func New(eng *engine.Engine, opts Options) *Server {
 	s.handle("GET", "/v1/benchmarks", s.handleBenchmarks)
 	s.handle("GET", "/v1/stats", s.handleStats)
 	s.handle("POST", "/v1/run", s.handleRun)
-	s.handle("POST", "/v1/sweep", s.handleSweep)
 	s.handle("POST", "/v1/campaigns", s.handleCampaignCreate)
 	s.handle("GET", "/v1/campaigns", s.handleCampaignList)
 	s.handle("GET", "/v1/campaigns/{id}", s.handleCampaignStatus)
@@ -209,11 +203,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // maxBodyBytes bounds request bodies: far above any legitimate run or
-// sweep spec, far below anything that could pressure memory.
+// campaign spec, far below anything that could pressure memory.
 const maxBodyBytes = 1 << 20
 
 // maxPooledBody caps the buffer a requestBody takes back to the pool. Run
-// and sweep bodies are a few hundred bytes; the storage of a larger one is
+// bodies are a few hundred bytes; the storage of a larger one is
 // left to the collector rather than kept for every later request.
 const maxPooledBody = 8 << 10
 
@@ -260,38 +254,25 @@ func (b *requestBody) decode(w http.ResponseWriter, r *http.Request, v any) bool
 	dec := json.NewDecoder(&b.buf)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %s", bodyError(v, err))
+		writeError(w, http.StatusBadRequest, "invalid request body: %s", bodyError(err))
 		return false
 	}
 	return true
 }
 
-// bodyError words an error decoding a body into v. A type error names the
-// body's key path and the JSON kinds involved, not the Go structs the body
-// decodes into, so run, sweep and campaign bodies read alike.
-func bodyError(v any, err error) string {
+// bodyError words an error decoding a request body. A type error names
+// the body's key path and the JSON kinds involved, not the Go structs the
+// body decodes into, so run and campaign bodies read alike.
+func bodyError(err error) string {
 	var te *json.UnmarshalTypeError
 	if !errors.As(err, &te) {
 		return err.Error()
 	}
 	what := "the body"
-	if path := keyPath(reflect.TypeOf(v).Elem(), te.Field); path != "" {
-		what = fmt.Sprintf("field %q", path)
+	if te.Field != "" {
+		what = fmt.Sprintf("field %q", te.Field)
 	}
 	return fmt.Sprintf("%s must be %s, not %s", what, jsonKind(te.Type), valueKind(te.Value))
-}
-
-// keyPath turns a type error's field path into the body's key path: the
-// decoder's path also names embedded structs (gridRequest), which have no
-// key of their own.
-func keyPath(t reflect.Type, field string) string {
-	keys := strings.Split(field, ".")
-	for _, f := range reflect.VisibleFields(t) {
-		if f.Anonymous {
-			keys = slices.DeleteFunc(keys, func(k string) bool { return k == f.Name })
-		}
-	}
-	return strings.Join(keys, ".")
 }
 
 // jsonKind names the JSON a Go type decodes from. Integers say so, since
@@ -432,7 +413,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // runRequest is the POST /v1/run body. Seed is a pointer so an explicit 0
 // is distinguishable from an omitted field: seed 0 is a valid workload
-// instance, and /v1/sweep runs it as given.
+// instance, and a campaign's seeds list runs it as given too.
 type runRequest struct {
 	Config       string  `json:"config"`
 	Benchmark    string  `json:"benchmark"`
@@ -621,123 +602,4 @@ func (m *hitMemo) add(key engine.Key, b memoBody, resident int) {
 	if len(m.bodies) < resident {
 		m.bodies[key] = b
 	}
-}
-
-// gridRequest is the config x benchmark x seed grid shared by the sweep
-// and campaign request bodies.
-type gridRequest struct {
-	Configs      []string `json:"configs"`
-	Benchmarks   []string `json:"benchmarks"`
-	Instructions int      `json:"instructions"`
-	Seeds        []uint64 `json:"seeds"`
-	// Sampling, when present, runs every point of the grid on the
-	// sampled fast path — the quality tier for large grids: core-side
-	// config variants share warmed checkpoints, so only the first config
-	// per (benchmark, seed) pays the functional-warming pass.
-	Sampling *config.Sampling `json:"sampling"`
-}
-
-// resolveGrid validates a grid against the registry and limits, returning
-// the resolved configs. req.Instructions is normalized in place to its
-// effective value (mirroring CampaignSpec.normalize), so the limit check
-// and the campaign spec can never disagree.
-func (s *Server) resolveGrid(req *gridRequest) ([]config.Config, error) {
-	if len(req.Configs) == 0 {
-		return nil, fmt.Errorf("configs is required (see /v1/configs)")
-	}
-	if err := validSampling(req.Sampling); err != nil {
-		return nil, err
-	}
-	cfgs := make([]config.Config, 0, len(req.Configs))
-	for _, name := range req.Configs {
-		cfg, ok := config.Named(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown config %q (see /v1/configs)", name)
-		}
-		cfg.Sampling = req.Sampling
-		cfgs = append(cfgs, cfg)
-	}
-	// Unknown benchmarks are rejected by CampaignSpec.normalize — no
-	// duplicate validation here, so the two can't drift.
-	if req.Instructions <= 0 {
-		req.Instructions = engine.DefaultInstructions
-	}
-	if req.Instructions > s.opts.MaxInstructions {
-		return nil, fmt.Errorf("instructions %d exceeds limit %d", req.Instructions, s.opts.MaxInstructions)
-	}
-	benchmarks := len(req.Benchmarks)
-	if benchmarks == 0 {
-		benchmarks = len(trace.AllBenchmarks())
-	}
-	seeds := len(req.Seeds)
-	if seeds == 0 {
-		seeds = 1
-	}
-	if jobs := len(cfgs) * benchmarks * seeds; jobs > s.opts.MaxSweepJobs {
-		return nil, fmt.Errorf("sweep expands to %d jobs, limit %d", jobs, s.opts.MaxSweepJobs)
-	}
-	return cfgs, nil
-}
-
-// sweepRequest is the POST /v1/sweep body.
-type sweepRequest struct {
-	gridRequest
-	// Format selects the response encoding: "json" (default) or "csv".
-	Format string `json:"format"`
-	// DeadlineMs bounds the whole sweep's processing time in
-	// milliseconds; see runRequest.DeadlineMs.
-	DeadlineMs int `json:"deadline_ms"`
-}
-
-// handleSweep implements POST /v1/sweep.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.adm.admit(w, r, s.draining.Load())
-	if !ok {
-		return
-	}
-	defer release()
-	var req sweepRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	cfgs, err := s.resolveGrid(&req.gridRequest)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Format != "" && req.Format != "json" && req.Format != "csv" {
-		writeError(w, http.StatusBadRequest, "unknown format %q (json or csv)", req.Format)
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, req.DeadlineMs)
-	defer cancel()
-	camp, err := s.eng.RunCampaignContext(ctx, engine.CampaignSpec{
-		Configs:      cfgs,
-		Benchmarks:   req.Benchmarks,
-		Instructions: req.Instructions,
-		Seeds:        req.Seeds,
-	})
-	if err != nil {
-		var pe *engine.SimPanicError
-		switch {
-		case errors.As(err, &pe):
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			s.writeSimError(w, err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
-		return
-	}
-	if req.Format == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-		w.WriteHeader(http.StatusOK)
-		camp.WriteCSV(w) //nolint:errcheck // headers sent; nothing left to report
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"jobs":    len(camp.Results),
-		"results": camp.Results,
-	})
 }

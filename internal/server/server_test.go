@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -237,84 +236,6 @@ func TestDistinctPointsRunConcurrently(t *testing.T) {
 	wg.Wait()
 	if n := calls.Load(); n != clients {
 		t.Fatalf("simulate ran %d times for %d distinct points", n, clients)
-	}
-}
-
-func TestSweepJSONAndCSV(t *testing.T) {
-	sim := func(cfg config.Config, b string, n int, s uint64) cpu.Result {
-		return cpu.Result{Config: cfg.Name, Benchmark: b, Cycles: 100 + s, Instructions: uint64(n)}
-	}
-	ts, _ := newTestServer(t, sim, Options{})
-	body := `{"configs":["Base1ldst","MALEC"],"benchmarks":["gzip","mcf"],"instructions":1000,"seeds":[1,2]}`
-
-	resp, raw := post(t, ts.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d: %s", resp.StatusCode, raw)
-	}
-	var out struct {
-		Jobs    int                `json:"jobs"`
-		Results []engine.JobResult `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Jobs != 8 || len(out.Results) != 8 {
-		t.Fatalf("sweep returned %d jobs / %d results, want 8", out.Jobs, len(out.Results))
-	}
-	if out.Results[0].ConfigName != "Base1ldst" || out.Results[0].Benchmark != "gzip" || out.Results[0].Seed != 1 {
-		t.Fatalf("unexpected first result %+v", out.Results[0].Job)
-	}
-
-	csvBody := `{"configs":["Base1ldst","MALEC"],"benchmarks":["gzip","mcf"],"instructions":1000,"seeds":[1,2],"format":"csv"}`
-	resp, raw = post(t, ts.URL+"/v1/sweep", csvBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("csv sweep status %d: %s", resp.StatusCode, raw)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/csv" {
-		t.Fatalf("csv content type %q", ct)
-	}
-	rows, err := csv.NewReader(bytes.NewReader(raw)).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 9 { // header + 8 jobs
-		t.Fatalf("csv has %d rows, want 9", len(rows))
-	}
-	if rows[0][0] != "config" || rows[1][0] != "Base1ldst" {
-		t.Fatalf("unexpected csv rows %v / %v", rows[0], rows[1])
-	}
-}
-
-func TestSweepValidation(t *testing.T) {
-	ts, _ := newTestServer(t, nil, Options{MaxSweepJobs: 4})
-	cases := []struct {
-		name, body string
-	}{
-		{"no configs", `{"benchmarks":["gzip"]}`},
-		{"unknown config", `{"configs":["NoSuch"]}`},
-		{"unknown benchmark", `{"configs":["MALEC"],"benchmarks":["nope"]}`},
-		{"too many jobs", `{"configs":["MALEC"],"benchmarks":["gzip","mcf","art","ammp","gcc"]}`},
-		{"bad format", `{"configs":["MALEC"],"benchmarks":["gzip"],"format":"xml"}`},
-	}
-	for _, c := range cases {
-		resp, body := post(t, ts.URL+"/v1/sweep", c.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, body)
-		}
-	}
-}
-
-// TestSweepDefaultInstructionsRespectsLimit guards against the default
-// instruction count (300000) sneaking past a lower operator limit when the
-// request omits the field.
-func TestSweepDefaultInstructionsRespectsLimit(t *testing.T) {
-	ts, _ := newTestServer(t, nil, Options{MaxInstructions: 100000})
-	resp, body := post(t, ts.URL+"/v1/sweep", `{"configs":["MALEC"],"benchmarks":["gzip"]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("sweep with omitted instructions under a 100k limit: status %d (%s)", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "300000 exceeds limit 100000") {
-		t.Fatalf("error does not name the effective default: %s", body)
 	}
 }
 
@@ -576,23 +497,34 @@ func TestRunSamplingTier(t *testing.T) {
 		t.Fatalf("invalid schedule: status %d, want 400: %s", resp.StatusCode, body)
 	}
 
-	// The sweep tier applies the schedule to every config; two core-side
-	// variants would share warmed checkpoints here, which the engine
-	// tests cover — this checks the plumbing end to end.
-	resp, body = post(t, ts.URL+"/v1/sweep",
+	// A sampled campaign applies the schedule to every config and runs
+	// the same point as the sampled /v1/run: its export carries that
+	// run's key. Two core-side variants would share warmed checkpoints
+	// here, which the engine tests cover; this checks the plumbing end to
+	// end.
+	resp, body = post(t, ts.URL+"/v1/campaigns",
 		`{"configs": ["MALEC"], "benchmarks": ["gzip"], "instructions": 40000, "seeds": [2],
 		  "sampling": {"Warmup": 200, "Detail": 800, "Interval": 20000}}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sampled sweep: status %d: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sampled campaign: status %d: %s", resp.StatusCode, body)
 	}
-	var sweep struct {
-		Jobs int `json:"jobs"`
-	}
-	if err := json.Unmarshal(body, &sweep); err != nil {
+	var st engine.CampaignStatus
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if sweep.Jobs != 1 {
-		t.Fatalf("sampled sweep ran %d jobs, want 1", sweep.Jobs)
+	if _, _, done := readStream(t, ts.URL+"/v1/campaigns/"+st.ID+"/results"); done.State != string(engine.CampaignDone) {
+		t.Fatalf("sampled campaign ended %+v", done)
+	}
+	var exp struct {
+		Results []struct {
+			Key engine.Key `json:"key"`
+		} `json:"results"`
+	}
+	if resp := get(t, ts.URL+"/v1/campaigns/"+st.ID+"/results?format=json", &exp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sampled campaign export: status %d", resp.StatusCode)
+	}
+	if len(exp.Results) != 1 || exp.Results[0].Key != sampled.Key {
+		t.Fatalf("sampled campaign exported %+v, want the one key %v", exp.Results, sampled.Key)
 	}
 }
 
