@@ -196,8 +196,8 @@ func TestLoadQueue(t *testing.T) {
 	if !q.TryAlloc() {
 		t.Fatal("alloc after release failed")
 	}
-	if q.Peak() != 2 || q.Len() != 2 {
-		t.Fatalf("peak=%d len=%d", q.Peak(), q.Len())
+	if q.Len() != 2 {
+		t.Fatalf("len=%d, want 2", q.Len())
 	}
 }
 

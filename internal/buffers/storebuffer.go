@@ -146,7 +146,6 @@ func (b *StoreBuffer) Forward(va mem.Addr, size uint8) (full, partial bool) {
 type LoadQueue struct {
 	cap  int
 	used int
-	peak int
 }
 
 // NewLoadQueue returns a load queue with the given capacity.
@@ -158,9 +157,6 @@ func (q *LoadQueue) TryAlloc() bool {
 		return false
 	}
 	q.used++
-	if q.used > q.peak {
-		q.peak = q.used
-	}
 	return true
 }
 
@@ -172,8 +168,5 @@ func (q *LoadQueue) Release() {
 	q.used--
 }
 
-// Len returns current occupancy; Peak the high-water mark.
+// Len returns current occupancy.
 func (q *LoadQueue) Len() int { return q.used }
-
-// Peak returns the maximum occupancy observed.
-func (q *LoadQueue) Peak() int { return q.peak }

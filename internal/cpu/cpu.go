@@ -83,6 +83,12 @@ func (s *SliceSource) RestoreState(st SourceState) bool {
 // stopped at it. A producer panic re-panics in the reader's Next. The
 // producer starts on the first Next and exits once the trace is generated
 // or when RunWithCheckpointsContext returns.
+//
+// The producer goroutine earns its place: it overlaps trace generation
+// with functional warming, the two costs of a sampled point. On a 2-core
+// host, a GenSource that generated synchronously in Next passed every test
+// but cut perfbench's sweep-sampled throughput from a 14.9 to a 12.2
+// Minstr/s median (6 alternating pairs) and raised its setup_s about 20%.
 type GenSource struct {
 	Gen *trace.Generator
 	N   int

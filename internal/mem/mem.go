@@ -75,9 +75,6 @@ func (a Addr) LineInPage() uint32 { return (uint32(a) & (PageSize - 1)) >> LineS
 // LineOffset returns the byte offset of the address within its cache line.
 func (a Addr) LineOffset() uint32 { return uint32(a) & (LineSize - 1) }
 
-// SubBlock returns the index (0..3) of the 128 bit sub-block within the line.
-func (a Addr) SubBlock() uint32 { return (uint32(a) & (LineSize - 1)) >> SubBlockShift }
-
 // MergeWindow returns the address truncated to its 32 byte merge window. Two
 // loads with equal merge windows can share a single MALEC data-array read.
 func (a Addr) MergeWindow() Addr { return a.Canon() &^ (MergeWindowSize - 1) }

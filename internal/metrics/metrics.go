@@ -1,7 +1,7 @@
 // Package metrics is a small, allocation-conscious metrics library for
 // the serving layer: counters, gauges and fixed-bucket latency histograms
 // collected into a Registry that renders the Prometheus text exposition
-// format (no external dependencies) and a JSON-friendly Snapshot.
+// format (no external dependencies).
 //
 // The hot paths — Counter.Inc/Add, Gauge ops, Histogram.Observe — are
 // single atomic operations (plus a short fixed-bound scan for the
@@ -20,7 +20,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,16 +94,15 @@ var DefLatencyBuckets = []time.Duration{
 // Histogram counts observations into fixed buckets chosen at
 // construction. Observe is lock-free: one atomic add into the bucket
 // whose upper bound first contains the value (le semantics, matching
-// Prometheus), one into the count, one into the nanosecond sum, plus a
-// CAS max so snapshots can report an exact maximum alongside the
-// bucket-interpolated quantiles.
+// Prometheus), one into the count and one into the nanosecond sum.
+// Quantiles are left to the scraper (histogram_quantile over the
+// exported buckets).
 type Histogram struct {
 	boundsNs  []int64 // sorted upper bounds, nanoseconds; +Inf implicit
 	boundsSec []float64
 	buckets   []atomic.Uint64 // len(boundsNs)+1, non-cumulative
 	count     atomic.Uint64
 	sumNs     atomic.Int64
-	maxNs     atomic.Int64
 }
 
 // newHistogram builds an unregistered histogram over the given bounds.
@@ -138,12 +136,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sumNs.Add(n)
-	for {
-		old := h.maxNs.Load()
-		if n <= old || h.maxNs.CompareAndSwap(old, n) {
-			return
-		}
-	}
 }
 
 // Count returns the number of observations.
@@ -152,77 +144,9 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the total of all observed durations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
 
-// Max returns the largest observation seen (exact, not bucketed).
-func (h *Histogram) Max() time.Duration { return time.Duration(h.maxNs.Load()) }
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// within the bucket containing the target rank, the same estimate
-// Prometheus' histogram_quantile computes. Observations in the overflow
-// (+Inf) bucket resolve to the exact observed maximum rather than an
-// unbounded guess. Returns 0 when nothing has been observed.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.buckets {
-		c := float64(h.buckets[i].Load())
-		if c == 0 {
-			continue
-		}
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		if i == len(h.boundsNs) {
-			return h.Max()
-		}
-		var lower int64
-		if i > 0 {
-			lower = h.boundsNs[i-1]
-		}
-		upper := h.boundsNs[i]
-		frac := (rank - cum) / c
-		est := time.Duration(float64(lower) + float64(upper-lower)*frac)
-		if m := h.Max(); est > m {
-			// The interpolation assumes observations spread across the
-			// whole bucket; the exact max is a tighter upper bound.
-			est = m
-		}
-		return est
-	}
-	return h.Max()
-}
-
-// HistogramSnapshot is the JSON-friendly summary of a histogram.
-type HistogramSnapshot struct {
-	Count      uint64  `json:"count"`
-	SumSeconds float64 `json:"sumSeconds"`
-	P50Ms      float64 `json:"p50Ms"`
-	P90Ms      float64 `json:"p90Ms"`
-	P99Ms      float64 `json:"p99Ms"`
-	MaxMs      float64 `json:"maxMs"`
-}
-
-// Snap summarizes the histogram for JSON.
-func (h *Histogram) Snap() HistogramSnapshot {
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	return HistogramSnapshot{
-		Count:      h.Count(),
-		SumSeconds: h.Sum().Seconds(),
-		P50Ms:      ms(h.Quantile(0.50)),
-		P90Ms:      ms(h.Quantile(0.90)),
-		P99Ms:      ms(h.Quantile(0.99)),
-		MaxMs:      ms(h.Max()),
-	}
-}
-
 // metric renders one registered instrument's sample lines.
 type metric interface {
 	writeText(b *strings.Builder, name, labels string)
-	snapInto(s *Snapshot, key string)
 }
 
 // family groups all instruments sharing one metric name.
@@ -241,7 +165,7 @@ type row struct {
 
 // Registry holds registered metrics and renders them. Registration is
 // expected at construction time of the instrumented component; reads
-// (WritePrometheus, Snapshot) may run concurrently with hot-path updates.
+// (WritePrometheus) may run concurrently with hot-path updates.
 type Registry struct {
 	mu       sync.Mutex
 	fams     []*family
@@ -255,7 +179,7 @@ func NewRegistry() *Registry {
 }
 
 // OnScrape registers a hook invoked (under the registry lock) at the
-// start of every WritePrometheus or Snapshot call. Components whose
+// start of every WritePrometheus call. Components whose
 // counters live elsewhere (e.g. the engine's Stats) refresh one coherent
 // snapshot here for their CounterFunc/GaugeFunc closures to read.
 func (r *Registry) OnScrape(fn func()) {
@@ -338,55 +262,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// Snapshot is a JSON-friendly dump of every registered metric, keyed by
-// name plus rendered labels.
-type Snapshot struct {
-	Counters   map[string]float64           `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Snapshot captures the current value of every registered metric.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   make(map[string]float64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, fn := range r.onScrape {
-		fn()
-	}
-	for _, f := range r.fams {
-		for _, row := range f.rows {
-			key := f.name + row.labels
-			switch f.typ {
-			case "histogram":
-				row.m.snapInto(&s, key)
-			case "counter":
-				s.Counters[key] = valueOf(row.m)
-			default:
-				s.Gauges[key] = valueOf(row.m)
-			}
-		}
-	}
-	return s
-}
-
-// valueOf extracts a scalar metric's current value.
-func valueOf(m metric) float64 {
-	switch v := m.(type) {
-	case *counterMetric:
-		return float64((*Counter)(v).Value())
-	case *gaugeMetric:
-		return float64((*Gauge)(v).Value())
-	case funcMetric:
-		return v()
-	}
-	return math.NaN()
-}
-
 // counterMetric adapts Counter to the metric interface.
 type counterMetric Counter
 
@@ -396,10 +271,6 @@ func (c *counterMetric) writeText(b *strings.Builder, name, labels string) {
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatUint((*Counter)(c).Value(), 10))
 	b.WriteByte('\n')
-}
-
-func (c *counterMetric) snapInto(s *Snapshot, key string) {
-	s.Counters[key] = float64((*Counter)(c).Value())
 }
 
 // gaugeMetric adapts Gauge to the metric interface.
@@ -413,10 +284,6 @@ func (g *gaugeMetric) writeText(b *strings.Builder, name, labels string) {
 	b.WriteByte('\n')
 }
 
-func (g *gaugeMetric) snapInto(s *Snapshot, key string) {
-	s.Gauges[key] = float64((*Gauge)(g).Value())
-}
-
 // funcMetric adapts a scrape-time callback to the metric interface.
 type funcMetric func() float64
 
@@ -426,10 +293,6 @@ func (f funcMetric) writeText(b *strings.Builder, name, labels string) {
 	b.WriteByte(' ')
 	b.WriteString(formatFloat(f()))
 	b.WriteByte('\n')
-}
-
-func (f funcMetric) snapInto(s *Snapshot, key string) {
-	s.Gauges[key] = f()
 }
 
 // histogramMetric adapts Histogram to the metric interface.
@@ -463,10 +326,6 @@ func (hm *histogramMetric) writeText(b *strings.Builder, name, labels string) {
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatUint(h.Count(), 10))
 	b.WriteByte('\n')
-}
-
-func (hm *histogramMetric) snapInto(s *Snapshot, key string) {
-	s.Histograms[key] = (*Histogram)(hm).Snap()
 }
 
 // renderLabels renders a fixed label set once, at registration.

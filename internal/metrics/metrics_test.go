@@ -43,39 +43,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if got := h.Count(); got != uint64(len(cases)) {
 		t.Fatalf("Count() = %d, want %d", got, len(cases))
 	}
-	if got := h.Max(); got != time.Hour {
-		t.Fatalf("Max() = %v, want %v", got, time.Hour)
-	}
-}
-
-// TestHistogramQuantile checks the interpolated quantile estimate against
-// a known distribution, and that the +Inf bucket resolves to the exact
-// maximum instead of an unbounded guess.
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond})
-	// 100 observations uniform in (0, 10ms]: p50 should interpolate to
-	// ~5ms inside the first bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(time.Duration(i) * 100 * time.Microsecond)
-	}
-	p50 := h.Quantile(0.50)
-	if p50 < 4*time.Millisecond || p50 > 6*time.Millisecond {
-		t.Fatalf("p50 = %v, want ~5ms", p50)
-	}
-	// All mass below 10ms: p99 stays in the first bucket.
-	if p99 := h.Quantile(0.99); p99 > 10*time.Millisecond {
-		t.Fatalf("p99 = %v, want <= 10ms", p99)
-	}
-	// One overflow observation: p100 must be the exact max.
-	h.Observe(3 * time.Second)
-	if q := h.Quantile(1.0); q != 3*time.Second {
-		t.Fatalf("overflow quantile = %v, want exact max 3s", q)
-	}
-
-	var empty Histogram
-	if q := (&empty).Quantile(0.5); q != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", q)
-	}
 }
 
 // TestConcurrentObserve hammers one histogram and one counter from many
@@ -101,7 +68,6 @@ func TestConcurrentObserve(t *testing.T) {
 			default:
 				var sb strings.Builder
 				r.WritePrometheus(&sb) //nolint:errcheck // strings.Builder cannot fail
-				r.Snapshot()
 			}
 		}
 	}()
@@ -139,6 +105,8 @@ func TestConcurrentObserve(t *testing.T) {
 // TestWritePrometheusGolden pins the full text exposition output for a
 // deterministic registry: family grouping, HELP/TYPE lines, label
 // rendering and escaping, cumulative histogram buckets, le formatting.
+// It also checks that OnScrape hooks run once per scrape, before any
+// scrape-time function reads what they refresh.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("malecd_http_requests_total", "Requests served.",
@@ -150,7 +118,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h := r.Histogram("malecd_http_request_seconds", "Request latency.",
 		[]time.Duration{time.Millisecond, 100 * time.Millisecond},
 		Label{"endpoint", "/v1/run"})
-	r.GaugeFunc("malec_engine_cache_entries", "Cache entries.", func() float64 { return 7 })
+	var entries float64
+	scrapes := 0
+	r.OnScrape(func() { scrapes++; entries = 7 })
+	r.GaugeFunc("malec_engine_cache_entries", "Cache entries.", func() float64 { return entries })
 	esc := r.Counter("t_escaped_total", "Escaping.", Label{"path", `a"b\c`})
 
 	c1.Add(3)
@@ -165,6 +136,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
+	}
+	if scrapes != 1 {
+		t.Fatalf("OnScrape ran %d times in one scrape, want 1", scrapes)
 	}
 	want := `# HELP malecd_http_requests_total Requests served.
 # TYPE malecd_http_requests_total counter
@@ -189,37 +163,6 @@ t_escaped_total{path="a\"b\\c"} 1
 `
 	if got := sb.String(); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-// TestSnapshot checks the JSON-side dump: key rendering and per-type
-// routing, histogram summaries included.
-func TestSnapshot(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total", "c", Label{"k", "v"})
-	g := r.Gauge("g", "g")
-	h := r.Histogram("h_seconds", "h", []time.Duration{time.Millisecond})
-	scrapes := 0
-	r.OnScrape(func() { scrapes++ })
-	r.GaugeFunc("fn", "fn", func() float64 { return 1.5 })
-
-	c.Add(2)
-	g.Set(-4)
-	h.Observe(2 * time.Millisecond)
-
-	s := r.Snapshot()
-	if scrapes != 1 {
-		t.Fatalf("OnScrape ran %d times, want 1", scrapes)
-	}
-	if s.Counters[`c_total{k="v"}`] != 2 {
-		t.Fatalf("counter snapshot = %v", s.Counters)
-	}
-	if s.Gauges["g"] != -4 || s.Gauges["fn"] != 1.5 {
-		t.Fatalf("gauge snapshot = %v", s.Gauges)
-	}
-	hs, ok := s.Histograms["h_seconds"]
-	if !ok || hs.Count != 1 || hs.MaxMs != 2 {
-		t.Fatalf("histogram snapshot = %+v", s.Histograms)
 	}
 }
 

@@ -92,42 +92,6 @@ func (s *Source) Draw(c Chance) bool {
 	return s.Uint64()>>11 < uint64(c)
 }
 
-// Geometric returns a pseudo random non-negative integer following a
-// geometric distribution with continuation probability p (mean p/(1-p)).
-// It is used to draw run lengths for locality bursts.
-func (s *Source) Geometric(p float64) int {
-	n := 0
-	for s.Bool(p) && n < 1<<20 {
-		n++
-	}
-	return n
-}
-
-// Pick returns a pseudo random index weighted by weights. Zero or negative
-// weights are treated as zero. If all weights are zero it returns 0.
-func (s *Source) Pick(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if x < w {
-			return i
-		}
-		x -= w
-	}
-	return len(weights) - 1
-}
-
 // Split returns a new Source whose stream is independent of s. It is useful
 // for giving sub-components their own deterministic streams.
 func (s *Source) Split() *Source {

@@ -84,34 +84,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(13)
-	n := 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += s.Geometric(0.5)
-	}
-	mean := float64(sum) / float64(n)
-	// Mean of geometric with continuation 0.5 is 1.0.
-	if math.Abs(mean-1.0) > 0.05 {
-		t.Fatalf("Geometric(0.5) mean = %v, want ~1", mean)
-	}
-}
-
-func TestPickWeights(t *testing.T) {
-	s := New(17)
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[s.Pick([]float64{1, 2, 1})]++
-	}
-	if counts[1] < counts[0] || counts[1] < counts[2] {
-		t.Fatalf("weighted pick ignored weights: %v", counts)
-	}
-	if got := s.Pick([]float64{0, 0}); got != 0 {
-		t.Errorf("all-zero weights pick = %d, want 0", got)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	s := New(19)
 	c1 := s.Split()

@@ -217,22 +217,20 @@ func TestMemoryHitAllocations(t *testing.T) {
 	}
 }
 
-// statsHits reads hits from GET /v1/stats.
+// statsHits reads malec_engine_cache_hits_total from a /metrics scrape.
 func statsHits(t *testing.T, srv *Server) uint64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	var s struct {
-		Hits uint64 `json:"hits"`
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	hits, ok := metricValue(rec.Body.String(), "malec_engine_cache_hits_total")
+	if !ok {
+		t.Fatalf("/metrics has no malec_engine_cache_hits_total:\n%s", rec.Body)
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
-		t.Fatal(err)
-	}
-	return s.Hits
+	return uint64(hits)
 }
 
 // TestResidentHitCountedOnce checks that each memory hit adds exactly one
-// to /v1/stats hits, whether its body comes from the memo or, for a
+// to the served malec_engine_cache_hits_total, whether its body comes from the memo or, for a
 // counter-less result, from a fresh encode.
 func TestResidentHitCountedOnce(t *testing.T) {
 	for _, c := range []struct {

@@ -4,9 +4,12 @@ package server
 // counters, in-flight gauges and latency histograms collected around
 // every handler, the engine's cache/dedup/trace/scheduler counters
 // re-exported at scrape time, and the GET /metrics endpoint rendering
-// it all in the Prometheus text exposition format. One scrape tells the
-// whole story: HTTP-level load and latency plus what the engine did
-// with it.
+// it all in the Prometheus text exposition format. This is malecd's only
+// stats surface: every engine.Stats and engine.CampaignManagerStats field
+// has a series here (TestMetricsCoverEngineStats), and latency quantiles
+// are histogram_quantile over the exported buckets. One scrape tells the
+// whole story: HTTP-level load and latency plus what the engine did with
+// it.
 
 import (
 	"net/http"
@@ -41,20 +44,6 @@ func classIndex(code int) int {
 		return 2
 	}
 	return 3
-}
-
-// requests returns the endpoint's finished-request total.
-func (m *endpointMetrics) requests() uint64 {
-	var n uint64
-	for _, c := range m.codes {
-		n += c.Value()
-	}
-	return n
-}
-
-// errors returns the endpoint's 4xx+5xx total.
-func (m *endpointMetrics) errors() uint64 {
-	return m.codes[1].Value() + m.codes[2].Value()
 }
 
 // newEndpointMetrics registers one route's instruments.
@@ -105,16 +94,10 @@ func (w *statusWriter) Flush() {
 // (GET/DELETE /v1/campaigns/{id}) share one instrument set — the
 // endpoint label stays the route, bounding metric cardinality.
 func (s *Server) handle(method, route string, h http.HandlerFunc) {
-	var ep *endpointMetrics
-	for _, e := range s.endpoints {
-		if e.route == route {
-			ep = e.m
-			break
-		}
-	}
+	ep := s.endpoints[route]
 	if ep == nil {
 		ep = newEndpointMetrics(s.reg, route)
-		s.endpoints = append(s.endpoints, routeMetrics{route: route, m: ep})
+		s.endpoints[route] = ep
 	}
 	s.mux.HandleFunc(method+" "+route, func(w http.ResponseWriter, r *http.Request) {
 		ep.inFlight.Inc()
@@ -128,13 +111,6 @@ func (s *Server) handle(method, route string, h http.HandlerFunc) {
 		*sw = statusWriter{}
 		statusWriters.Put(sw)
 	})
-}
-
-// routeMetrics pairs a route with its instruments, in registration order
-// so /v1/stats renders deterministically.
-type routeMetrics struct {
-	route string
-	m     *endpointMetrics
 }
 
 // registerEngineMetrics re-exports the engine's counters as scrape-time
@@ -244,42 +220,4 @@ func (s *Server) registerCampaignMetrics() {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w) //nolint:errcheck // headers sent; nothing left to report
-}
-
-// servingStats is the serving-layer section folded into /v1/stats.
-type servingStats struct {
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	// Requests and Errors aggregate all endpoints (errors: 4xx+5xx).
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
-	// Endpoints maps each route to its totals and latency summary.
-	Endpoints map[string]endpointStats `json:"endpoints"`
-}
-
-// endpointStats is one route's summary in /v1/stats.
-type endpointStats struct {
-	Requests uint64                    `json:"requests"`
-	Errors   uint64                    `json:"errors"`
-	InFlight int64                     `json:"inFlight"`
-	Latency  metrics.HistogramSnapshot `json:"latency"`
-}
-
-// servingSnapshot builds the /v1/stats serving section.
-func (s *Server) servingSnapshot() servingStats {
-	out := servingStats{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Endpoints:     make(map[string]endpointStats, len(s.endpoints)),
-	}
-	for _, e := range s.endpoints {
-		es := endpointStats{
-			Requests: e.m.requests(),
-			Errors:   e.m.errors(),
-			InFlight: e.m.inFlight.Value(),
-			Latency:  e.m.latency.Snap(),
-		}
-		out.Requests += es.Requests
-		out.Errors += es.Errors
-		out.Endpoints[e.route] = es
-	}
-	return out
 }

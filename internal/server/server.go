@@ -6,12 +6,12 @@
 // Endpoints:
 //
 //	GET  /healthz        liveness probe
-//	GET  /metrics        Prometheus text exposition (latency histograms,
-//	                     per-endpoint counters, engine cache/dedup/trace
-//	                     counters, scheduler queue depth)
+//	GET  /readyz         readiness probe (503 before start-up and while draining)
+//	GET  /metrics        Prometheus text exposition, the only stats surface:
+//	                     per-endpoint counters and latency histograms,
+//	                     every engine and campaign counter, uptime
 //	GET  /v1/configs     preset configuration names
 //	GET  /v1/benchmarks  benchmark workloads with their suites
-//	GET  /v1/stats       engine cache/scheduler counters + serving summary
 //	POST /v1/run         one simulation point
 //
 // A config x benchmark x seed grid runs as a durable campaign under
@@ -116,9 +116,9 @@ type Server struct {
 	// timeouts counts simulation-bearing requests that hit their deadline
 	// (malecd_timeouts_total).
 	timeouts *metrics.Counter
-	// endpoints lists every instrumented route in registration order,
-	// for the /v1/stats serving summary.
-	endpoints []routeMetrics
+	// endpoints holds each route's instruments, shared by every method
+	// registered on that route.
+	endpoints map[string]*endpointMetrics
 	// hits memoizes /v1/run response bodies of resident results.
 	hits hitMemo
 	// heartbeat is the idle interval after which a campaign results
@@ -137,6 +137,8 @@ func New(eng *engine.Engine, opts Options) *Server {
 		start: time.Now(),
 		hits:  hitMemo{bodies: make(map[engine.Key]memoBody)},
 
+		endpoints: make(map[string]*endpointMetrics),
+
 		heartbeat: 10 * time.Second,
 	}
 	s.camps = s.opts.Campaigns
@@ -151,7 +153,6 @@ func New(eng *engine.Engine, opts Options) *Server {
 	s.handle("GET", "/metrics", s.handleMetrics)
 	s.handle("GET", "/v1/configs", s.handleConfigs)
 	s.handle("GET", "/v1/benchmarks", s.handleBenchmarks)
-	s.handle("GET", "/v1/stats", s.handleStats)
 	s.handle("POST", "/v1/run", s.handleRun)
 	s.handle("POST", "/v1/campaigns", s.handleCampaignCreate)
 	s.handle("GET", "/v1/campaigns", s.handleCampaignList)
@@ -167,9 +168,6 @@ func New(eng *engine.Engine, opts Options) *Server {
 	s.ready.Store(true)
 	return s
 }
-
-// Metrics exposes the server's metrics registry (tests, embedding).
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // SetReady overrides the readiness state (embedding servers that finish
 // initialization after New).
@@ -391,24 +389,6 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 		list = append(list, benchmarkInfo{Name: name, Suite: trace.Profiles[name].Suite})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"benchmarks": list})
-}
-
-// statsResponse is the GET /v1/stats reply: the engine's counters at the
-// top level exactly as before (the embedded struct marshals flat, so no
-// existing field name moves), plus the serving-layer summary under
-// "serving".
-type statsResponse struct {
-	engine.Stats
-	Serving servingStats `json:"serving"`
-}
-
-// handleStats implements GET /v1/stats.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{
-		Stats:   s.eng.Stats(),
-		Serving: s.servingSnapshot(),
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // runRequest is the POST /v1/run body. Seed is a pointer so an explicit 0

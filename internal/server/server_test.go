@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,106 +333,131 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsShapeRegression pins the /v1/stats JSON contract: every
-// pre-existing engine field name stays at the top level, and the new
-// serving section reports uptime and per-endpoint totals.
-func TestStatsShapeRegression(t *testing.T) {
+// statsFamilies maps every exported field of engine.Stats and
+// engine.CampaignManagerStats to the /metrics family that exports it.
+// /metrics is the only stats surface, so a field added to either struct
+// without a series here fails TestMetricsCoverEngineStats.
+var statsFamilies = map[string]string{
+	"Stats.Hits":                   "malec_engine_cache_hits_total",
+	"Stats.DiskHits":               "malec_engine_disk_hits_total",
+	"Stats.Dedup":                  "malec_engine_dedup_total",
+	"Stats.Simulations":            "malec_engine_simulations_total",
+	"Stats.Entries":                "malec_engine_cache_entries",
+	"Stats.TraceHits":              "malec_engine_trace_hits_total",
+	"Stats.TraceMisses":            "malec_engine_trace_misses_total",
+	"Stats.TraceRecords":           "malec_engine_trace_records",
+	"Stats.QueueDepth":             "malec_engine_queue_depth",
+	"Stats.Running":                "malec_engine_running",
+	"Stats.CheckpointHits":         "malec_engine_checkpoint_hits_total",
+	"Stats.CheckpointMisses":       "malec_engine_checkpoint_misses_total",
+	"Stats.CheckpointBytesRead":    "malec_engine_checkpoint_bytes_read_total",
+	"Stats.CheckpointBytesWritten": "malec_engine_checkpoint_bytes_written_total",
+	"Stats.Cancelled":              "malec_engine_cancelled_total",
+	"Stats.Panics":                 "malec_engine_panics_total",
+	"Stats.Quarantined":            "malec_engine_quarantined_total",
+	"Stats.PoisonedKeys":           "malec_engine_poisoned_keys",
+	"Stats.CorruptPruned":          "malec_engine_corrupt_pruned_total",
+
+	"CampaignManagerStats.Active":         "malec_campaigns_active",
+	"CampaignManagerStats.Campaigns":      "malec_campaigns_known",
+	"CampaignManagerStats.Retries":        "malec_campaign_retries_total",
+	"CampaignManagerStats.FailedPoints":   "malec_campaign_failed_points_total",
+	"CampaignManagerStats.ReplayedPoints": "malec_campaign_replayed_points_total",
+	"CampaignManagerStats.JournalTorn":    "malec_campaign_journal_torn_total",
+	"CampaignManagerStats.JournalsPruned": "malec_campaign_journals_pruned_total",
+}
+
+// metricValue returns the value of the unlabelled sample of family in a
+// /metrics exposition.
+func metricValue(text, family string) (float64, bool) {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, family+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
+}
+
+// TestMetricsCoverEngineStats walks the exported fields of engine.Stats
+// and engine.CampaignManagerStats by reflection and checks that each has
+// a /metrics series carrying its value, so no engine counter can be added
+// without an exposition.
+func TestMetricsCoverEngineStats(t *testing.T) {
 	sim := func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		return cpu.Result{Config: cfg.Name, Benchmark: b, Cycles: 1}
 	}
-	ts, _ := newTestServer(t, sim, Options{})
-	body := `{"config":"MALEC","benchmark":"gzip","instructions":1000,"seed":1}`
-	post(t, ts.URL+"/v1/run", body)
-	post(t, ts.URL+"/v1/run", body)
+	eng := engine.New(engine.Options{Workers: 2, Simulate: plain(sim)})
+	srv := New(eng, Options{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	post(t, ts.URL+"/v1/run", runBody) // simulated
+	post(t, ts.URL+"/v1/run", runBody) // memory hit
 
-	var raw map[string]json.RawMessage
-	get(t, ts.URL+"/v1/stats", &raw)
-	// The engine fields served before this layer existed must not move.
-	for _, legacy := range []string{
-		"hits", "diskHits", "dedup", "simulations", "entries",
-		"traceHits", "traceMisses", "traceRecords",
-	} {
-		if _, ok := raw[legacy]; !ok {
-			t.Errorf("/v1/stats lost top-level field %q", legacy)
+	text := metricsText(t, ts.URL)
+	for _, st := range []any{eng.Stats(), srv.camps.Stats()} {
+		v := reflect.ValueOf(st)
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			field := v.Type().Name() + "." + f.Name
+			family, ok := statsFamilies[field]
+			if !ok {
+				t.Errorf("%s has no /metrics family in statsFamilies", field)
+				continue
+			}
+			got, ok := metricValue(text, family)
+			if !ok {
+				t.Errorf("%s: /metrics has no %s sample", field, family)
+				continue
+			}
+			var want float64
+			if fv := v.Field(i); fv.CanUint() {
+				want = float64(fv.Uint())
+			} else {
+				want = float64(fv.Int())
+			}
+			if got != want {
+				t.Errorf("%s: %s = %v, want %v", field, family, got, want)
+			}
 		}
 	}
-	var hits uint64
-	if err := json.Unmarshal(raw["hits"], &hits); err != nil || hits != 1 {
-		t.Errorf("hits = %s, want 1", raw["hits"])
+	if got, _ := metricValue(text, "malec_engine_cache_hits_total"); got != 1 {
+		t.Errorf("malec_engine_cache_hits_total = %v after one memory hit, want 1", got)
 	}
+	if _, ok := metricValue(text, "malecd_uptime_seconds"); !ok {
+		t.Error("/metrics has no malecd_uptime_seconds sample")
+	}
+	if t.Failed() {
+		t.Logf("full exposition:\n%s", text)
+	}
+}
 
-	var serving struct {
-		UptimeSeconds float64 `json:"uptimeSeconds"`
-		Requests      uint64  `json:"requests"`
-		Errors        uint64  `json:"errors"`
-		Endpoints     map[string]struct {
-			Requests uint64 `json:"requests"`
-			Errors   uint64 `json:"errors"`
-			InFlight int64  `json:"inFlight"`
-			Latency  struct {
-				Count uint64  `json:"count"`
-				P50Ms float64 `json:"p50Ms"`
-				P99Ms float64 `json:"p99Ms"`
-				MaxMs float64 `json:"maxMs"`
-			} `json:"latency"`
-		} `json:"endpoints"`
+// TestStatsRouteGone checks that /metrics is the only stats surface: the
+// JSON stats route answers 404 and leaves no per-endpoint series.
+func TestStatsRouteGone(t *testing.T) {
+	ts, _ := newTestServer(t, nil, Options{})
+	resp := get(t, ts.URL+"/v1/stats", nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats = %d, want 404", resp.StatusCode)
 	}
-	if raw["serving"] == nil {
-		t.Fatalf("/v1/stats has no serving section")
-	}
-	if err := json.Unmarshal(raw["serving"], &serving); err != nil {
-		t.Fatal(err)
-	}
-	if serving.UptimeSeconds < 0 {
-		t.Errorf("uptimeSeconds = %v", serving.UptimeSeconds)
-	}
-	run, ok := serving.Endpoints["/v1/run"]
-	if !ok {
-		t.Fatalf("serving.endpoints missing /v1/run: %+v", serving.Endpoints)
-	}
-	if run.Requests != 2 || run.Errors != 0 || run.Latency.Count != 2 {
-		t.Errorf("/v1/run endpoint stats = %+v, want 2 requests / 0 errors", run)
-	}
-	if serving.Requests < 2 {
-		t.Errorf("aggregate requests = %d, want >= 2", serving.Requests)
-	}
-	// The stats request itself is instrumented too.
-	if _, ok := serving.Endpoints["/v1/stats"]; !ok {
-		t.Errorf("serving.endpoints missing /v1/stats")
+	if text := metricsText(t, ts.URL); strings.Contains(text, `endpoint="/v1/stats"`) {
+		t.Fatalf("/metrics has a /v1/stats series:\n%s", text)
 	}
 }
 
 // TestCheckpointStatsShapeRegression pins the checkpoint-observability
 // contract introduced with sampled simulation: the warmed-checkpoint
-// counters appear at the top level of /v1/stats and as counter families
-// in the /metrics exposition.
+// counters appear as counter families in the /metrics exposition.
 func TestCheckpointStatsShapeRegression(t *testing.T) {
 	sim := func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 		return cpu.Result{Config: cfg.Name, Benchmark: b, Cycles: 1}
 	}
 	ts, _ := newTestServer(t, sim, Options{})
 
-	var raw map[string]json.RawMessage
-	get(t, ts.URL+"/v1/stats", &raw)
-	for _, field := range []string{
-		"checkpointHits", "checkpointMisses",
-		"checkpointBytesRead", "checkpointBytesWritten",
-	} {
-		if _, ok := raw[field]; !ok {
-			t.Errorf("/v1/stats missing top-level field %q", field)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
+	text := metricsText(t, ts.URL)
 	for _, want := range []string{
 		"# TYPE malec_engine_checkpoint_hits_total counter",
 		"malec_engine_checkpoint_hits_total 0",

@@ -3,10 +3,7 @@
 // (geometric means) matching how the paper reports its results.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Histogram is an integer-valued histogram with explicit bucket upper
 // bounds. A sample x falls into the first bucket whose bound is >= x; values
@@ -16,7 +13,6 @@ type Histogram struct {
 	counts   []uint64
 	overflow uint64
 	total    uint64
-	sum      float64
 }
 
 // NewHistogram returns a histogram with the given ascending bucket bounds.
@@ -32,7 +28,6 @@ func NewHistogram(bounds ...int) *Histogram {
 // Observe records one sample.
 func (h *Histogram) Observe(x int) {
 	h.total++
-	h.sum += float64(x)
 	for i, b := range h.bounds {
 		if x <= b {
 			h.counts[i]++
@@ -44,14 +39,6 @@ func (h *Histogram) Observe(x int) {
 
 // Total returns the number of observed samples.
 func (h *Histogram) Total() uint64 { return h.total }
-
-// Mean returns the mean of observed samples (0 if none).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
 
 // Fraction returns the fraction of samples in bucket i (the overflow bucket
 // is index len(bounds)).
@@ -91,15 +78,3 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Exp(logSum / float64(n))
 }
-
-// Ratio returns a/b, or 0 if b is zero. It keeps normalized-metric code free
-// of divide-by-zero checks.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// Percent renders x (a ratio) as a percentage string with one decimal.
-func Percent(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
