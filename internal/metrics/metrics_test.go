@@ -105,8 +105,6 @@ func TestConcurrentObserve(t *testing.T) {
 // TestWritePrometheusGolden pins the full text exposition output for a
 // deterministic registry: family grouping, HELP/TYPE lines, label
 // rendering and escaping, cumulative histogram buckets, le formatting.
-// It also checks that OnScrape hooks run once per scrape, before any
-// scrape-time function reads what they refresh.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("malecd_http_requests_total", "Requests served.",
@@ -119,8 +117,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		[]time.Duration{time.Millisecond, 100 * time.Millisecond},
 		Label{"endpoint", "/v1/run"})
 	var entries float64
-	scrapes := 0
-	r.OnScrape(func() { scrapes++; entries = 7 })
+	r.OnScrape(func() { entries = 7 })
 	r.GaugeFunc("malec_engine_cache_entries", "Cache entries.", func() float64 { return entries })
 	esc := r.Counter("t_escaped_total", "Escaping.", Label{"path", `a"b\c`})
 
@@ -136,9 +133,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
-	}
-	if scrapes != 1 {
-		t.Fatalf("OnScrape ran %d times in one scrape, want 1", scrapes)
 	}
 	want := `# HELP malecd_http_requests_total Requests served.
 # TYPE malecd_http_requests_total counter
@@ -163,6 +157,48 @@ t_escaped_total{path="a\"b\\c"} 1
 `
 	if got := sb.String(); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestSnapshot pins what one scrape reads: OnScrape hooks run exactly
+// once per WritePrometheus call, before any scrape-time function reads
+// what they refresh, and every series reports its value at that moment.
+func TestSnapshot(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c_total", "c", Label{"k", "v"})
+	g := r.Gauge("g", "g")
+	h := r.Histogram("h_seconds", "h", []time.Duration{time.Millisecond})
+	scrapes := 0
+	var refreshed float64
+	r.OnScrape(func() { scrapes++; refreshed = float64(scrapes) + 0.5 })
+	r.GaugeFunc("fn", "fn", func() float64 { return refreshed })
+
+	c.Add(2)
+	g.Set(-4)
+	h.Observe(2 * time.Millisecond)
+
+	for want := 1; want <= 2; want++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if scrapes != want {
+			t.Fatalf("after scrape %d: OnScrape ran %d times, want %d", want, scrapes, want)
+		}
+		out := sb.String()
+		for _, line := range []string{
+			`c_total{k="v"} 2`,
+			"g -4",
+			"fn " + formatFloat(float64(want)+0.5),
+			`h_seconds_bucket{le="0.001"} 0`,
+			`h_seconds_bucket{le="+Inf"} 1`,
+			"h_seconds_sum 0.002",
+			"h_seconds_count 1",
+		} {
+			if !strings.Contains(out, line+"\n") {
+				t.Fatalf("scrape %d lacks %q:\n%s", want, line, out)
+			}
+		}
 	}
 }
 
