@@ -204,10 +204,15 @@ func jobBackoff(attempt int) time.Duration {
 // result (err == nil), the job's final error, or the cancellation error
 // for jobs cut off mid-flight; attempts counts the retries the job
 // consumed. The feed groups jobs by (benchmark, seed) so every
-// configuration sharing one workload runs back to back and the
-// materialized-trace cache holds only the traces currently in flight;
-// completion order is still nondeterministic, which is why results carry
-// their own campaign Index.
+// configuration sharing one workload runs back to back. When the groups'
+// arenas together exceed smallCampaignRecords, runJobs drops a group's
+// trace arena from the materialized-trace cache as soon as the group's
+// last job has finished (and, on return, the arena of any group a
+// cancellation left unfinished): the cache then holds only the arenas of
+// groups with jobs still to run, and the next group's generation reuses
+// the dropped arena's storage. A smaller job list leaves its arenas to the
+// cache's LRU bound, as a single point does. Completion order is still
+// nondeterministic, which is why results carry their own campaign Index.
 func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, onDone func(jr JobResult, attempts int, err error)) {
 	if retries < 0 {
 		retries = 0
@@ -244,6 +249,33 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 		}
 	}
 
+	// Feed jobs grouped by (benchmark, seed): every configuration sharing
+	// one workload runs back to back, so the trace cache's reuse distance
+	// is the config count, not the whole grid. Buckets keep first-seen
+	// order (the deterministic expansion order), so full grids feed
+	// exactly as before. left counts each bucket's jobs not yet finished
+	// (guarded by doneMu); arena sums the buckets' arena lengths.
+	type workload struct {
+		bench string
+		seed  uint64
+	}
+	var order []workload
+	buckets := make(map[workload][]int)
+	arena := 0
+	for i, j := range jobs {
+		w := workload{j.Benchmark, j.Seed}
+		if _, ok := buckets[w]; !ok {
+			order = append(order, w)
+			arena += j.Instructions
+		}
+		buckets[w] = append(buckets[w], i)
+	}
+	left := make(map[workload]int, len(order))
+	for w, b := range buckets {
+		left[w] = len(b)
+	}
+	dropArenas := arena > smallCampaignRecords
+
 	var (
 		wg     sync.WaitGroup
 		doneMu sync.Mutex
@@ -263,27 +295,13 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 				jr, attempts, err := runOne(jobs[i])
 				doneMu.Lock()
 				onDone(jr, attempts, err)
+				w := workload{jobs[i].Benchmark, jobs[i].Seed}
+				if left[w]--; left[w] == 0 && dropArenas {
+					e.traces.Drop(w.bench, w.seed)
+				}
 				doneMu.Unlock()
 			}
 		}()
-	}
-	// Feed jobs grouped by (benchmark, seed): every configuration sharing
-	// one workload runs back to back, so the trace cache's reuse distance
-	// is the config count, not the whole grid. Buckets keep first-seen
-	// order (the deterministic expansion order), so full grids feed
-	// exactly as before.
-	type workload struct {
-		bench string
-		seed  uint64
-	}
-	var order []workload
-	buckets := make(map[workload][]int)
-	for i, j := range jobs {
-		w := workload{j.Benchmark, j.Seed}
-		if _, ok := buckets[w]; !ok {
-			order = append(order, w)
-		}
-		buckets[w] = append(buckets[w], i)
 	}
 feed:
 	for _, w := range order {
@@ -297,6 +315,13 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
+	if dropArenas {
+		for w, n := range left {
+			if n > 0 {
+				e.traces.Drop(w.bench, w.seed)
+			}
+		}
+	}
 }
 
 // Result returns the result for (configName, benchmark, seed), if present.

@@ -78,6 +78,18 @@ const maxPoisonedKeys = 1024
 // trace.
 const traceCacheRecords = 1 << 23
 
+// smallCampaignRecords is the largest total arena length, in records, of
+// a campaign that leaves its arenas in the trace cache when it is done:
+// 1/16 of the budget, 8 MiB. A larger campaign drops each (benchmark,
+// seed) arena as soon as the workload's last job has finished, so its
+// footprint is the arenas in flight, not all it generated (perfbench's
+// fig4-exact, 38 MB of arenas: peak RSS 71 -> 20 MB). A smaller one would
+// free too little to matter, and freeing it from a small heap makes the
+// garbage collector run more often (perfbench's serve-hit, 3.8 MB of
+// set-up arenas: dropping them halved the heap the GC paces against,
+// doubled its cycles and raised tail_ms by 80%).
+const smallCampaignRecords = traceCacheRecords / 16
+
 // Source reports where a result came from.
 type Source string
 
@@ -114,7 +126,9 @@ type Stats struct {
 	TraceHits   uint64 `json:"traceHits"`
 	TraceMisses uint64 `json:"traceMisses"`
 	// TraceRecords is the number of trace records currently held by the
-	// materialized-trace cache.
+	// materialized-trace cache. A campaign whose arenas together exceed
+	// smallCampaignRecords drops each workload's arena once it is done
+	// with it.
 	TraceRecords int `json:"traceRecords"`
 	// QueueDepth is the number of simulations currently waiting for a
 	// worker slot — the scheduler's backlog, the first number to watch
@@ -240,8 +254,9 @@ func New(opts Options) *Engine {
 
 // simulateTrace is the default simulation function. An exact point
 // within the trace budget reads its trace from the shared arena, which
-// every configuration of the workload reads; on a miss the point
-// generates the arena before it simulates. Every other point (a sampled
+// every configuration of the workload reads, and releases it when the
+// run returns; on a miss the point generates the arena before it
+// simulates. Every other point (a sampled
 // one, which reads each record once or only its bursts, or one over the
 // budget) generates its own trace ahead on a cpu.GenSource's producer, in
 // a ring of a fixed size; a sampled point's checkpoints then carry the
@@ -250,7 +265,8 @@ func New(opts Options) *Engine {
 func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
 	ck := e.ckpts.scoped(MemSideDigest(cfg), benchmark, seed)
 	if !cpu.Sampled(cfg, instructions) {
-		if recs := e.traces.Records(benchmark, seed, instructions); recs != nil {
+		if recs, release := e.traces.Records(benchmark, seed, instructions); recs != nil {
+			defer release()
 			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs}, ck)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"malec/internal/config"
 	"malec/internal/cpu"
@@ -617,6 +618,8 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 	if cs.TraceMisses != 4 || cs.TraceHits != 8 {
 		t.Fatalf("trace cache stats hits=%d misses=%d, want 8/4", cs.TraceHits, cs.TraceMisses)
 	}
+	// 80,000 arena records are under smallCampaignRecords, so the
+	// campaign leaves its arenas cached.
 	if cs.TraceRecords != 4*20000 {
 		t.Fatalf("trace cache holds %d records, want %d", cs.TraceRecords, 4*20000)
 	}
@@ -627,6 +630,117 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 	if fs.TraceHits != 0 || fs.TraceRecords != 0 {
 		t.Fatalf("one-record trace cache served or held records: %+v", fs)
 	}
+}
+
+// TestCampaignsLeaveNoTraceArenas checks that a campaign whose arenas
+// together exceed smallCampaignRecords drops every (benchmark, seed)
+// arena it generated: after a completed campaign at one and three
+// workers, a campaign cancelled mid-group and a resumed durable campaign,
+// the trace cache holds no records. Dropping an arena only once its group
+// has finished must not cost a generation: a Fig. 4 shaped grid (5 exact
+// configs on 12 workloads) still misses once per workload.
+func TestCampaignsLeaveNoTraceArenas(t *testing.T) {
+	// 12 workloads of 45,000 records: just over smallCampaignRecords.
+	fig4 := CampaignSpec{
+		Configs:      config.Fig4Configs(),
+		Benchmarks:   []string{"gzip", "mcf", "art", "mpeg2enc", "ptrchase", "tlbthrash"},
+		Instructions: 45000,
+		Seeds:        []uint64{1, 2},
+	}
+	if 12*fig4.Instructions <= smallCampaignRecords {
+		t.Fatalf("grid of %d arena records does not exceed smallCampaignRecords", 12*fig4.Instructions)
+	}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			spec := fig4
+			spec.Workers = workers
+			if workers == 1 {
+				spec.Configs = spec.Configs[:1] // the arena traffic, at a fifth of the cost
+			}
+			e := New(Options{Workers: workers})
+			if _, err := e.RunCampaign(spec); err != nil {
+				t.Fatal(err)
+			}
+			hits := uint64(12 * (len(spec.Configs) - 1))
+			if s := e.Stats(); s.TraceHits != hits || s.TraceMisses != 12 || s.TraceRecords != 0 {
+				t.Fatalf("trace hits=%d misses=%d records=%d, want %d/12/0", s.TraceHits, s.TraceMisses, s.TraceRecords, hits)
+			}
+		})
+	}
+
+	t.Run("cancelled", func(t *testing.T) {
+		// Cancel after the second of the first workload's five configs:
+		// its arena is cached and its group unfinished.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		spec := fig4
+		spec.Workers = 1
+		var held int
+		e := New(Options{Workers: 1})
+		spec.Progress = func(done, total int, job Job) {
+			if done == 2 {
+				held = e.Stats().TraceRecords
+				cancel()
+			}
+		}
+		if _, err := e.RunCampaignContext(ctx, spec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if held != spec.Instructions {
+			t.Fatalf("mid-group cache held %d records, want the %d-record arena", held, spec.Instructions)
+		}
+		if s := e.Stats(); s.TraceRecords != 0 {
+			t.Fatalf("cancelled campaign left %d trace records cached", s.TraceRecords)
+		}
+	})
+
+	t.Run("resumed", func(t *testing.T) {
+		// A stub victim journals a few points and is cancelled; a fresh
+		// engine with real traces resumes the rest. The victim finishes
+		// a handful of points, so at least 15 of the 18 workloads of
+		// 45,000 records are left: more than smallCampaignRecords.
+		spec := durableSpec()
+		spec.Seeds = []uint64{1, 2, 3, 4, 5, 6}
+		spec.Instructions = fig4.Instructions
+		total := len(spec.Configs) * len(spec.Benchmarks) * len(spec.Seeds)
+		dir := t.TempDir()
+		gate := make(chan struct{}, 4*total)
+		for i := 0; i < 5; i++ {
+			gate <- struct{}{}
+		}
+		victim := NewCampaignManager(New(Options{Workers: 2, CacheDir: dir,
+			Simulate: plain(func(cfg config.Config, b string, n int, s uint64) cpu.Result {
+				<-gate
+				return stubResult(cfg, b, n, s)
+			})}), CampaignManagerOptions{Dir: filepath.Join(dir, "campaigns")})
+		run, err := victim.Start(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run.Status().Completed < 3 {
+			time.Sleep(time.Millisecond)
+		}
+		victim.Cancel(run.ID())
+		for i := 0; i < total; i++ {
+			gate <- struct{}{}
+		}
+		if st := waitCampaign(t, run); st.State != CampaignCancelled || st.Completed == total {
+			t.Fatalf("victim run %+v, want cancelled mid-campaign", st)
+		}
+
+		e := New(Options{Workers: 2, CacheDir: dir})
+		mgr := NewCampaignManager(e, CampaignManagerOptions{Dir: filepath.Join(dir, "campaigns")})
+		if _, resumed, err := mgr.Replay(); err != nil || resumed != 1 {
+			t.Fatalf("replay resumed %d campaigns (err %v), want 1", resumed, err)
+		}
+		resumedRun, _ := mgr.Get(run.ID())
+		if st := waitCampaign(t, resumedRun); st.State != CampaignDone || st.Completed != total {
+			t.Fatalf("resumed run %+v, want done", st)
+		}
+		if s := e.Stats(); s.TraceMisses == 0 || s.TraceRecords != 0 {
+			t.Fatalf("resumed campaign: trace misses=%d records=%d, want some misses and no records left", s.TraceMisses, s.TraceRecords)
+		}
+	})
 }
 
 // TestSchedulerQueueGauges checks the Running/QueueDepth scheduler

@@ -29,23 +29,30 @@ type traceEntry struct {
 
 	// mu serializes generation for this entry (singleflight: concurrent
 	// requests for one workload wait for one generation while other
-	// workloads proceed in parallel). Arenas handed out remain valid after
-	// later extensions or eviction.
+	// workloads proceed in parallel). Arenas handed out remain valid until
+	// released, also across later extensions, eviction and Drop.
 	mu   sync.Mutex
 	recs []Record
 	// gen continues the trace past recs. It is nil once a generation
 	// panicked: the entry has then left the cache, and a request that was
 	// waiting for it looks the workload up again.
 	gen *Generator
+	// release is the func Records hands out with the arena: one per entry
+	// rather than one per request.
+	release func()
 
 	// The cache lock guards the rest. size is the entry's share of the
 	// record budget: the length of its arena, accounted before generation
 	// so that eviction runs before the new arena is allocated. elem is the
 	// entry's place in the LRU list. evicted marks entries already dropped
 	// from the index so a concurrent extension does not re-account them.
+	// readers counts the requests that looked the entry up and have not
+	// released it yet; an evicted entry's arena is recycled only once it
+	// reaches zero.
 	size    int
 	elem    *list.Element
 	evicted bool
+	readers int
 }
 
 // CacheStats snapshots a trace cache's counters.
@@ -71,14 +78,19 @@ type CacheStats struct {
 // configurations generates the workload's trace once and shares the same
 // backing array between all simulations (the returned slices are read-only
 // by convention and safe for concurrent readers). Memory is bounded by a
-// total record budget with least-recently-used eviction. Safe for
-// concurrent use.
+// total record budget with least-recently-used eviction, and a caller that
+// knows a workload is finished drops it early. The backing array of the
+// last dropped or evicted arena that no reader holds is kept as a spare
+// for the next generation, so a sweep that drops each workload when it is
+// done reuses one arena's storage instead of allocating one per workload.
+// Safe for concurrent use.
 type Cache struct {
 	mu         sync.Mutex
 	maxRecords int
 	total      int
 	entries    map[traceKey]*traceEntry
 	lru        *list.List // of *traceEntry, most recently used first
+	spare      []Record   // recycled backing array, not counted in total
 	hits       uint64
 	misses     uint64
 	generated  uint64
@@ -95,23 +107,26 @@ func NewCache(maxRecords int) *Cache {
 }
 
 // Records returns the first n records of the named benchmark's trace for
-// seed. The returned slice aliases the shared arena (read-only by
-// convention). A missed or too-short trace is generated before Records
-// returns, extending from the existing prefix; concurrent requests for one
-// workload wait for that generation instead of repeating it. If generation
-// panics, the entry leaves the cache before the panic propagates, so a
-// later request regenerates the trace from scratch.
+// seed, and a func that releases them. The returned slice aliases the
+// shared arena (read-only by convention) and stays valid until release is
+// called, which the caller must do exactly once when it stops reading. A
+// missed or too-short trace is generated before Records returns, extending
+// from the existing prefix; concurrent requests for one workload wait for
+// that generation instead of repeating it. If generation panics, the entry
+// leaves the cache before the panic propagates, so a later request
+// regenerates the trace from scratch.
 //
 // A request over the cache's record budget is not cached: Records counts
-// the miss and returns nil, and the caller generates the trace itself. It
-// panics on unknown benchmarks, mirroring the generator path.
-func (c *Cache) Records(benchmark string, seed uint64, n int) []Record {
+// the miss and returns nil records and a nil release, and the caller
+// generates the trace itself. It panics on unknown benchmarks, mirroring
+// the generator path.
+func (c *Cache) Records(benchmark string, seed uint64, n int) (recs []Record, release func()) {
 	prof, ok := Profiles[benchmark]
 	if !ok {
 		panic(fmt.Sprintf("trace: unknown benchmark %q", benchmark))
 	}
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	if n > c.maxRecords {
 		// An arena that could never fit would evict the whole cache for
@@ -119,24 +134,53 @@ func (c *Cache) Records(benchmark string, seed uint64, n int) []Record {
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	key := traceKey{benchmark: benchmark, seed: seed}
 	for {
+		// The reader count is taken with the lookup, under the cache lock,
+		// so a Drop that lands before serve returns cannot recycle the
+		// arena serve is about to hand out. A generation panic leaves the
+		// count taken; the entry is dropped then and its arena left to the
+		// garbage collector.
 		c.mu.Lock()
 		e := c.entries[key]
 		if e == nil {
 			e = &traceEntry{key: key, gen: NewGenerator(prof, seed)}
+			e.release = func() { c.release(e) }
 			e.elem = c.lru.PushFront(e)
 			c.entries[key] = e
 		} else {
 			c.lru.MoveToFront(e.elem)
 		}
+		e.readers++
 		c.mu.Unlock()
 		if recs := c.serve(e, n); recs != nil {
-			return recs
+			return recs, e.release
 		}
+		c.release(e)
 	}
+}
+
+// Drop removes the workload's arena from the cache. Requests already
+// served keep reading it; its storage becomes the spare once the last of
+// them is released, and a later request regenerates the trace. Dropping an
+// uncached workload does nothing.
+func (c *Cache) Drop(benchmark string, seed uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[traceKey{benchmark: benchmark, seed: seed}]; e != nil {
+		c.drop(e)
+	}
+}
+
+// release ends one reader's hold on e, recycling the arena if e has left
+// the cache and this was its last reader.
+func (c *Cache) release(e *traceEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.readers--
+	c.recycle(e)
 }
 
 // serve returns the first n records of e's arena, generating the missing
@@ -187,7 +231,18 @@ func (c *Cache) extend(e *traceEntry, n int) {
 	if hook := genHook.Load(); hook != nil {
 		(*hook)()
 	}
-	recs := make([]Record, n)
+	c.mu.Lock()
+	recs := c.spare
+	if cap(recs) >= n {
+		c.spare = nil
+	}
+	c.mu.Unlock()
+	if cap(recs) >= n {
+		// Fill overwrites every record, so stale contents never leak.
+		recs = recs[:n]
+	} else {
+		recs = make([]Record, n)
+	}
 	for i := copy(recs, e.recs); i < n; i++ {
 		e.gen.Fill(&recs[i])
 	}
@@ -230,4 +285,18 @@ func (c *Cache) drop(e *traceEntry) {
 	delete(c.entries, e.key)
 	e.evicted = true
 	c.total -= e.size
+	c.recycle(e)
+}
+
+// recycle keeps an evicted, unread entry's arena as the spare, unless the
+// spare already on hand is larger. No request can reach the entry any
+// more, so nothing else touches e.recs. Caller holds c.mu.
+func (c *Cache) recycle(e *traceEntry) {
+	if !e.evicted || e.readers > 0 {
+		return
+	}
+	if cap(e.recs) > cap(c.spare) {
+		c.spare = e.recs[:0]
+	}
+	e.recs = nil
 }

@@ -10,8 +10,8 @@ import (
 // to a fresh generator run of that length.
 func TestCachePrefixEquivalence(t *testing.T) {
 	c := NewCache(1 << 20)
-	long := c.Records("gzip", 7, 5000)
-	short := c.Records("gzip", 7, 1200)
+	long, _ := c.Records("gzip", 7, 5000)
+	short, _ := c.Records("gzip", 7, 1200)
 	if len(long) != 5000 || len(short) != 1200 {
 		t.Fatalf("lengths %d/%d, want 5000/1200", len(long), len(short))
 	}
@@ -36,8 +36,8 @@ func TestCachePrefixEquivalence(t *testing.T) {
 // in place — continuing the same generator — rather than regenerating.
 func TestCacheExtension(t *testing.T) {
 	c := NewCache(1 << 20)
-	short := c.Records("mcf", 3, 1000)
-	long := c.Records("mcf", 3, 4000)
+	short, _ := c.Records("mcf", 3, 1000)
+	long, _ := c.Records("mcf", 3, 4000)
 	fresh := NewGenerator(Profiles["mcf"], 3).Generate(4000)
 	for i := range fresh {
 		if long[i] != fresh[i] {
@@ -76,7 +76,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatalf("evicted %d records, want 1000 (the mcf arena)", s.EvictedRecords)
 	}
 	// The evicted workload regenerates identically.
-	again := c.Records("mcf", 1, 1000)
+	again, _ := c.Records("mcf", 1, 1000)
 	fresh := NewGenerator(Profiles["mcf"], 1).Generate(1000)
 	for i := range fresh {
 		if again[i] != fresh[i] {
@@ -91,7 +91,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheOversizeBypass(t *testing.T) {
 	c := NewCache(1000)
 	c.Records("gzip", 1, 800)
-	if recs := c.Records("mcf", 1, 5000); recs != nil {
+	if recs, release := c.Records("mcf", 1, 5000); recs != nil || release != nil {
 		t.Fatalf("oversize request returned %d records, want nil", len(recs))
 	}
 	s := c.Stats()
@@ -107,9 +107,9 @@ func TestCacheOversizeBypass(t *testing.T) {
 // different seeds or benchmarks must never share an arena.
 func TestCacheSeedsAndBenchmarksAreDistinct(t *testing.T) {
 	c := NewCache(1 << 20)
-	a := c.Records("gzip", 1, 2000)
-	b := c.Records("gzip", 2, 2000)
-	d := c.Records("mcf", 1, 2000)
+	a, _ := c.Records("gzip", 1, 2000)
+	b, _ := c.Records("gzip", 2, 2000)
+	d, _ := c.Records("mcf", 1, 2000)
 	same := func(x, y []Record) bool {
 		for i := range x {
 			if x[i] != y[i] {
@@ -142,8 +142,10 @@ func TestCacheConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				n := 500 + (g*97+i*131)%2500
-				recs := c.Records("gzip", 9, n)
-				if recs[n-1] != want[n-1] {
+				recs, release := c.Records("gzip", 9, n)
+				ok := recs[n-1] == want[n-1]
+				release()
+				if !ok {
 					t.Errorf("goroutine %d: record %d differs", g, n-1)
 					return
 				}
@@ -161,4 +163,100 @@ func TestCacheUnknownBenchmarkPanics(t *testing.T) {
 		}
 	}()
 	NewCache(1000).Records("nosuch", 1, 10)
+}
+
+// TestCacheDropRecyclesArena drops a workload while a request still reads
+// its arena: the entry leaves the cache at once, but its storage becomes
+// the spare only when the reader releases it, and the next generation of
+// a fitting length then fills that storage instead of allocating.
+func TestCacheDropRecyclesArena(t *testing.T) {
+	c := NewCache(1 << 20)
+	recs, release := c.Records("gzip", 1, 3000)
+	c.Drop("gzip", 1)
+	if s := c.Stats(); s.Entries != 0 || s.Records != 0 {
+		t.Fatalf("stats %+v after Drop, want an empty cache", s)
+	}
+	if c.spare != nil {
+		t.Fatal("dropped arena recycled while a reader holds it")
+	}
+	release()
+	if &c.spare[:1][0] != &recs[0] {
+		t.Fatal("released arena did not become the spare")
+	}
+	// Too short for a longer workload: the spare waits for one it fits.
+	long, releaseLong := c.Records("swim", 1, 5000)
+	if &long[0] == &recs[0] || c.spare == nil {
+		t.Fatal("a 5000-record generation took the 3000-record spare")
+	}
+	releaseLong()
+	other, releaseOther := c.Records("mcf", 1, 3000)
+	defer releaseOther()
+	if &other[0] != &recs[0] || c.spare != nil {
+		t.Fatal("a fitting generation did not reuse the spare")
+	}
+	for i, r := range NewGenerator(Profiles["mcf"], 1).Generate(3000) {
+		if other[i] != r {
+			t.Fatalf("record %d generated into the spare differs from a fresh generation", i)
+		}
+	}
+	// The dropped workload regenerates identically.
+	again, releaseAgain := c.Records("gzip", 1, 3000)
+	defer releaseAgain()
+	for i, r := range NewGenerator(Profiles["gzip"], 1).Generate(3000) {
+		if again[i] != r {
+			t.Fatalf("regenerated record %d differs", i)
+		}
+	}
+	if s := c.Stats(); s.Misses != 4 || s.Hits != 0 || s.Entries != 3 {
+		t.Fatalf("stats %+v, want 4 misses over 3 cached entries", s)
+	}
+}
+
+// TestCacheRecycleWhileReading drops a workload over and over while a
+// request for it is being served, then generates another workload of the
+// same length, which takes the spare if the dropped arena was recycled.
+// The reader, which holds its arena throughout, must still see a fresh
+// generation's records: an arena is recycled only after every request
+// that looked it up has released it, including one that a Drop reaches
+// before serving has returned.
+func TestCacheRecycleWhileReading(t *testing.T) {
+	const n, rounds = 1000, 300
+	want := NewGenerator(Profiles["gzip"], 1).Generate(n)
+	for r := 0; r < rounds; r++ {
+		c := NewCache(1 << 20)
+		served, reused := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			recs, release := c.Records("gzip", 1, n)
+			defer release()
+			close(served)
+			<-reused
+			for i := range want {
+				if recs[i] != want[i] {
+					t.Errorf("round %d: held record %d was overwritten by a recycled-arena generation", r, i)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for dropping := true; dropping; {
+				select {
+				case <-served:
+					dropping = false
+				default:
+				}
+				c.Drop("gzip", 1)
+			}
+			_, release := c.Records("mcf", 1, n)
+			release()
+			close(reused)
+		}()
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
 }

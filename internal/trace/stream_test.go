@@ -60,7 +60,9 @@ func TestCacheGenerationPanicDropsEntry(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !sameRecords(c.Records("mcf", 2, arenaRecords), "mcf", 2) {
+			recs, release := c.Records("mcf", 2, arenaRecords)
+			defer release()
+			if !sameRecords(recs, "mcf", 2) {
 				t.Error("waiting request got records that differ from fresh generation")
 			}
 		}()
