@@ -208,11 +208,13 @@ func jobBackoff(attempt int) time.Duration {
 // arenas together exceed smallCampaignRecords, runJobs drops a group's
 // trace arena from the materialized-trace cache as soon as the group's
 // last job has finished (and, on return, the arena of any group a
-// cancellation left unfinished): the cache then holds only the arenas of
-// groups with jobs still to run, and the next group's generation reuses
-// the dropped arena's storage. A smaller job list leaves its arenas to the
-// cache's LRU bound, as a single point does. Completion order is still
-// nondeterministic, which is why results carry their own campaign Index.
+// cancellation cut off after its first job): the cache then holds only
+// the arenas of started groups with jobs still to run, the arena of a
+// group the campaign never reached stays for its other readers, and the
+// next group's generation reuses the dropped arena's storage. A smaller
+// job list leaves its arenas to the cache's LRU bound, as a single point
+// does. Completion order is still nondeterministic, which is why results
+// carry their own campaign Index.
 func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, onDone func(jr JobResult, attempts int, err error)) {
 	if retries < 0 {
 		retries = 0
@@ -316,8 +318,10 @@ feed:
 	close(idx)
 	wg.Wait()
 	if dropArenas {
+		// Every fed job has finished, so a group was started exactly
+		// when some of its jobs were counted off.
 		for w, n := range left {
-			if n > 0 {
+			if n > 0 && n < len(buckets[w]) {
 				e.traces.Drop(w.bench, w.seed)
 			}
 		}

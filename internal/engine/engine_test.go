@@ -670,13 +670,17 @@ func TestCampaignsLeaveNoTraceArenas(t *testing.T) {
 
 	t.Run("cancelled", func(t *testing.T) {
 		// Cancel after the second of the first workload's five configs:
-		// its arena is cached and its group unfinished.
+		// its arena is cached and its group unfinished. The last
+		// workload's arena, cached beforehand, belongs to a group the
+		// campaign never reaches, so it must stay.
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		spec := fig4
 		spec.Workers = 1
 		var held int
 		e := New(Options{Workers: 1})
+		_, release := e.traces.Records("tlbthrash", 2, spec.Instructions)
+		release()
 		spec.Progress = func(done, total int, job Job) {
 			if done == 2 {
 				held = e.Stats().TraceRecords
@@ -686,11 +690,18 @@ func TestCampaignsLeaveNoTraceArenas(t *testing.T) {
 		if _, err := e.RunCampaignContext(ctx, spec); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if held != spec.Instructions {
-			t.Fatalf("mid-group cache held %d records, want the %d-record arena", held, spec.Instructions)
+		if held != 2*spec.Instructions {
+			t.Fatalf("mid-group cache held %d records, want two %d-record arenas", held, spec.Instructions)
 		}
-		if s := e.Stats(); s.TraceRecords != 0 {
-			t.Fatalf("cancelled campaign left %d trace records cached", s.TraceRecords)
+		if s := e.Stats(); s.TraceRecords != spec.Instructions {
+			t.Fatalf("cancelled campaign left %d trace records cached, want only the unreached workload's %d", s.TraceRecords, spec.Instructions)
+		}
+		hits := e.Stats().TraceHits
+		if _, release := e.traces.Records("tlbthrash", 2, spec.Instructions); release != nil {
+			release()
+		}
+		if e.Stats().TraceHits != hits+1 {
+			t.Fatal("the unreached workload's arena was dropped")
 		}
 	})
 

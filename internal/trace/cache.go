@@ -45,13 +45,15 @@ type traceEntry struct {
 	// record budget: the length of its arena, accounted before generation
 	// so that eviction runs before the new arena is allocated. elem is the
 	// entry's place in the LRU list. evicted marks entries already dropped
-	// from the index so a concurrent extension does not re-account them.
-	// readers counts the requests that looked the entry up and have not
-	// released it yet; an evicted entry's arena is recycled only once it
-	// reaches zero.
+	// from the index so a concurrent extension does not re-account them;
+	// dropped marks those that left through Drop, whose arena may be
+	// recycled. readers counts the requests that looked the entry up and
+	// have not released it yet; a dropped entry's arena is recycled only
+	// once it reaches zero.
 	size    int
 	elem    *list.Element
 	evicted bool
+	dropped bool
 	readers int
 }
 
@@ -80,17 +82,19 @@ type CacheStats struct {
 // by convention and safe for concurrent readers). Memory is bounded by a
 // total record budget with least-recently-used eviction, and a caller that
 // knows a workload is finished drops it early. The backing array of the
-// last dropped or evicted arena that no reader holds is kept as a spare
-// for the next generation, so a sweep that drops each workload when it is
-// done reuses one arena's storage instead of allocating one per workload.
-// Safe for concurrent use.
+// last dropped arena that no reader holds is kept as a spare for the next
+// generation of exactly its length, so a sweep that drops each workload
+// when it is done reuses one arena's storage instead of allocating one
+// per workload. The spare counts against the record budget (eviction
+// discards it first) but not in Stats.Records; an evicted arena is left
+// to the garbage collector. Safe for concurrent use.
 type Cache struct {
 	mu         sync.Mutex
 	maxRecords int
 	total      int
 	entries    map[traceKey]*traceEntry
 	lru        *list.List // of *traceEntry, most recently used first
-	spare      []Record   // recycled backing array, not counted in total
+	spare      []Record   // recycled backing array: total+cap(spare) <= maxRecords
 	hits       uint64
 	misses     uint64
 	generated  uint64
@@ -171,6 +175,8 @@ func (c *Cache) Drop(benchmark string, seed uint64) {
 	defer c.mu.Unlock()
 	if e := c.entries[traceKey{benchmark: benchmark, seed: seed}]; e != nil {
 		c.drop(e)
+		e.dropped = true
+		c.recycle(e)
 	}
 }
 
@@ -193,10 +199,16 @@ func (c *Cache) serve(e *traceEntry, n int) []Record {
 		return nil
 	}
 	grew := n - len(e.recs)
+	var spare []Record
 	c.mu.Lock()
 	if grew > 0 {
 		c.misses++
 		c.generated += uint64(grew)
+		// Only an exact fit: the budget counts an arena by its length, so
+		// a longer backing array would hold memory the budget never sees.
+		if cap(c.spare) == n {
+			spare, c.spare = c.spare[:n], nil
+		}
 		if !e.evicted {
 			e.size += grew
 			c.total += grew
@@ -207,16 +219,17 @@ func (c *Cache) serve(e *traceEntry, n int) []Record {
 	}
 	c.mu.Unlock()
 	if grew > 0 {
-		c.extend(e, n)
+		c.extend(e, n, spare)
 	}
 	return e.recs[:n:n]
 }
 
 // extend replaces e's arena with an n-record one: a copy of the current
-// prefix followed by records from the same generator. A panic drops the
-// entry before it propagates, since its generator is left in an unknown
-// state. Caller holds e.mu.
-func (c *Cache) extend(e *traceEntry, n int) {
+// prefix followed by records from the same generator, written into recs
+// (the n-record spare) if it is not nil. A panic drops the entry before it
+// propagates, since its generator is left in an unknown state. Caller
+// holds e.mu.
+func (c *Cache) extend(e *traceEntry, n int, recs []Record) {
 	done := false
 	defer func() {
 		if !done {
@@ -231,18 +244,11 @@ func (c *Cache) extend(e *traceEntry, n int) {
 	if hook := genHook.Load(); hook != nil {
 		(*hook)()
 	}
-	c.mu.Lock()
-	recs := c.spare
-	if cap(recs) >= n {
-		c.spare = nil
-	}
-	c.mu.Unlock()
-	if cap(recs) >= n {
-		// Fill overwrites every record, so stale contents never leak.
-		recs = recs[:n]
-	} else {
+	if recs == nil {
 		recs = make([]Record, n)
 	}
+	// Fill overwrites every record past the copied prefix, so a recycled
+	// arena's stale contents never leak.
 	for i := copy(recs, e.recs); i < n; i++ {
 		e.gen.Fill(&recs[i])
 	}
@@ -264,11 +270,16 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// evict drops least-recently-used entries until the record budget holds,
-// never evicting keep (the entry just served, which is also the MRU, so
-// the list is never empty here). Caller holds c.mu.
+// evict discards the spare, then drops least-recently-used entries, until
+// the cached arenas and the spare fit the record budget, never evicting
+// keep (the entry just served, which is also the MRU, so the list is never
+// empty here). Caller holds c.mu.
 func (c *Cache) evict(keep *traceEntry) {
-	for c.total > c.maxRecords {
+	for c.total+cap(c.spare) > c.maxRecords {
+		if c.spare != nil {
+			c.spare = nil
+			continue
+		}
 		e := c.lru.Back().Value.(*traceEntry)
 		if e == keep {
 			return
@@ -285,17 +296,17 @@ func (c *Cache) drop(e *traceEntry) {
 	delete(c.entries, e.key)
 	e.evicted = true
 	c.total -= e.size
-	c.recycle(e)
 }
 
-// recycle keeps an evicted, unread entry's arena as the spare, unless the
-// spare already on hand is larger. No request can reach the entry any
-// more, so nothing else touches e.recs. Caller holds c.mu.
+// recycle makes a dropped, unread entry's arena the spare in place of any
+// older one, if the cached arenas leave it room in the record budget. No
+// request can reach the entry any more, so nothing else touches e.recs.
+// Caller holds c.mu.
 func (c *Cache) recycle(e *traceEntry) {
-	if !e.evicted || e.readers > 0 {
+	if !e.dropped || e.readers > 0 || e.recs == nil {
 		return
 	}
-	if cap(e.recs) > cap(c.spare) {
+	if c.total+cap(e.recs) <= c.maxRecords {
 		c.spare = e.recs[:0]
 	}
 	e.recs = nil

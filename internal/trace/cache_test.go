@@ -212,6 +212,49 @@ func TestCacheDropRecyclesArena(t *testing.T) {
 	}
 }
 
+// TestCacheSpareStaysInBudget checks that the spare never holds memory the
+// record budget does not see: a shorter generation does not take a longer
+// spare (the budget would count the arena by its length, not by the array
+// it pins), the spare is discarded before any cached arena is evicted, and
+// an evicted arena is not recycled.
+func TestCacheSpareStaysInBudget(t *testing.T) {
+	c := NewCache(10000)
+	held := func() (n int) {
+		for _, e := range c.entries {
+			n += cap(e.recs)
+		}
+		return n
+	}
+	long, release := c.Records("gzip", 1, 5000)
+	release()
+	c.Drop("gzip", 1)
+	if cap(c.spare) != 5000 {
+		t.Fatalf("spare holds %d records after the drop, want 5000", cap(c.spare))
+	}
+	short, release := c.Records("mcf", 1, 1000)
+	release()
+	if &short[0] == &long[0] || cap(c.spare) != 5000 {
+		t.Fatal("a 1000-record generation took the 5000-record spare")
+	}
+	if s := c.Stats(); s.Records != held() {
+		t.Fatalf("cache counts %d records but its arenas hold %d", s.Records, held())
+	}
+	// 1000 + 4500 cached and 5000 spare exceed the budget: the spare goes
+	// first.
+	_, release = c.Records("swim", 1, 4500)
+	release()
+	if s := c.Stats(); c.spare != nil || s.Entries != 2 || s.EvictedRecords != 0 {
+		t.Fatalf("stats %+v, spare %d: want the spare discarded and both arenas kept", s, cap(c.spare))
+	}
+	// 5500 + 4600 evicts mcf, whose arena no reader holds; it is left to
+	// the garbage collector, not kept as a spare outside the budget.
+	_, release = c.Records("art", 1, 4600)
+	release()
+	if s := c.Stats(); c.spare != nil || s.EvictedRecords != 1000 || s.Records != held() {
+		t.Fatalf("stats %+v, spare %d, held %d: want mcf evicted and not recycled", s, cap(c.spare), held())
+	}
+}
+
 // TestCacheRecycleWhileReading drops a workload over and over while a
 // request for it is being served, then generates another workload of the
 // same length, which takes the spare if the dropped arena was recycled.
