@@ -62,7 +62,11 @@ func (b *MergeBuffer) Reset() {
 
 // entryAt returns the i-th live entry, oldest first.
 func (b *MergeBuffer) entryAt(i int) *mbEntry {
-	return &b.entries[(b.eHead+i)%len(b.entries)]
+	i += b.eHead
+	if i >= len(b.entries) {
+		i -= len(b.entries)
+	}
+	return &b.entries[i]
 }
 
 // Len returns the number of live entries.
@@ -129,9 +133,15 @@ func (b *MergeBuffer) evictOldest() {
 		panic("buffers: MBE backlog overflow (CanAccept not honored)")
 	}
 	e := b.entries[b.eHead]
-	b.eHead = (b.eHead + 1) % len(b.entries)
+	if b.eHead++; b.eHead == len(b.entries) {
+		b.eHead = 0
+	}
 	b.eN--
-	b.pending[(b.pHead+b.pN)%len(b.pending)] = MBE{LineVA: e.lineVA, Mask: e.mask}
+	tail := b.pHead + b.pN
+	if tail >= len(b.pending) {
+		tail -= len(b.pending)
+	}
+	b.pending[tail] = MBE{LineVA: e.lineVA, Mask: e.mask}
 	b.pN++
 	b.stats.Evictions++
 }
@@ -149,7 +159,9 @@ func (b *MergeBuffer) PopMBE() {
 	if b.pN == 0 {
 		panic("buffers: PopMBE on empty backlog")
 	}
-	b.pHead = (b.pHead + 1) % len(b.pending)
+	if b.pHead++; b.pHead == len(b.pending) {
+		b.pHead = 0
+	}
 	b.pN--
 }
 

@@ -54,7 +54,11 @@ func (b *StoreBuffer) Reset() {
 
 // at returns the i-th live entry, oldest first.
 func (b *StoreBuffer) at(i int) *SBEntry {
-	return &b.entries[(b.head+i)%len(b.entries)]
+	i += b.head
+	if i >= len(b.entries) {
+		i -= len(b.entries)
+	}
+	return &b.entries[i]
 }
 
 // Len returns the current occupancy.
@@ -107,7 +111,9 @@ func (b *StoreBuffer) DrainCommitted(mb *MergeBuffer) {
 			return
 		}
 		mb.Insert(e.VA, e.Size)
-		b.head = (b.head + 1) % len(b.entries)
+		if b.head++; b.head == len(b.entries) {
+			b.head = 0
+		}
 		b.n--
 	}
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "malec/internal/mem"
+import (
+	"fmt"
+
+	"malec/internal/mem"
+)
 
 // L2 is a set-associative latency/hit model of the unified L2 cache. The
 // paper keeps L2 and below out of the energy accounting ("MALEC alters the
@@ -16,8 +20,9 @@ import "malec/internal/mem"
 // miss is an LRU sweep of the set's stamps; the package tests check both
 // against a reference model that keeps each set as an LRU list.
 type L2 struct {
-	ways int
-	sets int
+	ways    int
+	sets    int
+	setMask uint64 // sets-1: sets is a power of two
 	// tags and lru are flat set-major arrays (set s, way w at s*ways+w):
 	// two allocations per L2 instead of two per set, which matters when
 	// the engine spins up thousands of short simulations. An invalid way
@@ -46,12 +51,17 @@ type L2Stats struct {
 func NewL2() *L2 { return NewL2Custom(1<<20, 16, 12) }
 
 // NewL2Custom returns an L2 with explicit capacity/associativity/latency.
+// The set count, capacity/(line size*ways), must be a power of two, so a
+// set index is a mask, not a division.
 func NewL2Custom(capacity, ways, latency int) *L2 {
 	sets := capacity / (mem.LineSize * ways)
 	if sets <= 0 {
 		panic("cache: L2 too small")
 	}
-	l := &L2{ways: ways, sets: sets, Latency: latency}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d L2 sets is not a power of two", sets))
+	}
+	l := &L2{ways: ways, sets: sets, setMask: uint64(sets - 1), Latency: latency}
 	l.tags = make([]uint32, sets*ways)
 	l.lru = make([]uint64, sets*ways)
 	return l
@@ -71,7 +81,7 @@ func (l *L2) Stats() L2Stats {
 }
 
 func (l *L2) set(pa mem.Addr) int {
-	return int((uint64(pa.Canon()) >> mem.LineShift) % uint64(l.sets))
+	return int((uint64(pa.Canon()) >> mem.LineShift) & l.setMask)
 }
 
 // Access looks up pa, filling on miss, and reports whether it hit.

@@ -256,7 +256,10 @@ func TestMissRateHelper(t *testing.T) {
 func TestBadGeometryPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewL1Custom(0, 4) },
-		func() { NewL1Custom(130, 4) }, // not divisible by banks
+		func() { NewL1Custom(130, 4) },                  // not divisible by banks
+		func() { NewL1Custom(12, 4) },                   // divisible by banks, not a power of two
+		func() { NewL2Custom(3*mem.LineSize*4, 4, 12) }, // 3 sets
+		func() { NewL2Custom(0, 4, 12) },
 	} {
 		func() {
 			defer func() {

@@ -60,8 +60,9 @@ func (s Stats) MissRate() float64 {
 // highly optimized designs"); MALEC-specific behaviour lives in the access
 // mode chosen by the caller.
 type L1 struct {
-	ways int
-	sets int
+	ways    int
+	sets    int
+	setMask uint64 // sets-1: sets is a power of two
 
 	lines []Line   // flattened [set][way]: index set*ways+way
 	lru   []uint64 // LRU stamps, same layout
@@ -85,8 +86,9 @@ type L1 struct {
 // NewL1 returns an L1 with the paper's geometry (mem.L1Sets x mem.L1Ways).
 func NewL1() *L1 { return NewL1Custom(mem.L1Sets, mem.L1Ways) }
 
-// NewL1Custom returns an L1 with explicit geometry (sets must be divisible
-// by mem.NumBanks).
+// NewL1Custom returns an L1 with explicit geometry (sets must be a power
+// of two divisible by mem.NumBanks, so a set index is a mask, not a
+// division).
 func NewL1Custom(sets, ways int) *L1 {
 	if sets <= 0 || ways <= 0 {
 		panic("cache: non-positive L1 geometry")
@@ -94,9 +96,12 @@ func NewL1Custom(sets, ways int) *L1 {
 	if sets%mem.NumBanks != 0 {
 		panic(fmt.Sprintf("cache: %d sets not divisible by %d banks", sets, mem.NumBanks))
 	}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d L1 sets is not a power of two", sets))
+	}
 	// Flat slabs (two allocations total, not two per set): construction
 	// cost matters because every simulation run builds a fresh L1.
-	c := &L1{ways: ways, sets: sets}
+	c := &L1{ways: ways, sets: sets, setMask: uint64(sets - 1)}
 	c.lines = make([]Line, sets*ways)
 	c.lru = make([]uint64, sets*ways)
 	return c
@@ -113,7 +118,7 @@ func (c *L1) Stats() Stats { return c.stats }
 
 // set returns the set index of a physical address.
 func (c *L1) set(pa mem.Addr) int {
-	return int((uint64(pa.Canon()) >> mem.LineShift) % uint64(c.sets))
+	return int((uint64(pa.Canon()) >> mem.LineShift) & c.setMask)
 }
 
 // Bank returns the bank servicing physical address pa.

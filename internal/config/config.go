@@ -143,10 +143,13 @@ func DefaultSampling() *Sampling {
 	return &Sampling{Warmup: 2000, Detail: 8000, Interval: 1_000_000}
 }
 
-// Valid reports whether the schedule is internally consistent.
+// Valid reports whether the schedule is internally consistent. The
+// burst bound is checked as Detail <= Interval-Warmup, which cannot
+// overflow once the signs are known: Warmup+Detail could wrap negative
+// and pass.
 func (s *Sampling) Valid() bool {
 	return s.Warmup >= 0 && s.Detail > 0 && s.Interval > 0 &&
-		s.Warmup+s.Detail <= s.Interval
+		s.Warmup <= s.Interval && s.Detail <= s.Interval-s.Warmup
 }
 
 // tabII fills the processor and memory parameters shared by every

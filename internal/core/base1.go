@@ -1,7 +1,6 @@
 package core
 
 import (
-	"malec/internal/config"
 	"malec/internal/energy"
 	"malec/internal/mem"
 	"malec/internal/stats"
@@ -18,11 +17,6 @@ type Base1 struct {
 	// address computation unit (aguUsed) admits at most one per cycle.
 	pending    Request
 	hasPending bool
-}
-
-// NewBase1 builds a Base1ldst interface for cfg.
-func NewBase1(cfg config.Config) *Base1 {
-	return &Base1{sys: NewSystem(cfg)}
 }
 
 // Name implements Interface.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"malec/internal/config"
 	"malec/internal/energy"
 	"malec/internal/mem"
 	"malec/internal/stats"
@@ -19,11 +18,6 @@ type Base2 struct {
 	loadsIssued  int
 	storesIssued int
 	pending      []Request
-}
-
-// NewBase2 builds a Base2ld1st interface for cfg.
-func NewBase2(cfg config.Config) *Base2 {
-	return &Base2{sys: NewSystem(cfg)}
 }
 
 // Name implements Interface.

@@ -41,7 +41,7 @@ func store(seq uint64, va mem.Addr) Request {
 }
 
 func TestBase1OneOpPerCycle(t *testing.T) {
-	b := NewBase1(config.Base1ldst())
+	b := New(config.Base1ldst()).(*Base1)
 	if !b.TryIssue(load(1, 0x1000)) {
 		t.Fatal("first issue rejected")
 	}
@@ -59,7 +59,7 @@ func TestBase1OneOpPerCycle(t *testing.T) {
 
 func TestBase1LoadCompletes(t *testing.T) {
 	cfg := config.Base1ldst()
-	b := NewBase1(cfg)
+	b := New(cfg).(*Base1)
 	b.TryIssue(load(1, 0x1000))
 	comps := drain(t, b)
 	if len(comps) != 1 || comps[0].Seq != 1 {
@@ -77,7 +77,7 @@ func TestBase1LoadCompletes(t *testing.T) {
 func TestBase1MissLatency(t *testing.T) {
 	cfg := config.Base1ldst()
 	run := func(second mem.Addr) int {
-		b := NewBase1(cfg)
+		b := New(cfg).(*Base1)
 		// Warm the line at 0x1000.
 		b.TryIssue(load(1, 0x1000))
 		drain(t, b)
@@ -103,7 +103,7 @@ func TestBase1MissLatency(t *testing.T) {
 }
 
 func TestBase2AcceptsTwoLoadsOneStore(t *testing.T) {
-	b := NewBase2(config.Base2ld1st())
+	b := New(config.Base2ld1st()).(*Base2)
 	if !b.TryIssue(load(1, 0x1000)) || !b.TryIssue(load(2, 0x2000)) {
 		t.Fatal("two loads rejected")
 	}
@@ -125,9 +125,9 @@ func TestBase2AcceptsTwoLoadsOneStore(t *testing.T) {
 
 func TestStoreForwarding(t *testing.T) {
 	for _, mk := range []func() Interface{
-		func() Interface { return NewBase1(config.Base1ldst()) },
-		func() Interface { return NewBase2(config.Base2ld1st()) },
-		func() Interface { return NewMalec(config.MALEC()) },
+		func() Interface { return New(config.Base1ldst()) },
+		func() Interface { return New(config.Base2ld1st()) },
+		func() Interface { return New(config.MALEC()) },
 	} {
 		iface := mk()
 		iface.TryIssue(store(1, 0x1230))
@@ -155,7 +155,7 @@ func TestStoreForwarding(t *testing.T) {
 }
 
 func TestCommitPathWritesMBE(t *testing.T) {
-	b := NewBase1(config.Base1ldst())
+	b := New(config.Base1ldst()).(*Base1)
 	b.TryIssue(store(1, 0x1000))
 	b.Tick()
 	b.CommitStore(1)
@@ -169,7 +169,7 @@ func TestCommitPathWritesMBE(t *testing.T) {
 }
 
 func TestMalecAGULimits(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	// 1 ld + 2 ld/st: up to 3 loads, at most 2 stores.
 	if !m.TryIssue(load(1, 0x1000)) || !m.TryIssue(load(2, 0x2000)) || !m.TryIssue(load(3, 0x3000)) {
 		t.Fatal("three loads rejected")
@@ -190,7 +190,7 @@ func TestMalecAGULimits(t *testing.T) {
 }
 
 func TestMalecSamePageGroupServicedTogether(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	// Four loads to the same page, different banks: one translation, all
 	// serviced in the same cycle.
 	page := mem.PageID(5)
@@ -211,7 +211,7 @@ func TestMalecSamePageGroupServicedTogether(t *testing.T) {
 }
 
 func TestMalecDifferentPagesSerialized(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	m.TryIssue(load(1, mem.MakeAddr(1, 0)))
 	m.TryIssue(load(2, mem.MakeAddr(2, 0)))
 	m.Tick() // only page 1's group serviced
@@ -229,7 +229,7 @@ func TestMalecDifferentPagesSerialized(t *testing.T) {
 }
 
 func TestMalecBankConflictCarriesLoad(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	page := mem.PageID(3)
 	// Two loads to the same bank (lines 0 and 4), different lines, far
 	// apart: no merge possible, bank conflict.
@@ -246,7 +246,7 @@ func TestMalecBankConflictCarriesLoad(t *testing.T) {
 }
 
 func TestMalecMergeSameWindow(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	page := mem.PageID(4)
 	// Two loads within one 32 byte window: merged, one L1 access.
 	m.TryIssue(load(1, mem.MakeAddr(page, 0)))
@@ -265,7 +265,7 @@ func TestMalecMergeSameWindow(t *testing.T) {
 }
 
 func TestMalecNoMergeAcrossWindows(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	page := mem.PageID(4)
 	// Same line but different 32 byte windows: merge only happens for
 	// the two adjacent sub-blocks the bank reads.
@@ -278,7 +278,7 @@ func TestMalecNoMergeAcrossWindows(t *testing.T) {
 }
 
 func TestMalecNoMergeConfig(t *testing.T) {
-	m := NewMalec(config.MALECNoMerge())
+	m := New(config.MALECNoMerge()).(*Malec)
 	page := mem.PageID(4)
 	m.TryIssue(load(1, mem.MakeAddr(page, 0)))
 	m.TryIssue(load(2, mem.MakeAddr(page, 8)))
@@ -289,7 +289,7 @@ func TestMalecNoMergeConfig(t *testing.T) {
 }
 
 func TestMalecInputBufferCapacityStalls(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	// Saturate: 3 accepted in cycle 1; conflictful same-bank different
 	// window addresses force carrying.
 	page := mem.PageID(6)
@@ -310,7 +310,7 @@ func TestMalecInputBufferCapacityStalls(t *testing.T) {
 }
 
 func TestMalecReducedAccessAfterWarmup(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	page := mem.PageID(9)
 	va := mem.MakeAddr(page, 2*mem.LineSize)
 	// First access misses and fills (conventional).
@@ -329,7 +329,7 @@ func TestMalecReducedAccessAfterWarmup(t *testing.T) {
 }
 
 func TestMalecMBEWriteHappens(t *testing.T) {
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	m.TryIssue(store(1, 0x2040))
 	m.Tick()
 	m.CommitStore(1)
@@ -345,7 +345,7 @@ func TestMalecMBEWriteHappens(t *testing.T) {
 func TestMalecMBEFairness(t *testing.T) {
 	// A stream of loads to a different page must not starve the MBE
 	// beyond the fairness limit.
-	m := NewMalec(config.MALEC())
+	m := New(config.MALEC()).(*Malec)
 	m.TryIssue(store(1, mem.MakeAddr(50, 0)))
 	m.Tick()
 	m.CommitStore(1)
@@ -375,7 +375,7 @@ func TestNewDispatch(t *testing.T) {
 }
 
 func TestWDUVariantRuns(t *testing.T) {
-	m := NewMalec(config.MALECWithWDU(8))
+	m := New(config.MALECWithWDU(8)).(*Malec)
 	va := mem.MakeAddr(2, 0x80)
 	m.TryIssue(load(1, va))
 	drain(t, m)

@@ -108,25 +108,58 @@ type System struct {
 	// meters nothing — sampled energy comes from the detailed windows
 	// only. Never set on the exact path.
 	warming bool
+
+	// fillHook and evictHook are this system's L1 fill/evict hooks,
+	// built once; bind installs them in an L1 that several systems
+	// share (NewShadows).
+	fillHook, evictHook func(pline mem.Addr, set, way int)
 }
 
 // NewSystem builds the shared structures for a configuration.
 func NewSystem(cfg config.Config) *System {
+	s := newCoreSide(cfg)
 	src := rng.New(cfg.Seed ^ 0x51a1ec)
 	ut := tlb.New("uTLB", cfg.UTLBEntries, tlb.NewPolicy("second-chance", cfg.UTLBEntries, src))
 	mt := tlb.New("TLB", cfg.TLBEntries, tlb.NewPolicy("random", cfg.TLBEntries, src.Split()))
-	hier := &tlb.Hierarchy{
-		U: ut, Main: mt, PT: tlb.NewPageTable(),
-		TLBRefillLatency: cfg.TLBRefillLatency,
-		WalkLatency:      cfg.WalkLatency,
+	s.Hier = &tlb.Hierarchy{U: ut, Main: mt, PT: tlb.NewPageTable()}
+	s.L1 = cache.NewL1()
+	s.Back = cache.NewBackside()
+	if cfg.Bypass {
+		s.detector = cache.NewStreamDetector(256)
 	}
+	switch cfg.WayDet {
+	case config.WayDetPageWT:
+		var ps *waytable.PageSystem
+		if cfg.WTChunkLines > 0 {
+			ps = waytable.NewPageSystemWith(s.Hier,
+				segTable("uWT", cfg.UTLBEntries, cfg),
+				segTable("WT", cfg.TLBEntries, cfg))
+		} else {
+			ps = waytable.NewPageSystem(s.Hier)
+		}
+		ps.FeedbackUpdate = cfg.FeedbackUpdate
+		s.PageD = ps
+		s.Det = ps
+		s.L1.ConstrainWays = cfg.ConstrainWays
+	case config.WayDetWDU:
+		w := waytable.NewWDU(cfg.WDUEntries, cfg.WDUPorts)
+		s.WDUD = w
+		s.Det = w
+	default:
+		s.Det = waytable.None{}
+	}
+	s.bind()
+	return s
+}
+
+// newCoreSide builds the per-configuration half of a System: everything
+// but the memory side (TLB hierarchy, caches, way determination, stream
+// detector), which the caller builds or shares.
+func newCoreSide(cfg config.Config) *System {
 	s := &System{
-		Cfg:  cfg,
-		Hier: hier,
-		L1:   cache.NewL1(),
-		Back: cache.NewBackside(),
-		SB:   buffers.NewStoreBuffer(cfg.SB),
-		MB:   buffers.NewMergeBuffer(cfg.MB),
+		Cfg: cfg,
+		SB:  buffers.NewStoreBuffer(cfg.SB),
+		MB:  buffers.NewMergeBuffer(cfg.MB),
 		MeterV: energy.NewMeter(energy.DefaultParams(), energy.Ports{
 			L1ExtraPorts:  cfg.L1ExtraPorts,
 			TLBExtraPorts: cfg.TLBExtraPorts,
@@ -143,35 +176,47 @@ func NewSystem(cfg config.Config) *System {
 			cfg.WalkLatency + (cfg.MSHRs+2)*64 + 64),
 		mshr: make([]int64, 0, cfg.MSHRs+1),
 	}
-	if cfg.Bypass {
-		s.detector = cache.NewStreamDetector(256)
-	}
 	switch cfg.WayDet {
 	case config.WayDetPageWT:
-		var ps *waytable.PageSystem
-		if cfg.WTChunkLines > 0 {
-			ps = waytable.NewPageSystemWith(hier,
-				segTable("uWT", cfg.UTLBEntries, cfg),
-				segTable("WT", cfg.TLBEntries, cfg))
-		} else {
-			ps = waytable.NewPageSystem(hier)
-		}
-		ps.FeedbackUpdate = cfg.FeedbackUpdate
-		s.PageD = ps
-		s.Det = ps
-		s.L1.ConstrainWays = cfg.ConstrainWays
-		s.L1.OnFill = s.onFill
-		s.L1.OnEvict = s.onEvict
+		s.fillHook, s.evictHook = s.onFill, s.onEvict
 	case config.WayDetWDU:
-		w := waytable.NewWDU(cfg.WDUEntries, cfg.WDUPorts)
-		s.WDUD = w
-		s.Det = w
-		s.L1.OnFill = s.onFillWDU
-		s.L1.OnEvict = s.onEvictWDU
-	default:
-		s.Det = waytable.None{}
+		s.fillHook, s.evictHook = s.onFillWDU, s.onEvictWDU
 	}
 	return s
+}
+
+// bind points the memory side at this system: the L1 hooks charge its
+// meter, and translations take its TLB refill and walk latencies, which
+// are core-side parameters held by the shared hierarchy.
+func (s *System) bind() {
+	s.L1.OnFill, s.L1.OnEvict = s.fillHook, s.evictHook
+	s.Hier.TLBRefillLatency, s.Hier.WalkLatency = s.Cfg.TLBRefillLatency, s.Cfg.WalkLatency
+}
+
+// NewShadows builds one interface per configuration over a single memory
+// side, for sampled measurement bursts that run one after another. Each
+// interface has its own core side (store and merge buffers, calendar,
+// MSHRs, meter and counters); the memory side is built once, so its
+// footprint does not grow with the number of configurations. The
+// configurations must agree on every memory-side parameter (the memory-side
+// half of their digest). Only Restore readies an interface for a burst:
+// it binds the shared memory side to that interface, then restores it.
+func NewShadows(cfgs []config.Config) []Interface {
+	out := make([]Interface, len(cfgs))
+	var mem *System
+	for i, cfg := range cfgs {
+		var s *System
+		if i == 0 {
+			s = NewSystem(cfg)
+			mem = s
+		} else {
+			s = newCoreSide(cfg)
+			s.Hier, s.L1, s.Back, s.detector = mem.Hier, mem.L1, mem.Back, mem.detector
+			s.Det, s.PageD, s.WDUD = mem.Det, mem.PageD, mem.WDUD
+		}
+		out[i] = over(s)
+	}
+	return out
 }
 
 // segTable builds a Sec. VI-D segmented way table for a configuration.

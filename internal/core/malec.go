@@ -45,11 +45,6 @@ type ibEntry struct {
 // waiting cycles, guaranteeing forward progress for committed stores.
 const mbeFairnessLimit = 16
 
-// NewMalec builds a MALEC interface for cfg.
-func NewMalec(cfg config.Config) *Malec {
-	return &Malec{sys: NewSystem(cfg)}
-}
-
 // Name implements Interface.
 func (m *Malec) Name() string { return m.sys.Cfg.Name }
 
@@ -305,14 +300,17 @@ func (m *Malec) Restore(st *SystemState) error {
 }
 
 // New constructs the Interface matching cfg.Kind.
-func New(cfg config.Config) Interface {
-	switch cfg.Kind {
+func New(cfg config.Config) Interface { return over(NewSystem(cfg)) }
+
+// over wraps s in the Interface matching its configuration's Kind.
+func over(s *System) Interface {
+	switch s.Cfg.Kind {
 	case config.KindBase1:
-		return NewBase1(cfg)
+		return &Base1{sys: s}
 	case config.KindBase2:
-		return NewBase2(cfg)
+		return &Base2{sys: s}
 	case config.KindMALEC:
-		return NewMalec(cfg)
+		return &Malec{sys: s}
 	default:
 		panic("core: unknown interface kind")
 	}

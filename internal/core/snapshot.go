@@ -88,7 +88,8 @@ func (s *System) checkState(st *SystemState) error {
 // RestoreState transplants a snapshot captured from a system with the same
 // memory-side configuration (cache/TLB/way-table geometry, seed, bypass)
 // and empties the store and merge buffers, calendar, MSHRs, meter and
-// counters, back at cycle 0. Every part is checked before any is applied:
+// counters, back at cycle 0. A memory side shared with other systems
+// (NewShadows) is bound to this one first. Every part is checked before any is applied:
 // a snapshot that does not fit — damaged, or from an older checkpoint
 // format — returns an error and leaves the system unchanged.
 func (s *System) RestoreState(st *SystemState) error {
@@ -100,6 +101,7 @@ func (s *System) RestoreState(st *SystemState) error {
 	if err := s.Hier.PT.RestoreState(st.PT); err != nil {
 		return fmt.Errorf("core: snapshot does not fit: %w", err)
 	}
+	s.bind()
 	s.SB.Reset()
 	s.MB.Reset()
 	s.cal.reset()

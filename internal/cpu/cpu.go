@@ -361,11 +361,14 @@ type SamplingEstimate struct {
 	EnergyRelHalfWidth *float64 `json:",omitempty"`
 	// CheckpointHits/Misses count warm-state restores vs fresh warms at
 	// window boundaries (always Misses == Windows when no store is wired).
-	CheckpointHits   int
-	CheckpointMisses int
 	// WarmedRecords counts trace records driven through functional
 	// warming (gap records skipped via checkpoint restore are excluded).
-	WarmedRecords uint64
+	// A pass over several configurations (RunPassContext) warms once:
+	// its first configuration reports these three, the others zero, so
+	// sums over a campaign count each pass once.
+	CheckpointHits   int
+	CheckpointMisses int
+	WarmedRecords    uint64
 }
 
 // t975 holds the Student-t quantiles t(0.975, df) for df = 1..30.
@@ -635,7 +638,11 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 		panic(fmt.Sprintf("cpu: invalid sampling schedule %+v (need Detail > 0, Warmup >= 0, Warmup+Detail <= Interval)", *s))
 	}
 	if sized, ok := src.(sizedSource); ok && Sampled(cfg, sized.Remaining()) {
-		return runSampled(ctx, cfg, benchmark, src, sized.Remaining(), ck)
+		res, err := runSampled(ctx, []config.Config{cfg}, benchmark, src, sized.Remaining(), ck)
+		if err != nil {
+			return Result{}, err
+		}
+		return res[0], nil
 	}
 	if gen != nil {
 		gen.allow(gen.N)

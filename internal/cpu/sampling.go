@@ -21,6 +21,14 @@ package cpu
 // shadow, keeping the primary's trajectory identical to a run with no
 // measurement at all — which is exactly the trajectory microarchitectural
 // checkpoints capture and restore.
+//
+// Because the primary does not depend on the core side, one pass serves
+// every configuration of a memory-side group: it warms the primary once
+// and, at each window, measures every configuration's burst from the same
+// captured state, one after another, each on its own shadow. The shadows
+// share one memory side (core.NewShadows), which each Restore rebinds to
+// its shadow, so a pass holds one primary and one shadow memory side
+// whatever its configuration count. A single run is a pass of one.
 
 import (
 	"context"
@@ -94,14 +102,47 @@ type Checkpoints interface {
 	Save(n uint64, ck *Checkpoint)
 }
 
-// runSampled executes the sampled fast path. total is the number of
+// RunPassContext runs one sampled pass over src for cfgs, which must share
+// their memory side and a sampling schedule that src covers at least
+// once, and returns their results in order. Each result is the one
+// RunWithCheckpointsContext gives for its configuration alone, except that
+// only the first reports the pass's warming and checkpoint counts.
+func RunPassContext(ctx context.Context, cfgs []config.Config, benchmark string, src Source, ck Checkpoints) ([]Result, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if gen, ok := src.(*GenSource); ok {
+		defer gen.stopProducer()
+	}
+	total := src.(sizedSource).Remaining()
+	for _, cfg := range cfgs {
+		if !Sampled(cfg, total) || *cfg.Sampling != *cfgs[0].Sampling {
+			panic(fmt.Sprintf("cpu: %s does not take a sampled pass over %d records with the schedule of %s", cfg.Name, total, cfgs[0].Name))
+		}
+	}
+	return runSampled(ctx, cfgs, benchmark, src, total, ck)
+}
+
+// sampledPoint is one configuration's side of a pass: its machine and the
+// per-window samples of its bursts.
+type sampledPoint struct {
+	m                        machine
+	cpi, epi                 []float64
+	epiSum                   energy.Breakdown
+	skippedCycles, skipJumps uint64
+}
+
+// runSampled executes the sampled fast path for every configuration of
+// cfgs, which share their memory side and schedule. total is the number of
 // records the source will yield (>= one interval, checked by the caller).
 // ctx, when non-nil, is polled once per window and before the tail warm;
-// windows are bounded (one interval of warming plus a burst) and the tail
-// is shorter than one, so cancellation lands within a window's worth of
-// work.
-func runSampled(ctx context.Context, cfg config.Config, benchmark string, src Source, total int, ck Checkpoints) (Result, error) {
-	sch := cfg.Sampling
+// windows are bounded (one interval of warming plus one burst per
+// configuration) and the tail is shorter than one, so cancellation lands
+// within a window's worth of work.
+func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src Source, total int, ck Checkpoints) ([]Result, error) {
+	sch := cfgs[0].Sampling
 	warmup, detail, interval := sch.Warmup, sch.Detail, sch.Interval
 	burst := warmup + detail
 	gap := interval - burst
@@ -120,29 +161,26 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		gen.allow(gen.N)
 	}
 
-	sys := core.NewSystem(cfg)
+	sys := core.NewSystem(cfgs[0])
 	sys.SetWarming(true)
 
-	var (
-		skippedCycles, skipJumps uint64
-		hits, saves              int
-		epiSum                   energy.Breakdown
-		lastMeter                *energy.Meter
-	)
+	var hits, saves int
 	rd := reader{src: src}
-	cpiSamples := make([]float64, 0, nWin)
-	epiSamples := make([]float64, 0, nWin)
 	buf := make([]trace.Record, burst)
-	// Every burst replays buf on one shadow and one machine, both reset
-	// per burst.
-	shadow := core.New(cfg)
-	m := new(machine)
+	// Every burst of a configuration replays buf on its shadow and its
+	// machine, both reset per burst; the shadows share one memory side.
+	shadows := core.NewShadows(cfgs)
+	points := make([]sampledPoint, len(cfgs))
+	for i := range points {
+		points[i].cpi = make([]float64, 0, nWin)
+		points[i].epi = make([]float64, 0, nWin)
+	}
 	var burstSrc SliceSource
 
 	for k := 0; k < nWin; k++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return Result{}, err
+				return nil, err
 			}
 		}
 		// Burst start, as an absolute record index: the checkpoint key.
@@ -191,95 +229,110 @@ func runSampled(ctx context.Context, cfg config.Config, benchmark string, src So
 		}
 
 		// The burst records feed both the primary (trajectory identical to
-		// an unmeasured run) and the shadow's replay buffer.
+		// an unmeasured run) and the shadows' replay buffer.
 		rd.read(burst, sys, buf)
 
-		burstSrc = SliceSource{Records: buf}
-		cycles, dyn := m.measureBurst(cfg, shadow, st, &burstSrc, warmup)
-
-		cpiSamples = append(cpiSamples, float64(cycles)/float64(detail))
-		var epi float64
-		for c := range dyn.Dynamic {
-			d := dyn.Dynamic[c] / float64(detail)
-			epiSum.Dynamic[c] += d
-			epi += d
+		for i := range points {
+			p := &points[i]
+			burstSrc = SliceSource{Records: buf}
+			cycles, dyn := p.m.measureBurst(cfgs[i], shadows[i], st, &burstSrc, warmup)
+			p.cpi = append(p.cpi, float64(cycles)/float64(detail))
+			var epi float64
+			for c := range dyn.Dynamic {
+				d := dyn.Dynamic[c] / float64(detail)
+				p.epiSum.Dynamic[c] += d
+				epi += d
+			}
+			p.epi = append(p.epi, epi)
+			p.skippedCycles += p.m.skippedCycles
+			p.skipJumps += p.m.skipJumps
 		}
-		epiSamples = append(epiSamples, epi)
-		skippedCycles += m.skippedCycles
-		skipJumps += m.skipJumps
-		lastMeter = shadow.Meter()
 	}
 
 	// Tail past the last full interval, shorter than a window: warmed so
 	// the final memory-side statistics cover the whole trace.
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	rd.read(total-nWin*interval, sys, nil)
 	instructions := rd.instructions
-
-	// Extrapolate: mean CPI and mean per-component EPI over the windows,
-	// scaled to the full instruction count. Leakage is priced off the
-	// estimated cycle count (it depends only on time and port config, not
-	// event counts), via the last shadow's meter.
-	nw := float64(nWin)
-	var cpiSum float64
-	for _, c := range cpiSamples {
-		cpiSum += c
-	}
-	cpiMean := cpiSum / nw
-	estCycles := uint64(cpiMean*float64(instructions) + 0.5)
-
-	var eb energy.Breakdown
-	var epiMean float64
-	for c := range epiSum.Dynamic {
-		mean := epiSum.Dynamic[c] / nw
-		eb.Dynamic[c] = mean * float64(instructions)
-		epiMean += mean
-	}
-	eb.Leakage = lastMeter.Finish(estCycles).Leakage
-
 	known, covTotal := sys.Det.Coverage()
-	tel := stats.NewCounters()
-	tel.Add(stats.CtrSkippedCycles, skippedCycles)
-	tel.Add(stats.CtrSkipJumps, skipJumps)
-	tel.Add(stats.CtrSampledWindows, uint64(nWin))
-	tel.Add(stats.CtrSampledWarmedRecords, rd.warmed)
-	tel.Add(stats.CtrCheckpointRestores, uint64(hits))
-	tel.Add(stats.CtrCheckpointSaves, uint64(saves))
 
-	return Result{
-		Telemetry:     tel,
-		Config:        cfg.Name,
-		Benchmark:     benchmark,
-		Cycles:        estCycles,
-		Instructions:  instructions,
-		Loads:         rd.loads,
-		Stores:        rd.stores,
-		Energy:        eb,
-		L1:            sys.L1.Stats(),
-		L2:            sys.Back.L2.Stats(),
-		UTLB:          sys.Hier.U.Stats(),
-		TLB:           sys.Hier.Main.Stats(),
-		CoverageKnown: known,
-		CoverageTotal: covTotal,
-		Counters:      sys.Ctr,
-		Sampling: &SamplingEstimate{
-			Windows:            nWin,
-			Warmup:             warmup,
-			Detail:             detail,
-			Interval:           interval,
-			CPIMean:            cpiMean,
-			CPIRelHalfWidth:    knownHalfWidth(cpiSamples),
-			EnergyMean:         epiMean,
-			EnergyRelHalfWidth: knownHalfWidth(epiSamples),
-			CheckpointHits:     hits,
-			CheckpointMisses:   nWin - hits,
-			WarmedRecords:      rd.warmed,
-		},
-	}, nil
+	results := make([]Result, len(cfgs))
+	for i := range points {
+		p := &points[i]
+		// Extrapolate: mean CPI and mean per-component EPI over the
+		// windows, scaled to the full instruction count. Leakage is priced
+		// off the estimated cycle count (it depends only on time and port
+		// config, not event counts), via the configuration's shadow meter.
+		nw := float64(nWin)
+		var cpiSum float64
+		for _, c := range p.cpi {
+			cpiSum += c
+		}
+		cpiMean := cpiSum / nw
+		estCycles := uint64(cpiMean*float64(instructions) + 0.5)
+
+		var eb energy.Breakdown
+		var epiMean float64
+		for c := range p.epiSum.Dynamic {
+			mean := p.epiSum.Dynamic[c] / nw
+			eb.Dynamic[c] = mean * float64(instructions)
+			epiMean += mean
+		}
+		eb.Leakage = shadows[i].Meter().Finish(estCycles).Leakage
+
+		// The primary's warming and checkpoint traffic are the pass's:
+		// the first configuration reports them, the others none. Each
+		// result gets its own copy of the primary's (untouched) counters.
+		ctr, warmed, pHits, pMisses, pSaves := sys.Ctr, rd.warmed, hits, nWin-hits, saves
+		if i > 0 {
+			ctr = stats.NewCounters()
+			ctr.Merge(sys.Ctr)
+			warmed, pHits, pMisses, pSaves = 0, 0, 0, 0
+		}
+		tel := stats.NewCounters()
+		tel.Add(stats.CtrSkippedCycles, p.skippedCycles)
+		tel.Add(stats.CtrSkipJumps, p.skipJumps)
+		tel.Add(stats.CtrSampledWindows, uint64(nWin))
+		tel.Add(stats.CtrSampledWarmedRecords, warmed)
+		tel.Add(stats.CtrCheckpointRestores, uint64(pHits))
+		tel.Add(stats.CtrCheckpointSaves, uint64(pSaves))
+
+		results[i] = Result{
+			Telemetry:     tel,
+			Config:        cfgs[i].Name,
+			Benchmark:     benchmark,
+			Cycles:        estCycles,
+			Instructions:  instructions,
+			Loads:         rd.loads,
+			Stores:        rd.stores,
+			Energy:        eb,
+			L1:            sys.L1.Stats(),
+			L2:            sys.Back.L2.Stats(),
+			UTLB:          sys.Hier.U.Stats(),
+			TLB:           sys.Hier.Main.Stats(),
+			CoverageKnown: known,
+			CoverageTotal: covTotal,
+			Counters:      ctr,
+			Sampling: &SamplingEstimate{
+				Windows:            nWin,
+				Warmup:             warmup,
+				Detail:             detail,
+				Interval:           interval,
+				CPIMean:            cpiMean,
+				CPIRelHalfWidth:    knownHalfWidth(p.cpi),
+				EnergyMean:         epiMean,
+				EnergyRelHalfWidth: knownHalfWidth(p.epi),
+				CheckpointHits:     pHits,
+				CheckpointMisses:   pMisses,
+				WarmedRecords:      warmed,
+			},
+		}
+	}
+	return results, nil
 }
 
 // knownHalfWidth is RelHalfWidth95 for a SamplingEstimate: nil, unknown,

@@ -68,3 +68,56 @@ func TestReusedShadowMatchesFreshShadows(t *testing.T) {
 		t.Fatal("no burst ended with work in flight: the differential does not exercise Restore")
 	}
 }
+
+// TestRunPassMatchesSingleRuns is the sampled-pass differential: one pass
+// measures every configuration of a memory-side group on shadows that
+// share one memory side, and each result must equal, byte for byte, the
+// configuration's own sampled run, estimates and half-widths included.
+// The groups vary only core-side parameters the shared memory side must
+// take from whichever shadow it is bound to: the interface kind, the L1,
+// TLB refill and walk latencies, and the ROB. Only the first result
+// reports the pass's warming; the others report none.
+func TestRunPassMatchesSingleRuns(t *testing.T) {
+	sch := chunkTestSchedule()
+	variant := func(c config.Config, name string, f func(*config.Config)) config.Config {
+		c.Name = name
+		f(&c)
+		return c
+	}
+	groups := [][]config.Config{
+		{config.Base1ldst(), config.Base2ld1st(), config.Base2ld1st1cycleL1(),
+			variant(config.Base2ld1st(), "Base2_walk", func(c *config.Config) { c.TLBRefillLatency, c.WalkLatency = 5, 60 })},
+		{config.MALEC(), config.MALEC3cycleL1(),
+			variant(config.MALEC(), "MALEC_rob96", func(c *config.Config) { c.ROB = 96 })},
+		{config.MALECBypass(), variant(config.MALECBypass(), "Bypass_walk", func(c *config.Config) { c.WalkLatency = 10 })},
+	}
+	for _, cfgs := range groups {
+		for i := range cfgs {
+			cfgs[i].Sampling = sch
+		}
+		for _, bench := range []string{"gzip", "ptrchase"} {
+			recs := trace.NewGenerator(trace.Profiles[bench], 2).Generate(chunkTestRecords)
+			got, err := RunPassContext(nil, cfgs, bench, &SliceSource{Records: recs}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range cfgs {
+				name := cfg.Name + "/" + bench
+				want := Run(cfg, bench, &SliceSource{Records: recs})
+				if g, w := mustJSONValue(t, got[i]), mustJSONValue(t, want); !bytes.Equal(g, w) {
+					t.Fatalf("%s: pass result differs from its own run:\n%s\n%s", name, g, w)
+				}
+				gs, ws := *got[i].Sampling, *want.Sampling
+				if i > 0 {
+					if gs.WarmedRecords != 0 || gs.CheckpointMisses != 0 {
+						t.Fatalf("%s: a later config of the pass reports warming %+v", name, gs)
+					}
+					gs.WarmedRecords, gs.CheckpointMisses = ws.WarmedRecords, ws.CheckpointMisses
+				}
+				if g, w := mustJSONValue(t, gs), mustJSONValue(t, ws); !bytes.Equal(g, w) {
+					t.Fatalf("%s: pass estimate %s, own run %s", name, g, w)
+				}
+			}
+		}
+	}
+}

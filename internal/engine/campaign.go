@@ -203,11 +203,21 @@ func jobBackoff(attempt int) time.Duration {
 // exactly once per job — serialized, in completion order — with the
 // result (err == nil), the job's final error, or the cancellation error
 // for jobs cut off mid-flight; attempts counts the retries the job
-// consumed. The feed groups jobs by (benchmark, seed) so every
-// configuration sharing one workload runs back to back. When the groups'
-// arenas together exceed smallCampaignRecords, runJobs drops a group's
-// trace arena from the materialized-trace cache as soon as the group's
-// last job has finished (and, on return, the arena of any group a
+// consumed.
+//
+// The unit of work is a job, or a memory-side group: the sampled jobs
+// that share (MemSideDigest, benchmark, seed, instructions, sampling
+// schedule), when the engine runs its own simulator. One worker takes a
+// group whole and computes its missing keys in one sampled pass
+// (startPass), which warms the memory side once and measures every
+// configuration on the same windows; the groups spread over the workers.
+// A retry re-runs the group's failed keys as a new pass.
+//
+// The feed groups units by (benchmark, seed) so every configuration
+// sharing one workload runs back to back. When the groups' arenas
+// together exceed smallCampaignRecords, runJobs drops a group's trace
+// arena from the materialized-trace cache as soon as the group's last
+// job has finished (and, on return, the arena of any group a
 // cancellation cut off after its first job): the cache then holds only
 // the arenas of started groups with jobs still to run, the arena of a
 // group the campaign never reached stays for its other readers, and the
@@ -219,47 +229,22 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 	if retries < 0 {
 		retries = 0
 	}
-	runOne := func(j Job) (jr JobResult, attempts int, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &SimPanicError{Key: j.Key, Value: r}
-			}
-		}()
-		for attempt := 0; ; attempt++ {
-			res, src, err := e.RunContext(ctx, j.Config, j.Benchmark, j.Instructions, j.Seed)
-			if err == nil {
-				return JobResult{Job: j, Source: src, Result: res}, attempt, nil
-			}
-			if isCancellation(err) {
-				return JobResult{Job: j}, attempt, err
-			}
-			if attempt >= retries {
-				return JobResult{Job: j}, attempt, err
-			}
-			// The engine quarantined the panicked key; forget it so the
-			// retry actually re-runs the point instead of failing fast on
-			// the cached poison — transient faults (chaos injection, an
-			// OOM-killed helper) deserve their second chance, while a
-			// deterministic model bug just fails again and exhausts the
-			// bound.
-			e.ForgetPoisoned(j.Key)
-			select {
-			case <-time.After(jobBackoff(attempt)):
-			case <-ctx.Done():
-				return JobResult{Job: j}, attempt, ctx.Err()
-			}
-		}
-	}
-
-	// Feed jobs grouped by (benchmark, seed): every configuration sharing
+	// Feed units grouped by (benchmark, seed): every configuration sharing
 	// one workload runs back to back, so the trace cache's reuse distance
 	// is the config count, not the whole grid. Buckets keep first-seen
 	// order (the deterministic expansion order), so full grids feed
-	// exactly as before. left counts each bucket's jobs not yet finished
-	// (guarded by doneMu); arena sums the buckets' arena lengths.
+	// exactly as before; a memory-side group takes the place of its first
+	// job. left counts each bucket's jobs not yet finished (guarded by
+	// doneMu); arena sums the buckets' arena lengths.
 	type workload struct {
 		bench string
 		seed  uint64
+	}
+	type groupKey struct {
+		w            workload
+		memDigest    string
+		instructions int
+		sampling     config.Sampling
 	}
 	var order []workload
 	buckets := make(map[workload][]int)
@@ -273,8 +258,28 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 		buckets[w] = append(buckets[w], i)
 	}
 	left := make(map[workload]int, len(order))
-	for w, b := range buckets {
+	var (
+		units [][]int // job indexes; more than one only for a group
+		at    map[groupKey]int
+	)
+	for _, w := range order {
+		b := buckets[w]
 		left[w] = len(b)
+		for k, i := range b {
+			j := &jobs[i]
+			if e.passes && cpu.Sampled(j.Config, j.Instructions) {
+				g := groupKey{w, MemSideDigest(j.Config), j.Instructions, *j.Config.Sampling}
+				if u, ok := at[g]; ok {
+					units[u] = append(units[u], i)
+					continue
+				}
+				if at == nil {
+					at = make(map[groupKey]int)
+				}
+				at[g] = len(units)
+			}
+			units = append(units, b[k:k+1:k+1])
+		}
 	}
 	dropArenas := arena > smallCampaignRecords
 
@@ -282,40 +287,98 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 		wg     sync.WaitGroup
 		doneMu sync.Mutex
 	)
-	idx := make(chan int)
+	report := func(jr JobResult, attempts int, err error) {
+		doneMu.Lock()
+		defer doneMu.Unlock()
+		onDone(jr, attempts, err)
+		w := workload{jr.Benchmark, jr.Seed}
+		if left[w]--; left[w] == 0 && dropArenas {
+			e.traces.Drop(w.bench, w.seed)
+		}
+	}
+	// run runs one unit: each attempt starts a pass for a group's keys
+	// still missing, then waits on every job of the unit in order. A
+	// single job, or one the pass left out, goes through RunContext.
+	run := func(unit []Job) {
+		for attempt := 0; len(unit) > 0; attempt++ {
+			var calls []*call
+			if len(unit) > 1 {
+				calls = e.startPass(ctx, unit)
+			}
+			var failed []Job
+			for i, j := range unit {
+				var res cpu.Result
+				var src Source
+				var err error
+				if calls != nil && calls[i] != nil {
+					res, src, err = e.wait(ctx, calls[i], "")
+				} else {
+					res, src, err = e.RunContext(ctx, j.Config, j.Benchmark, j.Instructions, j.Seed)
+				}
+				switch {
+				case err == nil:
+					report(JobResult{Job: j, Source: src, Result: res}, attempt, nil)
+				case isCancellation(err) || attempt >= retries:
+					report(JobResult{Job: j}, attempt, err)
+				default:
+					// The engine quarantined the panicked key; forget it
+					// so the retry actually re-runs the point instead of
+					// failing fast on the cached poison — transient faults
+					// (chaos injection, an OOM-killed helper) deserve
+					// their second chance, while a deterministic model bug
+					// just fails again and exhausts the bound.
+					e.ForgetPoisoned(j.Key)
+					failed = append(failed, j)
+				}
+			}
+			if len(failed) == 0 {
+				return
+			}
+			select {
+			case <-time.After(jobBackoff(attempt)):
+			case <-ctx.Done():
+				for _, j := range failed {
+					report(JobResult{Job: j}, attempt, ctx.Err())
+				}
+				return
+			}
+			unit = failed
+		}
+	}
+
+	feed := make(chan []int)
 	if workers <= 0 {
 		workers = cap(e.sem)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(units) {
+		workers = len(units)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				jr, attempts, err := runOne(jobs[i])
-				doneMu.Lock()
-				onDone(jr, attempts, err)
-				w := workload{jobs[i].Benchmark, jobs[i].Seed}
-				if left[w]--; left[w] == 0 && dropArenas {
-					e.traces.Drop(w.bench, w.seed)
+			for u := range feed {
+				if len(u) == 1 {
+					run(jobs[u[0] : u[0]+1 : u[0]+1])
+					continue
 				}
-				doneMu.Unlock()
+				unit := make([]Job, len(u))
+				for k, i := range u {
+					unit[k] = jobs[i]
+				}
+				run(unit)
 			}
 		}()
 	}
-feed:
-	for _, w := range order {
-		for _, i := range buckets[w] {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break feed
-			}
+feedLoop:
+	for _, u := range units {
+		select {
+		case feed <- u:
+		case <-ctx.Done():
+			break feedLoop
 		}
 	}
-	close(idx)
+	close(feed)
 	wg.Wait()
 	if dropArenas {
 		// Every fed job has finished, so a group was started exactly

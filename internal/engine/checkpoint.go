@@ -4,10 +4,12 @@ package engine
 // sampled simulator at measurement-window boundaries, content-addressed by
 // (memory-side config digest, benchmark, seed, record index). Because the
 // functional-warming trajectory depends only on the memory side of the
-// configuration and the workload, every core-side variant in a campaign
-// sweep maps to the same entries — the first config warms, the rest
-// restore. runJobs feeds jobs grouped by (benchmark, seed), which clusters
-// exactly those reuses back to back.
+// configuration and the workload, every core-side variant maps to the
+// same entries. Inside a campaign a memory-side group already shares its
+// warm state: runJobs runs the group as one sampled pass, which saves each
+// window's snapshot and restores none. The store serves what comes later:
+// a single point (a /v1/run) for another core-side variant, or a later
+// campaign, restores instead of warming.
 //
 // The store is two-level, like the result store and on the same keyed
 // store (store.go): a bounded in-memory FIFO of live snapshots (so reuse

@@ -58,7 +58,9 @@ type Options struct {
 	// means unbounded — appropriate for one-shot campaigns; long-lived
 	// processes should set a bound.
 	MaxCacheEntries int
-	// Simulate overrides the simulation function (tests only).
+	// Simulate overrides the simulation function (tests only). Campaigns
+	// then run every point on its own: only the engine's own simulator
+	// runs a memory-side group as one sampled pass.
 	Simulate SimulateFunc
 }
 
@@ -122,7 +124,7 @@ type Stats struct {
 	DiskHits uint64 `json:"diskHits"`
 	// Dedup counts requests that attached to an in-flight simulation.
 	Dedup uint64 `json:"dedup"`
-	// Simulations counts simulations actually executed.
+	// Simulations counts keys computed by running the simulator.
 	Simulations uint64 `json:"simulations"`
 	// Entries is the current in-memory cache size.
 	Entries int `json:"entries"`
@@ -146,10 +148,11 @@ type Stats struct {
 	// Running is the number of simulations executing right now (bounded
 	// by Options.Workers).
 	Running int `json:"running"`
-	// CheckpointHits and CheckpointMisses count warmed-checkpoint lookups
-	// at sampled-simulation window boundaries: a hit restores warm
-	// memory-side state instead of re-warming the interval. Both stay zero
-	// until a sampled simulation has run.
+	// CheckpointHits and CheckpointMisses count warmed-checkpoint lookups,
+	// one per window of each sampled pass (a campaign's memory-side group,
+	// or a single point): a hit restores warm memory-side state instead of
+	// re-warming the interval. Both stay zero until a sampled simulation
+	// has run.
 	CheckpointHits   uint64 `json:"checkpointHits"`
 	CheckpointMisses uint64 `json:"checkpointMisses"`
 	// CheckpointBytesRead and CheckpointBytesWritten count checkpoint disk
@@ -157,12 +160,12 @@ type Stats struct {
 	// serialization cost).
 	CheckpointBytesRead    uint64 `json:"checkpointBytesRead"`
 	CheckpointBytesWritten uint64 `json:"checkpointBytesWritten"`
-	// Cancelled counts in-flight simulations abandoned because every
-	// caller went away (client disconnects, deadlines): the job's context
-	// was cancelled and the simulation stopped mid-run.
+	// Cancelled counts in-flight keys abandoned because every caller went
+	// away (client disconnects, deadlines): the job's context was
+	// cancelled and the simulation stopped mid-run.
 	Cancelled uint64 `json:"cancelled"`
-	// Panics counts simulation panics contained as structured per-job
-	// errors instead of unwinding the process.
+	// Panics counts keys failed by a simulation panic, contained as
+	// structured per-key errors instead of unwinding the process.
 	Panics uint64 `json:"panics"`
 	// Quarantined counts poisoned keys (a panicking simulation point is
 	// never re-run hot) plus corrupt disk-store and checkpoint entries
@@ -197,25 +200,34 @@ func (e *SimPanicError) Error() string {
 	return fmt.Sprintf("engine: simulation %s panicked: %v", e.Key, e.Value)
 }
 
-// call is one in-flight simulation. The work runs on a detached goroutine
-// under its own context; callers (the initiating one and any deduplicated
+// call is one in-flight key. The work runs on a detached goroutine under
+// its flight's context; callers (the initiating one and any deduplicated
 // joiners) wait on done with their own contexts, so one caller's
-// cancellation never poisons the result for the others. waiters counts the
-// callers still interested (guarded by Engine.mu); the last one to abandon
-// cancels the job.
+// cancellation never poisons the result for the others.
 type call struct {
-	done    chan struct{}
+	done chan struct{}
+	fl   *flight
+	res  cpu.Result
+	src  Source
+	err  error
+}
+
+// flight is the cancellation scope of one running simulation: one point's,
+// or a sampled pass's (runPass), which all the keys it computes share.
+// waiters counts the callers still waiting on any of its keys (guarded by
+// Engine.mu); the last one to abandon cancels the flight.
+type flight struct {
 	cancel  context.CancelFunc
 	waiters int
-	res     cpu.Result
-	src     Source
-	err     error
 }
 
 // Engine schedules, deduplicates, caches and persists simulations. It is
 // safe for concurrent use.
 type Engine struct {
 	simulate SimulateFunc
+	// passes is set when simulate is simulateTrace: campaigns then run
+	// each memory-side group of sampled jobs as one pass (runJobs).
+	passes   bool
 	cacheDir string
 	sem      chan struct{}    // bounds concurrent simulations
 	traces   *trace.Cache     // shared materialized traces
@@ -256,6 +268,7 @@ func New(opts Options) *Engine {
 	e.simulate = opts.Simulate
 	if e.simulate == nil {
 		e.simulate = e.simulateTrace
+		e.passes = true
 	}
 	return e
 }
@@ -264,28 +277,43 @@ func New(opts Options) *Engine {
 // within the trace budget reads its trace from the shared arena, which
 // every configuration of the workload reads, and releases it when the
 // run returns; on a miss the point generates the arena before it
-// simulates. Every other point (a sampled
-// one, which reads each record once or only its bursts, or one over the
-// budget) generates its own trace ahead on a cpu.GenSource's producer, in
-// a ring of a fixed size; a sampled point's checkpoints then carry the
-// generator state, so a warm run restores past the fast-forwarded stretch
-// without generating it.
+// simulates. One over the budget generates its own trace ahead on a
+// cpu.GenSource's producer. A sampled point is a pass of one.
 func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-	ck := e.ckpts.scoped(MemSideDigest(cfg), benchmark, seed)
-	if !cpu.Sampled(cfg, instructions) {
-		if recs, release := e.traces.Records(benchmark, seed, instructions); recs != nil {
-			defer release()
-			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs}, ck)
+	if cpu.Sampled(cfg, instructions) {
+		res, err := e.simulatePass(ctx, []config.Config{cfg}, benchmark, instructions, seed)
+		if err != nil {
+			return cpu.Result{}, err
 		}
+		return res[0], nil
 	}
+	if recs, release := e.traces.Records(benchmark, seed, instructions); recs != nil {
+		defer release()
+		return cpu.RunContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs})
+	}
+	// RunContext joins the source's producer before it returns, so the
+	// worker slot bounds it.
+	return cpu.RunContext(ctx, cfg, benchmark, genSource(benchmark, seed, instructions))
+}
+
+// simulatePass runs one sampled pass (cpu.RunPassContext) for cfgs over a
+// trace generated ahead, in a ring of a fixed size, on a cpu.GenSource's
+// producer: a pass reads each record once, so it holds no arena. Its
+// checkpoints carry the generator state, so a warm run restores past the
+// fast-forwarded stretch without generating it.
+func (e *Engine) simulatePass(ctx context.Context, cfgs []config.Config, benchmark string, instructions int, seed uint64) ([]cpu.Result, error) {
+	ck := e.ckpts.scoped(MemSideDigest(cfgs[0]), benchmark, seed)
+	return cpu.RunPassContext(ctx, cfgs, benchmark, genSource(benchmark, seed, instructions), ck)
+}
+
+// genSource returns a GenSource over the first instructions records of
+// benchmark's trace for seed.
+func genSource(benchmark string, seed uint64, instructions int) *cpu.GenSource {
 	prof, ok := trace.Profiles[benchmark]
 	if !ok {
 		panic(fmt.Sprintf("engine: unknown benchmark %q", benchmark))
 	}
-	// RunWithCheckpointsContext joins the source's producer before it
-	// returns, so the worker slot bounds it.
-	return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark,
-		&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}, ck)
+	return &cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}
 }
 
 // Workers returns the engine's concurrent-simulation bound.
@@ -320,7 +348,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark st
 		}
 		if c, ok := e.inflight[key]; ok {
 			e.stats.Dedup++
-			c.waiters++
+			c.fl.waiters++
 			e.mu.Unlock()
 			res, src, err := e.wait(ctx, c, SourceInflight)
 			if err != nil && ctx.Err() == nil && isCancellation(err) {
@@ -331,12 +359,11 @@ func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark st
 			}
 			return res, src, err
 		}
-		c := &call{done: make(chan struct{}), waiters: 1}
 		// The job's context is detached from the initiating caller's: it
 		// is cancelled by the last waiter leaving, not by any one
 		// caller's disconnect.
 		jobCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		c.cancel = cancel
+		c := &call{done: make(chan struct{}), fl: &flight{cancel: cancel, waiters: 1}}
 		e.inflight[key] = c
 		e.mu.Unlock()
 		go e.runJob(jobCtx, c, key, cfg, benchmark, instructions, seed)
@@ -345,7 +372,8 @@ func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark st
 }
 
 // wait blocks until the call completes or ctx is cancelled. Abandoning
-// decrements the call's waiter count; the last waiter out cancels the job.
+// decrements the flight's waiter count; the last waiter out cancels the
+// flight.
 // joinedSrc, when non-empty, overrides the served source (deduplicated
 // joiners report SourceInflight regardless of where the job's result came
 // from).
@@ -354,11 +382,11 @@ func (e *Engine) wait(ctx context.Context, c *call, joinedSrc Source) (cpu.Resul
 	case <-c.done:
 	case <-ctx.Done():
 		e.mu.Lock()
-		c.waiters--
-		abandoned := c.waiters == 0
+		c.fl.waiters--
+		abandoned := c.fl.waiters == 0
 		e.mu.Unlock()
 		if abandoned {
-			c.cancel()
+			c.fl.cancel()
 		}
 		return cpu.Result{}, "", ctx.Err()
 	}
@@ -375,8 +403,15 @@ func (e *Engine) wait(ctx context.Context, c *call, joinedSrc Source) (cpu.Resul
 // job context, publishes the outcome, and updates the caches and counters.
 // Runs on its own goroutine.
 func (e *Engine) runJob(ctx context.Context, c *call, key Key, cfg config.Config, benchmark string, instructions int, seed uint64) {
-	defer c.cancel()
+	defer c.fl.cancel()
 	res, src, err := e.execute(ctx, key, cfg, benchmark, instructions, seed)
+	e.finish(key, c, res, src, err)
+}
+
+// finish publishes one key's outcome on its call: it leaves the in-flight
+// table, a result enters the cache, a panic poisons the key, and the
+// counters are updated.
+func (e *Engine) finish(key Key, c *call, res cpu.Result, src Source, err error) {
 	e.mu.Lock()
 	delete(e.inflight, key)
 	switch {
@@ -407,34 +442,144 @@ func (e *Engine) execute(ctx context.Context, key Key, cfg config.Config, benchm
 	if res, ok := e.loadDisk(key); ok {
 		return res, SourceDisk, nil
 	}
-	e.queued.Add(1)
-	select {
-	case e.sem <- struct{}{}:
-		e.queued.Add(-1)
-	case <-ctx.Done():
-		e.queued.Add(-1)
-		return cpu.Result{}, "", ctx.Err()
+	if err := e.acquire(ctx); err != nil {
+		return cpu.Result{}, "", err
 	}
-	e.running.Add(1)
-	defer func() {
-		e.running.Add(-1)
-		<-e.sem
-	}()
-	if faultinject.SimLatency.Fire() {
-		t := time.NewTimer(faultinject.Latency())
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return cpu.Result{}, "", ctx.Err()
-		}
-	}
+	defer e.release()
 	res, err := e.invoke(ctx, key, cfg, benchmark, instructions, seed)
 	if err != nil {
 		return cpu.Result{}, "", err
 	}
 	e.saveDisk(key, res)
 	return res, SourceSimulated, nil
+}
+
+// acquire takes a worker slot, then sleeps any injected latency. Both
+// honor cancellation, so an abandoned job never holds simulation
+// capacity. A nil error must be paired with release.
+func (e *Engine) acquire(ctx context.Context) error {
+	e.queued.Add(1)
+	select {
+	case e.sem <- struct{}{}:
+		e.queued.Add(-1)
+	case <-ctx.Done():
+		e.queued.Add(-1)
+		return ctx.Err()
+	}
+	e.running.Add(1)
+	if faultinject.SimLatency.Fire() {
+		t := time.NewTimer(faultinject.Latency())
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			e.release()
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// release returns the worker slot acquire took.
+func (e *Engine) release() {
+	e.running.Add(-1)
+	<-e.sem
+}
+
+// startPass starts one sampled pass (runPass) for the jobs, a memory-side
+// group of sampled jobs, whose keys are neither resident, quarantined nor
+// in flight. It returns each job's call, nil for a job left to the
+// per-point path (RunContext: a memory hit, a quarantined key, or a join).
+// The caller is one waiter on each call, and must wait on every one.
+func (e *Engine) startPass(ctx context.Context, jobs []Job) []*call {
+	calls := make([]*call, len(jobs))
+	if ctx.Err() != nil {
+		return calls
+	}
+	var mine []Job
+	var mineCalls []*call
+	jobCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	fl := &flight{cancel: cancel}
+	e.mu.Lock()
+	for i, j := range jobs {
+		_, resident := e.results.get(j.Key)
+		_, poisoned := e.poisoned.get(j.Key)
+		if _, running := e.inflight[j.Key]; resident || poisoned || running {
+			continue
+		}
+		c := &call{done: make(chan struct{}), fl: fl}
+		e.inflight[j.Key] = c
+		fl.waiters++
+		calls[i] = c
+		mine = append(mine, j)
+		mineCalls = append(mineCalls, c)
+	}
+	e.mu.Unlock()
+	if len(mine) == 0 {
+		cancel()
+		return calls
+	}
+	go e.runPass(jobCtx, fl, mine, mineCalls)
+	return calls
+}
+
+// runPass owns the keys of jobs until their calls are done: a key found
+// on disk is served from it, and the rest are computed in one sampled
+// pass (simulatePass) in one worker slot. Each key keeps its own result,
+// disk entry and counters. A panic, in the pass or injected, fails every
+// key it computes with a *SimPanicError naming that key. Runs on its own
+// goroutine.
+func (e *Engine) runPass(ctx context.Context, fl *flight, jobs []Job, calls []*call) {
+	defer fl.cancel()
+	n := 0
+	for i, j := range jobs {
+		if res, ok := e.loadDisk(j.Key); ok {
+			e.finish(j.Key, calls[i], res, SourceDisk, nil)
+			continue
+		}
+		jobs[n], calls[n] = j, calls[i]
+		n++
+	}
+	jobs, calls = jobs[:n], calls[:n]
+	if n == 0 {
+		return
+	}
+	var results []cpu.Result
+	err := e.acquire(ctx)
+	if err == nil {
+		results, err = e.invokePass(ctx, jobs)
+		e.release()
+	}
+	for i, j := range jobs {
+		var pe *SimPanicError
+		switch {
+		case errors.As(err, &pe):
+			e.finish(j.Key, calls[i], cpu.Result{}, "", &SimPanicError{Key: j.Key, Value: pe.Value})
+		case err != nil:
+			e.finish(j.Key, calls[i], cpu.Result{}, "", err)
+		default:
+			e.saveDisk(j.Key, results[i])
+			e.finish(j.Key, calls[i], results[i], SourceSimulated, nil)
+		}
+	}
+}
+
+// invokePass is invoke for a pass over jobs: a panic becomes a
+// *SimPanicError without a key, which runPass copies for each key.
+func (e *Engine) invokePass(ctx context.Context, jobs []Job) (res []cpu.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &SimPanicError{Value: r}
+		}
+	}()
+	if faultinject.SimPanic.Fire() {
+		panic("faultinject: injected simulation panic")
+	}
+	cfgs := make([]config.Config, len(jobs))
+	for i := range jobs {
+		cfgs[i] = jobs[i].Config
+	}
+	return e.simulatePass(ctx, cfgs, jobs[0].Benchmark, jobs[0].Instructions, jobs[0].Seed)
 }
 
 // invoke runs the simulator with panic containment: a panicking point

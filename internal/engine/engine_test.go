@@ -554,18 +554,26 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestTraceCacheCampaignEquivalence runs one real campaign over exact and
-// sampled configs three ways — the default trace cache at 3 workers, a
-// one-record trace cache at 3 workers, and the default at 1 worker — and
-// requires byte-identical JSON and CSV exports: the shared trace arena
-// must be indistinguishable from per-simulation generation, and the
-// exports must not depend on how
-// points are spread over workers. It also checks the cache actually
-// engaged (every exact config after the first is a trace hit, and sampled
-// configs bypass it) and that stats flow through Engine.Stats.
+// sampled configs five ways — the default trace cache at 3 workers, a
+// one-record trace cache at 3 workers, the default at 1 and 2 workers, and
+// every point on its own (no sampled passes) at 3 workers — and requires
+// byte-identical JSON and CSV exports: the shared trace arena must be
+// indistinguishable from per-simulation generation, a sampled pass from
+// per-point runs, and the exports must not depend on how points are spread
+// over workers. Each workload mixes exact and sampled jobs; the sampled
+// ones run under two schedules, and Base1ldst and Base2ld1st share one
+// memory side, so each workload has three sampled groups. It also checks
+// the cache actually engaged (every exact config after the first is a
+// trace hit, and sampled configs bypass it) and that stats flow through
+// Engine.Stats.
 func TestTraceCacheCampaignEquivalence(t *testing.T) {
 	cfgs := []config.Config{config.Base1ldst(), config.Base2ld1st(), config.MALEC()}
 	for _, c := range cfgs[:3] {
 		c.Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: 4000}
+		cfgs = append(cfgs, c)
+	}
+	for _, c := range cfgs[:2] {
+		c.Sampling = &config.Sampling{Warmup: 100, Detail: 400, Interval: 5000}
 		cfgs = append(cfgs, c)
 	}
 	spec := CampaignSpec{
@@ -601,14 +609,31 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 	if !bytes.Equal(vc, vf) {
 		t.Fatal("trace-cached campaign CSV differs from per-simulation generation")
 	}
-	serial := spec
-	serial.Workers = 1
-	j1, v1 := exports(New(Options{Workers: 1}), serial)
-	if !bytes.Equal(jc, j1) {
-		t.Fatal("campaign JSON at 1 worker differs from 3 workers")
+	for _, workers := range []int{1, 2} {
+		w := spec
+		w.Workers = workers
+		jw, vw := exports(New(Options{Workers: workers}), w)
+		if !bytes.Equal(jc, jw) {
+			t.Fatalf("campaign JSON at %d workers differs from 3 workers", workers)
+		}
+		if !bytes.Equal(vc, vw) {
+			t.Fatalf("campaign CSV at %d workers differs from 3 workers", workers)
+		}
 	}
-	if !bytes.Equal(vc, v1) {
-		t.Fatal("campaign CSV at 1 worker differs from 3 workers")
+	perPoint := New(Options{Workers: 3})
+	perPoint.passes = false
+	jp, vp := exports(perPoint, spec)
+	if !bytes.Equal(jc, jp) {
+		t.Fatal("campaign JSON with sampled passes differs from per-point runs")
+	}
+	if !bytes.Equal(vc, vp) {
+		t.Fatal("campaign CSV with sampled passes differs from per-point runs")
+	}
+	// Per point, the configs after the first of a memory side restore the
+	// first one's checkpoints; a pass captures each window once and
+	// restores none.
+	if st := perPoint.Stats(); st.CheckpointHits == 0 {
+		t.Fatal("per-point sampled configs restored no checkpoints")
 	}
 
 	cs := cached.Stats()
@@ -623,8 +648,9 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 	if cs.TraceRecords != 4*20000 {
 		t.Fatalf("trace cache holds %d records, want %d", cs.TraceRecords, 4*20000)
 	}
-	if cs.CheckpointHits == 0 {
-		t.Fatal("sampled configs restored no checkpoints")
+	// 4 workloads x 3 sampled groups x 5 or 4 windows.
+	if cs.CheckpointHits != 0 || cs.CheckpointMisses != 4*(5+5+4) {
+		t.Fatalf("checkpoint hits/misses %d/%d, want 0/%d", cs.CheckpointHits, cs.CheckpointMisses, 4*(5+5+4))
 	}
 	fs := fresh.Stats()
 	if fs.TraceHits != 0 || fs.TraceRecords != 0 {

@@ -1,0 +1,198 @@
+package engine
+
+// Tests for sampled passes: a campaign computes each memory-side group of
+// sampled jobs in one pass that warms once, while every key keeps the
+// engine's per-key contract (joins, cancellation, panics, retries).
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"malec/internal/config"
+	"malec/internal/faultinject"
+)
+
+// passTestSpec is a sampled grid of the five Fig. 4 configurations, which
+// fall into two memory-side groups per workload (the three baselines and
+// the two MALEC configurations), over benchmarks x seeds.
+func passTestSpec(benchmarks []string, seeds []uint64) CampaignSpec {
+	cfgs := config.Fig4Configs()
+	for i := range cfgs {
+		cfgs[i].Sampling = ckTestSchedule()
+	}
+	return CampaignSpec{Configs: cfgs, Benchmarks: benchmarks, Instructions: 60000, Seeds: seeds}
+}
+
+// warmedRecords sums the campaign's reported functional-warming records.
+func warmedRecords(t *testing.T, c *Campaign) uint64 {
+	t.Helper()
+	var sum uint64
+	for _, r := range c.Results {
+		if r.Result.Sampling == nil {
+			t.Fatalf("%s/%s: not a sampled result", r.ConfigName, r.Benchmark)
+		}
+		sum += r.Result.Sampling.WarmedRecords
+	}
+	return sum
+}
+
+// TestCampaignWarmsEachGroupOnce checks that a sampled campaign warms each
+// memory-side group's trace exactly once at every worker count: the
+// summed WarmedRecords is groups x instructions, and no checkpoint is
+// restored because no point re-warms what its pass already holds.
+func TestCampaignWarmsEachGroupOnce(t *testing.T) {
+	spec := passTestSpec([]string{"gzip", "ptrchase"}, []uint64{1, 2})
+	const groups = 2 * 2 * 2 // benchmarks x seeds x memory sides
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			spec := spec
+			spec.Workers = workers
+			e := New(Options{Workers: workers})
+			c, err := e.RunCampaign(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := warmedRecords(t, c), uint64(groups*spec.Instructions); got != want {
+				t.Fatalf("campaign warmed %d records, want %d (groups x instructions)", got, want)
+			}
+			st := e.Stats()
+			if st.Simulations != uint64(len(c.Results)) || st.CheckpointHits != 0 || st.CheckpointMisses != groups*3 {
+				t.Fatalf("simulations %d, checkpoint hits/misses %d/%d; want %d, 0/%d",
+					st.Simulations, st.CheckpointHits, st.CheckpointMisses, len(c.Results), groups*3)
+			}
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestRunJoinsRunningPass checks the per-key contract of a running pass: a
+// RunContext for one of its keys joins the pass (Dedup, SourceInflight)
+// instead of simulating, and cancelling the campaign then does not stop
+// the pass, because the joined caller still waits on it. Without a joined
+// caller, cancelling the campaign cancels every key of the pass. The test
+// holds the engine's only worker slot, so the pass waits for it with its
+// keys in flight until the test lets it run.
+func TestRunJoinsRunningPass(t *testing.T) {
+	spec := passTestSpec([]string{"gzip"}, []uint64{1})
+	spec.Configs = spec.Configs[:3] // the baselines: one memory-side group
+	spec.Workers = 1
+
+	t.Run("joined", func(t *testing.T) {
+		e := New(Options{Workers: 1})
+		e.sem <- struct{}{}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		campErr := make(chan error, 1)
+		go func() {
+			_, err := e.RunCampaignContext(ctx, spec)
+			campErr <- err
+		}()
+		waitFor(t, "the pass to queue for a worker slot", func() bool { return e.Stats().QueueDepth == 1 })
+
+		type outcome struct {
+			src Source
+			err error
+		}
+		joined := make(chan outcome, 1)
+		cfg := spec.Configs[1]
+		go func() {
+			_, src, err := e.RunContext(context.Background(), cfg, "gzip", spec.Instructions, 1)
+			joined <- outcome{src, err}
+		}()
+		waitFor(t, "the run to join the pass", func() bool { return e.Stats().Dedup == 1 })
+		cancel()
+		if err := <-campErr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled campaign returned %v", err)
+		}
+		<-e.sem
+		got := <-joined
+		if got.err != nil || got.src != SourceInflight {
+			t.Fatalf("joined run: source %q, err %v; want %q and no error", got.src, got.err, SourceInflight)
+		}
+		// The pass runs to completion for all three keys; it publishes
+		// the last one after the joined run's.
+		waitFor(t, "the pass to finish", func() bool { return e.Stats().Simulations == 3 })
+		if st := e.Stats(); st.Cancelled != 0 || st.Dedup != 1 {
+			t.Fatalf("stats %+v: want 0 cancelled, 1 dedup", st)
+		}
+		for _, c := range spec.Configs {
+			if _, ok := e.Resident(KeyFor(c, "gzip", spec.Instructions, 1)); !ok {
+				t.Fatalf("%s: pass result not cached", c.Name)
+			}
+		}
+	})
+
+	t.Run("alone", func(t *testing.T) {
+		e := New(Options{Workers: 1})
+		e.sem <- struct{}{}
+		defer func() { <-e.sem }()
+		ctx, cancel := context.WithCancel(context.Background())
+		campErr := make(chan error, 1)
+		go func() {
+			_, err := e.RunCampaignContext(ctx, spec)
+			campErr <- err
+		}()
+		waitFor(t, "the pass to queue for a worker slot", func() bool { return e.Stats().QueueDepth == 1 })
+		cancel()
+		if err := <-campErr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled campaign returned %v", err)
+		}
+		waitFor(t, "the pass to stop", func() bool { return e.Stats().Cancelled == 3 })
+		if st := e.Stats(); st.Simulations != 0 || st.QueueDepth != 0 {
+			t.Fatalf("stats %+v: want no simulation and no queued pass", st)
+		}
+	})
+}
+
+// TestPassPanicFailsEachKey checks that a panic inside a pass (here the
+// injected simulation panic) fails every key of the pass with a
+// *SimPanicError naming that key and quarantines each key, and that a
+// retry re-runs the failed keys as one pass.
+func TestPassPanicFailsEachKey(t *testing.T) {
+	spec := passTestSpec([]string{"mcf"}, []uint64{1})
+	spec.Configs = spec.Configs[3:] // the MALEC configurations: one group
+	spec.Workers = 1
+	jobs := spec.expand()
+	e := New(Options{Workers: 1})
+
+	faultinject.SimPanic.Arm(1)
+	defer faultinject.SimPanic.Disarm()
+	failed := make(map[Key]error)
+	e.runJobs(context.Background(), jobs, 1, 0, func(jr JobResult, _ int, err error) {
+		failed[jr.Key] = err
+	})
+	faultinject.SimPanic.Disarm()
+	for _, j := range jobs {
+		var pe *SimPanicError
+		if !errors.As(failed[j.Key], &pe) || pe.Key != j.Key {
+			t.Fatalf("%s: err %v, want a *SimPanicError naming %s", j.ConfigName, failed[j.Key], j.Key)
+		}
+	}
+	if st := e.Stats(); st.Panics != 2 || st.PoisonedKeys != 2 || st.Simulations != 0 {
+		t.Fatalf("stats %+v: want 2 panics, 2 poisoned keys, 0 simulations", st)
+	}
+
+	spec.Retries = 1
+	c, err := e.RunCampaign(spec)
+	if err != nil {
+		t.Fatalf("retried campaign: %v", err)
+	}
+	if got := warmedRecords(t, c); got != uint64(spec.Instructions) {
+		t.Fatalf("retry warmed %d records, want %d: the keys were not re-run as one pass", got, spec.Instructions)
+	}
+	if st := e.Stats(); st.Simulations != 2 || st.PoisonedKeys != 0 {
+		t.Fatalf("stats %+v: want 2 simulations and no poisoned key", st)
+	}
+}

@@ -35,8 +35,10 @@ type bodyCase struct {
 // JSON kinds, never the Go structs behind them.
 func bodyCases(grid bool) []bodyCase {
 	field, bad := `"config":"`, `{"config":"NoSuch","benchmark":"gzip"}`
+	point := `"config":"MALEC","benchmark":"gzip"`
 	if grid {
 		field, bad = `"configs":["`, `{"configs":["NoSuch"]}`
+		point = `"configs":["MALEC"],"benchmarks":["gzip"]`
 	}
 	return []bodyCase{
 		{"oversized", "{" + field + strings.Repeat("x", maxBodyBytes+1) + `"}`,
@@ -53,6 +55,10 @@ func bodyCases(grid bool) []bodyCase {
 			http.StatusBadRequest, `invalid request body: field "instructions" must be an integer, not 1.5`},
 		{"nested wrong type", `{"sampling":{"Warmup":true}}`,
 			http.StatusBadRequest, `invalid request body: field "sampling.Warmup" must be an integer, not a boolean`},
+		// Warmup+Detail wraps negative here; the schedule must still
+		// be rejected, not run into a makeslice panic.
+		{"overflowing sampling", "{" + point + `,"instructions":2000,"sampling":{"warmup":9223372036854775807,"detail":1,"interval":1000}}`,
+			http.StatusBadRequest, "invalid sampling schedule (warmup=9223372036854775807 detail=1 interval=1000): need warmup >= 0, detail > 0, warmup+detail <= interval"},
 		{"not an object", `[1]`,
 			http.StatusBadRequest, `invalid request body: the body must be an object, not an array`},
 		// The decoder reads one value and ignores what follows, so the

@@ -69,15 +69,22 @@ func newSecondChance(size int) *secondChance {
 
 func (p *secondChance) Touch(i int) { p.ref[i] = true }
 
+// advance moves the hand one entry on, wrapping without a division.
+func (p *secondChance) advance() {
+	if p.hand++; p.hand == len(p.ref) {
+		p.hand = 0
+	}
+}
+
 func (p *secondChance) Victim() int {
 	for {
 		if !p.ref[p.hand] {
 			v := p.hand
-			p.hand = (p.hand + 1) % len(p.ref)
+			p.advance()
 			return v
 		}
 		p.ref[p.hand] = false
-		p.hand = (p.hand + 1) % len(p.ref)
+		p.advance()
 	}
 }
 
