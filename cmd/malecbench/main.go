@@ -63,9 +63,9 @@ func samplingInfoOf(s *cpu.SamplingEstimate) *samplingInfo {
 }
 
 // mapCheckpoints is a process-local checkpoint store for the compare mode:
-// the cold sampled run saves into it, the warm run restores from it — the
-// campaign steady state (every core-side config variant after the first)
-// measured in isolation.
+// the cold sampled run saves into it, and the warm run of the same
+// configuration restores from it, which measures what a stored warm state
+// saves a core-side variant.
 type mapCheckpoints map[uint64]*cpu.Checkpoint
 
 func (m mapCheckpoints) Load(n uint64) (*cpu.Checkpoint, bool) { ck, ok := m[n]; return ck, ok }
@@ -84,8 +84,8 @@ type sampledCompareRow struct {
 	ExactInstrPerSec   float64 `json:"exact_instr_per_sec"`
 	SampledInstrPerSec float64 `json:"sampled_instr_per_sec"`
 	// Warm* measure a second sampled run that restores the warmed
-	// checkpoints the first one saved — the per-run cost of every
-	// subsequent core-side config variant in a campaign.
+	// checkpoints the first one saved: the per-run cost of a core-side
+	// variant given a stored warm state.
 	WarmSeconds     float64       `json:"warm_seconds"`
 	WarmSpeedup     float64       `json:"warm_speedup"`
 	WarmInstrPerSec float64       `json:"warm_instr_per_sec"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"malec/internal/config"
@@ -250,6 +251,46 @@ func TestDamagedCheckpointPositionsRewarm(t *testing.T) {
 				checkpointsEqual(t, name+" overwritten", store, good, withGen)
 			}
 		}
+	}
+}
+
+// TestCheckpointOverBudgetWarmSkipsGeneration pins the generation-skipping
+// restore on a trace too long to materialize (2M records, 64 MB as an
+// arena): every checkpoint taken over a GenSource carries the generator
+// state at its own index, so a warm run of a core-side variant restores
+// every window by jumping the source over the gap. It must allocate
+// under 16 MB and match its uncheckpointed run.
+func TestCheckpointOverBudgetWarmSkipsGeneration(t *testing.T) {
+	const instructions = 2_000_000
+	sch := &config.Sampling{Warmup: 200, Detail: 800, Interval: 200_000}
+	cold := config.MALEC()
+	cold.Sampling = sch
+	warm := config.MALEC3cycleL1()
+	warm.Sampling = sch
+	source := func() Source {
+		return &GenSource{Gen: trace.NewGenerator(trace.Profiles["gzip"], 1), N: instructions}
+	}
+
+	store := recordingStore{}
+	RunWithCheckpoints(cold, "gzip", source(), store)
+	for n, ck := range store {
+		if ck.Src == nil || ck.Src.Gen == nil || ck.Src.Gen.Idx != n {
+			t.Fatalf("checkpoint %d carries no generator state at its index: %+v", n, ck.Src)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := RunWithCheckpoints(warm, "gzip", source(), store)
+	runtime.ReadMemStats(&after)
+
+	if res.Sampling == nil || res.Sampling.CheckpointHits != res.Sampling.Windows {
+		t.Fatalf("warm run sampling %+v, want every window restored", res.Sampling)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("warm over-budget run allocated %d MB, want < 16 MB", alloc>>20)
+	}
+	if ref := RunBenchmark(warm, "gzip", instructions, 1); res.Cycles != ref.Cycles || res.Energy != ref.Energy {
+		t.Fatalf("restored run differs from its checkpoint-free reference: cycles %d vs %d", res.Cycles, ref.Cycles)
 	}
 }
 

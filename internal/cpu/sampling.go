@@ -92,11 +92,14 @@ func (ck *Checkpoint) at(n uint64) bool {
 }
 
 // Checkpoints is an optional store of warmed snapshots, keyed by the
-// absolute trace-record index at which the snapshot was taken. The caller
-// (the engine) curries the rest of the identity — memory-side config
-// digest, benchmark, seed — so two core-side config variants over the same
-// trace share entries. Load returns a snapshot that must not be mutated;
-// Save takes ownership of an immutable snapshot.
+// absolute trace-record index at which the snapshot was taken. A store
+// serves one trace (benchmark, seed) and one memory side: its owner keeps
+// the rest of the identity, so two core-side config variants over the
+// same trace share entries. malecbench's sampled-vs-exact comparison and
+// perfbench's cpu probe keep such a store in memory; the engine keeps
+// none, since a memory-side group already shares its warm state in one
+// pass. Load returns a snapshot that must not be mutated; Save takes
+// ownership of an immutable snapshot.
 type Checkpoints interface {
 	Load(n uint64) (*Checkpoint, bool)
 	Save(n uint64, ck *Checkpoint)
@@ -105,9 +108,9 @@ type Checkpoints interface {
 // RunPassContext runs one sampled pass over src for cfgs, which must share
 // their memory side and a sampling schedule that src covers at least
 // once, and returns their results in order. Each result is the one
-// RunWithCheckpointsContext gives for its configuration alone, except that
-// only the first reports the pass's warming and checkpoint counts.
-func RunPassContext(ctx context.Context, cfgs []config.Config, benchmark string, src Source, ck Checkpoints) ([]Result, error) {
+// RunContext gives for its configuration alone, except that only the
+// first reports the pass's warming and checkpoint counts.
+func RunPassContext(ctx context.Context, cfgs []config.Config, benchmark string, src Source) ([]Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -122,7 +125,7 @@ func RunPassContext(ctx context.Context, cfgs []config.Config, benchmark string,
 			panic(fmt.Sprintf("cpu: %s does not take a sampled pass over %d records with the schedule of %s", cfg.Name, total, cfgs[0].Name))
 		}
 	}
-	return runSampled(ctx, cfgs, benchmark, src, total, ck)
+	return runSampled(ctx, cfgs, benchmark, src, total, nil)
 }
 
 // sampledPoint is one configuration's side of a pass: its machine and the

@@ -97,7 +97,7 @@ func TestRunPassMatchesSingleRuns(t *testing.T) {
 		}
 		for _, bench := range []string{"gzip", "ptrchase"} {
 			recs := trace.NewGenerator(trace.Profiles[bench], 2).Generate(chunkTestRecords)
-			got, err := RunPassContext(nil, cfgs, bench, &SliceSource{Records: recs}, nil)
+			got, err := RunPassContext(nil, cfgs, bench, &SliceSource{Records: recs})
 			if err != nil {
 				t.Fatal(err)
 			}

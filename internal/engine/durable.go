@@ -308,7 +308,7 @@ func (m *CampaignManager) Replay() (completed, resumed int, err error) {
 			completed++
 			continue
 		}
-		jr, err := reopenJournal(m.dir, run.id)
+		jr, err := reopenJournal(m.dir, run.id, rj.lastSeq)
 		if err == nil {
 			run.jr = jr
 		} else if firstErr == nil {

@@ -148,17 +148,13 @@ type Stats struct {
 	// Running is the number of simulations executing right now (bounded
 	// by Options.Workers).
 	Running int `json:"running"`
-	// CheckpointHits and CheckpointMisses count warmed-checkpoint lookups,
-	// one per window of each sampled pass (a campaign's memory-side group,
-	// or a single point): a hit restores warm memory-side state instead of
-	// re-warming the interval. Both stay zero until a sampled simulation
-	// has run.
-	CheckpointHits   uint64 `json:"checkpointHits"`
-	CheckpointMisses uint64 `json:"checkpointMisses"`
-	// CheckpointBytesRead and CheckpointBytesWritten count checkpoint disk
-	// traffic (zero when CacheDir is unset: the in-memory store has no
-	// serialization cost).
-	CheckpointBytesRead    uint64 `json:"checkpointBytesRead"`
+	// CheckpointHits, CheckpointMisses and CheckpointBytesWritten are
+	// always zero and have no /metrics series: the engine keeps no
+	// warmed-checkpoint store, since a campaign's memory-side group
+	// already shares its warm state in one sampled pass. They remain only
+	// because perfbench reads them, and go once it stops.
+	CheckpointHits         uint64 `json:"checkpointHits"`
+	CheckpointMisses       uint64 `json:"checkpointMisses"`
 	CheckpointBytesWritten uint64 `json:"checkpointBytesWritten"`
 	// Cancelled counts in-flight keys abandoned because every caller went
 	// away (client disconnects, deadlines): the job's context was
@@ -168,8 +164,8 @@ type Stats struct {
 	// structured per-key errors instead of unwinding the process.
 	Panics uint64 `json:"panics"`
 	// Quarantined counts poisoned keys (a panicking simulation point is
-	// never re-run hot) plus corrupt disk-store and checkpoint entries
-	// renamed aside with a .corrupt suffix.
+	// never re-run hot) plus corrupt disk-store entries renamed aside with
+	// a .corrupt suffix.
 	Quarantined uint64 `json:"quarantined"`
 	// PoisonedKeys is the current poisoned-map size (a gauge, bounded at
 	// 1024 keys; past the bound the oldest key is forgotten).
@@ -229,17 +225,16 @@ type Engine struct {
 	// each memory-side group of sampled jobs as one pass (runJobs).
 	passes   bool
 	cacheDir string
-	sem      chan struct{}    // bounds concurrent simulations
-	traces   *trace.Cache     // shared materialized traces
-	ckpts    *checkpointStore // warmed checkpoints
+	sem      chan struct{} // bounds concurrent simulations
+	traces   *trace.Cache  // shared materialized traces
 
 	// Scheduler gauges, updated outside e.mu: queued counts goroutines
 	// waiting for a worker slot, running counts simulations in flight.
 	queued  atomic.Int64
 	running atomic.Int64
 
-	// filesQuarantined counts corrupt result and checkpoint entries
-	// renamed aside (outside e.mu: disk reads run on the job path).
+	// filesQuarantined counts corrupt result entries renamed aside
+	// (outside e.mu: disk reads run on the job path).
 	filesQuarantined atomic.Uint64
 	// corruptPruned counts .corrupt files removed by PruneCorrupt sweeps.
 	corruptPruned atomic.Uint64
@@ -264,7 +259,6 @@ func New(opts Options) *Engine {
 		poisoned: newFIFO[Key, error](maxPoisonedKeys),
 	}
 	e.traces = trace.NewCache(traceCacheRecords)
-	e.ckpts = newCheckpointStore(opts.CacheDir, &e.filesQuarantined)
 	e.simulate = opts.Simulate
 	if e.simulate == nil {
 		e.simulate = e.simulateTrace
@@ -298,12 +292,9 @@ func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark
 
 // simulatePass runs one sampled pass (cpu.RunPassContext) for cfgs over a
 // trace generated ahead, in a ring of a fixed size, on a cpu.GenSource's
-// producer: a pass reads each record once, so it holds no arena. Its
-// checkpoints carry the generator state, so a warm run restores past the
-// fast-forwarded stretch without generating it.
+// producer: a pass reads each record once, so it holds no arena.
 func (e *Engine) simulatePass(ctx context.Context, cfgs []config.Config, benchmark string, instructions int, seed uint64) ([]cpu.Result, error) {
-	ck := e.ckpts.scoped(MemSideDigest(cfgs[0]), benchmark, seed)
-	return cpu.RunPassContext(ctx, cfgs, benchmark, genSource(benchmark, seed, instructions), ck)
+	return cpu.RunPassContext(ctx, cfgs, benchmark, genSource(benchmark, seed, instructions))
 }
 
 // genSource returns a GenSource over the first instructions records of
@@ -667,10 +658,6 @@ func (e *Engine) Stats() Stats {
 	s.TraceHits = ts.Hits
 	s.TraceMisses = ts.Misses
 	s.TraceRecords = ts.Records
-	s.CheckpointHits = e.ckpts.hits.Load()
-	s.CheckpointMisses = e.ckpts.misses.Load()
-	s.CheckpointBytesRead = e.ckpts.bytesRead.Load()
-	s.CheckpointBytesWritten = e.ckpts.bytesWritten.Load()
 	s.Quarantined += e.filesQuarantined.Load()
 	return s
 }
@@ -702,16 +689,31 @@ func (e *Engine) diskPath(key Key) string {
 	return filepath.Join(e.cacheDir, fmt.Sprintf("v%d", DiskFormatVersion), key.shard(), key.filename())
 }
 
-// loadDisk fetches a persisted result through readEntry: a read failure
-// is a miss, and an entry that fails to decode or validate is quarantined.
+// loadDisk fetches a persisted result. A read failure, real or injected
+// (faultinject.DiskRead), is a plain miss: the store is a cache, never a
+// source of truth. A file that reads but fails to decode or to match its
+// key and version (faultinject.DiskCorrupt garbles the bytes read) is
+// corrupt: it is renamed aside with a .corrupt suffix and counted in
+// filesQuarantined, so a damaged entry is read (and fails) exactly once
+// and is kept for post-mortems.
 func (e *Engine) loadDisk(key Key) (cpu.Result, bool) {
-	if e.cacheDir == "" {
+	if e.cacheDir == "" || faultinject.DiskRead.Fire() {
 		return cpu.Result{}, false
 	}
-	ent, _, ok := readEntry(e.diskPath(key), faultinject.DiskCorrupt, func(ent *diskEntry) bool {
-		return ent.Version == DiskFormatVersion && ent.Key == key
-	}, &e.filesQuarantined)
-	return ent.Result, ok
+	path := e.diskPath(key)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return cpu.Result{}, false
+	}
+	faultinject.DiskCorrupt.CorruptBytes(data)
+	var ent diskEntry
+	if err := json.Unmarshal(data, &ent); err != nil || ent.Version != DiskFormatVersion || ent.Key != key {
+		if os.Rename(path, path+".corrupt") == nil {
+			e.filesQuarantined.Add(1)
+		}
+		return cpu.Result{}, false
+	}
+	return ent.Result, true
 }
 
 // saveDisk persists a result. Persistence is best effort: on any error

@@ -14,10 +14,11 @@ package engine
 // The journal never stores simulation results — those live in the
 // content-addressed result store, which is shared across campaigns and
 // already crash-safe (temp+rename per entry). A journal line records only
-// that a point reached a terminal state (its key, its stream cursor, and
-// the error text if it failed), so replay after `kill -9` re-admits the
-// campaign with completed points marked done and their results one disk
-// hit away: nothing completed is ever recomputed.
+// that a point reached a terminal state (its key, its line number, which
+// replay makes its stream cursor, and the error text if it failed), so
+// replay after `kill -9` re-admits the campaign with completed points
+// marked done and their results one disk hit away: nothing completed is
+// ever recomputed.
 //
 // Crash tolerance on the log itself: appends are fsync'd, so a record is
 // durable before the next point can complete; a crash mid-append leaves at
@@ -87,6 +88,10 @@ type doneMarker struct {
 type journal struct {
 	dir string
 	f   *os.File
+	// seq is the seq of the log's last line. Each append writes the next
+	// one, so the seqs on disk keep increasing after a dropped append or a
+	// replay that renumbered the cursors.
+	seq uint64
 }
 
 const (
@@ -113,15 +118,16 @@ func createJournal(root string, man journalManifest) (*journal, error) {
 	return &journal{dir: dir, f: f}, nil
 }
 
-// append journals one terminal point: marshal, write, fsync. The
-// journal-write failpoint drops the append entirely (the point is
-// re-admitted from the result store after a restart); the journal-torn
-// failpoint writes a partial line, simulating a crash mid-append, which
-// replay truncates away.
+// append journals one terminal point under the log's next seq: marshal,
+// write, fsync. The journal-write failpoint drops the append entirely (the
+// point is re-admitted from the result store after a restart); the
+// journal-torn failpoint writes a partial line, simulating a crash
+// mid-append, which replay truncates away.
 func (j *journal) append(rec StreamRecord) error {
 	if j == nil || j.f == nil {
 		return nil
 	}
+	rec.Seq = j.seq + 1
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -136,6 +142,7 @@ func (j *journal) append(rec StreamRecord) error {
 	if _, err := j.f.Write(data); err != nil {
 		return err
 	}
+	j.seq = rec.Seq
 	return j.f.Sync()
 }
 
@@ -171,6 +178,7 @@ type replayedJournal struct {
 	records  []StreamRecord
 	done     *doneMarker // nil: unfinished, re-admit
 	torn     int         // torn/corrupt tail bytes truncated away
+	lastSeq  uint64      // seq of the last valid line, where appends continue
 }
 
 // readJournal loads one campaign directory: manifest, the longest valid
@@ -196,20 +204,20 @@ func readJournal(dir string) (replayedJournal, error) {
 		return rj, err
 	}
 	good := 0 // byte offset of the end of the last valid record
-	var lastSeq uint64
 	for off := 0; off < len(raw); {
 		nl := bytes.IndexByte(raw[off:], '\n')
 		if nl < 0 {
 			break // torn tail: no terminator
 		}
 		var rec StreamRecord
-		if err := json.Unmarshal(raw[off:off+nl], &rec); err != nil || rec.Seq <= lastSeq {
+		if err := json.Unmarshal(raw[off:off+nl], &rec); err != nil || rec.Seq <= rj.lastSeq {
 			break // corrupt or out-of-order line: truncate from here
 		}
-		lastSeq = rec.Seq
-		// Cursors are renumbered positionally: if an injected journal-write
-		// fault dropped a line, the surviving records compact so cursors
-		// stay dense and the affected point simply re-runs on resume.
+		rj.lastSeq = rec.Seq
+		// Cursors are renumbered positionally: in a log written before
+		// appends numbered lines themselves, a dropped append left a gap;
+		// the surviving records compact so cursors stay dense and the
+		// affected point simply re-runs on resume.
 		rec.Seq = uint64(len(rj.records)) + 1
 		rj.records = append(rj.records, rec)
 		off += nl + 1
@@ -232,14 +240,14 @@ func readJournal(dir string) (replayedJournal, error) {
 }
 
 // reopenJournal opens an unfinished campaign's record log for further
-// appends (resume after restart).
-func reopenJournal(root, id string) (*journal, error) {
+// appends (resume after restart); lastSeq is the replay's.
+func reopenJournal(root, id string, lastSeq uint64) (*journal, error) {
 	dir := filepath.Join(root, id)
 	f, err := os.OpenFile(filepath.Join(dir, recordsName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &journal{dir: dir, f: f}, nil
+	return &journal{dir: dir, f: f, seq: lastSeq}, nil
 }
 
 // pruneJournals removes completed campaign directories whose done marker

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -96,7 +99,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	// The tail was truncated in place, so reopening and appending yields a
 	// clean log.
-	j2, err := reopenJournal(root, "cafe0002")
+	j2, err := reopenJournal(root, "cafe0002", rj.lastSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +117,20 @@ func TestJournalTornTailTruncated(t *testing.T) {
 }
 
 func TestJournalCursorCompaction(t *testing.T) {
-	// A dropped append (injected journal-write fault) leaves a seq gap;
-	// replay renumbers positionally so cursors stay dense and monotonic.
+	// A log written before appends numbered their lines has a seq gap
+	// where an append was dropped; replay renumbers positionally so
+	// cursors stay dense and monotonic.
 	root := t.TempDir()
 	j, err := createJournal(root, testManifest("cafe0003"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seq := range []uint64{1, 2, 4, 7} {
-		if err := j.append(StreamRecord{Seq: seq, Index: int(seq)}); err != nil {
+		data, err := json.Marshal(StreamRecord{Seq: seq, Index: int(seq)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.f.Write(append(data, '\n')); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,4 +216,76 @@ func BenchmarkJournalReplay(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzJournalReplay replays an arbitrary records.log beside a fixed valid
+// manifest. readJournal must not panic; the records it returns must carry
+// the dense cursors 1..n; the log must be truncated in place to its valid
+// prefix, len(input) - torn bytes; a second replay must return the same
+// records with nothing torn; and one append through a reopened journal
+// must replay as record n+1.
+func FuzzJournalReplay(f *testing.F) {
+	man, err := json.Marshal(testManifest("fuzz0000"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, log []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "fuzz0000")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), man, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		logPath := filepath.Join(dir, recordsName)
+		if err := os.WriteFile(logPath, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		rj, err := readJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range rj.records {
+			if rec.Seq != uint64(i)+1 {
+				t.Fatalf("record %d replayed with cursor %d, want %d", i, rec.Seq, i+1)
+			}
+		}
+		left, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rj.torn < 0 || rj.torn > len(log) || !bytes.Equal(left, log[:len(log)-rj.torn]) {
+			t.Fatalf("log left at %d bytes with torn = %d, want the first len(input) - torn = %d bytes of %d",
+				len(left), rj.torn, len(log)-rj.torn, len(log))
+		}
+
+		again, err := readJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.torn != 0 || !slices.Equal(again.records, rj.records) {
+			t.Fatalf("second replay: %d records, torn = %d; want the first replay's %d, torn = 0",
+				len(again.records), again.torn, len(rj.records))
+		}
+
+		n := uint64(len(rj.records))
+		jr, err := reopenJournal(root, "fuzz0000", rj.lastSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := StreamRecord{Seq: n + 1, Index: int(n), Key: Key{ConfigDigest: "next", Benchmark: "gzip", Instructions: 1000, Seed: 1}}
+		if err := jr.append(next); err != nil {
+			t.Fatal(err)
+		}
+		jr.close()
+		after, err := readJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.torn != 0 || len(after.records) != int(n)+1 || after.records[n] != next {
+			t.Fatalf("after one append: %d records, torn = %d; want %d ending in %+v", len(after.records), after.torn, n+1, next)
+		}
+	})
 }

@@ -45,8 +45,9 @@ func KeyFor(cfg config.Config, benchmark string, instructions int, seed uint64) 
 //
 // The split layout makes the memory-side identity visible in the key: two
 // configurations that differ only core-side (widths, latencies, buffer
-// depths, sampling schedule) share their first 8 characters — and with
-// them the warmed-checkpoint store, which is keyed by MemSideDigest alone.
+// depths, sampling schedule) share their first 8 characters, and with
+// them a campaign's sampled pass (runJobs groups sampled jobs by
+// MemSideDigest).
 //
 // Digests are memoized by configuration value (digests), so a request for
 // a configuration already seen encodes and hashes nothing.
@@ -128,7 +129,7 @@ var (
 	// retiredFields is the encoding of three host-simulator toggles that
 	// config.Config carried between MSHRs and Bypass. Every digest hashed
 	// them as false, so hashing these bytes in their old place keeps every
-	// engine key, stored result, checkpoint and campaign journal valid.
+	// engine key, stored result and campaign journal valid.
 	retiredFields = []byte(`"DisableCycleSkip":false,"DisableWakeup":false,"DisableMemIndex":false,`)
 )
 
@@ -154,7 +155,9 @@ type memSideIdentity struct {
 }
 
 // MemSideDigest returns the 8-hex-character digest of a configuration's
-// memory-side identity.
+// memory-side identity. Sampled jobs of one campaign that share it, the
+// workload, the instruction count and the schedule form one memory-side
+// group, which runJobs runs as one pass that warms once.
 func MemSideDigest(cfg config.Config) string {
 	id := memSideIdentity{
 		Seed:           cfg.Seed,

@@ -17,32 +17,37 @@ import (
 
 // passTestSpec is a sampled grid of the five Fig. 4 configurations, which
 // fall into two memory-side groups per workload (the three baselines and
-// the two MALEC configurations), over benchmarks x seeds.
+// the two MALEC configurations), over benchmarks x seeds, at three
+// 20k-instruction windows a point.
 func passTestSpec(benchmarks []string, seeds []uint64) CampaignSpec {
 	cfgs := config.Fig4Configs()
 	for i := range cfgs {
-		cfgs[i].Sampling = ckTestSchedule()
+		cfgs[i].Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: 20000}
 	}
 	return CampaignSpec{Configs: cfgs, Benchmarks: benchmarks, Instructions: 60000, Seeds: seeds}
 }
 
-// warmedRecords sums the campaign's reported functional-warming records.
-func warmedRecords(t *testing.T, c *Campaign) uint64 {
-	t.Helper()
-	var sum uint64
+// passCounts sums the campaign's reported functional-warming records and
+// window-boundary checkpoint restores and misses over its sampled
+// results. A pass reports them on its first configuration only, so the
+// sums count each pass once.
+func passCounts(c *Campaign) (warmed uint64, hits, misses int) {
 	for _, r := range c.Results {
-		if r.Result.Sampling == nil {
-			t.Fatalf("%s/%s: not a sampled result", r.ConfigName, r.Benchmark)
+		sp := r.Result.Sampling
+		if sp == nil {
+			continue
 		}
-		sum += r.Result.Sampling.WarmedRecords
+		warmed += sp.WarmedRecords
+		hits += sp.CheckpointHits
+		misses += sp.CheckpointMisses
 	}
-	return sum
+	return warmed, hits, misses
 }
 
 // TestCampaignWarmsEachGroupOnce checks that a sampled campaign warms each
 // memory-side group's trace exactly once at every worker count: the
-// summed WarmedRecords is groups x instructions, and no checkpoint is
-// restored because no point re-warms what its pass already holds.
+// summed WarmedRecords is groups x instructions, and each pass warms
+// every one of its three windows and restores none.
 func TestCampaignWarmsEachGroupOnce(t *testing.T) {
 	spec := passTestSpec([]string{"gzip", "ptrchase"}, []uint64{1, 2})
 	const groups = 2 * 2 * 2 // benchmarks x seeds x memory sides
@@ -55,13 +60,13 @@ func TestCampaignWarmsEachGroupOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := warmedRecords(t, c), uint64(groups*spec.Instructions); got != want {
-				t.Fatalf("campaign warmed %d records, want %d (groups x instructions)", got, want)
+			warmed, hits, misses := passCounts(c)
+			if want := uint64(groups * spec.Instructions); warmed != want {
+				t.Fatalf("campaign warmed %d records, want %d (groups x instructions)", warmed, want)
 			}
-			st := e.Stats()
-			if st.Simulations != uint64(len(c.Results)) || st.CheckpointHits != 0 || st.CheckpointMisses != groups*3 {
+			if st := e.Stats(); st.Simulations != uint64(len(c.Results)) || hits != 0 || misses != groups*3 {
 				t.Fatalf("simulations %d, checkpoint hits/misses %d/%d; want %d, 0/%d",
-					st.Simulations, st.CheckpointHits, st.CheckpointMisses, len(c.Results), groups*3)
+					st.Simulations, hits, misses, len(c.Results), groups*3)
 			}
 		})
 	}
@@ -189,7 +194,7 @@ func TestPassPanicFailsEachKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retried campaign: %v", err)
 	}
-	if got := warmedRecords(t, c); got != uint64(spec.Instructions) {
+	if got, _, _ := passCounts(c); got != uint64(spec.Instructions) {
 		t.Fatalf("retry warmed %d records, want %d: the keys were not re-run as one pass", got, spec.Instructions)
 	}
 	if st := e.Stats(); st.Simulations != 2 || st.PoisonedKeys != 0 {

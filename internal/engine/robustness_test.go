@@ -8,9 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -168,12 +166,11 @@ func TestPanicQuarantinesKey(t *testing.T) {
 	}
 }
 
-// TestCorruptDiskEntryQuarantined damages one disk entry at a time, in
-// the result store and in the checkpoint store. The damaged file must be
-// renamed aside once and counted once, the point must re-simulate (or the
-// window re-warm), and a fresh engine over the same directory must then
-// read the rewritten entry as a hit: the damaged bytes are gone for good,
-// not re-parsed as a silent miss on every lookup.
+// TestCorruptDiskEntryQuarantined damages one result disk entry at a
+// time. The damaged file must be renamed aside once and counted once, the
+// point must re-simulate, and a fresh engine over the same directory must
+// then read the rewritten entry as a hit: the damaged bytes are gone for
+// good, not re-parsed as a silent miss on every lookup.
 func TestCorruptDiskEntryQuarantined(t *testing.T) {
 	truncate := func(data []byte) []byte { return data[:len(data)/2] }
 	results := []struct {
@@ -220,72 +217,6 @@ func TestCorruptDiskEntryQuarantined(t *testing.T) {
 			}
 			if n := calls.Load(); n != 1 {
 				t.Fatalf("simulate ran %d times, want 1", n)
-			}
-		})
-	}
-
-	checkpoints := []struct {
-		name   string
-		damage func(ent *ckDiskEntry)
-	}{
-		{"truncated JSON", nil},
-		{"wrong version", func(ent *ckDiskEntry) { ent.Version++ }},
-		{"key mismatch", func(ent *ckDiskEntry) { ent.Key.Seed++ }},
-		{"null state", func(ent *ckDiskEntry) { ent.State = nil }},
-		{"missing Sys", func(ent *ckDiskEntry) { ent.State.Sys = nil }},
-	}
-	// Three configs that differ only core-side share every checkpoint but
-	// no result, so each engine below simulates and reads checkpoints.
-	sampled := func(rob int) config.Config {
-		cfg := config.MALEC()
-		cfg.Name = fmt.Sprintf("MALEC_rob%d", rob)
-		cfg.ROB = rob
-		cfg.Sampling = ckTestSchedule()
-		return cfg
-	}
-	const instructions = 60000
-	for _, c := range checkpoints {
-		t.Run("checkpoint/"+c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			runPoint(t, New(Options{CacheDir: dir, Workers: 1}), sampled(64), "gzip", instructions, 1)
-			paths, err := filepath.Glob(filepath.Join(dir, "v1", "ckpt", "*", "*.json"))
-			if err != nil || len(paths) < 2 {
-				t.Fatalf("want several checkpoint files, got %v (%v)", paths, err)
-			}
-			path := paths[0]
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.damage == nil {
-				data = truncate(data)
-			} else {
-				var ent ckDiskEntry
-				if err := json.Unmarshal(data, &ent); err != nil {
-					t.Fatal(err)
-				}
-				c.damage(&ent)
-				if data, err = json.Marshal(ent); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			e := New(Options{CacheDir: dir, Workers: 1})
-			res, _ := runPoint(t, e, sampled(128), "gzip", instructions, 1)
-			if sp := res.Sampling; sp == nil || sp.CheckpointMisses != 1 || sp.CheckpointHits != sp.Windows-1 {
-				t.Fatalf("sampling %+v, want exactly the damaged window re-warmed", sp)
-			}
-			checkQuarantined(t, e, path)
-			e2 := New(Options{CacheDir: dir, Workers: 1})
-			res, _ = runPoint(t, e2, sampled(96), "gzip", instructions, 1)
-			if sp := res.Sampling; sp == nil || sp.CheckpointHits != sp.Windows {
-				t.Fatalf("sampling %+v, want every window restored from disk", sp)
-			}
-			if q := e2.Stats().Quarantined; q != 0 {
-				t.Fatalf("rewritten checkpoint quarantined again: Quarantined = %d", q)
 			}
 		})
 	}

@@ -1,20 +1,14 @@
 package engine
 
-// The engine's keyed store. The result cache, the poisoned-key quarantine
-// and the warmed-checkpoint store keep their memory tier in one bounded
-// insertion-order map; the result and checkpoint stores read their disk
-// entries through one reader; and every whole file the engine writes
-// (cache entries, campaign manifests and done markers) is published
-// through one routine.
+// The engine's keyed store. The result cache and the poisoned-key
+// quarantine keep their memory tier in one bounded insertion-order map,
+// and every whole file the engine writes (cache entries, campaign
+// manifests and done markers) is published through one routine.
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
-
-	"malec/internal/faultinject"
 )
 
 // fifo is a map bounded by insertion order: past max entries, put evicts
@@ -59,32 +53,6 @@ func (f *fifo[K, V]) remove(k K) bool {
 	i := slices.Index(f.order, k)
 	f.order = slices.Delete(f.order, i, i+1)
 	return true
-}
-
-// readEntry reads the disk entry at path and decodes it. A read failure,
-// real or injected (faultinject.DiskRead), is a plain miss: the store is
-// a cache, never a source of truth. A file that reads but fails to decode
-// or to pass valid is corrupt: it is renamed aside with a .corrupt suffix
-// and counted in quarantined, so a damaged entry is read (and fails)
-// exactly once and is kept for post-mortems. corrupt is the caller's
-// failpoint for garbling the bytes read. n is the entry's size in bytes.
-func readEntry[T any](path string, corrupt *faultinject.Point, valid func(*T) bool, quarantined *atomic.Uint64) (ent T, n int, ok bool) {
-	if faultinject.DiskRead.Fire() {
-		return ent, 0, false
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ent, 0, false
-	}
-	corrupt.CorruptBytes(data)
-	if err := json.Unmarshal(data, &ent); err != nil || !valid(&ent) {
-		if os.Rename(path, path+".corrupt") == nil {
-			quarantined.Add(1)
-		}
-		var zero T
-		return zero, 0, false
-	}
-	return ent, len(data), true
 }
 
 // publish writes data to path through a temporary file in the same

@@ -1,16 +1,15 @@
 // Package faultinject provides process-wide failpoints for chaos testing:
 // named probability gates, armed from the environment, that production code
-// consults at its failure-prone seams (disk reads and writes, checkpoint
-// decoding, simulation execution). Disarmed points cost one atomic load, so
+// consults at its failure-prone seams (disk reads and writes, simulation
+// execution, campaign-journal appends). Disarmed points cost one atomic load, so
 // the hooks stay compiled into release binaries and a chaos run is just a
 // matter of exporting MALEC_FAULT_* before starting the daemon.
 //
 // Each point is armed with a firing probability:
 //
-//	MALEC_FAULT_DISK_READ=0.3    30% of result/checkpoint disk reads fail
+//	MALEC_FAULT_DISK_READ=0.3    30% of result disk reads fail
 //	MALEC_FAULT_DISK_WRITE=1     every disk persist is dropped
 //	MALEC_FAULT_DISK_CORRUPT=0.5 50% of disk-store reads return garbled bytes
-//	MALEC_FAULT_CKPT_CORRUPT=1   every checkpoint read returns garbled bytes
 //	MALEC_FAULT_SIM_PANIC=0.05   5% of simulations panic in the worker
 //	MALEC_FAULT_SIM_LATENCY=0.2  20% of simulations sleep an injected delay
 //	MALEC_FAULT_SIM_LATENCY_MS=50  the injected delay (default 25ms)
@@ -51,17 +50,15 @@ type Point struct {
 // they are disarmed unless the corresponding environment variable (or a
 // test's Arm call) sets a probability.
 var (
-	// DiskRead fails a result/checkpoint disk-store read (read error →
-	// treated as a cache miss).
+	// DiskRead fails a result disk-store read (read error → treated as a
+	// cache miss).
 	DiskRead = newPoint("disk_read", "MALEC_FAULT_DISK_READ")
-	// DiskWrite drops a result/checkpoint disk-store write (persistence
-	// is best-effort; the entry is simply not stored).
+	// DiskWrite drops a result disk-store write (persistence is
+	// best-effort; the entry is simply not stored).
 	DiskWrite = newPoint("disk_write", "MALEC_FAULT_DISK_WRITE")
 	// DiskCorrupt garbles the bytes of a successful result disk read,
 	// exercising the corruption-quarantine path.
 	DiskCorrupt = newPoint("disk_corrupt", "MALEC_FAULT_DISK_CORRUPT")
-	// CkptCorrupt garbles the bytes of a successful checkpoint disk read.
-	CkptCorrupt = newPoint("ckpt_corrupt", "MALEC_FAULT_CKPT_CORRUPT")
 	// SimPanic panics inside an engine worker before the simulation runs,
 	// exercising the panic-containment and key-quarantine path.
 	SimPanic = newPoint("sim_panic", "MALEC_FAULT_SIM_PANIC")
@@ -77,7 +74,7 @@ var (
 )
 
 // points lists every registered failpoint, for Active and Reload.
-var points = []*Point{DiskRead, DiskWrite, DiskCorrupt, CkptCorrupt, SimPanic, SimLatency, JournalWrite, JournalTorn}
+var points = []*Point{DiskRead, DiskWrite, DiskCorrupt, SimPanic, SimLatency, JournalWrite, JournalTorn}
 
 // latencyMs holds the injected delay in milliseconds (SimLatency point).
 var latencyMs atomic.Int64

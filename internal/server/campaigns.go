@@ -42,9 +42,9 @@ type campaignRequest struct {
 	Instructions int      `json:"instructions"`
 	Seeds        []uint64 `json:"seeds"`
 	// Sampling, when present, runs every point of the grid on the
-	// sampled fast path — the quality tier for large grids: core-side
-	// config variants share warmed checkpoints, so only the first config
-	// per (benchmark, seed) pays the functional-warming pass.
+	// sampled fast path — the quality tier for large grids: the configs
+	// of one memory side run as one pass per (benchmark, seed), which
+	// pays the functional warming once for all of them.
 	Sampling *config.Sampling `json:"sampling"`
 	// Retries bounds per-job retry attempts before a point is declared
 	// failed (default: the manager's default, 2).

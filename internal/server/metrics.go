@@ -144,18 +144,6 @@ func (s *Server) registerEngineMetrics() {
 	counter("malec_engine_trace_misses_total",
 		"Simulations that had to generate (or extend) a trace arena.",
 		func() uint64 { return st.TraceMisses })
-	counter("malec_engine_checkpoint_hits_total",
-		"Sampled-simulation window boundaries served from a warmed checkpoint.",
-		func() uint64 { return st.CheckpointHits })
-	counter("malec_engine_checkpoint_misses_total",
-		"Sampled-simulation window boundaries that had to warm functionally.",
-		func() uint64 { return st.CheckpointMisses })
-	counter("malec_engine_checkpoint_bytes_read_total",
-		"Bytes of warmed checkpoints loaded from the disk store.",
-		func() uint64 { return st.CheckpointBytesRead })
-	counter("malec_engine_checkpoint_bytes_written_total",
-		"Bytes of warmed checkpoints persisted to the disk store.",
-		func() uint64 { return st.CheckpointBytesWritten })
 	counter("malec_engine_cancelled_total",
 		"In-flight simulations abandoned because every caller went away.",
 		func() uint64 { return st.Cancelled })

@@ -408,8 +408,9 @@ type runRequest struct {
 	// (SMARTS-style interval sampling; see README "Sampled simulation").
 	// The result becomes an estimate — sampled and exact runs cache under
 	// different keys — and the estimate metadata (window count, 95%
-	// confidence intervals, checkpoint reuse) comes back in the
-	// response's "sampling" field.
+	// confidence intervals, warmed records) comes back in the response's
+	// "sampling" field. A single run warms its own windows: it restores
+	// no checkpoint, so CheckpointMisses equals Windows.
 	Sampling *config.Sampling `json:"sampling"`
 }
 

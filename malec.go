@@ -112,7 +112,7 @@ type Options = experiments.Options
 type Sampling = config.Sampling
 
 // SamplingEstimate reports a sampled run's schedule, per-metric 95%
-// confidence intervals and checkpoint reuse, via Result.Sampling.
+// confidence intervals and warming counts, via Result.Sampling.
 type SamplingEstimate = cpu.SamplingEstimate
 
 // DefaultSampling returns the default sampled-run schedule (2k warmup + 8k
