@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -129,15 +130,20 @@ func runSampledCompare(benchmark string, instructions int, seed uint64, sch conf
 		scfg.Sampling = &sch
 		ckpts := mapCheckpoints{}
 		prof := trace.Profiles[benchmark]
-		ts := time.Now()
-		sampled := cpu.RunWithCheckpoints(scfg, benchmark,
-			&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}, ckpts)
-		sampledDur := time.Since(ts)
-
-		tw := time.Now()
-		warm := cpu.RunWithCheckpoints(scfg, benchmark,
-			&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}, ckpts)
-		warmDur := time.Since(tw)
+		// run times one sampled run over a fresh generator; the first
+		// saves a checkpoint at every window, the second restores them.
+		run := func() (cpu.Result, time.Duration) {
+			t := time.Now()
+			res, err := cpu.RunWithCheckpointsContext(context.Background(), scfg, benchmark,
+				&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}, ckpts)
+			if err != nil {
+				// Unreachable: the context is never cancelled.
+				panic(err)
+			}
+			return res, time.Since(t)
+		}
+		sampled, sampledDur := run()
+		warm, warmDur := run()
 
 		cycleErr := 100 * (float64(sampled.Cycles) - float64(exact.Cycles)) / float64(exact.Cycles)
 		energyErr := 100 * (sampled.Energy.Total() - exact.Energy.Total()) / exact.Energy.Total()

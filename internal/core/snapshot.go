@@ -4,8 +4,9 @@ package core
 // JSON-able snapshot of every memory-side structure whose contents depend
 // on the access history — L1, L2/DRAM, both TLBs (entries, statistics and
 // replacement-policy state), the page table, way-determination state and
-// the stream detector. Its JSON encoding doubles as the checkpoint disk
-// format.
+// the stream detector. A sampled run captures one at every measurement
+// window and restores it into each configuration's shadow; a caller's
+// checkpoint store may keep it across runs, in memory.
 //
 // A snapshot is only meaningful on a system that has been functionally
 // warmed (WarmLoad/WarmStore): warming never touches the store/merge

@@ -100,47 +100,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGeneratorStateRoundTrip is the source-side half of the checkpoint
-// property: capturing a generator at a random index and restoring the
-// snapshot into a fresh generator of the same (profile, seed) must
-// reproduce the identical remaining record sequence.
-func TestGeneratorStateRoundTrip(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	for _, bench := range []string{"gzip", "mcf", "ptrchase", "tlbthrash"} {
-		for trial := 0; trial < 3; trial++ {
-			n := 1 + rnd.Intn(30000)
-			m := 1 + rnd.Intn(10000)
-			seed := uint64(1 + rnd.Intn(8))
-			prof := trace.Profiles[bench]
-
-			g := trace.NewGenerator(prof, seed)
-			g.Generate(n)
-			st := g.CaptureState()
-			data, err := json.Marshal(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back trace.GeneratorState
-			if err := json.Unmarshal(data, &back); err != nil {
-				t.Fatal(err)
-			}
-
-			fresh := trace.NewGenerator(prof, seed)
-			if !fresh.RestoreState(&back) {
-				t.Fatalf("%s/n=%d/seed=%d: restore rejected a matching snapshot", bench, n, seed)
-			}
-			want := g.Generate(m)
-			got := fresh.Generate(m)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s/n=%d/seed=%d: record %d diverged: %+v vs %+v",
-						bench, n, seed, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // driveRandom offers iface a seeded random request stream (a hot pool of
 // pages plus far pages that miss) for the given number of cycles,
 // committing stores in order, and returns a log of every accepted request

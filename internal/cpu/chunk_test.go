@@ -2,9 +2,9 @@ package cpu
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"malec/internal/config"
@@ -36,20 +36,6 @@ func (s *genOracle) Next(int) []trace.Record {
 }
 
 func (s *genOracle) Remaining() int { return s.n - s.pos }
-
-func (s *genOracle) position() int { return s.pos }
-
-func (s *genOracle) CaptureState() SourceState {
-	return SourceState{Gen: s.gen.CaptureState(), Pos: uint64(s.pos)}
-}
-
-func (s *genOracle) RestoreState(st SourceState) bool {
-	if st.Gen == nil || !s.gen.RestoreState(st.Gen) {
-		return false
-	}
-	s.pos = int(st.Pos)
-	return true
-}
 
 // recordingStore is a map checkpoint store that keeps every save.
 type recordingStore map[uint64]*Checkpoint
@@ -87,12 +73,10 @@ func pointName(g gridPoint) string {
 	return fmt.Sprintf("%s/%s/%s", g.cfg.Name, g.bench, mode)
 }
 
-// checkpointsEqual compares two stores checkpoint by checkpoint: the
-// memory-side state, the stream counts and the source position must match,
-// and every position must be the checkpoint's own trace index, so no read
-// crossed a capture point. With withGen, got's checkpoints must carry a
-// generator snapshot at that index too, byte-equal to want's.
-func checkpointsEqual(t *testing.T, name string, got, want recordingStore, withGen bool) {
+// checkpointsEqual compares two stores checkpoint by checkpoint: each
+// must be taken at its own record count and equal want's as a whole, so no
+// read crossed a capture point.
+func checkpointsEqual(t *testing.T, name string, got, want recordingStore) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d checkpoints, want %d", name, len(got), len(want))
@@ -102,27 +86,24 @@ func checkpointsEqual(t *testing.T, name string, got, want recordingStore, withG
 		if !ok {
 			t.Fatalf("%s: no checkpoint at %d", name, n)
 		}
-		if g.Src == nil || g.Src.Pos != n || g.Instructions != n {
-			t.Fatalf("%s: checkpoint %d taken at source position %+v, %d instructions", name, n, g.Src, g.Instructions)
-		}
-		if g.Loads != w.Loads || g.Stores != w.Stores {
-			t.Fatalf("%s: checkpoint %d counts %d/%d, want %d/%d", name, n, g.Loads, g.Stores, w.Loads, w.Stores)
-		}
-		gs, _ := json.Marshal(g.Sys)
-		ws, _ := json.Marshal(w.Sys)
-		if !bytes.Equal(gs, ws) {
-			t.Fatalf("%s: checkpoint %d memory-side state differs", name, n)
-		}
-		if !withGen {
-			continue
-		}
-		if g.Src.Gen == nil || g.Src.Gen.Idx != n {
-			t.Fatalf("%s: checkpoint %d carries generator snapshot %+v, want one at index %d", name, n, g.Src.Gen, n)
+		if g.Instructions != n {
+			t.Fatalf("%s: checkpoint %d taken after %d instructions", name, n, g.Instructions)
 		}
 		if gj, wj := mustJSONValue(t, g), mustJSONValue(t, w); !bytes.Equal(gj, wj) {
 			t.Fatalf("%s: checkpoint %d differs from the record-at-a-time checkpoint: the source read past the capture point", name, n)
 		}
 	}
+}
+
+// runCheckpointed is RunWithCheckpointsContext with a store and no
+// cancellation.
+func runCheckpointed(t *testing.T, cfg config.Config, bench string, src Source, ck Checkpoints) Result {
+	t.Helper()
+	res, err := RunWithCheckpointsContext(context.Background(), cfg, bench, src, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // mustJSONValue marshals any value for byte comparison.
@@ -139,68 +120,68 @@ func mustJSONValue(t *testing.T, v any) []byte {
 // from a complete SliceSource and from generate-ahead GenSources with
 // randomized ring chunk sizes, and compares each with a record-at-a-time
 // generator: the Result JSON must be byte-identical, cold (saving
-// checkpoints) and warm (restoring them), and the saved checkpoints must
-// match record for record. A GenSource also runs restoring the oracle's
-// checkpoints and the SliceSource's, which carry no generator snapshot
-// and so cover the path that streams the gap instead of jumping it.
+// checkpoints) and warm (restoring every one), and the saved checkpoints
+// must match record for record.
 func TestChunkedSourcesMatchRecordAtATime(t *testing.T) {
 	drv := rng.New(41)
 	for _, g := range chunkTestPoints() {
 		name := pointName(g)
-		gen := func(chunk int) *GenSource {
-			return &GenSource{Gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), N: chunkTestRecords, chunk: chunk}
-		}
-		run := func(src Source, st recordingStore) []byte {
-			var ck Checkpoints
-			if st != nil {
-				ck = st
-			}
-			return mustJSON(t, RunWithCheckpoints(g.cfg, g.bench, src, ck))
-		}
 		sampled := g.cfg.Sampling != nil
+		windows := chunkTestRecords / chunkTestSchedule().Interval
+		run := func(label string, src Source, st recordingStore, warm bool) []byte {
+			res := runCheckpointed(t, g.cfg, g.bench, src, st)
+			if sampled {
+				wantHits := 0
+				if warm {
+					wantHits = windows
+				}
+				if res.Sampling.CheckpointHits != wantHits {
+					t.Errorf("%s: %d checkpoints restored, want %d", label, res.Sampling.CheckpointHits, wantHits)
+				}
+			}
+			return mustJSON(t, res)
+		}
 
 		wantStore := recordingStore{}
-		want := run(newGenOracle(g, chunkTestRecords), wantStore)
-		if sampled && len(wantStore) != chunkTestRecords/chunkTestSchedule().Interval {
+		want := run(name+" oracle", newGenOracle(g, chunkTestRecords), wantStore, false)
+		if sampled && len(wantStore) != windows {
 			t.Fatalf("%s: oracle saved %d checkpoints", name, len(wantStore))
 		}
 
 		recs := trace.NewGenerator(trace.Profiles[g.bench], g.seed).Generate(chunkTestRecords)
+		label := name + " SliceSource"
 		sliceStore := recordingStore{}
-		if got := run(&SliceSource{Records: recs}, sliceStore); !bytes.Equal(got, want) {
-			t.Errorf("%s: SliceSource result differs from the record-at-a-time run", name)
+		if got := run(label, &SliceSource{Records: recs}, sliceStore, false); !bytes.Equal(got, want) {
+			t.Errorf("%s: result differs from the record-at-a-time run", label)
 		}
-		checkpointsEqual(t, name+" SliceSource", sliceStore, wantStore, false)
-		if got := run(&SliceSource{Records: recs}, sliceStore); !bytes.Equal(got, want) {
-			t.Errorf("%s: SliceSource warm result differs", name)
+		checkpointsEqual(t, label, sliceStore, wantStore)
+		if got := run(label, &SliceSource{Records: recs}, sliceStore, true); !bytes.Equal(got, want) {
+			t.Errorf("%s: warm result differs", label)
 		}
 
 		for _, chunk := range []int{1 + drv.Intn(999), 1000 + drv.Intn(9000)} {
 			label := fmt.Sprintf("%s GenSource(chunk %d)", name, chunk)
+			gen := func() *GenSource {
+				return &GenSource{Gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), N: chunkTestRecords, chunk: chunk}
+			}
 			genStore := recordingStore{}
-			if got := run(gen(chunk), genStore); !bytes.Equal(got, want) {
+			if got := run(label, gen(), genStore, false); !bytes.Equal(got, want) {
 				t.Errorf("%s: cold result differs from the record-at-a-time run", label)
 			}
-			checkpointsEqual(t, label, genStore, wantStore, true)
-			if got := run(gen(chunk), genStore); !bytes.Equal(got, want) {
+			checkpointsEqual(t, label, genStore, wantStore)
+			if got := run(label, gen(), genStore, true); !bytes.Equal(got, want) {
 				t.Errorf("%s: warm result differs", label)
-			}
-			if got := run(gen(chunk), wantStore); !bytes.Equal(got, want) {
-				t.Errorf("%s: run restoring the oracle's checkpoints differs", label)
-			}
-			if got := run(gen(chunk), sliceStore); !bytes.Equal(got, want) {
-				t.Errorf("%s: run over generator-less checkpoints differs", label)
 			}
 		}
 	}
 }
 
-// TestDamagedCheckpointPositionsRewarm shifts each position a checkpoint
-// records (its instruction count, source position and generator index) by
-// ±7 records, over a generator and over an arena. A run over the damaged
-// checkpoints must treat them as misses, warm, and overwrite them: its
-// Result JSON must equal an uncheckpointed run's, and the store must end
-// up holding checkpoints taken at their own indexes.
+// TestDamagedCheckpointPositionsRewarm shifts the record count a
+// checkpoint was taken at by ±7 records, over a generator and over an
+// arena. A run over the damaged checkpoints must treat them as misses,
+// warm, and overwrite them: its Result JSON must equal an uncheckpointed
+// run's, and the store must end up holding checkpoints taken at their own
+// counts.
 func TestDamagedCheckpointPositionsRewarm(t *testing.T) {
 	g := chunkTestPoints()[1]
 	recs := trace.NewGenerator(trace.Profiles[g.bench], g.seed).Generate(chunkTestRecords)
@@ -210,87 +191,31 @@ func TestDamagedCheckpointPositionsRewarm(t *testing.T) {
 		},
 		"SliceSource": func() Source { return &SliceSource{Records: recs} },
 	}
-	damages := map[string]func(ck *Checkpoint, d int64){
-		"Instructions": func(ck *Checkpoint, d int64) { ck.Instructions += uint64(d) },
-		"Src.Pos":      func(ck *Checkpoint, d int64) { ck.Src.Pos += uint64(d) },
-		"Src.Gen.Idx":  func(ck *Checkpoint, d int64) { ck.Src.Gen.Idx += uint64(d) },
-	}
-	want := mustJSON(t, RunWithCheckpoints(g.cfg, g.bench, sources["GenSource"](), nil))
+	want := mustJSON(t, Run(g.cfg, g.bench, sources["GenSource"]()))
 	for kind, source := range sources {
 		good := recordingStore{}
-		RunWithCheckpoints(g.cfg, g.bench, source(), good)
-		withGen := kind == "GenSource"
-		for field, damage := range damages {
-			if field == "Src.Gen.Idx" && !withGen {
+		runCheckpointed(t, g.cfg, g.bench, source(), good)
+		for _, d := range []int64{-7, 7} {
+			name := fmt.Sprintf("%s Instructions%+d", kind, d)
+			store := recordingStore{}
+			for n, ck := range good {
+				c := *ck
+				c.Instructions += uint64(d)
+				store[n] = &c
+			}
+			got, err := runRecovered(func() Result { return runCheckpointed(t, g.cfg, g.bench, source(), store) })
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
 				continue
 			}
-			for _, d := range []int64{-7, 7} {
-				name := fmt.Sprintf("%s %s%+d", kind, field, d)
-				store := recordingStore{}
-				for n, ck := range good {
-					c, src := *ck, *ck.Src
-					if withGen {
-						gen := *src.Gen
-						src.Gen = &gen
-					}
-					c.Src = &src
-					damage(&c, d)
-					store[n] = &c
-				}
-				got, err := runRecovered(func() Result { return RunWithCheckpoints(g.cfg, g.bench, source(), store) })
-				if err != nil {
-					t.Errorf("%s: %v", name, err)
-					continue
-				}
-				if res := mustJSON(t, got); !bytes.Equal(res, want) {
-					t.Errorf("%s: restoring damaged checkpoints changed the result (cycles %d)", name, got.Cycles)
-				}
-				if got.Sampling.CheckpointHits != 0 {
-					t.Errorf("%s: %d damaged checkpoints restored", name, got.Sampling.CheckpointHits)
-				}
-				checkpointsEqual(t, name+" overwritten", store, good, withGen)
+			if res := mustJSON(t, got); !bytes.Equal(res, want) {
+				t.Errorf("%s: restoring damaged checkpoints changed the result (cycles %d)", name, got.Cycles)
 			}
+			if got.Sampling.CheckpointHits != 0 {
+				t.Errorf("%s: %d damaged checkpoints restored", name, got.Sampling.CheckpointHits)
+			}
+			checkpointsEqual(t, name+" overwritten", store, good)
 		}
-	}
-}
-
-// TestCheckpointOverBudgetWarmSkipsGeneration pins the generation-skipping
-// restore on a trace too long to materialize (2M records, 64 MB as an
-// arena): every checkpoint taken over a GenSource carries the generator
-// state at its own index, so a warm run of a core-side variant restores
-// every window by jumping the source over the gap. It must allocate
-// under 16 MB and match its uncheckpointed run.
-func TestCheckpointOverBudgetWarmSkipsGeneration(t *testing.T) {
-	const instructions = 2_000_000
-	sch := &config.Sampling{Warmup: 200, Detail: 800, Interval: 200_000}
-	cold := config.MALEC()
-	cold.Sampling = sch
-	warm := config.MALEC3cycleL1()
-	warm.Sampling = sch
-	source := func() Source {
-		return &GenSource{Gen: trace.NewGenerator(trace.Profiles["gzip"], 1), N: instructions}
-	}
-
-	store := recordingStore{}
-	RunWithCheckpoints(cold, "gzip", source(), store)
-	for n, ck := range store {
-		if ck.Src == nil || ck.Src.Gen == nil || ck.Src.Gen.Idx != n {
-			t.Fatalf("checkpoint %d carries no generator state at its index: %+v", n, ck.Src)
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := RunWithCheckpoints(warm, "gzip", source(), store)
-	runtime.ReadMemStats(&after)
-
-	if res.Sampling == nil || res.Sampling.CheckpointHits != res.Sampling.Windows {
-		t.Fatalf("warm run sampling %+v, want every window restored", res.Sampling)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
-		t.Fatalf("warm over-budget run allocated %d MB, want < 16 MB", alloc>>20)
-	}
-	if ref := RunBenchmark(warm, "gzip", instructions, 1); res.Cycles != ref.Cycles || res.Energy != ref.Energy {
-		t.Fatalf("restored run differs from its checkpoint-free reference: cycles %d vs %d", res.Cycles, ref.Cycles)
 	}
 }
 
@@ -315,9 +240,9 @@ func TestMisfitCheckpointsRewarm(t *testing.T) {
 	source := func() Source {
 		return &GenSource{Gen: trace.NewGenerator(trace.Profiles[g.bench], g.seed), N: chunkTestRecords}
 	}
-	want := mustJSON(t, RunWithCheckpoints(g.cfg, g.bench, source(), nil))
+	want := mustJSON(t, Run(g.cfg, g.bench, source()))
 	good := recordingStore{}
-	RunWithCheckpoints(g.cfg, g.bench, source(), good)
+	runCheckpointed(t, g.cfg, g.bench, source(), good)
 	damages := map[string]func(t *testing.T, ck *Checkpoint) *Checkpoint{
 		"L2 tags cut short": func(t *testing.T, ck *Checkpoint) *Checkpoint {
 			sys := *ck.Sys
@@ -341,7 +266,7 @@ func TestMisfitCheckpointsRewarm(t *testing.T) {
 			for n, ck := range good {
 				store[n] = damage(t, ck)
 			}
-			got, err := runRecovered(func() Result { return RunWithCheckpoints(g.cfg, g.bench, source(), store) })
+			got, err := runRecovered(func() Result { return runCheckpointed(t, g.cfg, g.bench, source(), store) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +276,7 @@ func TestMisfitCheckpointsRewarm(t *testing.T) {
 			if got.Sampling.CheckpointHits != 0 {
 				t.Errorf("%d misfit checkpoints restored", got.Sampling.CheckpointHits)
 			}
-			checkpointsEqual(t, "overwritten", store, good, true)
+			checkpointsEqual(t, "overwritten", store, good)
 		})
 	}
 }

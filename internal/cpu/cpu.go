@@ -28,9 +28,7 @@ import (
 // Source supplies trace records in chunks. Next returns the next run of at
 // most max (> 0) records, fewer when the source has fewer ready, and an
 // empty slice at end of trace. The chunk stays valid until the following
-// Next call and must not be modified. A source never reads past the records
-// it returns, so a caller that asks for exactly the records before a
-// checkpoint leaves the source positioned at it.
+// Next call and must not be modified.
 type Source interface {
 	Next(max int) []trace.Record
 }
@@ -58,31 +56,13 @@ func (s *SliceSource) Next(max int) []trace.Record {
 // Remaining reports how many records are left (sampling schedule sizing).
 func (s *SliceSource) Remaining() int { return len(s.Records) - s.pos }
 
-// CaptureState implements statefulSource.
-func (s *SliceSource) CaptureState() SourceState { return SourceState{Pos: uint64(s.pos)} }
-
-func (s *SliceSource) position() int { return s.pos }
-
-// RestoreState implements statefulSource.
-func (s *SliceSource) RestoreState(st SourceState) bool {
-	if st.Pos > uint64(len(s.Records)) {
-		return false
-	}
-	s.pos = int(st.Pos)
-	return true
-}
-
 // GenSource generates a trace of N records from Gen on a producer
 // goroutine, ahead of its reader, into a fixed ring of genRingSlots chunks
-// of genChunk records (512 KB), so a point never holds its whole trace. The
-// producer never generates past the position its reader allows: Next(max)
-// allows the records up to the end of that request, and
-// RunWithCheckpointsContext allows the whole trace to an exact run and to
-// a sampled run without a checkpoint store. A sampled reader that asks for
-// exactly the records before a checkpoint therefore finds the generator
-// stopped at it. A producer panic re-panics in the reader's Next. The
-// producer starts on the first Next and exits once the trace is generated
-// or when RunWithCheckpointsContext returns.
+// of genChunk records (512 KB), so a point never holds its whole trace.
+// The producer starts on the first Next and generates to the end of the
+// trace, as far ahead as the ring allows; it exits once the trace is
+// generated or when the run reading the source returns. A producer panic
+// re-panics in the reader's Next.
 //
 // The producer goroutine earns its place: it overlaps trace generation
 // with functional warming, the two costs of a sampled point. On a 2-core
@@ -104,11 +84,9 @@ type GenSource struct {
 	cond     sync.Cond // signals every change below
 	ring     [genRingSlots][]trace.Record
 	lens     [genRingSlots]int
-	head     int  // oldest filled slot
-	filled   int  // slots filled and not yet released by the reader
-	produced int  // records generated
-	limit    int  // records the producer may generate
-	busy     bool // the producer is filling a slot (and advancing Gen)
+	head     int // oldest filled slot
+	filled   int // slots filled and not yet released by the reader
+	produced int // records generated
 	running  bool
 	stop     bool
 	failure  any // the producer's panic value
@@ -128,7 +106,7 @@ func (s *GenSource) Next(max int) []trace.Record {
 		if s.pos >= s.N {
 			return nil
 		}
-		s.fetch(s.pos + max)
+		s.fetch()
 	}
 	n := min(max, len(s.cur))
 	recs := s.cur[:n:n]
@@ -137,9 +115,9 @@ func (s *GenSource) Next(max int) []trace.Record {
 	return recs
 }
 
-// fetch releases the slot the reader has finished, allows the producer
-// to generate up to record end, and waits for the next filled slot.
-func (s *GenSource) fetch(end int) {
+// fetch releases the slot the reader has finished, starts a producer if
+// none is running, and waits for the next filled slot.
+func (s *GenSource) fetch() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.init()
@@ -149,7 +127,11 @@ func (s *GenSource) fetch(end int) {
 		s.holding = false
 		s.cond.Broadcast()
 	}
-	s.allowLocked(end)
+	if !s.running && s.produced < s.N && s.failure == nil {
+		s.running = true
+		s.wg.Add(1)
+		go s.produce()
+	}
 	for s.filled == 0 {
 		if s.failure != nil {
 			panic(s.failure)
@@ -175,31 +157,9 @@ func (s *GenSource) init() {
 	}
 }
 
-// allow lets the producer generate up to record end (at most N).
-func (s *GenSource) allow(end int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.init()
-	s.allowLocked(end)
-}
-
-// allowLocked raises the limit and starts a producer if none is running.
-// Caller holds s.mu.
-func (s *GenSource) allowLocked(end int) {
-	if end = min(end, s.N); end > s.limit {
-		s.limit = end
-		s.cond.Broadcast()
-	}
-	if !s.running && s.produced < s.limit && s.failure == nil {
-		s.running = true
-		s.wg.Add(1)
-		go s.produce()
-	}
-}
-
-// produce fills ring slots while the limit and free slots allow, and exits
-// once the trace is generated, on stopProducer, or on a panic, which it
-// hands to the reader.
+// produce fills ring slots while free slots allow, and exits once the
+// trace is generated, on stopProducer, or on a panic, which it hands to
+// the reader.
 func (s *GenSource) produce() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -209,28 +169,25 @@ func (s *GenSource) produce() {
 		if r := recover(); r != nil {
 			s.mu.Lock()
 			s.failure = r
-			s.busy = false
 		}
 		s.running = false
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}()
 	for s.produced < s.N {
-		for !s.stop && (s.produced >= s.limit || s.filled == genRingSlots) {
+		for !s.stop && s.filled == genRingSlots {
 			s.cond.Wait()
 		}
 		if s.stop {
 			return
 		}
 		slot := (s.head + s.filled) % genRingSlots
-		recs := s.ring[slot][:min(s.chunk, s.limit-s.produced)]
-		s.busy = true
+		recs := s.ring[slot][:min(s.chunk, s.N-s.produced)]
 		s.mu.Unlock()
 		for i := range recs {
 			s.Gen.Fill(&recs[i])
 		}
 		s.mu.Lock()
-		s.busy = false
 		s.lens[slot] = len(recs)
 		s.filled++
 		s.produced += len(recs)
@@ -253,47 +210,6 @@ func (s *GenSource) stopProducer() {
 
 // Remaining reports how many records are left (sampling schedule sizing).
 func (s *GenSource) Remaining() int { return s.N - s.pos }
-
-func (s *GenSource) position() int { return s.pos }
-
-// CaptureState implements statefulSource. The generator snapshot is taken
-// only when the producer is stopped at the reader's position; with records
-// generated ahead of it the snapshot carries the position alone.
-func (s *GenSource) CaptureState() SourceState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := SourceState{Pos: uint64(s.pos)}
-	if s.produced == s.pos && s.limit <= s.pos {
-		st.Gen = s.Gen.CaptureState()
-	}
-	return st
-}
-
-// RestoreState implements statefulSource. It first discards anything
-// generated ahead of the reader.
-func (s *GenSource) RestoreState(st SourceState) bool {
-	if st.Gen == nil || st.Pos > uint64(s.N) {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.init()
-	limit := s.limit
-	s.limit = 0 // hold the producer after the slot it is filling
-	for s.busy {
-		s.cond.Wait()
-	}
-	if !s.Gen.RestoreState(st.Gen) {
-		// The generator is untouched: keep what was generated ahead.
-		s.limit = limit
-		s.cond.Broadcast()
-		return false
-	}
-	s.pos = int(st.Pos)
-	s.cur, s.holding, s.head, s.filled = nil, false, 0, 0
-	s.produced, s.limit = s.pos, s.pos
-	return true
-}
 
 // sizedSource is implemented by sources whose remaining length is known up
 // front; the sampled path needs it to lay out the window schedule.
@@ -323,10 +239,9 @@ type Result struct {
 	Counters *stats.Counters
 
 	// Telemetry carries host-simulator counters (cycle-skip activity:
-	// stats.CtrSkippedCycles, stats.CtrSkipJumps; sampling/checkpoint
-	// activity: stats.CtrSampledWindows, stats.CtrSampledWarmedRecords,
-	// stats.CtrCheckpointRestores, stats.CtrCheckpointSaves). They describe
-	// how the simulator executed, not what the simulated machine did, and
+	// stats.CtrSkippedCycles, stats.CtrSkipJumps; a sampled run's window,
+	// warming and checkpoint counts are in Sampling). They describe how
+	// the simulator executed, not what the simulated machine did, and
 	// are excluded from the JSON encoding so semantic results — golden
 	// files, cached campaign exports — are byte-identical whether cycle
 	// skipping was on or off.
@@ -362,7 +277,8 @@ type SamplingEstimate struct {
 	// CheckpointHits/Misses count warm-state restores vs fresh warms at
 	// window boundaries (always Misses == Windows when no store is wired).
 	// WarmedRecords counts trace records driven through functional
-	// warming (gap records skipped via checkpoint restore are excluded).
+	// warming (the gap records a checkpoint restore streams past are
+	// excluded).
 	// A pass over several configurations (RunPassContext) warms once:
 	// its first configuration reports these three, the others zero, so
 	// sums over a campaign count each pass once.
@@ -594,7 +510,12 @@ const frontendRefill = 20
 // every dependency (at most trace.MaxDepWindow back) of every in-flight
 // instruction to still be resident.
 func Run(cfg config.Config, benchmark string, src Source) Result {
-	return RunWithCheckpoints(cfg, benchmark, src, nil)
+	res, err := RunContext(nil, cfg, benchmark, src)
+	if err != nil {
+		// Unreachable: a nil context is never cancelled.
+		panic(err)
+	}
+	return res
 }
 
 // RunContext is Run with cancellation: the cycle loop (or, on the sampled
@@ -605,33 +526,22 @@ func RunContext(ctx context.Context, cfg config.Config, benchmark string, src So
 	return RunWithCheckpointsContext(ctx, cfg, benchmark, src, nil)
 }
 
-// RunWithCheckpoints is Run with an optional microarchitectural checkpoint
-// store. When the configuration carries a sampling schedule and the source
-// is long enough for at least one interval, the run goes through the
-// sampled fast path and the store is consulted/populated at
-// measurement-window boundaries; otherwise the store is ignored and the
-// run is exact, byte-identical to Run with Sampling == nil.
-func RunWithCheckpoints(cfg config.Config, benchmark string, src Source, ck Checkpoints) Result {
-	res, err := RunWithCheckpointsContext(nil, cfg, benchmark, src, ck)
-	if err != nil {
-		// Unreachable: a nil context is never cancelled.
-		panic(err)
-	}
-	return res
-}
-
-// RunWithCheckpointsContext is RunWithCheckpoints with cancellation (see
-// RunContext). The shadow burst machines of the sampled path run without
-// ctx — bursts are a few thousand instructions, shorter than one polling
-// interval — so cancellation lands between windows.
+// RunWithCheckpointsContext is RunContext with an optional
+// microarchitectural checkpoint store. When the configuration carries a
+// sampling schedule and the source is long enough for at least one
+// interval, the run goes through the sampled fast path and the store is
+// consulted/populated at measurement-window boundaries; otherwise the
+// store is ignored and the run is exact, byte-identical to Run with
+// Sampling == nil. The shadow burst machines of the sampled path run
+// without ctx — bursts are a few thousand instructions, shorter than one
+// polling interval — so cancellation lands between windows.
 func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark string, src Source, ck Checkpoints) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 	}
-	gen, _ := src.(*GenSource)
-	if gen != nil {
+	if gen, ok := src.(*GenSource); ok {
 		defer gen.stopProducer()
 	}
 	if s := cfg.Sampling; s != nil && !s.Valid() {
@@ -643,9 +553,6 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 			return Result{}, err
 		}
 		return res[0], nil
-	}
-	if gen != nil {
-		gen.allow(gen.N)
 	}
 	m := newMachine(cfg, core.New(cfg), src)
 	m.ctx = ctx

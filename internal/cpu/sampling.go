@@ -41,65 +41,28 @@ import (
 	"malec/internal/trace"
 )
 
-// SourceState is an opaque snapshot of a Source's position, carried inside
-// checkpoints so a restore can skip the fast-forwarded stretch of the
-// trace instead of replaying it.
-type SourceState struct {
-	// Gen is the generator snapshot for GenSource-backed runs.
-	Gen *trace.GeneratorState `json:",omitempty"`
-	// Pos is the number of records consumed (both source kinds).
-	Pos uint64
-}
-
-// statefulSource is implemented by sources whose position can be captured
-// and restored; RestoreState reports false when the snapshot does not fit
-// (e.g. a generator snapshot offered to a different source kind).
-// position is the number of records consumed, CaptureState().Pos without
-// the snapshot.
-type statefulSource interface {
-	CaptureState() SourceState
-	RestoreState(SourceState) bool
-	position() int
-}
-
-// Checkpoint is one warmed snapshot: the memory-side state at a trace
-// index, the stream counts up to it, and (when the source supports it) the
-// source position — everything needed to resume the functional-warming
-// trajectory at that index without touching the records before it.
+// Checkpoint is one warmed snapshot: the memory-side state at a record
+// count from the run's start and the stream counts up to it — everything
+// needed to resume the functional-warming trajectory there. A restore
+// still streams the records before it, unwarmed, so the source and the
+// instruction-mix counts stay exact.
 type Checkpoint struct {
 	Sys *core.SystemState
 	// Instructions/Loads/Stores count the records before the checkpoint.
 	Instructions uint64
 	Loads        uint64
 	Stores       uint64
-	// Src, when present, lets a restore skip record generation entirely.
-	Src *SourceState `json:",omitempty"`
-}
-
-// at reports whether the checkpoint was taken at record index n: its
-// instruction count, source position and generator index, when present,
-// must all equal n. A checkpoint failing this is damaged, and restoring
-// it would give wrong results or run the source dry; the run treats it as
-// a miss, warms the gap and overwrites it.
-func (ck *Checkpoint) at(n uint64) bool {
-	if ck.Instructions != n {
-		return false
-	}
-	if src := ck.Src; src != nil && (src.Pos != n || src.Gen != nil && src.Gen.Idx != n) {
-		return false
-	}
-	return true
 }
 
 // Checkpoints is an optional store of warmed snapshots, keyed by the
-// absolute trace-record index at which the snapshot was taken. A store
-// serves one trace (benchmark, seed) and one memory side: its owner keeps
-// the rest of the identity, so two core-side config variants over the
-// same trace share entries. malecbench's sampled-vs-exact comparison and
-// perfbench's cpu probe keep such a store in memory; the engine keeps
-// none, since a memory-side group already shares its warm state in one
-// pass. Load returns a snapshot that must not be mutated; Save takes
-// ownership of an immutable snapshot.
+// number of records from the run's start at which the snapshot was taken.
+// A store serves one trace (benchmark, seed, starting record) and one
+// memory side: its owner keeps that identity, so two core-side config
+// variants over the same trace share entries. malecbench's
+// sampled-vs-exact comparison and perfbench's cpu probe keep such a store
+// in memory; the engine keeps none, since a memory-side group already
+// shares its warm state in one pass. Load returns a snapshot that must not
+// be mutated; Save takes ownership of an immutable snapshot.
 type Checkpoints interface {
 	Load(n uint64) (*Checkpoint, bool)
 	Save(n uint64, ck *Checkpoint)
@@ -151,23 +114,10 @@ func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src
 	gap := interval - burst
 	nWin := total / interval
 
-	// Checkpoint indexes are absolute trace positions; a source that has
-	// already been partially consumed would alias them, so checkpointing is
-	// only engaged for sources starting at the beginning of the trace.
-	if ck != nil {
-		if sf, ok := src.(statefulSource); !ok || sf.position() != 0 {
-			ck = nil
-		}
-	}
-	if gen, ok := src.(*GenSource); ok && ck == nil {
-		// No checkpoint to stop at: generate the whole trace ahead.
-		gen.allow(gen.N)
-	}
-
 	sys := core.NewSystem(cfgs[0])
 	sys.SetWarming(true)
 
-	var hits, saves int
+	var hits int
 	rd := reader{src: src}
 	buf := make([]trace.Record, burst)
 	// Every burst of a configuration replays buf on its shadow and its
@@ -186,33 +136,20 @@ func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src
 				return nil, err
 			}
 		}
-		// Burst start, as an absolute record index: the checkpoint key.
+		// Burst start, in records from the run's start: the checkpoint key.
 		burstStart := uint64(k)*uint64(interval) + uint64(gap)
 
-		// Reach the burst start: restore a warmed snapshot if one exists —
-		// jumping the source state over the gap when the snapshot carries
-		// it, else streaming the gap records to keep the generator and the
-		// instruction-mix counts exact — otherwise warm the gap and capture.
-		// Each read asks for exactly the records before the burst start,
-		// so the source is positioned at it when the checkpoint is taken.
-		// A checkpoint that does not fit the system (damaged, or an older
-		// format) is a miss like one taken at the wrong position.
+		// Reach the burst start: restore a warmed snapshot if one exists,
+		// streaming the gap records unwarmed to keep the source and the
+		// instruction-mix counts exact; otherwise warm the gap and capture.
+		// A checkpoint taken at another count, or one that does not fit
+		// the system (damaged, or an older format), is a miss: the run
+		// warms the gap and overwrites it.
 		var st *core.SystemState
 		if ck != nil {
-			if got, ok := ck.Load(burstStart); ok && got.Sys != nil && got.at(burstStart) &&
+			if got, ok := ck.Load(burstStart); ok && got.Sys != nil && got.Instructions == burstStart &&
 				sys.RestoreState(got.Sys) == nil {
-				jumped := false
-				if got.Src != nil {
-					if sf, ok := src.(statefulSource); ok && sf.RestoreState(*got.Src) {
-						rd.instructions = got.Instructions
-						rd.loads = got.Loads
-						rd.stores = got.Stores
-						jumped = true
-					}
-				}
-				if !jumped {
-					rd.read(gap, nil, nil)
-				}
+				rd.read(gap, nil, nil)
 				st = got.Sys
 				hits++
 			}
@@ -221,13 +158,7 @@ func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src
 			rd.read(gap, sys, nil)
 			st = sys.CaptureState()
 			if ck != nil {
-				save := &Checkpoint{Sys: st, Instructions: rd.instructions, Loads: rd.loads, Stores: rd.stores}
-				if sf, ok := src.(statefulSource); ok {
-					ss := sf.CaptureState()
-					save.Src = &ss
-				}
-				ck.Save(burstStart, save)
-				saves++
+				ck.Save(burstStart, &Checkpoint{Sys: st, Instructions: rd.instructions, Loads: rd.loads, Stores: rd.stores})
 			}
 		}
 
@@ -290,19 +221,15 @@ func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src
 		// The primary's warming and checkpoint traffic are the pass's:
 		// the first configuration reports them, the others none. Each
 		// result gets its own copy of the primary's (untouched) counters.
-		ctr, warmed, pHits, pMisses, pSaves := sys.Ctr, rd.warmed, hits, nWin-hits, saves
+		ctr, warmed, pHits, pMisses := sys.Ctr, rd.warmed, hits, nWin-hits
 		if i > 0 {
 			ctr = stats.NewCounters()
 			ctr.Merge(sys.Ctr)
-			warmed, pHits, pMisses, pSaves = 0, 0, 0, 0
+			warmed, pHits, pMisses = 0, 0, 0
 		}
 		tel := stats.NewCounters()
 		tel.Add(stats.CtrSkippedCycles, p.skippedCycles)
 		tel.Add(stats.CtrSkipJumps, p.skipJumps)
-		tel.Add(stats.CtrSampledWindows, uint64(nWin))
-		tel.Add(stats.CtrSampledWarmedRecords, warmed)
-		tel.Add(stats.CtrCheckpointRestores, uint64(pHits))
-		tel.Add(stats.CtrCheckpointSaves, uint64(pSaves))
 
 		results[i] = Result{
 			Telemetry:     tel,

@@ -61,14 +61,6 @@ const (
 	CtrSkippedCycles
 	CtrSkipJumps
 
-	// Host-simulator telemetry: interval sampling and checkpointing
-	// activity. Like the cycle-skip counters these describe the simulator
-	// run, not the simulated machine, and report through Result.Telemetry.
-	CtrSampledWindows
-	CtrSampledWarmedRecords
-	CtrCheckpointRestores
-	CtrCheckpointSaves
-
 	// NumCounters is the number of defined counter IDs (array length for
 	// dense per-counter storage).
 	NumCounters
@@ -108,11 +100,6 @@ var counterNames = [NumCounters]string{
 
 	CtrSkippedCycles: "sim.skipped_cycles",
 	CtrSkipJumps:     "sim.skip_jumps",
-
-	CtrSampledWindows:       "sim.sampled_windows",
-	CtrSampledWarmedRecords: "sim.sampled_warmed_records",
-	CtrCheckpointRestores:   "sim.checkpoint_restores",
-	CtrCheckpointSaves:      "sim.checkpoint_saves",
 }
 
 // counterIDs is the inverse of counterNames, for the name-keyed API and
