@@ -124,6 +124,44 @@ type Config struct {
 	Sampling *Sampling `json:",omitempty"`
 }
 
+// MemSide is the subset of Config that determines the functional-warming
+// trajectory: the structures a warmed snapshot covers (caches, TLBs, page
+// table, way tables, stream detector) and the RNG seed driving their
+// replacement policies. Core-side parameters — pipeline widths, latencies,
+// buffer depths, energy ports, the sampling schedule itself — are
+// excluded, which is what lets a core-side parameter sweep warm up once:
+// a sampled pass warms one primary per distinct MemSide.
+type MemSide struct {
+	Seed           uint64
+	TLBEntries     int
+	UTLBEntries    int
+	WayDet         WayDetKind
+	WDUEntries     int
+	WDUPorts       int
+	ConstrainWays  bool
+	FeedbackUpdate bool
+	WTChunkLines   int
+	WTPoolFraction float64
+	Bypass         bool
+}
+
+// MemSide returns c's memory-side identity.
+func (c Config) MemSide() MemSide {
+	return MemSide{
+		Seed:           c.Seed,
+		TLBEntries:     c.TLBEntries,
+		UTLBEntries:    c.UTLBEntries,
+		WayDet:         c.WayDet,
+		WDUEntries:     c.WDUEntries,
+		WDUPorts:       c.WDUPorts,
+		ConstrainWays:  c.ConstrainWays,
+		FeedbackUpdate: c.FeedbackUpdate,
+		WTChunkLines:   c.WTChunkLines,
+		WTPoolFraction: c.WTPoolFraction,
+		Bypass:         c.Bypass,
+	}
+}
+
 // Sampling is the (warmup, detail, interval) schedule of one sampled run.
 // Each interval of Interval instructions ends with a measurement burst:
 // Warmup instructions run on the detailed core to absorb cold-start

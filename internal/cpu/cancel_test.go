@@ -72,7 +72,7 @@ func TestSampledRunContextCancelled(t *testing.T) {
 
 // TestGenSourceJoinedOnCancel cancels exact and sampled runs reading a
 // generate-ahead GenSource: each returns context.Canceled with its
-// producer already stopped, so no producer outlives the run.
+// helper already stopped, so no helper outlives the run.
 func TestGenSourceJoinedOnCancel(t *testing.T) {
 	sampled := config.MALEC()
 	sampled.Sampling = &config.Sampling{Interval: 1_000_000, Warmup: 2000, Detail: 8000}
@@ -85,10 +85,10 @@ func TestGenSourceJoinedOnCancel(t *testing.T) {
 			t.Fatalf("sampled=%v: err = %v, want the context's error", cfg.Sampling != nil, err)
 		}
 		src.mu.Lock()
-		running, produced := src.running, src.produced
+		running, produced := src.helping, src.generated
 		src.mu.Unlock()
 		if running || produced == 0 {
-			t.Fatalf("sampled=%v: producer running=%v after the run returned, %d records produced", cfg.Sampling != nil, running, produced)
+			t.Fatalf("sampled=%v: helper running=%v after the run returned, %d chunks generated", cfg.Sampling != nil, running, produced)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"malec/internal/buffers"
@@ -56,160 +57,229 @@ func (s *SliceSource) Next(max int) []trace.Record {
 // Remaining reports how many records are left (sampling schedule sizing).
 func (s *SliceSource) Remaining() int { return len(s.Records) - s.pos }
 
-// GenSource generates a trace of N records from Gen on a producer
-// goroutine, ahead of its reader, into a fixed ring of genRingSlots chunks
-// of genChunk records (512 KB), so a point never holds its whole trace.
-// The producer starts on the first Next and generates to the end of the
-// trace, as far ahead as the ring allows; it exits once the trace is
-// generated or when the run reading the source returns. A producer panic
-// re-panics in the reader's Next.
+// GenSource generates a trace of N records from Gen into a fixed ring of
+// genRingSlots chunks of genChunk records (512 KB), so no run holds its
+// whole trace. One or more readers consume the ring, each at its own pace:
+// Next reads through the source's own reader, and a sampled pass over two
+// memory sides gives each side a reader of its own. A slot is reused once
+// every open reader has released it. Whichever reader needs a chunk that
+// nobody has generated yet generates it under a claim, so readers share
+// generation without a goroutine of their own. A source read through Next
+// also starts one generate-only helper on the first Next, which generates
+// as far ahead as the ring allows and exits once the trace is generated or
+// when the run reading the source returns. A generation panic, in a
+// reader or in the helper, re-panics in every reader's next fetch.
 //
-// The producer goroutine earns its place: it overlaps trace generation
-// with functional warming, the two costs of a sampled point. On a 2-core
-// host, a GenSource that generated synchronously in Next passed every test
-// but cut perfbench's sweep-sampled throughput from a 14.9 to a 12.2
-// Minstr/s median (6 alternating pairs) and raised its setup_s about 20%.
+// The helper earns its place on a source with one reader: it overlaps
+// trace generation with functional warming, the two costs of a sampled
+// point. On a 2-core host, a GenSource that generated synchronously in
+// Next passed every test but cut perfbench's sweep-sampled throughput
+// from a 14.9 to a 12.2 Minstr/s median (6 alternating pairs) and raised
+// its setup_s about 20%. A pass over two memory sides runs none: its
+// sides warm on two goroutines and the side that runs ahead generates,
+// which overlaps generation with the other side's warming and keeps the
+// pass on two cores. That pass took sweep-sampled from 23.6 to 33.4
+// Minstr/s (10 of 10 pairs), while its slowest gap between finished
+// points (tail_ms), now ptrchase's unit, read 1,269 ms against 1,231 ms
+// for the ptrchase MALEC pass alone.
 type GenSource struct {
 	Gen *trace.Generator
 	N   int
 
-	// Reader side, touched only by the reader's goroutine.
-	pos     int            // records returned to the reader
-	cur     []trace.Record // unread rest of the slot being read
-	holding bool           // the reader holds ring slot head
-	chunk   int            // records per slot (0: genChunk)
-	wg      sync.WaitGroup // the running producer
+	own   genReader      // the reader behind Next
+	chunk int            // records per slot (0: genChunk)
+	hook  func()         // tests only: called after each chunk is generated
+	wg    sync.WaitGroup // the running helper
 
-	mu       sync.Mutex
-	cond     sync.Cond // signals every change below
-	ring     [genRingSlots][]trace.Record
-	lens     [genRingSlots]int
-	head     int // oldest filled slot
-	filled   int // slots filled and not yet released by the reader
-	produced int // records generated
-	running  bool
-	stop     bool
-	failure  any // the producer's panic value
+	mu        sync.Mutex
+	cond      sync.Cond // signals every change below
+	ring      [genRingSlots][]trace.Record
+	readers   []*genReader // open readers
+	generated int          // chunks generated
+	claimed   bool         // a chunk is being generated
+	helping   bool         // the helper is running
+	stop      bool         // the helper must exit
+	failure   any          // a generation panic's value
 }
 
 // genRingSlots and genChunk size GenSource's ring: four 8192-record slots
-// let the producer run a few chunks ahead of a reader that stalls on a
-// slow stretch, in 512 KB instead of the whole trace.
+// let generation run a few chunks ahead of a reader that stalls on a slow
+// stretch, in 512 KB instead of the whole trace.
 const (
 	genRingSlots = 4
 	genChunk     = 8192
 )
 
+// genReader is one reader of a GenSource's ring. pos and cur are touched
+// only by the reader's goroutine; done and holding are guarded by the
+// source's mu.
+type genReader struct {
+	s       *GenSource
+	pos     int            // records returned
+	cur     []trace.Record // unread rest of the chunk being read
+	done    int            // chunks released
+	holding bool           // the reader holds chunk done
+}
+
 // Next implements Source.
 func (s *GenSource) Next(max int) []trace.Record {
-	if len(s.cur) == 0 {
-		if s.pos >= s.N {
+	if s.own.s == nil {
+		s.attach(&s.own)
+	}
+	return s.own.Next(max)
+}
+
+// attach opens r at the first record, allocating the ring on first use. A
+// source is read either through Next or by the readers of one pass.
+func (s *GenSource) attach(r *genReader) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cond.L == nil {
+		s.cond.L = &s.mu
+		if s.chunk <= 0 {
+			s.chunk = genChunk
+		}
+		buf := make([]trace.Record, genRingSlots*s.chunk)
+		for i := range s.ring {
+			s.ring[i] = buf[i*s.chunk : (i+1)*s.chunk]
+		}
+	}
+	if s.own.s != nil || s.generated > 0 {
+		panic("cpu: a GenSource is read through Next or by the readers of one pass, from its first record")
+	}
+	r.s = s
+	s.readers = append(s.readers, r)
+}
+
+// Next implements Source.
+func (r *genReader) Next(max int) []trace.Record {
+	if len(r.cur) == 0 {
+		if r.pos >= r.s.N {
 			return nil
 		}
-		s.fetch()
+		r.fetch()
 	}
-	n := min(max, len(s.cur))
-	recs := s.cur[:n:n]
-	s.cur = s.cur[n:]
-	s.pos += n
+	n := min(max, len(r.cur))
+	recs := r.cur[:n:n]
+	r.cur = r.cur[n:]
+	r.pos += n
 	return recs
 }
 
-// fetch releases the slot the reader has finished, starts a producer if
-// none is running, and waits for the next filled slot.
-func (s *GenSource) fetch() {
+// fetch releases the chunk r has finished, starts the helper of a source
+// read through Next, and takes the next chunk, generating it if nobody
+// has and its slot is free.
+func (r *genReader) fetch() {
+	s := r.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.init()
-	if s.holding {
-		s.head = (s.head + 1) % genRingSlots
-		s.filled--
-		s.holding = false
+	if r.holding {
+		r.done++
+		r.holding = false
 		s.cond.Broadcast()
 	}
-	if !s.running && s.produced < s.N && s.failure == nil {
-		s.running = true
+	if r == &s.own && !s.helping && !s.stop && s.generated < s.chunks() && s.failure == nil {
+		s.helping = true
 		s.wg.Add(1)
-		go s.produce()
+		go s.help()
 	}
-	for s.filled == 0 {
-		if s.failure != nil {
+	for s.failure != nil || r.done >= s.generated {
+		switch {
+		case s.failure != nil:
 			panic(s.failure)
+		case !s.claimed && s.free(s.generated):
+			s.generate()
+		default:
+			s.cond.Wait()
 		}
-		s.cond.Wait()
 	}
-	s.cur = s.ring[s.head][:s.lens[s.head]]
-	s.holding = true
+	r.cur = s.ring[r.done%genRingSlots][:min(s.chunk, s.N-r.done*s.chunk)]
+	r.holding = true
 }
 
-// init allocates the ring on first use. Caller holds s.mu.
-func (s *GenSource) init() {
-	if s.cond.L != nil {
-		return
+// close releases every slot r holds or would hold: the other readers no
+// longer wait for it.
+func (r *genReader) close() {
+	s := r.s
+	s.mu.Lock()
+	s.readers = slices.DeleteFunc(s.readers, func(o *genReader) bool { return o == r })
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// chunks is the number of chunks in the trace. Caller holds s.mu.
+func (s *GenSource) chunks() int { return (s.N + s.chunk - 1) / s.chunk }
+
+// free reports whether chunk c's slot is free: every open reader has
+// released the chunk genRingSlots before it. Caller holds s.mu.
+func (s *GenSource) free(c int) bool {
+	for _, r := range s.readers {
+		if r.done+genRingSlots <= c {
+			return false
+		}
 	}
-	s.cond.L = &s.mu
-	if s.chunk <= 0 {
-		s.chunk = genChunk
+	return true
+}
+
+// generate fills the next chunk's slot under a claim, unlocked. A panic
+// becomes the source's failure and continues in the caller. Caller holds
+// s.mu, and the chunk is unclaimed with a free slot.
+func (s *GenSource) generate() {
+	slot := s.generated % genRingSlots
+	recs := s.ring[slot][:min(s.chunk, s.N-s.generated*s.chunk)]
+	s.claimed = true
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.claimed = false
+		s.cond.Broadcast()
+		if v := recover(); v != nil {
+			s.failure = v
+			panic(v)
+		}
+		s.generated++
+	}()
+	for i := range recs {
+		s.Gen.Fill(&recs[i])
 	}
-	buf := make([]trace.Record, genRingSlots*s.chunk)
-	for i := range s.ring {
-		s.ring[i] = buf[i*s.chunk : (i+1)*s.chunk]
+	if s.hook != nil {
+		s.hook()
 	}
 }
 
-// produce fills ring slots while free slots allow, and exits once the
-// trace is generated, on stopProducer, or on a panic, which it hands to
-// the reader.
-func (s *GenSource) produce() {
+// help generates chunks while their slots are free, and exits once the
+// trace is generated, on stopHelper, or on a generation panic, which the
+// reader re-panics.
+func (s *GenSource) help() {
 	defer s.wg.Done()
 	s.mu.Lock()
 	defer func() {
-		// Generation is the only unlocked step, so a panic arrives
-		// without the lock and every other exit with it.
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			s.failure = r
-		}
-		s.running = false
+		recover() // s.failure holds a generation panic for the reader
+		s.helping = false
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}()
-	for s.produced < s.N {
-		for !s.stop && s.filled == genRingSlots {
+	for s.generated < s.chunks() && !s.stop && s.failure == nil {
+		if s.claimed || !s.free(s.generated) {
 			s.cond.Wait()
+			continue
 		}
-		if s.stop {
-			return
-		}
-		slot := (s.head + s.filled) % genRingSlots
-		recs := s.ring[slot][:min(s.chunk, s.N-s.produced)]
-		s.mu.Unlock()
-		for i := range recs {
-			s.Gen.Fill(&recs[i])
-		}
-		s.mu.Lock()
-		s.lens[slot] = len(recs)
-		s.filled++
-		s.produced += len(recs)
-		s.cond.Broadcast()
+		s.generate()
 	}
 }
 
-// stopProducer stops the producer and waits for it to exit. A later Next
-// starts a new one where it left off.
-func (s *GenSource) stopProducer() {
+// stopHelper stops the helper for good and waits for it to exit: a later
+// Next generates for itself.
+func (s *GenSource) stopHelper() {
 	s.mu.Lock()
 	s.stop = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.mu.Lock()
-	s.stop = false
-	s.mu.Unlock()
 }
 
 // Remaining reports how many records are left (sampling schedule sizing).
-func (s *GenSource) Remaining() int { return s.N - s.pos }
+func (s *GenSource) Remaining() int { return s.N - s.own.pos }
 
 // sizedSource is implemented by sources whose remaining length is known up
 // front; the sampled path needs it to lay out the window schedule.
@@ -542,7 +612,7 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 		}
 	}
 	if gen, ok := src.(*GenSource); ok {
-		defer gen.stopProducer()
+		defer gen.stopHelper()
 	}
 	if s := cfg.Sampling; s != nil && !s.Valid() {
 		panic(fmt.Sprintf("cpu: invalid sampling schedule %+v (need Detail > 0, Warmup >= 0, Warmup+Detail <= Interval)", *s))

@@ -23,16 +23,23 @@ package cpu
 // checkpoints capture and restore.
 //
 // Because the primary does not depend on the core side, one pass serves
-// every configuration of a memory-side group: it warms the primary once
-// and, at each window, measures every configuration's burst from the same
-// captured state, one after another, each on its own shadow. The shadows
-// share one memory side (core.NewShadows), which each Restore rebinds to
-// its shadow, so a pass holds one primary and one shadow memory side
-// whatever its configuration count. A single run is a pass of one.
+// every configuration of a memory side: it warms the primary once and, at
+// each window, measures every configuration's burst from the same captured
+// state, one after another, each on its own shadow. The shadows share one
+// memory side (core.NewShadows), which each Restore rebinds to its shadow,
+// so a side holds one primary and one shadow memory side whatever its
+// configuration count. Neither does the trace depend on the memory side:
+// a pass over the configurations of one trace warms up to MaxPassSides
+// memory sides side by side, each on its own goroutine, reading one
+// generated record stream (a GenSource's readers). A single run is a pass
+// of one.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"malec/internal/config"
 	"malec/internal/core"
@@ -42,16 +49,14 @@ import (
 )
 
 // Checkpoint is one warmed snapshot: the memory-side state at a record
-// count from the run's start and the stream counts up to it — everything
-// needed to resume the functional-warming trajectory there. A restore
-// still streams the records before it, unwarmed, so the source and the
-// instruction-mix counts stay exact.
+// count from the run's start — everything needed to resume the
+// functional-warming trajectory there. A restore still streams the
+// records before it, unwarmed, so the source and the instruction-mix
+// counts stay exact.
 type Checkpoint struct {
 	Sys *core.SystemState
-	// Instructions/Loads/Stores count the records before the checkpoint.
+	// Instructions counts the records before the checkpoint.
 	Instructions uint64
-	Loads        uint64
-	Stores       uint64
 }
 
 // Checkpoints is an optional store of warmed snapshots, keyed by the
@@ -60,19 +65,31 @@ type Checkpoint struct {
 // memory side: its owner keeps that identity, so two core-side config
 // variants over the same trace share entries. malecbench's
 // sampled-vs-exact comparison and perfbench's cpu probe keep such a store
-// in memory; the engine keeps none, since a memory-side group already
-// shares its warm state in one pass. Load returns a snapshot that must not
-// be mutated; Save takes ownership of an immutable snapshot.
+// in memory; the engine keeps none, since the configurations of a memory
+// side already share their warm state in one pass. Load returns a
+// snapshot that must not be mutated; Save takes ownership of an immutable
+// snapshot.
 type Checkpoints interface {
 	Load(n uint64) (*Checkpoint, bool)
 	Save(n uint64, ck *Checkpoint)
 }
 
+// MaxPassSides is the most memory sides one pass warms. Each side warms on
+// its own goroutine, and a pass of one side runs its source's
+// generate-ahead helper beside it, so a pass never runs more than two
+// goroutines.
+const MaxPassSides = 2
+
 // RunPassContext runs one sampled pass over src for cfgs, which must share
-// their memory side and a sampling schedule that src covers at least
-// once, and returns their results in order. Each result is the one
+// a sampling schedule that src covers at least once, and returns their
+// results in order. The configurations of each memory side
+// (config.MemSide) share one warmed primary; cfgs may hold at most
+// MaxPassSides memory sides, which warm side by side, each reading the
+// whole of src, which must then be a GenSource. Each result is the one
 // RunContext gives for its configuration alone, except that only the
-// first reports the pass's warming and checkpoint counts.
+// first configuration of each memory side reports that side's warming and
+// checkpoint counts. A panic on any side stops the others at their next
+// window and re-panics here once every side has returned.
 func RunPassContext(ctx context.Context, cfgs []config.Config, benchmark string, src Source) ([]Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -80,15 +97,92 @@ func RunPassContext(ctx context.Context, cfgs []config.Config, benchmark string,
 		}
 	}
 	if gen, ok := src.(*GenSource); ok {
-		defer gen.stopProducer()
+		defer gen.stopHelper()
 	}
 	total := src.(sizedSource).Remaining()
-	for _, cfg := range cfgs {
+	var (
+		sides []config.MemSide
+		at    [][]int // the indexes in cfgs of each side's configurations
+	)
+	for i, cfg := range cfgs {
 		if !Sampled(cfg, total) || *cfg.Sampling != *cfgs[0].Sampling {
 			panic(fmt.Sprintf("cpu: %s does not take a sampled pass over %d records with the schedule of %s", cfg.Name, total, cfgs[0].Name))
 		}
+		k := slices.Index(sides, cfg.MemSide())
+		if k < 0 {
+			k = len(sides)
+			sides, at = append(sides, cfg.MemSide()), append(at, nil)
+		}
+		at[k] = append(at[k], i)
 	}
-	return runSampled(ctx, cfgs, benchmark, src, total, nil)
+	switch {
+	case len(sides) > MaxPassSides:
+		panic(fmt.Sprintf("cpu: a pass takes at most %d memory sides, not %d", MaxPassSides, len(sides)))
+	case len(sides) == 1:
+		return runSampled(ctx, cfgs, benchmark, src, total, nil)
+	}
+	return runSides(ctx, cfgs, at, benchmark, src, total)
+}
+
+// runSides runs the sampled pass of each memory side, side k taking the
+// configurations cfgs[i] for i in at[k]: side 0 on the calling goroutine,
+// the others on goroutines of their own, each over its own reader of src,
+// which must be a GenSource. A panic cancels the other sides and
+// re-panics once all have returned.
+func runSides(ctx context.Context, cfgs []config.Config, at [][]int, benchmark string, src Source, total int) ([]Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	gen, ok := src.(*GenSource)
+	if !ok {
+		panic(fmt.Sprintf("cpu: a pass shares a GenSource between memory sides, not a %T", src))
+	}
+	readers := make([]*genReader, len(at))
+	for k := range readers {
+		readers[k] = &genReader{}
+		gen.attach(readers[k])
+	}
+	results := make([]Result, len(cfgs))
+	errs := make([]error, len(at))
+	panics := make([]any, len(at))
+	side := func(k int) {
+		defer func() {
+			if panics[k] = recover(); panics[k] != nil {
+				cancel()
+			}
+		}()
+		defer readers[k].close()
+		mine := make([]config.Config, len(at[k]))
+		for n, i := range at[k] {
+			mine[n] = cfgs[i]
+		}
+		res, err := runSampled(ctx, mine, benchmark, readers[k], total, nil)
+		errs[k] = err
+		for n, i := range at[k][:len(res)] {
+			results[i] = res[n]
+		}
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < len(at); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			side(k)
+		}()
+	}
+	side(0)
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // sampledPoint is one configuration's side of a pass: its machine and the
@@ -158,7 +252,7 @@ func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src
 			rd.read(gap, sys, nil)
 			st = sys.CaptureState()
 			if ck != nil {
-				ck.Save(burstStart, &Checkpoint{Sys: st, Instructions: rd.instructions, Loads: rd.loads, Stores: rd.stores})
+				ck.Save(burstStart, &Checkpoint{Sys: st, Instructions: rd.instructions})
 			}
 		}
 

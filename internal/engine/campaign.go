@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -67,6 +68,36 @@ func (s CampaignSpec) normalize(engineWorkers int) (CampaignSpec, error) {
 		s.Workers = engineWorkers
 	}
 	return s, nil
+}
+
+// distinct rejects a spec that lists one configuration (by digest), one
+// benchmark or one seed twice, which would expand one key into two jobs.
+// Fresh campaigns check it; a replayed journal, accepted before the check,
+// runs as it was accepted.
+func (s CampaignSpec) distinct() error {
+	if i := repeated(s.Configs, ConfigDigest); i >= 0 {
+		return fmt.Errorf("engine: config %q is repeated", s.Configs[i].Name)
+	}
+	if i := repeated(s.Benchmarks, func(b string) string { return b }); i >= 0 {
+		return fmt.Errorf("engine: benchmark %q is repeated", s.Benchmarks[i])
+	}
+	if i := repeated(s.Seeds, func(x uint64) uint64 { return x }); i >= 0 {
+		return fmt.Errorf("engine: seed %d is repeated", s.Seeds[i])
+	}
+	return nil
+}
+
+// repeated returns the index of the first element of xs whose key an
+// earlier element shares, or -1.
+func repeated[T any, K comparable](xs []T, key func(T) K) int {
+	seen := make(map[K]bool, len(xs))
+	for i, x := range xs {
+		if seen[key(x)] {
+			return i
+		}
+		seen[key(x)] = true
+	}
+	return -1
 }
 
 // Job is one expanded simulation point of a campaign.
@@ -143,6 +174,9 @@ func (e *Engine) RunCampaignContext(ctx context.Context, spec CampaignSpec) (*Ca
 		ctx = context.Background()
 	}
 	spec, err := spec.normalize(cap(e.sem))
+	if err == nil {
+		err = spec.distinct()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -198,6 +232,72 @@ func jobBackoff(attempt int) time.Duration {
 	return d/2 + rand.N(d/2+1)
 }
 
+// workload is a (benchmark, seed): the trace every job of it reads.
+type workload struct {
+	bench string
+	seed  uint64
+}
+
+// feedUnits lists the units runJobs feeds, as job indexes in feed order,
+// with each workload's jobs and the workloads' summed arena length.
+//
+// Units are grouped by workload: every configuration sharing one trace
+// runs back to back, so the trace cache's reuse distance is the config
+// count, not the whole grid. Workloads keep first-seen order (the
+// deterministic expansion order), so full grids feed exactly as before. A
+// unit is one job, or, when the engine runs its own simulator, a trace
+// unit: the sampled jobs that share the workload, instruction count and
+// schedule, over at most cpu.MaxPassSides memory sides. A trace with more
+// memory sides is split into units of that many. A trace unit takes the
+// place of its first job.
+func (e *Engine) feedUnits(jobs []Job) (units [][]int, buckets map[workload][]int, arena int) {
+	type unitKey struct {
+		w            workload
+		instructions int
+		sampling     config.Sampling
+		part         int // the trace's memory sides, cpu.MaxPassSides a part
+	}
+	var order []workload
+	buckets = make(map[workload][]int)
+	for i, j := range jobs {
+		w := workload{j.Benchmark, j.Seed}
+		if _, ok := buckets[w]; !ok {
+			order = append(order, w)
+			arena += j.Instructions
+		}
+		buckets[w] = append(buckets[w], i)
+	}
+	var (
+		at    map[unitKey]int
+		sides map[unitKey][]config.MemSide // a trace's memory sides, at part 0
+	)
+	for _, w := range order {
+		b := buckets[w]
+		for k, i := range b {
+			j := &jobs[i]
+			if e.passes && cpu.Sampled(j.Config, j.Instructions) {
+				if at == nil {
+					at, sides = make(map[unitKey]int), make(map[unitKey][]config.MemSide)
+				}
+				g := unitKey{w: w, instructions: j.Instructions, sampling: *j.Config.Sampling}
+				side := slices.Index(sides[g], j.Config.MemSide())
+				if side < 0 {
+					side = len(sides[g])
+					sides[g] = append(sides[g], j.Config.MemSide())
+				}
+				g.part = side / cpu.MaxPassSides
+				if u, ok := at[g]; ok {
+					units[u] = append(units[u], i)
+					continue
+				}
+				at[g] = len(units)
+			}
+			units = append(units, b[k:k+1:k+1])
+		}
+	}
+	return units, buckets, arena
+}
+
 // runJobs executes an arbitrary job list through the engine with bounded
 // worker parallelism and bounded per-job retries. onDone is invoked
 // exactly once per job — serialized, in completion order — with the
@@ -205,13 +305,14 @@ func jobBackoff(attempt int) time.Duration {
 // for jobs cut off mid-flight; attempts counts the retries the job
 // consumed.
 //
-// The unit of work is a job, or a memory-side group: the sampled jobs
-// that share (MemSideDigest, benchmark, seed, instructions, sampling
-// schedule), when the engine runs its own simulator. One worker takes a
-// group whole and computes its missing keys in one sampled pass
-// (startPass), which warms the memory side once and measures every
-// configuration on the same windows; the groups spread over the workers.
-// A retry re-runs the group's failed keys as a new pass.
+// The unit of work is a job, or a trace unit (feedUnits): the sampled
+// jobs of one trace when the engine runs its own simulator. One worker
+// takes a unit whole and computes its missing keys in one sampled pass
+// (startPass), which generates the trace once and warms each of the
+// unit's memory sides once, side by side, measuring every configuration
+// on the same windows; the units spread over the workers. A pass runs
+// two goroutines, so Workers bounds CPUs at twice its value. A retry
+// re-runs the unit's failed keys as a new pass.
 //
 // The feed groups units by (benchmark, seed) so every configuration
 // sharing one workload runs back to back. When the groups' arenas
@@ -229,57 +330,10 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 	if retries < 0 {
 		retries = 0
 	}
-	// Feed units grouped by (benchmark, seed): every configuration sharing
-	// one workload runs back to back, so the trace cache's reuse distance
-	// is the config count, not the whole grid. Buckets keep first-seen
-	// order (the deterministic expansion order), so full grids feed
-	// exactly as before; a memory-side group takes the place of its first
-	// job. left counts each bucket's jobs not yet finished (guarded by
-	// doneMu); arena sums the buckets' arena lengths.
-	type workload struct {
-		bench string
-		seed  uint64
-	}
-	type groupKey struct {
-		w            workload
-		memDigest    string
-		instructions int
-		sampling     config.Sampling
-	}
-	var order []workload
-	buckets := make(map[workload][]int)
-	arena := 0
-	for i, j := range jobs {
-		w := workload{j.Benchmark, j.Seed}
-		if _, ok := buckets[w]; !ok {
-			order = append(order, w)
-			arena += j.Instructions
-		}
-		buckets[w] = append(buckets[w], i)
-	}
-	left := make(map[workload]int, len(order))
-	var (
-		units [][]int // job indexes; more than one only for a group
-		at    map[groupKey]int
-	)
-	for _, w := range order {
-		b := buckets[w]
+	units, buckets, arena := e.feedUnits(jobs)
+	left := make(map[workload]int, len(buckets))
+	for w, b := range buckets {
 		left[w] = len(b)
-		for k, i := range b {
-			j := &jobs[i]
-			if e.passes && cpu.Sampled(j.Config, j.Instructions) {
-				g := groupKey{w, MemSideDigest(j.Config), j.Instructions, *j.Config.Sampling}
-				if u, ok := at[g]; ok {
-					units[u] = append(units[u], i)
-					continue
-				}
-				if at == nil {
-					at = make(map[groupKey]int)
-				}
-				at[g] = len(units)
-			}
-			units = append(units, b[k:k+1:k+1])
-		}
 	}
 	dropArenas := arena > smallCampaignRecords
 
@@ -296,8 +350,8 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 			e.traces.Drop(w.bench, w.seed)
 		}
 	}
-	// run runs one unit: each attempt starts a pass for a group's keys
-	// still missing, then waits on every job of the unit in order. A
+	// run runs one unit: each attempt starts a pass for a trace unit's
+	// keys still missing, then waits on every job of the unit in order. A
 	// single job, or one the pass left out, goes through RunContext.
 	run := func(unit []Job) {
 		for attempt := 0; len(unit) > 0; attempt++ {

@@ -160,6 +160,9 @@ func (m *CampaignManager) Start(spec CampaignSpec) (*CampaignRun, error) {
 		spec.Retries = defaultRetries
 	}
 	spec, err := spec.normalize(m.eng.Workers())
+	if err == nil {
+		err = spec.distinct()
+	}
 	if err != nil {
 		return nil, err
 	}

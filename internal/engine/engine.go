@@ -60,7 +60,7 @@ type Options struct {
 	MaxCacheEntries int
 	// Simulate overrides the simulation function (tests only). Campaigns
 	// then run every point on its own: only the engine's own simulator
-	// runs a memory-side group as one sampled pass.
+	// runs a trace unit as one sampled pass.
 	Simulate SimulateFunc
 }
 
@@ -150,9 +150,10 @@ type Stats struct {
 	Running int `json:"running"`
 	// CheckpointHits, CheckpointMisses and CheckpointBytesWritten are
 	// always zero and have no /metrics series: the engine keeps no
-	// warmed-checkpoint store, since a campaign's memory-side group
-	// already shares its warm state in one sampled pass. They remain only
-	// because perfbench reads them, and go once it stops.
+	// warmed-checkpoint store, since a campaign's configurations of one
+	// memory side already share their warm state in one sampled pass.
+	// They remain only because perfbench reads them, and go once it
+	// stops.
 	CheckpointHits         uint64 `json:"checkpointHits"`
 	CheckpointMisses       uint64 `json:"checkpointMisses"`
 	CheckpointBytesWritten uint64 `json:"checkpointBytesWritten"`
@@ -222,7 +223,7 @@ type flight struct {
 type Engine struct {
 	simulate SimulateFunc
 	// passes is set when simulate is simulateTrace: campaigns then run
-	// each memory-side group of sampled jobs as one pass (runJobs).
+	// each trace unit of sampled jobs as one pass (runJobs).
 	passes   bool
 	cacheDir string
 	sem      chan struct{} // bounds concurrent simulations
@@ -271,8 +272,8 @@ func New(opts Options) *Engine {
 // within the trace budget reads its trace from the shared arena, which
 // every configuration of the workload reads, and releases it when the
 // run returns; on a miss the point generates the arena before it
-// simulates. One over the budget generates its own trace ahead on a
-// cpu.GenSource's producer. A sampled point is a pass of one.
+// simulates. One over the budget reads a cpu.GenSource, whose helper
+// generates ahead of it. A sampled point is a pass of one.
 func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
 	if cpu.Sampled(cfg, instructions) {
 		res, err := e.simulatePass(ctx, []config.Config{cfg}, benchmark, instructions, seed)
@@ -285,14 +286,17 @@ func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark
 		defer release()
 		return cpu.RunContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs})
 	}
-	// RunContext joins the source's producer before it returns, so the
+	// RunContext joins the source's helper before it returns, so the
 	// worker slot bounds it.
 	return cpu.RunContext(ctx, cfg, benchmark, genSource(benchmark, seed, instructions))
 }
 
 // simulatePass runs one sampled pass (cpu.RunPassContext) for cfgs over a
-// trace generated ahead, in a ring of a fixed size, on a cpu.GenSource's
-// producer: a pass reads each record once, so it holds no arena.
+// cpu.GenSource: a pass over two memory sides warms them on two
+// goroutines that share the source's fixed ring and generate into it
+// whichever runs ahead; a pass over one side reads it beside the source's
+// generate-ahead helper. Either way the pass generates its trace once,
+// runs two goroutines inside its worker slot, and holds no arena.
 func (e *Engine) simulatePass(ctx context.Context, cfgs []config.Config, benchmark string, instructions int, seed uint64) ([]cpu.Result, error) {
 	return cpu.RunPassContext(ctx, cfgs, benchmark, genSource(benchmark, seed, instructions))
 }
@@ -477,8 +481,8 @@ func (e *Engine) release() {
 	<-e.sem
 }
 
-// startPass starts one sampled pass (runPass) for the jobs, a memory-side
-// group of sampled jobs, whose keys are neither resident, quarantined nor
+// startPass starts one sampled pass (runPass) for the jobs, a trace unit
+// of sampled jobs, whose keys are neither resident, quarantined nor
 // in flight. It returns each job's call, nil for a job left to the
 // per-point path (RunContext: a memory hit, a quarantined key, or a join).
 // The caller is one waiter on each call, and must wait on every one.

@@ -525,6 +525,37 @@ func TestCampaignRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsRepeats checks that a spec naming a configuration, a
+// benchmark or a seed twice is rejected with an error naming the repeat,
+// by RunCampaign and by a campaign manager, before any job runs.
+func TestCampaignRejectsRepeats(t *testing.T) {
+	base1, malec := config.Base1ldst(), config.MALEC()
+	cases := []struct {
+		spec CampaignSpec
+		want string
+	}{
+		{CampaignSpec{Configs: []config.Config{malec, base1, malec}, Benchmarks: []string{"gzip"}},
+			`engine: config "MALEC" is repeated`},
+		{CampaignSpec{Configs: []config.Config{malec}, Benchmarks: []string{"gzip", "mcf", "gzip"}},
+			`engine: benchmark "gzip" is repeated`},
+		{CampaignSpec{Configs: []config.Config{malec}, Benchmarks: []string{"gzip"}, Seeds: []uint64{7, 7}},
+			`engine: seed 7 is repeated`},
+	}
+	e := New(Options{Simulate: plain(stubResult)})
+	m := NewCampaignManager(e, CampaignManagerOptions{})
+	for _, c := range cases {
+		if _, err := e.RunCampaign(c.spec); err == nil || err.Error() != c.want {
+			t.Errorf("RunCampaign: err %v, want %q", err, c.want)
+		}
+		if _, err := m.Start(c.spec); err == nil || err.Error() != c.want {
+			t.Errorf("Start: err %v, want %q", err, c.want)
+		}
+	}
+	if st := e.Stats(); st.Lookups() != 0 {
+		t.Fatalf("stats %+v: a rejected campaign ran jobs", st)
+	}
+}
+
 func TestResultJSONRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation")

@@ -133,46 +133,11 @@ var (
 	retiredFields = []byte(`"DisableCycleSkip":false,"DisableWakeup":false,"DisableMemIndex":false,`)
 )
 
-// memSideIdentity is the subset of config.Config that determines the
-// functional-warming trajectory and therefore the contents of a warmed
-// checkpoint: the structures a snapshot covers (caches, TLBs, page table,
-// way tables, stream detector) and the RNG seed driving their replacement
-// policies. Core-side parameters — pipeline widths, latencies, buffer
-// depths, energy ports, the sampling schedule itself — are excluded, which
-// is what lets a core-side parameter sweep warm up once.
-type memSideIdentity struct {
-	Seed           uint64
-	TLBEntries     int
-	UTLBEntries    int
-	WayDet         config.WayDetKind
-	WDUEntries     int
-	WDUPorts       int
-	ConstrainWays  bool
-	FeedbackUpdate bool
-	WTChunkLines   int
-	WTPoolFraction float64
-	Bypass         bool
-}
-
 // MemSideDigest returns the 8-hex-character digest of a configuration's
-// memory-side identity. Sampled jobs of one campaign that share it, the
-// workload, the instruction count and the schedule form one memory-side
-// group, which runJobs runs as one pass that warms once.
+// memory-side identity (config.MemSide): configurations that differ only
+// core-side share it, and a sampled pass warms each once.
 func MemSideDigest(cfg config.Config) string {
-	id := memSideIdentity{
-		Seed:           cfg.Seed,
-		TLBEntries:     cfg.TLBEntries,
-		UTLBEntries:    cfg.UTLBEntries,
-		WayDet:         cfg.WayDet,
-		WDUEntries:     cfg.WDUEntries,
-		WDUPorts:       cfg.WDUPorts,
-		ConstrainWays:  cfg.ConstrainWays,
-		FeedbackUpdate: cfg.FeedbackUpdate,
-		WTChunkLines:   cfg.WTChunkLines,
-		WTPoolFraction: cfg.WTPoolFraction,
-		Bypass:         cfg.Bypass,
-	}
-	enc, err := json.Marshal(id)
+	enc, err := json.Marshal(cfg.MemSide())
 	if err != nil {
 		panic("engine: mem-side identity not serializable: " + err.Error())
 	}

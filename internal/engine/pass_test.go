@@ -1,13 +1,15 @@
 package engine
 
-// Tests for sampled passes: a campaign computes each memory-side group of
-// sampled jobs in one pass that warms once, while every key keeps the
-// engine's per-key contract (joins, cancellation, panics, retries).
+// Tests for sampled passes: a campaign computes each trace unit of sampled
+// jobs in one pass that generates the trace once and warms each of its
+// memory sides once, while every key keeps the engine's per-key contract
+// (joins, cancellation, panics, retries).
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,9 +18,9 @@ import (
 )
 
 // passTestSpec is a sampled grid of the five Fig. 4 configurations, which
-// fall into two memory-side groups per workload (the three baselines and
-// the two MALEC configurations), over benchmarks x seeds, at three
-// 20k-instruction windows a point.
+// fall into two memory sides (the three baselines and the two MALEC
+// configurations) and so one trace unit per workload, over benchmarks x
+// seeds, at three 20k-instruction windows a point.
 func passTestSpec(benchmarks []string, seeds []uint64) CampaignSpec {
 	cfgs := config.Fig4Configs()
 	for i := range cfgs {
@@ -44,31 +46,57 @@ func passCounts(c *Campaign) (warmed uint64, hits, misses int) {
 	return warmed, hits, misses
 }
 
-// TestCampaignWarmsEachGroupOnce checks that a sampled campaign warms each
-// memory-side group's trace exactly once at every worker count: the
-// summed WarmedRecords is groups x instructions, and each pass warms
-// every one of its three windows and restores none.
+// TestCampaignWarmsEachGroupOnce checks that a sampled campaign runs each
+// trace as one unit over both memory sides, and warms each memory side of
+// each trace exactly once at every worker count: the summed WarmedRecords
+// is sides x traces x instructions, and each side warms every one of its
+// three windows and restores none. With a third memory side (MALECBypass)
+// each trace splits into a unit of two sides and a unit of one.
 func TestCampaignWarmsEachGroupOnce(t *testing.T) {
-	spec := passTestSpec([]string{"gzip", "ptrchase"}, []uint64{1, 2})
-	const groups = 2 * 2 * 2 // benchmarks x seeds x memory sides
-	for _, workers := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			spec := spec
-			spec.Workers = workers
-			e := New(Options{Workers: workers})
-			c, err := e.RunCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warmed, hits, misses := passCounts(c)
-			if want := uint64(groups * spec.Instructions); warmed != want {
-				t.Fatalf("campaign warmed %d records, want %d (groups x instructions)", warmed, want)
-			}
-			if st := e.Stats(); st.Simulations != uint64(len(c.Results)) || hits != 0 || misses != groups*3 {
-				t.Fatalf("simulations %d, checkpoint hits/misses %d/%d; want %d, 0/%d",
-					st.Simulations, hits, misses, len(c.Results), groups*3)
-			}
-		})
+	fig4 := passTestSpec([]string{"gzip", "ptrchase"}, []uint64{1, 2})
+	bypass := config.MALECBypass()
+	bypass.Sampling = fig4.Configs[0].Sampling
+	threeSides := fig4
+	threeSides.Configs = append(slices.Clone(fig4.Configs), bypass)
+	const traces = 2 * 2 // benchmarks x seeds
+	for _, c := range []struct {
+		name      string // subtest prefix
+		spec      CampaignSpec
+		sides     int
+		unitSizes []int // jobs per unit of one trace, in feed order
+	}{
+		{"", fig4, 2, []int{5}},
+		{"three-sides-", threeSides, 3, []int{5, 1}},
+	} {
+		e := New(Options{})
+		units, _, _ := e.feedUnits(c.spec.expand())
+		var sizes []int
+		for _, u := range units {
+			sizes = append(sizes, len(u))
+		}
+		if want := slices.Repeat(c.unitSizes, traces); !slices.Equal(sizes, want) {
+			t.Fatalf("%sunits of %v jobs, want %v", c.name, sizes, want)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%sworkers=%d", c.name, workers), func(t *testing.T) {
+				spec := c.spec
+				spec.Workers = workers
+				e := New(Options{Workers: workers})
+				camp, err := e.RunCampaign(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				warmed, hits, misses := passCounts(camp)
+				groups := traces * c.sides
+				if want := uint64(groups * spec.Instructions); warmed != want {
+					t.Fatalf("campaign warmed %d records, want %d (sides x traces x instructions)", warmed, want)
+				}
+				if st := e.Stats(); st.Simulations != uint64(len(camp.Results)) || hits != 0 || misses != groups*3 {
+					t.Fatalf("simulations %d, checkpoint hits/misses %d/%d; want %d, 0/%d",
+						st.Simulations, hits, misses, len(camp.Results), groups*3)
+				}
+			})
+		}
 	}
 }
 
@@ -91,7 +119,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // keys in flight until the test lets it run.
 func TestRunJoinsRunningPass(t *testing.T) {
 	spec := passTestSpec([]string{"gzip"}, []uint64{1})
-	spec.Configs = spec.Configs[:3] // the baselines: one memory-side group
+	spec.Configs = spec.Configs[:3] // the baselines: one memory side
 	spec.Workers = 1
 
 	t.Run("joined", func(t *testing.T) {
@@ -161,13 +189,12 @@ func TestRunJoinsRunningPass(t *testing.T) {
 	})
 }
 
-// TestPassPanicFailsEachKey checks that a panic inside a pass (here the
-// injected simulation panic) fails every key of the pass with a
-// *SimPanicError naming that key and quarantines each key, and that a
-// retry re-runs the failed keys as one pass.
+// TestPassPanicFailsEachKey checks that a panic inside a pass over both
+// memory sides (here the injected simulation panic) fails every key of
+// the pass with a *SimPanicError naming that key and quarantines each key,
+// and that a retry re-runs the failed keys as one pass over both sides.
 func TestPassPanicFailsEachKey(t *testing.T) {
 	spec := passTestSpec([]string{"mcf"}, []uint64{1})
-	spec.Configs = spec.Configs[3:] // the MALEC configurations: one group
 	spec.Workers = 1
 	jobs := spec.expand()
 	e := New(Options{Workers: 1})
@@ -185,8 +212,8 @@ func TestPassPanicFailsEachKey(t *testing.T) {
 			t.Fatalf("%s: err %v, want a *SimPanicError naming %s", j.ConfigName, failed[j.Key], j.Key)
 		}
 	}
-	if st := e.Stats(); st.Panics != 2 || st.PoisonedKeys != 2 || st.Simulations != 0 {
-		t.Fatalf("stats %+v: want 2 panics, 2 poisoned keys, 0 simulations", st)
+	if st := e.Stats(); st.Panics != 5 || st.PoisonedKeys != 5 || st.Simulations != 0 {
+		t.Fatalf("stats %+v: want 5 panics, 5 poisoned keys, 0 simulations", st)
 	}
 
 	spec.Retries = 1
@@ -194,10 +221,10 @@ func TestPassPanicFailsEachKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retried campaign: %v", err)
 	}
-	if got, _, _ := passCounts(c); got != uint64(spec.Instructions) {
-		t.Fatalf("retry warmed %d records, want %d: the keys were not re-run as one pass", got, spec.Instructions)
+	if got, _, _ := passCounts(c); got != 2*uint64(spec.Instructions) {
+		t.Fatalf("retry warmed %d records, want %d: the keys were not re-run as one pass over both sides", got, 2*spec.Instructions)
 	}
-	if st := e.Stats(); st.Simulations != 2 || st.PoisonedKeys != 0 {
-		t.Fatalf("stats %+v: want 2 simulations and no poisoned key", st)
+	if st := e.Stats(); st.Simulations != 5 || st.PoisonedKeys != 0 {
+		t.Fatalf("stats %+v: want 5 simulations and no poisoned key", st)
 	}
 }

@@ -15,9 +15,11 @@ import (
 // benchmark's sweep-sampled workload (the five Fig. 4 configurations with
 // DefaultSampling over gzip, mcf and ptrchase, 5M instructions, one seed)
 // on a fresh engine with no cache directory, at one and at two workers,
-// and reports the process CPU time beside the wall time: with several
-// workers, memory-side groups run side by side, so CPU time shows work
-// that wall time hides. Run it with
+// and reports the process CPU time beside the wall time. Each trace is
+// one unit whose pass warms its two memory sides on two goroutines, so
+// one worker already keeps two cores busy and CPU time exceeds wall time
+// at either worker count; a second worker adds little wall-time gain on a
+// 2-core host, and CPU time shows work that wall time hides. Run it with
 //
 //	go test -run '^$' -bench CampaignSampledWorkers2 -benchtime 1x -count 3 ./internal/engine
 func BenchmarkCampaignSampledWorkers2(b *testing.B) {

@@ -152,3 +152,22 @@ func TestAddrString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestPageSetSlotsAt16KPages pins the set's size at ptrchase's footprint:
+// 16,384 pages fit in 32,768 slots, because the set doubles at half
+// occupancy, and a Reset to that size keeps them.
+func TestPageSetSlotsAt16KPages(t *testing.T) {
+	const pages = 16384
+	var s PageSet
+	s.Reset(4096)
+	for p := PageID(0); p < pages; p++ {
+		s.Add(p * 7)
+	}
+	if s.Len() != pages || len(s.slots) != 2*pages {
+		t.Fatalf("%d pages in %d slots, want %d in %d", s.Len(), len(s.slots), pages, 2*pages)
+	}
+	s.Reset(2 * pages)
+	if len(s.slots) != 2*pages || s.Len() != 0 {
+		t.Fatalf("Reset to %d slots left %d slots and %d pages", 2*pages, len(s.slots), s.Len())
+	}
+}

@@ -2,8 +2,8 @@ package mem
 
 // PageSet is a growable open-addressed PageID set used where a Go map is
 // measurable on a hot path (page-table frame bookkeeping): key and presence are fused in one slot
-// so a probe touches a single cache line, and the table grows 4x at half
-// occupancy to keep rehash passes rare for large footprints.
+// so a probe touches a single cache line, and the table doubles at half
+// occupancy, as the page table's map does (tlb.ptInitialSlots).
 type PageSet struct {
 	slots []pageSetEntry
 	n     int
@@ -51,7 +51,7 @@ func (s *PageSet) Has(k PageID) bool {
 func (s *PageSet) Add(k PageID) {
 	if 2*(s.n+1) > len(s.slots) {
 		old := s.slots
-		s.init(4 * len(old))
+		s.init(2 * len(old))
 		for i := range old {
 			if old[i].used {
 				s.Add(old[i].key)

@@ -40,7 +40,7 @@ func bodyCases(grid bool) []bodyCase {
 		field, bad = `"configs":["`, `{"configs":["NoSuch"]}`
 		point = `"configs":["MALEC"],"benchmarks":["gzip"]`
 	}
-	return []bodyCase{
+	cases := []bodyCase{
 		{"oversized", "{" + field + strings.Repeat("x", maxBodyBytes+1) + `"}`,
 			http.StatusRequestEntityTooLarge, "request body exceeds 1048576 bytes"},
 		{"unknown field", `{"bogus":1}`,
@@ -66,6 +66,18 @@ func bodyCases(grid bool) []bodyCase {
 		{"trailing bytes", bad + ` {"more":`,
 			http.StatusBadRequest, `unknown config "NoSuch" (see /v1/configs)`},
 	}
+	if grid {
+		// A repeated grid entry would expand one key into two jobs.
+		cases = append(cases,
+			bodyCase{"repeated config", `{"configs":["MALEC","Base1ldst","MALEC"],"benchmarks":["gzip"]}`,
+				http.StatusBadRequest, `engine: config "MALEC" is repeated`},
+			bodyCase{"repeated benchmark", `{"configs":["MALEC"],"benchmarks":["gzip","mcf","gzip"]}`,
+				http.StatusBadRequest, `engine: benchmark "gzip" is repeated`},
+			bodyCase{"repeated seed", `{"configs":["MALEC"],"benchmarks":["gzip"],"instructions":30000,"seeds":[7,7]}`,
+				http.StatusBadRequest, `engine: seed 7 is repeated`},
+		)
+	}
+	return cases
 }
 
 func TestRequestBodyErrors(t *testing.T) {

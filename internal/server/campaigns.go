@@ -71,8 +71,9 @@ func (s *Server) resolveGrid(req *campaignRequest) ([]config.Config, error) {
 		cfg.Sampling = req.Sampling
 		cfgs = append(cfgs, cfg)
 	}
-	// Unknown benchmarks are rejected by CampaignSpec.normalize — no
-	// duplicate validation here, so the two can't drift.
+	// Unknown benchmarks and repeated configs, benchmarks and seeds are
+	// rejected by CampaignSpec's validation — no duplicate validation
+	// here, so the two can't drift.
 	if req.Instructions <= 0 {
 		req.Instructions = engine.DefaultInstructions
 	}

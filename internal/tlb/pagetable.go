@@ -34,7 +34,7 @@ func NewPageTable() *PageTable {
 func (pt *PageTable) reset(pages int) {
 	slots := ptInitialSlots
 	for 2*pages > slots {
-		slots *= 4
+		slots *= 2
 	}
 	pt.fwd.reset(slots)
 	pt.used.Reset(slots)
@@ -78,10 +78,13 @@ func (pt *PageTable) TranslateAddr(va mem.Addr) mem.Addr {
 	return mem.MakeAddr(pt.Translate(va.Page()), va.PageOffset())
 }
 
-// ptInitialSlots is the initial open-addressed table size. Tables grow
-// 4x at half occupancy: large-footprint workloads (tlbthrash, ptrchase)
-// map tens of thousands of pages per run, and fewer growth steps mean
-// fewer full rehashes on the walk path.
+// ptInitialSlots is the initial open-addressed table size. Tables double
+// at half occupancy, so a table of n pages holds at most 4n slots: at 4x
+// growth ptrchase's 16,384 pages took 65,536 slots, and with a sampled
+// pass warming two memory sides side by side, two such tables and their
+// page sets pushed sweep-sampled's peak RSS past its bound. Doubling
+// rehashes once more per run on large-footprint workloads (tlbthrash,
+// ptrchase) and left fig4-exact's throughput inside its bound.
 const ptInitialSlots = 4096
 
 // ptHash spreads page IDs over a power-of-two table.
@@ -139,7 +142,7 @@ func (m *ptMap) get(k mem.PageID) (mem.PageID, bool) {
 func (m *ptMap) put(k, v mem.PageID, seq uint32) {
 	if 2*(m.n+1) > len(m.slots) {
 		old := m.slots
-		m.init(4 * len(old))
+		m.init(2 * len(old))
 		for i := range old {
 			if old[i].seq != 0 {
 				m.put(old[i].key, old[i].val, old[i].seq)

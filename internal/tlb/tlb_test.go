@@ -212,3 +212,22 @@ func TestStatsMissRate(t *testing.T) {
 		t.Fatal("zero stats MissRate should be 0")
 	}
 }
+
+// TestPageTableSlotsAt16KPages pins the page table's size at ptrchase's
+// footprint: 16,384 pages fit in 32,768 slots, whether the table grows
+// page by page or a restore sizes it, because tables double at half
+// occupancy (65,536 slots when they grew 4x).
+func TestPageTableSlotsAt16KPages(t *testing.T) {
+	const pages = 16384
+	pt := NewPageTable()
+	for v := mem.PageID(0); v < pages; v++ {
+		pt.Translate(v)
+	}
+	sized := NewPageTable()
+	sized.reset(pages)
+	for name, got := range map[string]int{"grown": len(pt.fwd.slots), "sized": len(sized.fwd.slots)} {
+		if got != 2*pages {
+			t.Errorf("%s table of %d pages holds %d slots, want %d", name, pages, got, 2*pages)
+		}
+	}
+}
