@@ -63,35 +63,19 @@ func samplingInfoOf(s *cpu.SamplingEstimate) *samplingInfo {
 	}
 }
 
-// mapCheckpoints is a process-local checkpoint store for the compare mode:
-// the cold sampled run saves into it, and the warm run of the same
-// configuration restores from it, which measures what a stored warm state
-// saves a core-side variant.
-type mapCheckpoints map[uint64]*cpu.Checkpoint
-
-func (m mapCheckpoints) Load(n uint64) (*cpu.Checkpoint, bool) { ck, ok := m[n]; return ck, ok }
-func (m mapCheckpoints) Save(n uint64, ck *cpu.Checkpoint)     { m[n] = ck }
-
 // sampledCompareRow is one configuration's exact-vs-sampled differential.
 type sampledCompareRow struct {
-	Config             string  `json:"config"`
-	ExactCycles        uint64  `json:"exact_cycles"`
-	SampledCycles      uint64  `json:"sampled_cycles"`
-	CycleErrPct        float64 `json:"cycle_err_pct"`
-	EnergyErrPct       float64 `json:"energy_err_pct"`
-	ExactSeconds       float64 `json:"exact_seconds"`
-	SampledSeconds     float64 `json:"sampled_seconds"`
-	Speedup            float64 `json:"speedup"`
-	ExactInstrPerSec   float64 `json:"exact_instr_per_sec"`
-	SampledInstrPerSec float64 `json:"sampled_instr_per_sec"`
-	// Warm* measure a second sampled run that restores the warmed
-	// checkpoints the first one saved: the per-run cost of a core-side
-	// variant given a stored warm state.
-	WarmSeconds     float64       `json:"warm_seconds"`
-	WarmSpeedup     float64       `json:"warm_speedup"`
-	WarmInstrPerSec float64       `json:"warm_instr_per_sec"`
-	WarmHits        int           `json:"warm_checkpoint_hits"`
-	Sampling        *samplingInfo `json:"sampling"`
+	Config             string        `json:"config"`
+	ExactCycles        uint64        `json:"exact_cycles"`
+	SampledCycles      uint64        `json:"sampled_cycles"`
+	CycleErrPct        float64       `json:"cycle_err_pct"`
+	EnergyErrPct       float64       `json:"energy_err_pct"`
+	ExactSeconds       float64       `json:"exact_seconds"`
+	SampledSeconds     float64       `json:"sampled_seconds"`
+	Speedup            float64       `json:"speedup"`
+	ExactInstrPerSec   float64       `json:"exact_instr_per_sec"`
+	SampledInstrPerSec float64       `json:"sampled_instr_per_sec"`
+	Sampling           *samplingInfo `json:"sampling"`
 }
 
 // sampledCompareReport is the JSON document -sampled-compare prints.
@@ -128,22 +112,15 @@ func runSampledCompare(benchmark string, instructions int, seed uint64, sch conf
 
 		scfg := cfg
 		scfg.Sampling = &sch
-		ckpts := mapCheckpoints{}
 		prof := trace.Profiles[benchmark]
-		// run times one sampled run over a fresh generator; the first
-		// saves a checkpoint at every window, the second restores them.
-		run := func() (cpu.Result, time.Duration) {
-			t := time.Now()
-			res, err := cpu.RunWithCheckpointsContext(context.Background(), scfg, benchmark,
-				&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions}, ckpts)
-			if err != nil {
-				// Unreachable: the context is never cancelled.
-				panic(err)
-			}
-			return res, time.Since(t)
+		ts := time.Now()
+		sampled, err := cpu.RunContext(context.Background(), scfg, benchmark,
+			&cpu.GenSource{Gen: trace.NewGenerator(prof, seed), N: instructions})
+		if err != nil {
+			// Unreachable: the context is never cancelled.
+			panic(err)
 		}
-		sampled, sampledDur := run()
-		warm, warmDur := run()
+		sampledDur := time.Since(ts)
 
 		cycleErr := 100 * (float64(sampled.Cycles) - float64(exact.Cycles)) / float64(exact.Cycles)
 		energyErr := 100 * (sampled.Energy.Total() - exact.Energy.Total()) / exact.Energy.Total()
@@ -158,22 +135,7 @@ func runSampledCompare(benchmark string, instructions int, seed uint64, sch conf
 			Speedup:            exactDur.Seconds() / sampledDur.Seconds(),
 			ExactInstrPerSec:   float64(exact.Instructions) / exactDur.Seconds(),
 			SampledInstrPerSec: float64(sampled.Instructions) / sampledDur.Seconds(),
-			WarmSeconds:        warmDur.Seconds(),
-			WarmSpeedup:        exactDur.Seconds() / warmDur.Seconds(),
-			WarmInstrPerSec:    float64(warm.Instructions) / warmDur.Seconds(),
 			Sampling:           samplingInfoOf(sampled.Sampling),
-		}
-		if warm.Sampling != nil {
-			row.WarmHits = warm.Sampling.CheckpointHits
-		}
-		if warm.Cycles != sampled.Cycles || warm.Instructions != sampled.Instructions {
-			fmt.Fprintf(os.Stderr, "malecbench: %s checkpoint-warm run diverged: cycles %d vs %d, instructions %d vs %d\n",
-				cfg.Name, warm.Cycles, sampled.Cycles, warm.Instructions, sampled.Instructions)
-			ok = false
-		}
-		if row.WarmHits == 0 {
-			fmt.Fprintf(os.Stderr, "malecbench: %s warm run restored no checkpoints\n", cfg.Name)
-			ok = false
 		}
 		if row.Sampling == nil {
 			fmt.Fprintf(os.Stderr, "malecbench: %s did not take the sampled path (n=%d < interval=%d?)\n",

@@ -340,8 +340,11 @@ type SamplingEstimate struct {
 	// are nil and left out of the JSON encoding.
 	CPIMean         float64
 	CPIRelHalfWidth *float64 `json:",omitempty"`
-	// EnergyMean is the mean total dynamic energy per instruction (pJ)
-	// across windows; EnergyRelHalfWidth is its relative 95% half-width.
+	// EnergyMean is the mean total energy per instruction (pJ) across
+	// windows: a window's sample is its dynamic energy per instruction
+	// plus the configuration's leakage per cycle times the window's CPI,
+	// so EnergyMean times Instructions is Energy.Total() to within one
+	// cycle's leakage. EnergyRelHalfWidth is its relative 95% half-width.
 	EnergyMean         float64
 	EnergyRelHalfWidth *float64 `json:",omitempty"`
 	// CheckpointHits/Misses count warm-state restores vs fresh warms at

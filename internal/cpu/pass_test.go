@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -247,5 +248,26 @@ func TestGenSourceCloseReleasesSlots(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the remaining reader waited on the closed reader's slots")
+	}
+}
+
+// TestEnergySamplesCoverTotalEnergy checks that a sampled estimate's
+// energy samples are of total energy, leakage included: for every
+// configuration of a pass over both memory sides, EnergyMean times
+// Instructions is Energy.Total() to within one cycle's leakage, the
+// rounding of the estimated cycle count.
+func TestEnergySamplesCoverTotalEnergy(t *testing.T) {
+	cfgs := passConfigs(chunkTestSchedule())
+	res, err := RunPassContext(nil, cfgs, "gzip", cancelSource("gzip", 2, chunkTestRecords))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		leak := r.Energy.TotalLeakage() / float64(r.Cycles)
+		got := r.Sampling.EnergyMean * float64(r.Instructions)
+		if d := math.Abs(got - r.Energy.Total()); !(d <= leak) {
+			t.Errorf("%s: EnergyMean x Instructions = %.1f pJ, Energy.Total() = %.1f pJ: %.1f apart, more than one cycle's leakage (%.3f pJ)",
+				cfgs[i].Name, got, r.Energy.Total(), d, leak)
+		}
 	}
 }

@@ -6,7 +6,7 @@ package cpu
 // warming (core.System.WarmLoad/WarmStore — full memory-side state
 // machine, no cycle accounting), and a short detailed burst at the end of
 // each interval is measured cycle-accurately on a throwaway machine. The
-// per-window CPI and dynamic-energy-per-instruction samples extrapolate to
+// per-window CPI and energy-per-instruction samples extrapolate to
 // whole-run cycles and energy, with 95% confidence intervals reported in
 // Result.Sampling.
 //
@@ -311,6 +311,15 @@ func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src
 			epiMean += mean
 		}
 		eb.Leakage = shadows[i].Meter().Finish(estCycles).Leakage
+		// The energy samples are of total energy per instruction: each
+		// window's dynamic EPI plus the leakage its CPI costs. Leakage is
+		// linear in cycles, so the mean sample times the instruction
+		// count is eb.Total() to within the rounding of estCycles.
+		leak := shadows[i].Meter().Finish(1).TotalLeakage()
+		for k := range p.epi {
+			p.epi[k] += leak * p.cpi[k]
+		}
+		epiMean += leak * cpiMean
 
 		// The primary's warming and checkpoint traffic are the pass's:
 		// the first configuration reports them, the others none. Each

@@ -245,12 +245,11 @@ type workload struct {
 // runs back to back, so the trace cache's reuse distance is the config
 // count, not the whole grid. Workloads keep first-seen order (the
 // deterministic expansion order), so full grids feed exactly as before. A
-// unit is one job, or, when the engine runs its own simulator, a trace
-// unit: the sampled jobs that share the workload, instruction count and
-// schedule, over at most cpu.MaxPassSides memory sides. A trace with more
-// memory sides is split into units of that many. A trace unit takes the
-// place of its first job.
-func (e *Engine) feedUnits(jobs []Job) (units [][]int, buckets map[workload][]int, arena int) {
+// unit is an exact job on its own, or a trace unit: the sampled jobs that
+// share the workload, instruction count and schedule, over at most
+// cpu.MaxPassSides memory sides. A trace with more memory sides is split
+// into units of that many. A trace unit takes the place of its first job.
+func feedUnits(jobs []Job) (units [][]int, buckets map[workload][]int, arena int) {
 	type unitKey struct {
 		w            workload
 		instructions int
@@ -275,7 +274,7 @@ func (e *Engine) feedUnits(jobs []Job) (units [][]int, buckets map[workload][]in
 		b := buckets[w]
 		for k, i := range b {
 			j := &jobs[i]
-			if e.passes && cpu.Sampled(j.Config, j.Instructions) {
+			if cpu.Sampled(j.Config, j.Instructions) {
 				if at == nil {
 					at, sides = make(map[unitKey]int), make(map[unitKey][]config.MemSide)
 				}
@@ -305,14 +304,14 @@ func (e *Engine) feedUnits(jobs []Job) (units [][]int, buckets map[workload][]in
 // for jobs cut off mid-flight; attempts counts the retries the job
 // consumed.
 //
-// The unit of work is a job, or a trace unit (feedUnits): the sampled
-// jobs of one trace when the engine runs its own simulator. One worker
-// takes a unit whole and computes its missing keys in one sampled pass
-// (startPass), which generates the trace once and warms each of the
-// unit's memory sides once, side by side, measuring every configuration
-// on the same windows; the units spread over the workers. A pass runs
-// two goroutines, so Workers bounds CPUs at twice its value. A retry
-// re-runs the unit's failed keys as a new pass.
+// The unit of work is a unit of feedUnits: an exact job, or the sampled
+// jobs of one trace. One worker takes a unit whole and computes its
+// missing keys in one flight (startPass), which for a trace unit is one
+// sampled pass that generates the trace once and warms each of the unit's
+// memory sides once, side by side, measuring every configuration on the
+// same windows; the units spread over the workers. A pass runs two
+// goroutines, so Workers bounds CPUs at twice its value. A retry re-runs
+// the unit's failed keys as a new flight.
 //
 // The feed groups units by (benchmark, seed) so every configuration
 // sharing one workload runs back to back. When the groups' arenas
@@ -330,7 +329,7 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 	if retries < 0 {
 		retries = 0
 	}
-	units, buckets, arena := e.feedUnits(jobs)
+	units, buckets, arena := feedUnits(jobs)
 	left := make(map[workload]int, len(buckets))
 	for w, b := range buckets {
 		left[w] = len(b)
@@ -350,21 +349,20 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 			e.traces.Drop(w.bench, w.seed)
 		}
 	}
-	// run runs one unit: each attempt starts a pass for a trace unit's
-	// keys still missing, then waits on every job of the unit in order. A
-	// single job, or one the pass left out, goes through RunContext.
+	// run runs one unit: each attempt starts a flight for the unit's keys
+	// still missing, then waits on every job of the unit in order. A job
+	// the flight left out goes through RunContext.
 	run := func(unit []Job) {
 		for attempt := 0; len(unit) > 0; attempt++ {
-			var calls []*call
-			if len(unit) > 1 {
-				calls = e.startPass(ctx, unit)
-			}
+			e.mu.Lock()
+			calls := e.startPass(ctx, unit)
+			e.mu.Unlock()
 			var failed []Job
 			for i, j := range unit {
 				var res cpu.Result
 				var src Source
 				var err error
-				if calls != nil && calls[i] != nil {
+				if calls[i] != nil {
 					res, src, err = e.wait(ctx, calls[i], "")
 				} else {
 					res, src, err = e.RunContext(ctx, j.Config, j.Benchmark, j.Instructions, j.Seed)

@@ -37,11 +37,14 @@ import (
 	"malec/internal/trace"
 )
 
-// SimulateFunc computes the result of one simulation point under the
-// in-flight job's context, which is cancelled once every caller has
-// abandoned the key. The default runs the simulator; tests substitute
-// stubs to observe scheduling and cancellation.
-type SimulateFunc func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error)
+// SimulateFunc computes the results of one unit of jobs, one result per
+// job in order, under the unit's flight context, which is cancelled once
+// every caller has abandoned the unit's keys. The jobs share a benchmark,
+// an instruction count and a seed: a single point is a unit of one, and a
+// campaign's sampled jobs of one trace form one unit (feedUnits). The
+// default runs the simulator; tests substitute stubs to observe
+// scheduling, cancellation and panics.
+type SimulateFunc func(ctx context.Context, jobs []Job) ([]cpu.Result, error)
 
 // Options configures an Engine. The zero value is usable.
 type Options struct {
@@ -58,9 +61,8 @@ type Options struct {
 	// means unbounded — appropriate for one-shot campaigns; long-lived
 	// processes should set a bound.
 	MaxCacheEntries int
-	// Simulate overrides the simulation function (tests only). Campaigns
-	// then run every point on its own: only the engine's own simulator
-	// runs a trace unit as one sampled pass.
+	// Simulate overrides the simulation function (tests only). It sees
+	// the same units the engine's own simulator does.
 	Simulate SimulateFunc
 }
 
@@ -209,8 +211,8 @@ type call struct {
 	err  error
 }
 
-// flight is the cancellation scope of one running simulation: one point's,
-// or a sampled pass's (runPass), which all the keys it computes share.
+// flight is the cancellation scope of one running unit (runPass), which
+// all the keys it computes share.
 // waiters counts the callers still waiting on any of its keys (guarded by
 // Engine.mu); the last one to abandon cancels the flight.
 type flight struct {
@@ -222,9 +224,6 @@ type flight struct {
 // safe for concurrent use.
 type Engine struct {
 	simulate SimulateFunc
-	// passes is set when simulate is simulateTrace: campaigns then run
-	// each trace unit of sampled jobs as one pass (runJobs).
-	passes   bool
 	cacheDir string
 	sem      chan struct{} // bounds concurrent simulations
 	traces   *trace.Cache  // shared materialized traces
@@ -262,43 +261,45 @@ func New(opts Options) *Engine {
 	e.traces = trace.NewCache(traceCacheRecords)
 	e.simulate = opts.Simulate
 	if e.simulate == nil {
-		e.simulate = e.simulateTrace
-		e.passes = true
+		e.simulate = e.simulateUnit
 	}
 	return e
 }
 
-// simulateTrace is the default simulation function. An exact point
-// within the trace budget reads its trace from the shared arena, which
-// every configuration of the workload reads, and releases it when the
-// run returns; on a miss the point generates the arena before it
+// simulateUnit is the default simulation function. A unit of one exact
+// point within the trace budget reads its trace from the shared arena,
+// which every configuration of the workload reads, and releases it when
+// the run returns; on a miss the point generates the arena before it
 // simulates. One over the budget reads a cpu.GenSource, whose helper
-// generates ahead of it. A sampled point is a pass of one.
-func (e *Engine) simulateTrace(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-	if cpu.Sampled(cfg, instructions) {
-		res, err := e.simulatePass(ctx, []config.Config{cfg}, benchmark, instructions, seed)
-		if err != nil {
-			return cpu.Result{}, err
+// generates ahead of it. Any other unit, sampled, runs as one pass
+// (cpu.RunPassContext) over a GenSource: a pass over two memory sides
+// warms them on two goroutines that share the source's fixed ring and
+// generate into it whichever runs ahead; a pass over one side reads it
+// beside the source's generate-ahead helper. Either way a unit generates
+// its trace once and runs at most two goroutines inside its worker slot.
+// RunContext and RunPassContext join the source's helper before they
+// return, so the worker slot bounds it.
+func (e *Engine) simulateUnit(ctx context.Context, jobs []Job) ([]cpu.Result, error) {
+	j := &jobs[0]
+	if len(jobs) > 1 || cpu.Sampled(j.Config, j.Instructions) {
+		cfgs := make([]config.Config, len(jobs))
+		for i := range jobs {
+			cfgs[i] = jobs[i].Config
 		}
-		return res[0], nil
+		return cpu.RunPassContext(ctx, cfgs, j.Benchmark, genSource(j.Benchmark, j.Seed, j.Instructions))
 	}
-	if recs, release := e.traces.Records(benchmark, seed, instructions); recs != nil {
+	var src cpu.Source
+	if recs, release := e.traces.Records(j.Benchmark, j.Seed, j.Instructions); recs != nil {
 		defer release()
-		return cpu.RunContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs})
+		src = &cpu.SliceSource{Records: recs}
+	} else {
+		src = genSource(j.Benchmark, j.Seed, j.Instructions)
 	}
-	// RunContext joins the source's helper before it returns, so the
-	// worker slot bounds it.
-	return cpu.RunContext(ctx, cfg, benchmark, genSource(benchmark, seed, instructions))
-}
-
-// simulatePass runs one sampled pass (cpu.RunPassContext) for cfgs over a
-// cpu.GenSource: a pass over two memory sides warms them on two
-// goroutines that share the source's fixed ring and generate into it
-// whichever runs ahead; a pass over one side reads it beside the source's
-// generate-ahead helper. Either way the pass generates its trace once,
-// runs two goroutines inside its worker slot, and holds no arena.
-func (e *Engine) simulatePass(ctx context.Context, cfgs []config.Config, benchmark string, instructions int, seed uint64) ([]cpu.Result, error) {
-	return cpu.RunPassContext(ctx, cfgs, benchmark, genSource(benchmark, seed, instructions))
+	res, err := cpu.RunContext(ctx, j.Config, j.Benchmark, src)
+	if err != nil {
+		return nil, err
+	}
+	return []cpu.Result{res}, nil
 }
 
 // genSource returns a GenSource over the first instructions records of
@@ -315,13 +316,13 @@ func genSource(benchmark string, seed uint64, instructions int) *cpu.GenSource {
 func (e *Engine) Workers() int { return cap(e.sem) }
 
 // RunContext returns the result of one simulation point, computing it at
-// most once per key across all concurrent callers. The work runs on a
-// detached goroutine: ctx cancellation detaches this caller immediately,
-// and the underlying simulation is only cancelled once every caller
-// interested in the key has gone away — a cancelled waiter on a deduped
-// job never cancels or poisons the result for the others. A simulation
-// panic is returned as *SimPanicError to every caller and the key is
-// quarantined: subsequent calls fail fast without re-running it.
+// most once per key across all concurrent callers. A miss runs the point as
+// a unit of one (startPass) on a detached goroutine: ctx cancellation
+// detaches this caller immediately, and the unit is only cancelled once
+// every caller interested in the key has gone away — a cancelled waiter on
+// a deduped key never cancels or poisons the result for the others. A
+// simulation panic is returned as *SimPanicError to every caller and the
+// key is quarantined: subsequent calls fail fast without re-running it.
 func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, Source, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -354,14 +355,12 @@ func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark st
 			}
 			return res, src, err
 		}
-		// The job's context is detached from the initiating caller's: it
-		// is cancelled by the last waiter leaving, not by any one
-		// caller's disconnect.
-		jobCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-		c := &call{done: make(chan struct{}), fl: &flight{cancel: cancel, waiters: 1}}
-		e.inflight[key] = c
+		c := e.startPass(ctx, []Job{{Config: cfg, ConfigName: cfg.Name, Benchmark: benchmark,
+			Instructions: instructions, Seed: seed, Key: key}})[0]
 		e.mu.Unlock()
-		go e.runJob(jobCtx, c, key, cfg, benchmark, instructions, seed)
+		if c == nil {
+			continue // ctx is done: the check above returns its error
+		}
 		return e.wait(ctx, c, "")
 	}
 }
@@ -394,15 +393,6 @@ func (e *Engine) wait(ctx context.Context, c *call, joinedSrc Source) (cpu.Resul
 	return c.res, c.src, nil
 }
 
-// runJob owns the key until c.done closes: it executes the point under the
-// job context, publishes the outcome, and updates the caches and counters.
-// Runs on its own goroutine.
-func (e *Engine) runJob(ctx context.Context, c *call, key Key, cfg config.Config, benchmark string, instructions int, seed uint64) {
-	defer c.fl.cancel()
-	res, src, err := e.execute(ctx, key, cfg, benchmark, instructions, seed)
-	e.finish(key, c, res, src, err)
-}
-
 // finish publishes one key's outcome on its call: it leaves the in-flight
 // table, a result enters the cache, a panic poisons the key, and the
 // counters are updated.
@@ -428,25 +418,6 @@ func (e *Engine) finish(key Key, c *call, res cpu.Result, src Source, err error)
 	c.res, c.src, c.err = res, src, err
 	e.mu.Unlock()
 	close(c.done)
-}
-
-// execute resolves one point: disk store first, then a worker slot and the
-// simulator. The slot acquisition honors cancellation, so abandoned jobs
-// never consume simulation capacity.
-func (e *Engine) execute(ctx context.Context, key Key, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, Source, error) {
-	if res, ok := e.loadDisk(key); ok {
-		return res, SourceDisk, nil
-	}
-	if err := e.acquire(ctx); err != nil {
-		return cpu.Result{}, "", err
-	}
-	defer e.release()
-	res, err := e.invoke(ctx, key, cfg, benchmark, instructions, seed)
-	if err != nil {
-		return cpu.Result{}, "", err
-	}
-	e.saveDisk(key, res)
-	return res, SourceSimulated, nil
 }
 
 // acquire takes a worker slot, then sleeps any injected latency. Both
@@ -481,26 +452,29 @@ func (e *Engine) release() {
 	<-e.sem
 }
 
-// startPass starts one sampled pass (runPass) for the jobs, a trace unit
-// of sampled jobs, whose keys are neither resident, quarantined nor
-// in flight. It returns each job's call, nil for a job left to the
-// per-point path (RunContext: a memory hit, a quarantined key, or a join).
-// The caller is one waiter on each call, and must wait on every one.
+// startPass launches the one flight (runPass) of a unit's jobs whose keys
+// are neither resident, quarantined nor in flight, and returns each job's
+// call: nil for a job it leaves to RunContext (a memory hit, a quarantined
+// key or a join), and for every job once ctx is done. The flight's context
+// is detached from ctx: the last waiter leaving cancels it, not any one
+// caller's disconnect. The caller holds e.mu, is one waiter on each call
+// it gets, and must wait on every one.
 func (e *Engine) startPass(ctx context.Context, jobs []Job) []*call {
 	calls := make([]*call, len(jobs))
 	if ctx.Err() != nil {
 		return calls
 	}
+	var fl *flight
 	var mine []Job
 	var mineCalls []*call
-	jobCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	fl := &flight{cancel: cancel}
-	e.mu.Lock()
 	for i, j := range jobs {
 		_, resident := e.results.get(j.Key)
 		_, poisoned := e.poisoned.get(j.Key)
 		if _, running := e.inflight[j.Key]; resident || poisoned || running {
 			continue
+		}
+		if fl == nil {
+			fl = &flight{}
 		}
 		c := &call{done: make(chan struct{}), fl: fl}
 		e.inflight[j.Key] = c
@@ -509,21 +483,20 @@ func (e *Engine) startPass(ctx context.Context, jobs []Job) []*call {
 		mine = append(mine, j)
 		mineCalls = append(mineCalls, c)
 	}
-	e.mu.Unlock()
-	if len(mine) == 0 {
-		cancel()
-		return calls
+	if fl != nil {
+		var jobCtx context.Context
+		jobCtx, fl.cancel = context.WithCancel(context.WithoutCancel(ctx))
+		go e.runPass(jobCtx, fl, mine, mineCalls)
 	}
-	go e.runPass(jobCtx, fl, mine, mineCalls)
 	return calls
 }
 
-// runPass owns the keys of jobs until their calls are done: a key found
-// on disk is served from it, and the rest are computed in one sampled
-// pass (simulatePass) in one worker slot. Each key keeps its own result,
-// disk entry and counters. A panic, in the pass or injected, fails every
-// key it computes with a *SimPanicError naming that key. Runs on its own
-// goroutine.
+// runPass owns the keys of jobs, one unit, until their calls are done: a
+// key found on disk is served from it, and the rest are computed by one
+// simulate call (invokePass) in one worker slot, whose acquisition honors
+// cancellation. Each key keeps its own result, disk entry and counters. A
+// panic, in the simulation or injected, fails every key the call computes
+// with a *SimPanicError naming that key. Runs on its own goroutine.
 func (e *Engine) runPass(ctx context.Context, fl *flight, jobs []Job, calls []*call) {
 	defer fl.cancel()
 	n := 0
@@ -559,8 +532,10 @@ func (e *Engine) runPass(ctx context.Context, fl *flight, jobs []Job, calls []*c
 	}
 }
 
-// invokePass is invoke for a pass over jobs: a panic becomes a
-// *SimPanicError without a key, which runPass copies for each key.
+// invokePass runs the simulator over jobs with panic containment: a
+// panicking unit (model bug, injected fault) becomes a *SimPanicError
+// without a key, which runPass copies for each key, instead of unwinding
+// the goroutine and killing the process.
 func (e *Engine) invokePass(ctx context.Context, jobs []Job) (res []cpu.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -570,26 +545,7 @@ func (e *Engine) invokePass(ctx context.Context, jobs []Job) (res []cpu.Result, 
 	if faultinject.SimPanic.Fire() {
 		panic("faultinject: injected simulation panic")
 	}
-	cfgs := make([]config.Config, len(jobs))
-	for i := range jobs {
-		cfgs[i] = jobs[i].Config
-	}
-	return e.simulatePass(ctx, cfgs, jobs[0].Benchmark, jobs[0].Instructions, jobs[0].Seed)
-}
-
-// invoke runs the simulator with panic containment: a panicking point
-// (model bug, injected fault) becomes a *SimPanicError instead of
-// unwinding the worker goroutine and killing the process.
-func (e *Engine) invoke(ctx context.Context, key Key, cfg config.Config, benchmark string, instructions int, seed uint64) (res cpu.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &SimPanicError{Key: key, Value: r}
-		}
-	}()
-	if faultinject.SimPanic.Fire() {
-		panic("faultinject: injected simulation panic")
-	}
-	return e.simulate(ctx, cfg, benchmark, instructions, seed)
+	return e.simulate(ctx, jobs)
 }
 
 // isCancellation reports whether err is a context cancellation or deadline

@@ -20,10 +20,15 @@ import (
 	"malec/internal/trace"
 )
 
-// plain adapts a stub that ignores cancellation to SimulateFunc.
+// plain adapts a per-point stub that ignores cancellation to SimulateFunc:
+// it runs the stub on each job of the unit in turn.
 func plain(sim func(cfg config.Config, b string, n int, s uint64) cpu.Result) SimulateFunc {
-	return func(_ context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
-		return sim(cfg, b, n, s), nil
+	return func(_ context.Context, jobs []Job) ([]cpu.Result, error) {
+		res := make([]cpu.Result, len(jobs))
+		for i, j := range jobs {
+			res[i] = sim(j.Config, j.Benchmark, j.Instructions, j.Seed)
+		}
+		return res, nil
 	}
 }
 
@@ -587,7 +592,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 // TestTraceCacheCampaignEquivalence runs one real campaign over exact and
 // sampled configs five ways — the default trace cache at 3 workers, a
 // one-record trace cache at 3 workers, the default at 1 and 2 workers, and
-// every point on its own (no sampled passes) at 3 workers — and requires
+// every point on its own through RunContext — and requires
 // byte-identical JSON and CSV exports: the shared trace arena must be
 // indistinguishable from per-simulation generation, a sampled pass from
 // per-point runs, and the exports must not depend on how points are spread
@@ -658,9 +663,25 @@ func TestTraceCacheCampaignEquivalence(t *testing.T) {
 			t.Fatalf("campaign CSV at %d workers differs from 3 workers", workers)
 		}
 	}
+	// The per-point reference: every job on its own through RunContext on
+	// a fresh engine, a unit of one each.
 	perPoint := New(Options{Workers: 3})
-	perPoint.passes = false
-	jp, vp := exports(perPoint, spec)
+	last = &Campaign{Spec: spec}
+	for _, j := range spec.expand() {
+		res, src, err := perPoint.RunContext(context.Background(), j.Config, j.Benchmark, j.Instructions, j.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last.Results = append(last.Results, JobResult{Job: j, Source: src, Result: res})
+	}
+	jp, err := last.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := last.CSV()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(jc, jp) {
 		t.Fatal("campaign JSON with sampled passes differs from per-point runs")
 	}

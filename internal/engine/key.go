@@ -46,8 +46,9 @@ func KeyFor(cfg config.Config, benchmark string, instructions int, seed uint64) 
 // The split layout makes the memory-side identity visible in the key: two
 // configurations that differ only core-side (widths, latencies, buffer
 // depths, sampling schedule) share their first 8 characters, and with
-// them a campaign's sampled pass (runJobs groups sampled jobs by
-// MemSideDigest).
+// them a memory side of a campaign's sampled pass (cpu.RunPassContext
+// splits a trace unit's configurations by config.MemSide, which
+// MemSideDigest hashes).
 //
 // Digests are memoized by configuration value (digests), so a request for
 // a configuration already seen encodes and hashes nothing.

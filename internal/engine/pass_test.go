@@ -10,10 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"malec/internal/config"
+	"malec/internal/cpu"
 	"malec/internal/faultinject"
 )
 
@@ -68,8 +71,7 @@ func TestCampaignWarmsEachGroupOnce(t *testing.T) {
 		{"", fig4, 2, []int{5}},
 		{"three-sides-", threeSides, 3, []int{5, 1}},
 	} {
-		e := New(Options{})
-		units, _, _ := e.feedUnits(c.spec.expand())
+		units, _, _ := feedUnits(c.spec.expand())
 		var sizes []int
 		for _, u := range units {
 			sizes = append(sizes, len(u))
@@ -226,5 +228,111 @@ func TestPassPanicFailsEachKey(t *testing.T) {
 	}
 	if st := e.Stats(); st.Simulations != 5 || st.PoisonedKeys != 0 {
 		t.Fatalf("stats %+v: want 5 simulations and no poisoned key", st)
+	}
+}
+
+// unitLog is a Simulate stub that records the jobs of every unit it is
+// called with and computes them with stubResult. While panics is above
+// zero, a call takes one from it and panics instead.
+type unitLog struct {
+	mu     sync.Mutex
+	units  [][]Job
+	panics atomic.Int32
+}
+
+func (l *unitLog) simulate(ctx context.Context, jobs []Job) ([]cpu.Result, error) {
+	l.mu.Lock()
+	l.units = append(l.units, slices.Clone(jobs))
+	l.mu.Unlock()
+	if l.panics.Add(-1) >= 0 {
+		panic("unit exploded")
+	}
+	return plain(stubResult)(ctx, jobs)
+}
+
+// keys lists the keys of jobs.
+func keys(jobs []Job) []Key {
+	ks := make([]Key, len(jobs))
+	for i, j := range jobs {
+		ks[i] = j.Key
+	}
+	return ks
+}
+
+// TestStubSeesTraceUnits checks that a stubbed engine running a sampled
+// grid over two memory sides is called once per trace unit, with all five
+// jobs of the trace: the feed a stub sees is the one the engine's own
+// simulator sees.
+func TestStubSeesTraceUnits(t *testing.T) {
+	spec := passTestSpec([]string{"gzip", "mcf"}, []uint64{1, 2})
+	var log unitLog
+	e := New(Options{Workers: 2, Simulate: log.simulate})
+	camp, err := e.RunCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.units) != 4 {
+		t.Fatalf("stub called %d times, want once per trace (4)", len(log.units))
+	}
+	seen := make(map[Key]int)
+	for _, u := range log.units {
+		if len(u) != len(spec.Configs) {
+			t.Fatalf("unit of %d jobs, want %d", len(u), len(spec.Configs))
+		}
+		for _, j := range u {
+			if j.Benchmark != u[0].Benchmark || j.Seed != u[0].Seed || j.Instructions != u[0].Instructions {
+				t.Fatalf("unit mixes traces: %s/%d and %s/%d", u[0].Benchmark, u[0].Seed, j.Benchmark, j.Seed)
+			}
+			seen[j.Key]++
+		}
+	}
+	for _, r := range camp.Results {
+		if seen[r.Key] != 1 || r.Result != stubResult(r.Config, r.Benchmark, r.Instructions, r.Seed) {
+			t.Fatalf("%s: simulated %d times, result %+v", r.Key, seen[r.Key], r.Result)
+		}
+	}
+}
+
+// TestStubPanicFailsItsUnit checks that a stub panicking on a unit fails
+// every key of that unit with a *SimPanicError naming the key, and leaves
+// a key the unit did not compute alone: one configuration is resident
+// beforehand, so the unit holds the other four. With a retry, the four
+// failed keys are re-run as one unit and nothing else runs again.
+func TestStubPanicFailsItsUnit(t *testing.T) {
+	jobs := passTestSpec([]string{"mcf"}, []uint64{1}).expand()
+	for _, retries := range []int{0, 1} {
+		t.Run(fmt.Sprintf("retries=%d", retries), func(t *testing.T) {
+			var log unitLog
+			e := New(Options{Workers: 1, Simulate: log.simulate})
+			runPoint(t, e, jobs[0].Config, jobs[0].Benchmark, jobs[0].Instructions, jobs[0].Seed)
+			log.panics.Store(1)
+			errs := make(map[Key]error)
+			e.runJobs(context.Background(), jobs, 1, retries, func(jr JobResult, _ int, err error) {
+				errs[jr.Key] = err
+			})
+			failed := keys(jobs[1:])
+			want := [][]Key{keys(jobs[:1]), failed}
+			if retries > 0 {
+				want = append(want, failed)
+			}
+			var got [][]Key
+			for _, u := range log.units {
+				got = append(got, keys(u))
+			}
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("stub units %v, want %v", got, want)
+			}
+			for i, j := range jobs {
+				var pe *SimPanicError
+				switch {
+				case i == 0 || retries > 0:
+					if errs[j.Key] != nil {
+						t.Fatalf("%s: %v", j.ConfigName, errs[j.Key])
+					}
+				case !errors.As(errs[j.Key], &pe) || pe.Key != j.Key || pe.Value != "unit exploded":
+					t.Fatalf("%s: err %v, want a *SimPanicError naming %s", j.ConfigName, errs[j.Key], j.Key)
+				}
+			}
+		})
 	}
 }

@@ -20,17 +20,18 @@ import (
 	"malec/internal/trace"
 )
 
-// blockingSim returns a Simulate stub that signals when entered and
-// then blocks until its context is cancelled or release is closed.
+// blockingSim returns a Simulate stub that counts its calls, signals when
+// entered and then blocks until its context is cancelled or release is
+// closed.
 func blockingSim(entered chan<- struct{}, release <-chan struct{}, calls *atomic.Int64) SimulateFunc {
-	return func(ctx context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
+	return func(ctx context.Context, jobs []Job) ([]cpu.Result, error) {
 		calls.Add(1)
 		entered <- struct{}{}
 		select {
 		case <-ctx.Done():
-			return cpu.Result{}, ctx.Err()
+			return nil, ctx.Err()
 		case <-release:
-			return stubResult(cfg, b, n, s), nil
+			return plain(stubResult)(ctx, jobs)
 		}
 	}
 }
@@ -306,9 +307,11 @@ func settleGoroutines(t *testing.T, e *Engine, cancelled uint64, baseline int) {
 // producer's value, and no goroutine is left behind.
 func TestGenSourceProducerPanicIsSimPanicError(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e := New(Options{Workers: 1, Simulate: func(ctx context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
+	e := New(Options{Workers: 1, Simulate: func(ctx context.Context, jobs []Job) ([]cpu.Result, error) {
 		// With no generator, the producer panics on its first record.
-		return cpu.RunWithCheckpointsContext(ctx, cfg, b, &cpu.GenSource{N: n}, nil)
+		j := jobs[0]
+		res, err := cpu.RunContext(ctx, j.Config, j.Benchmark, &cpu.GenSource{N: j.Instructions})
+		return []cpu.Result{res}, err
 	}})
 	sampled := config.MALEC()
 	sampled.Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: 20000}

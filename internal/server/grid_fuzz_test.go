@@ -16,11 +16,11 @@ import (
 	"malec/internal/trace"
 )
 
-// blockingSim simulates nothing: it waits for its point to be cancelled,
+// blockingSim simulates nothing: it waits for its unit to be cancelled,
 // so a campaign started by the fuzz target never completes a point.
-func blockingSim(ctx context.Context, _ config.Config, _ string, _ int, _ uint64) (cpu.Result, error) {
+func blockingSim(ctx context.Context, _ []engine.Job) ([]cpu.Result, error) {
 	<-ctx.Done()
-	return cpu.Result{}, ctx.Err()
+	return nil, ctx.Err()
 }
 
 // FuzzGridValidation posts arbitrary bodies to POST /v1/campaigns, through

@@ -27,16 +27,18 @@ import (
 // is cancelled.
 func newBlockingServer(t *testing.T, opts Options, entered chan struct{}, release chan struct{}) (*httptest.Server, *Server, *engine.Engine) {
 	t.Helper()
-	sim := func(ctx context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
+	sim := func(ctx context.Context, jobs []engine.Job) ([]cpu.Result, error) {
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		select {
 		case <-ctx.Done():
-			return cpu.Result{}, ctx.Err()
+			return nil, ctx.Err()
 		case <-release:
-			return cpu.Result{Config: cfg.Name, Benchmark: b, Cycles: 777}, nil
+			return plain(func(cfg config.Config, b string, _ int, _ uint64) cpu.Result {
+				return cpu.Result{Config: cfg.Name, Benchmark: b, Cycles: 777}
+			})(ctx, jobs)
 		}
 	}
 	eng := engine.New(engine.Options{Workers: 8, Simulate: sim})

@@ -21,14 +21,19 @@ import (
 	"malec/internal/trace"
 )
 
-// plain adapts a simulate stub that ignores cancellation to
-// engine.SimulateFunc (nil: the real simulator).
+// plain adapts a per-point simulate stub that ignores cancellation to
+// engine.SimulateFunc, running it on each job of the unit in turn (nil:
+// the real simulator).
 func plain(sim func(cfg config.Config, b string, n int, s uint64) cpu.Result) engine.SimulateFunc {
 	if sim == nil {
 		return nil
 	}
-	return func(_ context.Context, cfg config.Config, b string, n int, s uint64) (cpu.Result, error) {
-		return sim(cfg, b, n, s), nil
+	return func(_ context.Context, jobs []engine.Job) ([]cpu.Result, error) {
+		res := make([]cpu.Result, len(jobs))
+		for i, j := range jobs {
+			res[i] = sim(j.Config, j.Benchmark, j.Instructions, j.Seed)
+		}
+		return res, nil
 	}
 }
 
