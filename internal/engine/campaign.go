@@ -29,9 +29,9 @@ type CampaignSpec struct {
 	Instructions int
 	// Seeds selects the workload instances (default: [1]).
 	Seeds []uint64
-	// Workers bounds this campaign's concurrent job submissions (default:
-	// the engine's worker bound). The engine's own bound still applies to
-	// actual simulations.
+	// Workers bounds this campaign's units in flight (default: the
+	// engine's worker bound). A unit, the jobs of one trace, holds one
+	// engine worker slot and runs at most two goroutines in it.
 	Workers int
 	// Retries bounds how many times one job is re-attempted (with
 	// exponential backoff) after a transient failure — a contained
@@ -241,20 +241,21 @@ type workload struct {
 // feedUnits lists the units runJobs feeds, as job indexes in feed order,
 // with each workload's jobs and the workloads' summed arena length.
 //
-// Units are grouped by workload: every configuration sharing one trace
-// runs back to back, so the trace cache's reuse distance is the config
-// count, not the whole grid. Workloads keep first-seen order (the
-// deterministic expansion order), so full grids feed exactly as before. A
-// unit is an exact job on its own, or a trace unit: the sampled jobs that
-// share the workload, instruction count and schedule, over at most
-// cpu.MaxPassSides memory sides. A trace with more memory sides is split
-// into units of that many. A trace unit takes the place of its first job.
+// A unit is a trace: jobs of one workload and instruction count. Units
+// are grouped by workload, so every configuration sharing one trace runs
+// back to back and the trace cache's reuse distance is the config count,
+// not the whole grid. Workloads keep first-seen order (the deterministic
+// expansion order), and a unit takes the place of its first job. The
+// exact jobs within the trace budget form one unit; one over the budget
+// is a unit of one. The sampled jobs that share a schedule form a unit
+// over at most cpu.MaxPassSides memory sides; a trace with more memory
+// sides is split into units of that many.
 func feedUnits(jobs []Job) (units [][]int, buckets map[workload][]int, arena int) {
 	type unitKey struct {
 		w            workload
 		instructions int
-		sampling     config.Sampling
-		part         int // the trace's memory sides, cpu.MaxPassSides a part
+		sampling     config.Sampling // zero for exact jobs: no sampled job has it
+		part         int             // the trace's memory sides, cpu.MaxPassSides a part
 	}
 	var order []workload
 	buckets = make(map[workload][]int)
@@ -266,31 +267,31 @@ func feedUnits(jobs []Job) (units [][]int, buckets map[workload][]int, arena int
 		}
 		buckets[w] = append(buckets[w], i)
 	}
-	var (
-		at    map[unitKey]int
-		sides map[unitKey][]config.MemSide // a trace's memory sides, at part 0
-	)
+	at := make(map[unitKey]int)
+	sides := make(map[unitKey][]config.MemSide) // a trace's memory sides, at part 0
 	for _, w := range order {
 		b := buckets[w]
 		for k, i := range b {
 			j := &jobs[i]
-			if cpu.Sampled(j.Config, j.Instructions) {
-				if at == nil {
-					at, sides = make(map[unitKey]int), make(map[unitKey][]config.MemSide)
-				}
-				g := unitKey{w: w, instructions: j.Instructions, sampling: *j.Config.Sampling}
+			g := unitKey{w: w, instructions: j.Instructions}
+			switch {
+			case cpu.Sampled(j.Config, j.Instructions):
+				g.sampling = *j.Config.Sampling
 				side := slices.Index(sides[g], j.Config.MemSide())
 				if side < 0 {
 					side = len(sides[g])
 					sides[g] = append(sides[g], j.Config.MemSide())
 				}
 				g.part = side / cpu.MaxPassSides
-				if u, ok := at[g]; ok {
-					units[u] = append(units[u], i)
-					continue
-				}
-				at[g] = len(units)
+			case j.Instructions > traceCacheRecords:
+				units = append(units, b[k:k+1:k+1])
+				continue
 			}
+			if u, ok := at[g]; ok {
+				units[u] = append(units[u], i)
+				continue
+			}
+			at[g] = len(units)
 			units = append(units, b[k:k+1:k+1])
 		}
 	}
@@ -304,14 +305,14 @@ func feedUnits(jobs []Job) (units [][]int, buckets map[workload][]int, arena int
 // for jobs cut off mid-flight; attempts counts the retries the job
 // consumed.
 //
-// The unit of work is a unit of feedUnits: an exact job, or the sampled
-// jobs of one trace. One worker takes a unit whole and computes its
-// missing keys in one flight (startPass), which for a trace unit is one
-// sampled pass that generates the trace once and warms each of the unit's
-// memory sides once, side by side, measuring every configuration on the
-// same windows; the units spread over the workers. A pass runs two
-// goroutines, so Workers bounds CPUs at twice its value. A retry re-runs
-// the unit's failed keys as a new flight.
+// The unit of work is a unit of feedUnits. One worker takes a unit whole
+// and computes its missing keys in one flight (startPass) that holds one
+// worker slot and runs at most two goroutines in it: for sampled jobs, one
+// pass that generates the trace once and warms each memory side once,
+// side by side; for exact jobs, two lanes that each simulate the unit's
+// next configuration over the shared trace arena. So Workers bounds CPUs
+// at twice its value. Each job is reported as its key finishes, and a
+// retry re-runs the unit's failed keys as a new flight.
 //
 // The feed groups units by (benchmark, seed) so every configuration
 // sharing one workload runs back to back. When the groups' arenas
@@ -350,23 +351,16 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 		}
 	}
 	// run runs one unit: each attempt starts a flight for the unit's keys
-	// still missing, then waits on every job of the unit in order. A job
-	// the flight left out goes through RunContext.
+	// still missing and reports each as it finishes. A job the flight left
+	// out goes through RunContext first.
 	run := func(unit []Job) {
 		for attempt := 0; len(unit) > 0; attempt++ {
 			e.mu.Lock()
 			calls := e.startPass(ctx, unit)
 			e.mu.Unlock()
 			var failed []Job
-			for i, j := range unit {
-				var res cpu.Result
-				var src Source
-				var err error
-				if calls[i] != nil {
-					res, src, err = e.wait(ctx, calls[i], "")
-				} else {
-					res, src, err = e.RunContext(ctx, j.Config, j.Benchmark, j.Instructions, j.Seed)
-				}
+			got := func(i int, res cpu.Result, src Source, err error) {
+				j := unit[i]
 				switch {
 				case err == nil:
 					report(JobResult{Job: j, Source: src, Result: res}, attempt, nil)
@@ -383,6 +377,13 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 					failed = append(failed, j)
 				}
 			}
+			for i, j := range unit {
+				if calls[i] == nil {
+					res, src, err := e.RunContext(ctx, j.Config, j.Benchmark, j.Instructions, j.Seed)
+					got(i, res, src, err)
+				}
+			}
+			e.waitFlight(ctx, calls, got)
 			if len(failed) == 0 {
 				return
 			}

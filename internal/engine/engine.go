@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,16 +41,17 @@ import (
 // SimulateFunc computes the results of one unit of jobs, one result per
 // job in order, under the unit's flight context, which is cancelled once
 // every caller has abandoned the unit's keys. The jobs share a benchmark,
-// an instruction count and a seed: a single point is a unit of one, and a
-// campaign's sampled jobs of one trace form one unit (feedUnits). The
-// default runs the simulator; tests substitute stubs to observe
-// scheduling, cancellation and panics.
+// an instruction count and a seed: a campaign's sampled jobs of one trace
+// are one call (feedUnits), and every exact job is a call of its own, on
+// one of its unit's two lanes (runPass). The default runs the simulator;
+// tests substitute stubs to observe scheduling, cancellation and panics.
 type SimulateFunc func(ctx context.Context, jobs []Job) ([]cpu.Result, error)
 
 // Options configures an Engine. The zero value is usable.
 type Options struct {
-	// Workers bounds the number of simulations executing concurrently
-	// (default: GOMAXPROCS). Requests beyond the bound queue.
+	// Workers is the number of worker slots (default: GOMAXPROCS). A
+	// unit, a point or a campaign's trace, holds one slot and runs at most
+	// two goroutines in it; units beyond the bound queue.
 	Workers int
 	// CacheDir enables disk persistence of results under this directory,
 	// as JSON files sharded by config-digest prefix. Results found on
@@ -147,8 +149,8 @@ type Stats struct {
 	// under load (a persistently non-zero depth means offered work
 	// exceeds simulation capacity).
 	QueueDepth int `json:"queueDepth"`
-	// Running is the number of simulations executing right now (bounded
-	// by Options.Workers).
+	// Running is the number of worker slots held right now, one per
+	// computing unit (bounded by Options.Workers).
 	Running int `json:"running"`
 	// CheckpointHits, CheckpointMisses and CheckpointBytesWritten are
 	// always zero and have no /metrics series: the engine keeps no
@@ -214,10 +216,12 @@ type call struct {
 // flight is the cancellation scope of one running unit (runPass), which
 // all the keys it computes share.
 // waiters counts the callers still waiting on any of its keys (guarded by
-// Engine.mu); the last one to abandon cancels the flight.
+// Engine.mu); the last one to abandon cancels the flight. A flight of
+// several keys gets each call on finished as it is finished (waitFlight).
 type flight struct {
-	cancel  context.CancelFunc
-	waiters int
+	cancel   context.CancelFunc
+	waiters  int
+	finished chan *call
 }
 
 // Engine schedules, deduplicates, caches and persists simulations. It is
@@ -266,19 +270,18 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// simulateUnit is the default simulation function. A unit of one exact
-// point within the trace budget reads its trace from the shared arena,
-// which every configuration of the workload reads, and releases it when
-// the run returns; on a miss the point generates the arena before it
-// simulates. One over the budget reads a cpu.GenSource, whose helper
-// generates ahead of it. Any other unit, sampled, runs as one pass
-// (cpu.RunPassContext) over a GenSource: a pass over two memory sides
-// warms them on two goroutines that share the source's fixed ring and
-// generate into it whichever runs ahead; a pass over one side reads it
-// beside the source's generate-ahead helper. Either way a unit generates
-// its trace once and runs at most two goroutines inside its worker slot.
-// RunContext and RunPassContext join the source's helper before they
-// return, so the worker slot bounds it.
+// simulateUnit is the default simulation function. An exact point within
+// the trace budget reads its trace from the shared arena, which every
+// configuration of the workload reads, and releases it when the run
+// returns; on a miss the point generates the arena before it simulates,
+// while the other lane of its unit waits. One over the budget reads a
+// cpu.GenSource, whose helper generates ahead of it. A sampled unit runs
+// as one pass (cpu.RunPassContext) over a GenSource: a pass over two
+// memory sides warms them on two goroutines that share the source's fixed
+// ring and generate into it whichever runs ahead; a pass over one side
+// reads it beside the source's generate-ahead helper. RunContext and
+// RunPassContext join the source's helper before they return, so the
+// worker slot bounds it.
 func (e *Engine) simulateUnit(ctx context.Context, jobs []Job) ([]cpu.Result, error) {
 	j := &jobs[0]
 	if len(jobs) > 1 || cpu.Sampled(j.Config, j.Instructions) {
@@ -393,6 +396,39 @@ func (e *Engine) wait(ctx context.Context, c *call, joinedSrc Source) (cpu.Resul
 	return c.res, c.src, nil
 }
 
+// waitFlight passes the outcome of each non-nil call of one startPass to
+// got, with its index, in completion order. Once ctx is done, each call
+// still running is abandoned as wait abandons it.
+func (e *Engine) waitFlight(ctx context.Context, calls []*call, got func(i int, res cpu.Result, src Source, err error)) {
+	var fl *flight
+	n := 0
+	for _, c := range calls {
+		if c != nil {
+			fl = c.fl
+			n++
+		}
+	}
+	reported := make([]bool, len(calls))
+collect:
+	for ; n > 0 && fl.finished != nil; n-- {
+		select {
+		case c := <-fl.finished:
+			i := slices.Index(calls, c)
+			reported[i] = true
+			got(i, c.res, c.src, c.err) // finish leaves no result beside an error
+		case <-ctx.Done():
+			break collect
+		}
+	}
+	// The key of a flight of one, or the keys left once ctx is done.
+	for i, c := range calls {
+		if c != nil && !reported[i] {
+			res, src, err := e.wait(ctx, c, "")
+			got(i, res, src, err)
+		}
+	}
+}
+
 // finish publishes one key's outcome on its call: it leaves the in-flight
 // table, a result enters the cache, a panic poisons the key, and the
 // counters are updated.
@@ -418,6 +454,9 @@ func (e *Engine) finish(key Key, c *call, res cpu.Result, src Source, err error)
 	c.res, c.src, c.err = res, src, err
 	e.mu.Unlock()
 	close(c.done)
+	if c.fl.finished != nil {
+		c.fl.finished <- c // buffered for every key of the flight
+	}
 }
 
 // acquire takes a worker slot, then sleeps any injected latency. Both
@@ -457,16 +496,15 @@ func (e *Engine) release() {
 // call: nil for a job it leaves to RunContext (a memory hit, a quarantined
 // key or a join), and for every job once ctx is done. The flight's context
 // is detached from ctx: the last waiter leaving cancels it, not any one
-// caller's disconnect. The caller holds e.mu, is one waiter on each call
-// it gets, and must wait on every one.
+// caller's disconnect. runPass gets jobs and the returned calls, which it
+// only reads. The caller holds e.mu, is one waiter on each call it gets,
+// and must wait on every one.
 func (e *Engine) startPass(ctx context.Context, jobs []Job) []*call {
 	calls := make([]*call, len(jobs))
 	if ctx.Err() != nil {
 		return calls
 	}
 	var fl *flight
-	var mine []Job
-	var mineCalls []*call
 	for i, j := range jobs {
 		_, resident := e.results.get(j.Key)
 		_, poisoned := e.poisoned.get(j.Key)
@@ -480,48 +518,91 @@ func (e *Engine) startPass(ctx context.Context, jobs []Job) []*call {
 		e.inflight[j.Key] = c
 		fl.waiters++
 		calls[i] = c
-		mine = append(mine, j)
-		mineCalls = append(mineCalls, c)
 	}
-	if fl != nil {
-		var jobCtx context.Context
-		jobCtx, fl.cancel = context.WithCancel(context.WithoutCancel(ctx))
-		go e.runPass(jobCtx, fl, mine, mineCalls)
+	if fl == nil {
+		return calls
 	}
+	if fl.waiters > 1 {
+		fl.finished = make(chan *call, fl.waiters)
+	}
+	var jobCtx context.Context
+	jobCtx, fl.cancel = context.WithCancel(context.WithoutCancel(ctx))
+	go e.runPass(jobCtx, fl, jobs, calls)
 	return calls
 }
 
-// runPass owns the keys of jobs, one unit, until their calls are done: a
-// key found on disk is served from it, and the rest are computed by one
-// simulate call (invokePass) in one worker slot, whose acquisition honors
-// cancellation. Each key keeps its own result, disk entry and counters. A
-// panic, in the simulation or injected, fails every key the call computes
-// with a *SimPanicError naming that key. Runs on its own goroutine.
+// runPass owns the keys of jobs with a call, one unit, until their calls
+// are done: a key found on disk is served from it, and the rest are
+// computed in one worker slot, whose acquisition honors cancellation. A
+// sampled unit is one simulate call (invokePass). An exact unit runs on
+// two lanes, this goroutine and one more, each simulating the unit's next
+// job as a unit of one and finishing its key at once. A panic, in the
+// simulation or injected, fails every key of its call with a
+// *SimPanicError naming that key. Runs on its own goroutine.
 func (e *Engine) runPass(ctx context.Context, fl *flight, jobs []Job, calls []*call) {
 	defer fl.cancel()
 	n := 0
 	for i, j := range jobs {
-		if res, ok := e.loadDisk(j.Key); ok {
+		if calls[i] != nil {
+			res, ok := e.loadDisk(j.Key)
+			if !ok {
+				if n != i {
+					jobs[n], calls[n] = j, calls[i]
+				}
+				n++
+				continue
+			}
 			e.finish(j.Key, calls[i], res, SourceDisk, nil)
-			continue
 		}
-		jobs[n], calls[n] = j, calls[i]
-		n++
+		if n == i {
+			// The caller may be iterating jobs and calls: compact copies.
+			jobs, calls = slices.Clone(jobs), slices.Clone(calls)
+		}
 	}
 	jobs, calls = jobs[:n], calls[:n]
 	if n == 0 {
 		return
 	}
-	var results []cpu.Result
 	err := e.acquire(ctx)
-	if err == nil {
-		results, err = e.invokePass(ctx, jobs)
-		e.release()
+	if err != nil || n == 1 || cpu.Sampled(jobs[0].Config, jobs[0].Instructions) {
+		var results []cpu.Result
+		if err == nil {
+			results, err = e.invokePass(ctx, jobs)
+			e.release()
+		}
+		e.settle(jobs, calls, results, err)
+		return
 	}
+	var next atomic.Int32
+	lane := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			var results []cpu.Result
+			err := ctx.Err()
+			if err == nil {
+				results, err = e.invokePass(ctx, jobs[i:i+1])
+			}
+			e.settle(jobs[i:i+1], calls[i:i+1], results, err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		lane()
+	}()
+	lane()
+	wg.Wait()
+	e.release()
+}
+
+// settle finishes the keys of jobs with the outcome of one simulate call
+// over them: each result is saved to disk, and invokePass's keyless
+// *SimPanicError is copied for each key with its name.
+func (e *Engine) settle(jobs []Job, calls []*call, results []cpu.Result, err error) {
+	pe, panicked := err.(*SimPanicError)
 	for i, j := range jobs {
-		var pe *SimPanicError
 		switch {
-		case errors.As(err, &pe):
+		case panicked:
 			e.finish(j.Key, calls[i], cpu.Result{}, "", &SimPanicError{Key: j.Key, Value: pe.Value})
 		case err != nil:
 			e.finish(j.Key, calls[i], cpu.Result{}, "", err)

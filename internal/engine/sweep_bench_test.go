@@ -11,41 +11,64 @@ import (
 	"malec/internal/config"
 )
 
-// BenchmarkCampaignSampledWorkers2 runs the sampled sweep of the
-// benchmark's sweep-sampled workload (the five Fig. 4 configurations with
-// DefaultSampling over gzip, mcf and ptrchase, 5M instructions, one seed)
-// on a fresh engine with no cache directory, at one and at two workers,
-// and reports the process CPU time beside the wall time. Each trace is
-// one unit whose pass warms its two memory sides on two goroutines, so
-// one worker already keeps two cores busy and CPU time exceeds wall time
-// at either worker count; a second worker adds little wall-time gain on a
-// 2-core host, and CPU time shows work that wall time hides. Run it with
+// BenchmarkCampaignWorkers runs two of the benchmark's campaign workloads
+// on a fresh engine with no cache directory and reports the process CPU
+// time beside the wall time. A unit of either holds one worker slot and
+// runs two goroutines in it, so one worker already keeps two cores busy
+// and CPU time exceeds wall time; CPU time shows work that wall time
+// hides.
 //
-//	go test -run '^$' -bench CampaignSampledWorkers2 -benchtime 1x -count 3 ./internal/engine
-func BenchmarkCampaignSampledWorkers2(b *testing.B) {
-	cfgs := config.Fig4Configs()
-	for i := range cfgs {
-		cfgs[i].Sampling = config.DefaultSampling()
+//   - sampled: sweep-sampled's grid (the five Fig. 4 configurations with
+//     DefaultSampling over gzip, mcf and ptrchase, 5M instructions, one
+//     seed) at one and at two workers. Each trace is one pass that warms
+//     its two memory sides on two goroutines; a second worker adds little
+//     wall-time gain on a 2-core host.
+//   - exact: fig4-exact's grid (the five Fig. 4 configurations over gzip,
+//     mcf, art, mpeg2enc, ptrchase and tlbthrash, seeds 7 and 8, 200k
+//     instructions) at one worker. Each (benchmark, seed) is one unit whose
+//     two lanes simulate its configurations over one shared trace arena.
+//
+// Run it with
+//
+//	go test -run '^$' -bench CampaignWorkers -benchtime 1x -count 3 ./internal/engine
+func BenchmarkCampaignWorkers(b *testing.B) {
+	sampled := config.Fig4Configs()
+	for i := range sampled {
+		sampled[i].Sampling = config.DefaultSampling()
 	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			spec := CampaignSpec{
-				Configs:      cfgs,
-				Benchmarks:   []string{"gzip", "mcf", "ptrchase"},
-				Instructions: 5_000_000,
-				Seeds:        []uint64{1},
-				Workers:      workers,
-			}
-			cpu0 := processCPU(b)
-			t0 := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := New(Options{Workers: workers}).RunCampaign(spec); err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		workers []int
+		spec    CampaignSpec
+	}{
+		{"sampled", []int{1, 2}, CampaignSpec{
+			Configs:      sampled,
+			Benchmarks:   []string{"gzip", "mcf", "ptrchase"},
+			Instructions: 5_000_000,
+			Seeds:        []uint64{1},
+		}},
+		{"exact", []int{1}, CampaignSpec{
+			Configs:      config.Fig4Configs(),
+			Benchmarks:   []string{"gzip", "mcf", "art", "mpeg2enc", "ptrchase", "tlbthrash"},
+			Instructions: 200_000,
+			Seeds:        []uint64{7, 8},
+		}},
+	} {
+		for _, workers := range c.workers {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				spec := c.spec
+				spec.Workers = workers
+				cpu0 := processCPU(b)
+				t0 := time.Now()
+				for i := 0; i < b.N; i++ {
+					if _, err := New(Options{Workers: workers}).RunCampaign(spec); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric((processCPU(b)-cpu0).Seconds()/float64(b.N), "cpu-s/op")
-			b.ReportMetric(time.Since(t0).Seconds()/float64(b.N), "wall-s/op")
-		})
+				b.ReportMetric((processCPU(b)-cpu0).Seconds()/float64(b.N), "cpu-s/op")
+				b.ReportMetric(time.Since(t0).Seconds()/float64(b.N), "wall-s/op")
+			})
+		}
 	}
 }
 

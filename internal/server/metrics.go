@@ -166,10 +166,10 @@ func (s *Server) registerEngineMetrics() {
 		"Trace records resident in the materialized-trace cache.",
 		func() int { return st.TraceRecords })
 	gauge("malec_engine_queue_depth",
-		"Simulations waiting for a worker slot.",
+		"Units (single points or campaign traces) waiting for a worker slot.",
 		func() int { return st.QueueDepth })
 	gauge("malec_engine_running",
-		"Simulations executing right now.",
+		"Worker slots held right now, one per unit computing; a unit runs at most two simulation goroutines.",
 		func() int { return st.Running })
 	s.reg.GaugeFunc("malecd_uptime_seconds",
 		"Seconds since the server started.",
