@@ -214,14 +214,17 @@ type call struct {
 }
 
 // flight is the cancellation scope of one running unit (runPass), which
-// all the keys it computes share.
-// waiters counts the callers still waiting on any of its keys (guarded by
-// Engine.mu); the last one to abandon cancels the flight. A flight of
+// all the keys it computes share. waiters counts (caller, key) pairs not
+// yet served or abandoned (guarded by Engine.mu); see leave. A flight of
 // several keys gets each call on finished as it is finished (waitFlight).
+// taken counts the unit's jobs its lanes have taken, run those whose
+// simulate call has returned.
 type flight struct {
 	cancel   context.CancelFunc
 	waiters  int
 	finished chan *call
+	taken    atomic.Int32
+	run      atomic.Int32
 }
 
 // Engine schedules, deduplicates, caches and persists simulations. It is
@@ -368,9 +371,8 @@ func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark st
 	}
 }
 
-// wait blocks until the call completes or ctx is cancelled. Abandoning
-// decrements the flight's waiter count; the last waiter out cancels the
-// flight.
+// wait blocks until the call completes or ctx is cancelled, then leaves
+// the call's flight.
 // joinedSrc, when non-empty, overrides the served source (deduplicated
 // joiners report SourceInflight regardless of where the job's result came
 // from).
@@ -378,15 +380,10 @@ func (e *Engine) wait(ctx context.Context, c *call, joinedSrc Source) (cpu.Resul
 	select {
 	case <-c.done:
 	case <-ctx.Done():
-		e.mu.Lock()
-		c.fl.waiters--
-		abandoned := c.fl.waiters == 0
-		e.mu.Unlock()
-		if abandoned {
-			c.fl.cancel()
-		}
+		e.leave(c.fl)
 		return cpu.Result{}, "", ctx.Err()
 	}
+	e.leave(c.fl)
 	if c.err != nil {
 		return cpu.Result{}, "", c.err
 	}
@@ -396,23 +393,34 @@ func (e *Engine) wait(ctx context.Context, c *call, joinedSrc Source) (cpu.Resul
 	return c.res, c.src, nil
 }
 
+// leave drops one waiter on one key of fl, once it has the key's outcome
+// or gives up on it. The last one out cancels the flight, so keys that
+// nobody waits for any more are not computed.
+func (e *Engine) leave(fl *flight) {
+	e.mu.Lock()
+	fl.waiters--
+	last := fl.waiters == 0
+	e.mu.Unlock()
+	if last {
+		fl.cancel()
+	}
+}
+
 // waitFlight passes the outcome of each non-nil call of one startPass to
 // got, with its index, in completion order. Once ctx is done, each call
 // still running is abandoned as wait abandons it.
 func (e *Engine) waitFlight(ctx context.Context, calls []*call, got func(i int, res cpu.Result, src Source, err error)) {
-	var fl *flight
-	n := 0
-	for _, c := range calls {
-		if c != nil {
-			fl = c.fl
-			n++
-		}
+	first := slices.IndexFunc(calls, func(c *call) bool { return c != nil })
+	if first < 0 {
+		return
 	}
+	fl := calls[first].fl
 	reported := make([]bool, len(calls))
 collect:
-	for ; n > 0 && fl.finished != nil; n-- {
+	for n := cap(fl.finished); n > 0; n-- { // one call of each key
 		select {
 		case c := <-fl.finished:
+			e.leave(fl)
 			i := slices.Index(calls, c)
 			reported[i] = true
 			got(i, c.res, c.src, c.err) // finish leaves no result beside an error
@@ -534,11 +542,9 @@ func (e *Engine) startPass(ctx context.Context, jobs []Job) []*call {
 // runPass owns the keys of jobs with a call, one unit, until their calls
 // are done: a key found on disk is served from it, and the rest are
 // computed in one worker slot, whose acquisition honors cancellation. A
-// sampled unit is one simulate call (invokePass). An exact unit runs on
-// two lanes, this goroutine and one more, each simulating the unit's next
-// job as a unit of one and finishing its key at once. A panic, in the
-// simulation or injected, fails every key of its call with a
-// *SimPanicError naming that key. Runs on its own goroutine.
+// sampled unit is one simulate call over all its jobs; an exact unit is
+// one call per job, on two lanes (runLane), this goroutine and one more.
+// Runs on its own goroutine.
 func (e *Engine) runPass(ctx context.Context, fl *flight, jobs []Job, calls []*call) {
 	defer fl.cancel()
 	n := 0
@@ -563,36 +569,52 @@ func (e *Engine) runPass(ctx context.Context, fl *flight, jobs []Job, calls []*c
 	if n == 0 {
 		return
 	}
-	err := e.acquire(ctx)
-	if err != nil || n == 1 || cpu.Sampled(jobs[0].Config, jobs[0].Instructions) {
-		var results []cpu.Result
-		if err == nil {
-			results, err = e.invokePass(ctx, jobs)
-			e.release()
-		}
-		e.settle(jobs, calls, results, err)
+	if err := e.acquire(ctx); err != nil {
+		e.settle(jobs, calls, nil, err)
 		return
 	}
-	var next atomic.Int32
-	lane := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			var results []cpu.Result
-			err := ctx.Err()
-			if err == nil {
-				results, err = e.invokePass(ctx, jobs[i:i+1])
-			}
-			e.settle(jobs[i:i+1], calls[i:i+1], results, err)
-		}
+	step := 1
+	if cpu.Sampled(jobs[0].Config, jobs[0].Instructions) {
+		step = n
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		lane()
-	}()
-	lane()
-	wg.Wait()
-	e.release()
+	var other chan struct{}
+	if n > step {
+		other = make(chan struct{})
+		go e.runLane(ctx, fl, jobs, calls, step, other)
+	}
+	e.runLane(ctx, fl, jobs, calls, step, nil)
+	if other != nil {
+		<-other
+	}
+}
+
+// runLane is one lane of runPass: until the unit's jobs are all taken, it
+// takes the next step of them, simulates them in one call (invokePass)
+// and finishes their keys at once. The unit's last call to return releases
+// the worker slot before it finishes its keys, so the slot is free once
+// the unit's last key is. A panic, in the simulation or
+// injected, fails every key of its call with a *SimPanicError naming that
+// key. It closes done, when there is one, on return.
+func (e *Engine) runLane(ctx context.Context, fl *flight, jobs []Job, calls []*call, step int, done chan<- struct{}) {
+	if done != nil {
+		defer close(done)
+	}
+	for {
+		i := int(fl.taken.Add(int32(step))) - step
+		if i >= len(jobs) {
+			return
+		}
+		end := min(i+step, len(jobs))
+		var results []cpu.Result
+		err := ctx.Err()
+		if err == nil {
+			results, err = e.invokePass(ctx, jobs[i:end])
+		}
+		if int(fl.run.Add(int32(end-i))) == len(jobs) {
+			e.release()
+		}
+		e.settle(jobs[i:end], calls[i:end], results, err)
+	}
 }
 
 // settle finishes the keys of jobs with the outcome of one simulate call

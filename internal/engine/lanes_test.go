@@ -27,7 +27,7 @@ func exactTestSpec(benchmarks []string, seeds []uint64) CampaignSpec {
 // TestExactUnitRunsTwoLanes checks that an exact grid on one worker forms
 // one unit per (benchmark, seed) and runs each unit on two lanes: every
 // stub call sees one job, two calls of one workload run at once, and no
-// more than two ever do.
+// more than two ever do. The slot is free when the campaign returns.
 func TestExactUnitRunsTwoLanes(t *testing.T) {
 	spec := exactTestSpec([]string{"gzip", "mcf"}, []uint64{1, 2})
 	jobs := spec.expand()
@@ -101,8 +101,9 @@ func TestExactUnitRunsTwoLanes(t *testing.T) {
 			t.Fatalf("%s: result %+v", r.Key, r.Result)
 		}
 	}
-	if st := e.Stats(); st.Simulations != uint64(len(jobs)) {
-		t.Fatalf("stats %+v: want %d simulations", st, len(jobs))
+	// The last lane releases the slot before it finishes its key.
+	if st := e.Stats(); st.Simulations != uint64(len(jobs)) || st.Running != 0 {
+		t.Fatalf("stats %+v: want %d simulations and no slot held", st, len(jobs))
 	}
 }
 
@@ -212,6 +213,55 @@ func TestExactUnitCancelStopsBothLanes(t *testing.T) {
 	if st := e.Stats(); st.Cancelled != uint64(len(spec.Configs)) || st.Simulations != 0 || calls.Load() != lanes {
 		t.Fatalf("stats %+v, %d stub calls: want %d cancelled keys, no simulation, %d calls",
 			st, calls.Load(), len(spec.Configs), lanes)
+	}
+}
+
+// TestExactUnitCancelAfterReportStopsBothLanes cancels a campaign from
+// Progress once the first job of its exact unit is reported, while both
+// lanes are blocked on later jobs: a caller that already holds a key's
+// result no longer keeps the flight alive, so both lanes stop, no stub
+// call starts after the cancel, the four unreported keys count as
+// cancelled, and the slot and goroutines are given back.
+func TestExactUnitCancelAfterReportStopsBothLanes(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	spec := exactTestSpec([]string{"gzip"}, []uint64{1})
+	first := spec.expand()[0].Key
+	const lanes = 2
+	entered := make(chan struct{}, len(spec.Configs))
+	var calls atomic.Int64
+	blocked := blockingSim(entered, make(chan struct{}), &calls)
+	e := New(Options{Workers: 1, Simulate: func(ctx context.Context, u []Job) ([]cpu.Result, error) {
+		if u[0].Key == first {
+			calls.Add(1)
+			return plain(stubResult)(ctx, u)
+		}
+		return blocked(ctx, u)
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var reported atomic.Int64
+	spec.Progress = func(_, _ int, j Job) {
+		if reported.Add(1) > 1 {
+			return
+		}
+		deadline := time.After(10 * time.Second)
+		for range lanes {
+			select {
+			case <-entered:
+			case <-deadline:
+				t.Error("the lanes did not both block on a later job")
+			}
+		}
+		cancel()
+	}
+	if _, err := e.RunCampaignContext(ctx, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled campaign returned %v", err)
+	}
+	cancelled := uint64(len(spec.Configs) - 1)
+	settleGoroutines(t, e, cancelled, baseline)
+	if st := e.Stats(); st.Cancelled != cancelled || st.Simulations != 1 || calls.Load() != 1+lanes {
+		t.Fatalf("stats %+v, %d stub calls: want %d cancelled keys, 1 simulation, %d calls",
+			st, calls.Load(), cancelled, 1+lanes)
 	}
 }
 

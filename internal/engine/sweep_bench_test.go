@@ -25,8 +25,11 @@ import (
 //     wall-time gain on a 2-core host.
 //   - exact: fig4-exact's grid (the five Fig. 4 configurations over gzip,
 //     mcf, art, mpeg2enc, ptrchase and tlbthrash, seeds 7 and 8, 200k
-//     instructions) at one worker. Each (benchmark, seed) is one unit whose
-//     two lanes simulate its configurations over one shared trace arena.
+//     instructions) at one and at two workers. Each (benchmark, seed) is
+//     one unit whose two lanes simulate its configurations over one shared
+//     trace arena. At two workers on a 2-core host every core already
+//     holds a slot, so the second lanes add runnable goroutines and live
+//     machines but no core.
 //
 // Run it with
 //
@@ -47,7 +50,7 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 			Instructions: 5_000_000,
 			Seeds:        []uint64{1},
 		}},
-		{"exact", []int{1}, CampaignSpec{
+		{"exact", []int{1, 2}, CampaignSpec{
 			Configs:      config.Fig4Configs(),
 			Benchmarks:   []string{"gzip", "mcf", "art", "mpeg2enc", "ptrchase", "tlbthrash"},
 			Instructions: 200_000,
