@@ -185,7 +185,8 @@ func TestMBLineCrossingStoreTruncated(t *testing.T) {
 }
 
 func TestLoadQueue(t *testing.T) {
-	q := NewLoadQueue(2)
+	var q LoadQueue
+	q.Init(2)
 	if !q.TryAlloc() || !q.TryAlloc() {
 		t.Fatal("alloc failed")
 	}
@@ -207,5 +208,7 @@ func TestLoadQueueUnderflowPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewLoadQueue(1).Release()
+	var q LoadQueue
+	q.Init(1)
+	q.Release()
 }

@@ -45,19 +45,17 @@ type mbEntry struct {
 // NewMergeBuffer returns a merge buffer with the given capacity (4 in the
 // paper).
 func NewMergeBuffer(capacity int) *MergeBuffer {
-	return &MergeBuffer{
-		cap:     capacity,
-		entries: make([]mbEntry, capacity),
-		pending: make([]MBE, 3*capacity),
-	}
+	b := new(MergeBuffer)
+	b.Init(capacity)
+	return b
 }
 
-// Reset empties the buffer and its backlog and clears its statistics, as
-// on a new buffer.
-func (b *MergeBuffer) Reset() {
-	clear(b.entries)
-	clear(b.pending)
-	*b = MergeBuffer{cap: b.cap, entries: b.entries, pending: b.pending}
+// Init empties the buffer and its backlog and clears its statistics, as
+// NewMergeBuffer(capacity) builds it, keeping its rings when they have
+// that capacity.
+func (b *MergeBuffer) Init(capacity int) {
+	*b = MergeBuffer{cap: capacity, entries: mem.Resize(b.entries, capacity),
+		pending: mem.Resize(b.pending, 3*capacity)}
 }
 
 // entryAt returns the i-th live entry, oldest first.

@@ -43,13 +43,15 @@ type StoreBuffer struct {
 
 // NewStoreBuffer returns a store buffer with the given capacity.
 func NewStoreBuffer(capacity int) *StoreBuffer {
-	return &StoreBuffer{entries: make([]SBEntry, capacity)}
+	b := new(StoreBuffer)
+	b.Init(capacity)
+	return b
 }
 
-// Reset empties the buffer and clears its statistics, as on a new buffer.
-func (b *StoreBuffer) Reset() {
-	clear(b.entries)
-	*b = StoreBuffer{entries: b.entries}
+// Init empties the buffer and clears its statistics, as NewStoreBuffer
+// (capacity) builds it, keeping its ring when it has that capacity.
+func (b *StoreBuffer) Init(capacity int) {
+	*b = StoreBuffer{entries: mem.Resize(b.entries, capacity)}
 }
 
 // at returns the i-th live entry, oldest first.
@@ -154,8 +156,9 @@ type LoadQueue struct {
 	used int
 }
 
-// NewLoadQueue returns a load queue with the given capacity.
-func NewLoadQueue(capacity int) *LoadQueue { return &LoadQueue{cap: capacity} }
+// Init empties q and sets its capacity. The zero LoadQueue is ready for
+// Init.
+func (q *LoadQueue) Init(capacity int) { *q = LoadQueue{cap: capacity} }
 
 // TryAlloc claims a slot, reporting false when the queue is full.
 func (q *LoadQueue) TryAlloc() bool {

@@ -47,13 +47,18 @@ type L2Stats struct {
 	Writebacks uint64
 }
 
-// NewL2 returns the paper's 1 MByte 16-way, 12-cycle L2.
-func NewL2() *L2 { return NewL2Custom(1<<20, 16, 12) }
-
 // NewL2Custom returns an L2 with explicit capacity/associativity/latency.
 // The set count, capacity/(line size*ways), must be a power of two, so a
 // set index is a mask, not a division.
 func NewL2Custom(capacity, ways, latency int) *L2 {
+	l := new(L2)
+	l.Init(capacity, ways, latency)
+	return l
+}
+
+// Init readies l as NewL2Custom(capacity, ways, latency) builds it,
+// keeping its arrays when they have that geometry.
+func (l *L2) Init(capacity, ways, latency int) {
 	sets := capacity / (mem.LineSize * ways)
 	if sets <= 0 {
 		panic("cache: L2 too small")
@@ -61,10 +66,8 @@ func NewL2Custom(capacity, ways, latency int) *L2 {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d L2 sets is not a power of two", sets))
 	}
-	l := &L2{ways: ways, sets: sets, setMask: uint64(sets - 1), Latency: latency}
-	l.tags = make([]uint32, sets*ways)
-	l.lru = make([]uint64, sets*ways)
-	return l
+	*l = L2{ways: ways, sets: sets, setMask: uint64(sets - 1), Latency: latency,
+		tags: mem.Resize(l.tags, sets*ways), lru: mem.Resize(l.lru, sets*ways)}
 }
 
 // lineTag is the tag-array entry of a resident line: its line ID plus one,
@@ -125,9 +128,6 @@ type DRAM struct {
 	accesses uint64
 }
 
-// NewDRAM returns the paper's 54-cycle DRAM model.
-func NewDRAM() *DRAM { return &DRAM{Latency: 54} }
-
 // Access counts one DRAM access and returns its latency.
 func (d *DRAM) Access() int {
 	d.accesses++
@@ -145,7 +145,21 @@ type Backside struct {
 }
 
 // NewBackside returns a Backside with the paper's L2 and DRAM parameters.
-func NewBackside() *Backside { return &Backside{L2: NewL2(), DRAM: NewDRAM()} }
+func NewBackside() *Backside {
+	b := new(Backside)
+	b.Init()
+	return b
+}
+
+// Init readies b as NewBackside builds it, keeping its L2 arrays: the
+// paper's 1 MByte 16-way, 12-cycle L2 and 54-cycle DRAM.
+func (b *Backside) Init() {
+	if b.L2 == nil {
+		b.L2, b.DRAM = new(L2), new(DRAM)
+	}
+	b.L2.Init(1<<20, 16, 12)
+	*b.DRAM = DRAM{Latency: 54}
+}
 
 // Miss services an L1 miss for pa and returns the extra cycles beyond the
 // L1 access itself.

@@ -49,14 +49,18 @@ const regionShift = 4
 // NewStreamDetector returns a detector with size region-protection entries
 // (a power of two).
 func NewStreamDetector(size int) *StreamDetector {
+	d := new(StreamDetector)
+	d.Init(size)
+	return d
+}
+
+// Init readies d as NewStreamDetector(size) builds it, keeping its region
+// table when it has that size.
+func (d *StreamDetector) Init(size int) {
 	if size <= 0 || size&(size-1) != 0 {
 		panic("cache: stream detector size must be a positive power of two")
 	}
-	return &StreamDetector{
-		MissThresholdPct: 40,
-		MinWindow:        512,
-		regions:          make([]regionEntry, size),
-	}
+	*d = StreamDetector{MissThresholdPct: 40, MinWindow: 512, regions: mem.Resize(d.regions, size)}
 }
 
 // slot returns the region-protection entry for a page.

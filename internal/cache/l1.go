@@ -90,6 +90,14 @@ func NewL1() *L1 { return NewL1Custom(mem.L1Sets, mem.L1Ways) }
 // of two divisible by mem.NumBanks, so a set index is a mask, not a
 // division).
 func NewL1Custom(sets, ways int) *L1 {
+	c := new(L1)
+	c.Init(sets, ways)
+	return c
+}
+
+// Init readies c as NewL1Custom(sets, ways) builds it, keeping its slabs
+// when they have that geometry. The hooks and ConstrainWays are cleared.
+func (c *L1) Init(sets, ways int) {
 	if sets <= 0 || ways <= 0 {
 		panic("cache: non-positive L1 geometry")
 	}
@@ -99,12 +107,10 @@ func NewL1Custom(sets, ways int) *L1 {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d L1 sets is not a power of two", sets))
 	}
-	// Flat slabs (two allocations total, not two per set): construction
-	// cost matters because every simulation run builds a fresh L1.
-	c := &L1{ways: ways, sets: sets, setMask: uint64(sets - 1)}
-	c.lines = make([]Line, sets*ways)
-	c.lru = make([]uint64, sets*ways)
-	return c
+	// Flat slabs (two allocations total, not two per set), kept across
+	// runs of a reused machine.
+	*c = L1{ways: ways, sets: sets, setMask: uint64(sets - 1),
+		lines: mem.Resize(c.lines, sets*ways), lru: mem.Resize(c.lru, sets*ways)}
 }
 
 // Ways returns the associativity.

@@ -173,7 +173,7 @@ func TestL2RestoreContinuesIdentically(t *testing.T) {
 // TestL2SnapshotSize pins the snapshot's footprint: a full 1 MB L2 holding
 // the highest line IDs (the longest tags in JSON) encodes to under 200 KB.
 func TestL2SnapshotSize(t *testing.T) {
-	l := NewL2()
+	l := NewBackside().L2
 	lines := len(l.tags)
 	top := mem.Addr(1<<mem.AddrBits - mem.LineSize)
 	for i := 0; i < lines; i++ {

@@ -175,8 +175,10 @@ type Sampling struct {
 }
 
 // DefaultSampling returns the default schedule used by the -sample flags:
-// 1% detail (2k warmup + 8k detail per 1M instructions), which measures
-// well under 1% cycle error on the paper benchmarks (see EXPERIMENTS.md).
+// 1% detail (2k warmup + 8k detail per 1M instructions). At 5M
+// instructions (five windows) it measured cycle errors of up to 5.0%, of
+// either sign, against exact runs of the Fig. 4 configurations on gzip,
+// mcf, gap, equake, djpeg and ptrchase (ROADMAP item 1).
 func DefaultSampling() *Sampling {
 	return &Sampling{Warmup: 2000, Detail: 8000, Interval: 1_000_000}
 }

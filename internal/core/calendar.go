@@ -47,11 +47,23 @@ func makeSlots(n int) [][]Completion {
 // newCalendar returns a calendar able to hold events up to minHorizon
 // cycles ahead without growing.
 func newCalendar(minHorizon int) *calendar {
+	q := new(calendar)
+	q.init(minHorizon)
+	return q
+}
+
+// init readies q as newCalendar(minHorizon) builds it, keeping its ring
+// when that has the size minHorizon asks for.
+func (q *calendar) init(minHorizon int) {
 	n := 64
 	for n <= minHorizon {
 		n <<= 1
 	}
-	return &calendar{slots: makeSlots(n), mask: int64(n - 1)}
+	if len(q.slots) != n {
+		*q = calendar{slots: makeSlots(n), mask: int64(n - 1)}
+		return
+	}
+	q.reset()
 }
 
 // reset drops every scheduled completion. The ring keeps its size: it

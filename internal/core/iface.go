@@ -113,76 +113,138 @@ type System struct {
 	// built once; bind installs them in an L1 that several systems
 	// share (NewShadows).
 	fillHook, evictHook func(pline mem.Addr, set, way int)
+
+	// own is the storage the pointers above refer to (a shadow's memory
+	// side refers to another system's), kept across resets.
+	own *parts
+}
+
+// parts holds every structure of a System by value, so that a reset for
+// another configuration keeps their storage: whatever the configuration
+// does not use waits here for one that does.
+type parts struct {
+	hier       tlb.Hierarchy
+	utlb, mtlb tlb.TLB
+	pt         tlb.PageTable
+	l1         cache.L1
+	back       cache.Backside
+	detector   cache.StreamDetector
+	pageD      waytable.PageSystem
+	uwt, wt    waytable.Table
+	useg, wseg waytable.SegmentedTable
+	wdu        waytable.WDU
+	sb         buffers.StoreBuffer
+	mb         buffers.MergeBuffer
+	meter      energy.Meter
+	ctr        stats.Counters
+	cal        calendar
+
+	// The interface over the system, one per kind (see over).
+	base1 Base1
+	base2 Base2
+	malec Malec
+
+	// The hooks of the two way-determination schemes, bound to the
+	// system once.
+	fillWT, evictWT, fillWDU, evictWDU func(pline mem.Addr, set, way int)
 }
 
 // NewSystem builds the shared structures for a configuration.
 func NewSystem(cfg config.Config) *System {
-	s := newCoreSide(cfg)
+	s := new(System)
+	s.reset(cfg)
+	return s
+}
+
+// reset readies s for cfg exactly as NewSystem builds it, keeping every
+// array whose size fits cfg's geometry: the page table and page set, the
+// L1 and L2 arrays, the TLBs and their indexes, the way tables, the
+// buffers and the calendar.
+func (s *System) reset(cfg config.Config) {
+	s.resetCoreSide(cfg)
+	p := s.own
 	src := rng.New(cfg.Seed ^ 0x51a1ec)
-	ut := tlb.New("uTLB", cfg.UTLBEntries, tlb.NewPolicy("second-chance", cfg.UTLBEntries, src))
-	mt := tlb.New("TLB", cfg.TLBEntries, tlb.NewPolicy("random", cfg.TLBEntries, src.Split()))
-	s.Hier = &tlb.Hierarchy{U: ut, Main: mt, PT: tlb.NewPageTable()}
-	s.L1 = cache.NewL1()
-	s.Back = cache.NewBackside()
+	p.utlb.Init("uTLB", cfg.UTLBEntries, "second-chance", src)
+	p.mtlb.Init("TLB", cfg.TLBEntries, "random", src.Split())
+	p.pt.Init()
+	p.hier = tlb.Hierarchy{U: &p.utlb, Main: &p.mtlb, PT: &p.pt}
+	p.l1.Init(mem.L1Sets, mem.L1Ways)
+	p.back.Init()
+	s.Hier, s.L1, s.Back = &p.hier, &p.l1, &p.back
 	if cfg.Bypass {
-		s.detector = cache.NewStreamDetector(256)
+		p.detector.Init(256)
+		s.detector = &p.detector
 	}
 	switch cfg.WayDet {
 	case config.WayDetPageWT:
-		var ps *waytable.PageSystem
+		ps := &p.pageD
 		if cfg.WTChunkLines > 0 {
-			ps = waytable.NewPageSystemWith(s.Hier,
-				segTable("uWT", cfg.UTLBEntries, cfg),
-				segTable("WT", cfg.TLBEntries, cfg))
+			ps.Init(s.Hier, segTable(&p.useg, "uWT", cfg.UTLBEntries, cfg),
+				segTable(&p.wseg, "WT", cfg.TLBEntries, cfg))
 		} else {
-			ps = waytable.NewPageSystem(s.Hier)
+			p.uwt.Init("uWT", cfg.UTLBEntries)
+			p.wt.Init("WT", cfg.TLBEntries)
+			ps.Init(s.Hier, &p.uwt, &p.wt)
 		}
 		ps.FeedbackUpdate = cfg.FeedbackUpdate
 		s.PageD = ps
 		s.Det = ps
 		s.L1.ConstrainWays = cfg.ConstrainWays
 	case config.WayDetWDU:
-		w := waytable.NewWDU(cfg.WDUEntries, cfg.WDUPorts)
-		s.WDUD = w
-		s.Det = w
+		p.wdu.Init(cfg.WDUEntries, cfg.WDUPorts)
+		s.WDUD = &p.wdu
+		s.Det = &p.wdu
 	default:
 		s.Det = waytable.None{}
 	}
 	s.bind()
-	return s
 }
 
 // newCoreSide builds the per-configuration half of a System: everything
 // but the memory side (TLB hierarchy, caches, way determination, stream
 // detector), which the caller builds or shares.
 func newCoreSide(cfg config.Config) *System {
-	s := &System{
-		Cfg: cfg,
-		SB:  buffers.NewStoreBuffer(cfg.SB),
-		MB:  buffers.NewMergeBuffer(cfg.MB),
-		MeterV: energy.NewMeter(energy.DefaultParams(), energy.Ports{
-			L1ExtraPorts:  cfg.L1ExtraPorts,
-			TLBExtraPorts: cfg.TLBExtraPorts,
-			HasWayTables:  cfg.WayDet == config.WayDetPageWT,
-			WDUEntries:    cfg.WDUEntries,
-			WDUPorts:      cfg.WDUPorts,
-		}),
-		Ctr: stats.NewCounters(),
-		// The completion horizon is bounded by the TLB walk, the L1
-		// latency and the worst MSHR-induced chain of backside misses;
-		// the calendar grows on its own in the rare case a completion
-		// lands beyond this estimate.
-		cal: newCalendar(cfg.L1Latency + cfg.TLBRefillLatency +
-			cfg.WalkLatency + (cfg.MSHRs+2)*64 + 64),
-		mshr: make([]int64, 0, cfg.MSHRs+1),
+	s := new(System)
+	s.resetCoreSide(cfg)
+	return s
+}
+
+// resetCoreSide empties s and readies its core side for cfg as
+// newCoreSide builds it, keeping its storage.
+func (s *System) resetCoreSide(cfg config.Config) {
+	p := s.own
+	if p == nil {
+		p = new(parts)
+		p.fillWT, p.evictWT = s.onFill, s.onEvict
+		p.fillWDU, p.evictWDU = s.onFillWDU, s.onEvictWDU
 	}
+	mshr := s.mshr[:0]
+	if cap(mshr) < cfg.MSHRs+1 {
+		mshr = make([]int64, 0, cfg.MSHRs+1)
+	}
+	*s = System{Cfg: cfg, own: p, SB: &p.sb, MB: &p.mb, MeterV: &p.meter, Ctr: &p.ctr, cal: &p.cal, mshr: mshr}
+	p.sb.Init(cfg.SB)
+	p.mb.Init(cfg.MB)
+	p.meter.Init(energy.DefaultParams(), energy.Ports{
+		L1ExtraPorts:  cfg.L1ExtraPorts,
+		TLBExtraPorts: cfg.TLBExtraPorts,
+		HasWayTables:  cfg.WayDet == config.WayDetPageWT,
+		WDUEntries:    cfg.WDUEntries,
+		WDUPorts:      cfg.WDUPorts,
+	})
+	p.ctr = stats.Counters{}
+	// The completion horizon is bounded by the TLB walk, the L1
+	// latency and the worst MSHR-induced chain of backside misses;
+	// the calendar grows on its own in the rare case a completion
+	// lands beyond this estimate.
+	p.cal.init(cfg.L1Latency + cfg.TLBRefillLatency +
+		cfg.WalkLatency + (cfg.MSHRs+2)*64 + 64)
 	switch cfg.WayDet {
 	case config.WayDetPageWT:
-		s.fillHook, s.evictHook = s.onFill, s.onEvict
+		s.fillHook, s.evictHook = p.fillWT, p.evictWT
 	case config.WayDetWDU:
-		s.fillHook, s.evictHook = s.onFillWDU, s.onEvictWDU
+		s.fillHook, s.evictHook = p.fillWDU, p.evictWDU
 	}
-	return s
 }
 
 // bind points the memory side at this system: the L1 hooks charge its
@@ -219,14 +281,16 @@ func NewShadows(cfgs []config.Config) []Interface {
 	return out
 }
 
-// segTable builds a Sec. VI-D segmented way table for a configuration.
-func segTable(name string, slots int, cfg config.Config) waytable.Store {
+// segTable readies t as a Sec. VI-D segmented way table for a
+// configuration.
+func segTable(t *waytable.SegmentedTable, name string, slots int, cfg config.Config) *waytable.SegmentedTable {
 	chunksPerPage := 64 / cfg.WTChunkLines
 	pool := int(float64(slots*chunksPerPage) * cfg.WTPoolFraction)
 	if pool < 1 {
 		pool = 1
 	}
-	return waytable.NewSegmentedTable(name, slots, cfg.WTChunkLines, pool)
+	t.Init(name, slots, cfg.WTChunkLines, pool)
+	return t
 }
 
 // onFill charges and forwards an L1 fill to the page-based way tables.

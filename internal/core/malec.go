@@ -302,15 +302,29 @@ func (m *Malec) Restore(st *SystemState) error {
 // New constructs the Interface matching cfg.Kind.
 func New(cfg config.Config) Interface { return over(NewSystem(cfg)) }
 
-// over wraps s in the Interface matching its configuration's Kind.
+// Renew returns the Interface New(cfg) builds, in the storage of old, an
+// Interface that New or Renew returned. Neither old nor anything it
+// exposes (its System, Meter and Counters) may be used afterwards.
+func Renew(old Interface, cfg config.Config) Interface {
+	s := old.System()
+	s.reset(cfg)
+	return over(s)
+}
+
+// over readies the Interface matching s's configuration's Kind, in the
+// system's storage.
 func over(s *System) Interface {
+	p := s.own
 	switch s.Cfg.Kind {
 	case config.KindBase1:
-		return &Base1{sys: s}
+		p.base1 = Base1{sys: s}
+		return &p.base1
 	case config.KindBase2:
-		return &Base2{sys: s}
+		p.base2 = Base2{sys: s, pending: p.base2.pending[:0]}
+		return &p.base2
 	case config.KindMALEC:
-		return &Malec{sys: s}
+		p.malec = Malec{sys: s, ib: p.malec.ib[:0], group: p.malec.group[:0], serviced: p.malec.serviced}
+		return &p.malec
 	default:
 		panic("core: unknown interface kind")
 	}

@@ -103,8 +103,8 @@ func (s *System) RestoreState(st *SystemState) error {
 		return fmt.Errorf("core: snapshot does not fit: %w", err)
 	}
 	s.bind()
-	s.SB.Reset()
-	s.MB.Reset()
+	s.SB.Init(s.Cfg.SB)
+	s.MB.Init(s.Cfg.MB)
 	s.cal.reset()
 	s.mshr = s.mshr[:0]
 	s.MeterV.Reset()

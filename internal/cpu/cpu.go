@@ -306,6 +306,8 @@ type Result struct {
 	CoverageKnown uint64
 	CoverageTotal uint64
 
+	// Counters are the run's event counters. The result owns them: no
+	// later run changes them, although exact runs reuse their machines.
 	Counters *stats.Counters
 
 	// Telemetry carries host-simulator counters (cycle-skip activity:
@@ -498,7 +500,7 @@ type machine struct {
 	// chunk holds the records pulled from src and not yet dispatched; its
 	// head is retried first when a full load queue stalls dispatch.
 	chunk []trace.Record
-	lq    *buffers.LoadQueue
+	lq    buffers.LoadQueue
 	machineSlabs
 	robMask uint64
 	robHead uint64 // ring index of the oldest instruction
@@ -594,7 +596,8 @@ func Run(cfg config.Config, benchmark string, src Source) Result {
 // RunContext is Run with cancellation: the cycle loop (or, on the sampled
 // path, the window loop) polls ctx at coarse boundaries and abandons the
 // run with ctx.Err() once it is cancelled. A nil ctx disables polling
-// entirely; an uncancelled run returns results bit-identical to Run.
+// entirely; an uncancelled run returns results bit-identical to Run. The
+// result owns everything it holds, its Counters included.
 func RunContext(ctx context.Context, cfg config.Config, benchmark string, src Source) (Result, error) {
 	return RunWithCheckpointsContext(ctx, cfg, benchmark, src, nil)
 }
@@ -608,6 +611,13 @@ func RunContext(ctx context.Context, cfg config.Config, benchmark string, src So
 // Sampling == nil. The shadow burst machines of the sampled path run
 // without ctx — bursts are a few thousand instructions, shorter than one
 // polling interval — so cancellation lands between windows.
+//
+// An exact run takes a finished exact run's machine, interface and memory
+// side from a pool and resets them for cfg, keeping the storage cfg's
+// geometry fits, instead of building them; the result is the one a new
+// machine gives. The result owns its Counters, so a later run on the same
+// machine leaves it unchanged. A run that panics or is cancelled does not
+// return its machine to the pool.
 func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark string, src Source, ck Checkpoints) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -627,13 +637,46 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 		}
 		return res[0], nil
 	}
-	m := newMachine(cfg, core.New(cfg), src)
+	m := exactMachine(cfg, src)
 	m.ctx = ctx
 	m.run()
 	if m.cancelled {
 		return Result{}, ctx.Err()
 	}
-	return m.result(benchmark), nil
+	res := m.result(benchmark)
+	m.release()
+	return res, nil
+}
+
+// machines holds the machines of finished exact runs, each with its
+// interface and memory side, for the next exact run to reset instead of
+// building them anew. It is a sync.Pool, so a garbage collection may empty
+// it. A run that panics or is cancelled leaves its machine out.
+var machines sync.Pool
+
+// exactMachine returns a machine for an exact run of cfg over src: a
+// finished run's machine renewed for cfg, or a new one.
+func exactMachine(cfg config.Config, src Source) *machine {
+	m, ok := machines.Get().(*machine)
+	if !ok {
+		return newMachine(cfg, core.New(cfg), src)
+	}
+	m.renew(cfg, src)
+	return m
+}
+
+// renew readies a machine built by newMachine over core.New, or renewed,
+// for an exact run of cfg over src, as newMachine(cfg, core.New(cfg), src)
+// builds it, in its own storage and its interface's.
+func (m *machine) renew(cfg config.Config, src Source) {
+	m.reset(cfg, core.Renew(m.iface, cfg), src)
+}
+
+// release puts a finished machine, whose result has been taken, in the
+// pool, without its source and context.
+func (m *machine) release() {
+	m.src, m.chunk, m.ctx = nil, nil, nil
+	machines.Put(m)
 }
 
 // Sampled reports whether a run of cfg over n records takes the sampled
@@ -654,7 +697,8 @@ func newMachine(cfg config.Config, iface core.Interface, src Source) *machine {
 
 // reset readies m for a run of cfg over iface and src exactly as
 // newMachine builds it, reusing its slabs when cfg's ROB fits them: the
-// sampled path runs every measurement burst of a point on one machine.
+// sampled path runs every measurement burst of a point on one machine, and
+// an exact run renews a finished run's machine.
 func (m *machine) reset(cfg config.Config, iface core.Interface, src Source) {
 	if cfg.ROB <= 0 {
 		panic("cpu: ROB size must be positive")
@@ -693,12 +737,12 @@ func (m *machine) reset(cfg config.Config, iface core.Interface, src Source) {
 	// Every other field, doneAt included, starts at its zero value:
 	// pre-history completion times are 0, always ready.
 	*m = machine{cfg: cfg, iface: iface, src: src,
-		lq:           buffers.NewLoadQueue(cfg.LQ),
 		machineSlabs: old,
 		robMask:      uint64(robCap - 1),
 		depLimit:     uint64(doneWindow - cfg.ROB),
 		wake:         true,
 	}
+	m.lq.Init(cfg.LQ)
 }
 
 // robAt returns the i-th in-flight instruction, oldest first.
@@ -1247,6 +1291,10 @@ func (m *machine) result(benchmark string) Result {
 	tel := stats.NewCounters()
 	tel.Add(stats.CtrSkippedCycles, m.skippedCycles)
 	tel.Add(stats.CtrSkipJumps, m.skipJumps)
+	// The result owns its counters: a reused machine's next run resets
+	// the interface's.
+	ctr := stats.NewCounters()
+	ctr.Merge(m.iface.Counters())
 	return Result{
 		Telemetry:     tel,
 		Config:        m.cfg.Name,
@@ -1262,7 +1310,7 @@ func (m *machine) result(benchmark string) Result {
 		TLB:           sys.Hier.Main.Stats(),
 		CoverageKnown: known,
 		CoverageTotal: total,
-		Counters:      m.iface.Counters(),
+		Counters:      ctr,
 	}
 }
 

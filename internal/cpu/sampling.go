@@ -323,11 +323,13 @@ func runSampled(ctx context.Context, cfgs []config.Config, benchmark string, src
 
 		// The primary's warming and checkpoint traffic are the pass's:
 		// the first configuration reports them, the others none. Each
-		// result gets its own copy of the primary's (untouched) counters.
-		ctr, warmed, pHits, pMisses := sys.Ctr, rd.warmed, hits, nWin-hits
+		// result gets its own copy of the primary's (untouched) counters:
+		// the System's own would keep the whole memory side alive as long
+		// as the result.
+		ctr := stats.NewCounters()
+		ctr.Merge(sys.Ctr)
+		warmed, pHits, pMisses := rd.warmed, hits, nWin-hits
 		if i > 0 {
-			ctr = stats.NewCounters()
-			ctr.Merge(sys.Ctr)
 			warmed, pHits, pMisses = 0, 0, 0
 		}
 		tel := stats.NewCounters()

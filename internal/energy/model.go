@@ -217,7 +217,14 @@ type Meter struct {
 
 // NewMeter returns a meter for the given parameters and port configuration.
 func NewMeter(p Params, ports Ports) *Meter {
-	return &Meter{
+	m := new(Meter)
+	m.Init(p, ports)
+	return m
+}
+
+// Init readies m as NewMeter(p, ports) builds it.
+func (m *Meter) Init(p Params, ports Ports) {
+	*m = Meter{
 		P:         p,
 		ports:     ports,
 		dynMulL1:  1 + p.DynPortPremium*float64(ports.L1ExtraPorts),

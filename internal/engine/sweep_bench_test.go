@@ -13,7 +13,10 @@ import (
 
 // BenchmarkCampaignWorkers runs two of the benchmark's campaign workloads
 // on a fresh engine with no cache directory and reports the process CPU
-// time beside the wall time. A unit of either holds one worker slot and
+// time beside the wall time, and the process's peak RSS as maxrss-mb. The
+// peak is the whole process's maximum so far, so it is only valid with one
+// sub-benchmark per process (-bench 'CampaignWorkers/exact/workers=2$').
+// A unit of either holds one worker slot and
 // runs two goroutines in it, so one worker already keeps two cores busy
 // and CPU time exceeds wall time; CPU time shows work that wall time
 // hides.
@@ -70,6 +73,7 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 				}
 				b.ReportMetric((processCPU(b)-cpu0).Seconds()/float64(b.N), "cpu-s/op")
 				b.ReportMetric(time.Since(t0).Seconds()/float64(b.N), "wall-s/op")
+				b.ReportMetric(float64(rusage(b).Maxrss)/1024, "maxrss-mb")
 			})
 		}
 	}
@@ -77,9 +81,15 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 
 // processCPU returns the user plus system CPU time the process has used.
 func processCPU(b *testing.B) time.Duration {
+	ru := rusage(b)
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// rusage returns the process's resource usage; Maxrss is in KB on Linux.
+func rusage(b *testing.B) syscall.Rusage {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		b.Fatal(err)
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return ru
 }

@@ -8,6 +8,17 @@ package mem
 
 import "fmt"
 
+// Resize returns s with every element zeroed when it has length n, and a
+// new slice of length n otherwise: the storage a structure's Init keeps
+// when the new geometry fits it.
+func Resize[T any](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
+}
+
 // Address space geometry (paper Tab. II).
 const (
 	// AddrBits is the width of the simulated address space.

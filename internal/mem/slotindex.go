@@ -20,9 +20,11 @@ type SlotIndex struct {
 	shift uint32
 }
 
-// NewSlotIndex returns an index for slot numbers 0..slots-1 with at least
-// 4*slots buckets (chains stay near length one even fully populated).
-func NewSlotIndex(slots int) *SlotIndex {
+// Init empties ix for slot numbers 0..slots-1, with at least 4*slots
+// buckets (chains stay near length one even fully populated), keeping its
+// arrays when they already have that size. The zero SlotIndex is ready
+// for Init.
+func (ix *SlotIndex) Init(slots int) {
 	n := 8
 	for n < 4*slots {
 		n <<= 1
@@ -31,18 +33,10 @@ func NewSlotIndex(slots int) *SlotIndex {
 	for 1<<(32-shift) < n {
 		shift--
 	}
-	ix := &SlotIndex{
-		heads: make([]int32, n),
-		next:  make([]int32, slots),
-		shift: shift,
-	}
-	for i := range ix.heads {
-		ix.heads[i] = -1
-	}
-	for i := range ix.next {
-		ix.next[i] = -1
-	}
-	return ix
+	ix.heads = Resize(ix.heads, n)
+	ix.next = Resize(ix.next, slots)
+	ix.shift = shift
+	ix.Reset()
 }
 
 // Reset empties every bucket chain, returning the index to its

@@ -6,7 +6,8 @@ import "testing"
 // map through add/remove churn, including colliding keys and duplicates.
 func TestSlotIndexAddRemove(t *testing.T) {
 	const slots = 16
-	ix := NewSlotIndex(slots)
+	ix := new(SlotIndex)
+	ix.Init(slots)
 	keys := make([]uint32, slots) // key of each linked slot
 	linked := make([]bool, slots)
 

@@ -25,9 +25,12 @@ type PageTable struct {
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {
 	pt := new(PageTable)
-	pt.reset(0)
+	pt.Init()
 	return pt
 }
+
+// Init empties pt as NewPageTable builds it, keeping its storage.
+func (pt *PageTable) Init() { pt.reset(0) }
 
 // reset empties the table and sizes it to map the given number of pages
 // without growing, keeping its storage where that is large enough.

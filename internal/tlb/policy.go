@@ -25,12 +25,30 @@ type Policy interface {
 
 // NewPolicy constructs a policy by name: "random", "second-chance", "lru"
 // or "fifo". Unknown names panic; policies are configuration-time objects.
+// A random policy draws from a copy of src's stream.
 func NewPolicy(name string, size int, src *rng.Source) Policy {
+	return renewPolicy(nil, name, size, src)
+}
+
+// renewPolicy returns the policy NewPolicy(name, size, src) builds, in
+// old's storage when old is a policy of that name and size.
+func renewPolicy(old Policy, name string, size int, src *rng.Source) Policy {
 	switch name {
 	case "random":
-		return &randomPolicy{size: size, rnd: src}
+		p, ok := old.(*randomPolicy)
+		if !ok {
+			p = new(randomPolicy)
+		}
+		*p = randomPolicy{size: size, rnd: *src}
+		return p
 	case "second-chance":
-		return newSecondChance(size)
+		p, ok := old.(*secondChance)
+		if !ok || len(p.ref) != size {
+			return newSecondChance(size)
+		}
+		clear(p.ref)
+		p.hand = 0
+		return p
 	case "lru":
 		return newLRU(size)
 	case "fifo":
@@ -43,7 +61,7 @@ func NewPolicy(name string, size int, src *rng.Source) Policy {
 // randomPolicy evicts a uniformly random entry (the paper's TLB policy).
 type randomPolicy struct {
 	size int
-	rnd  *rng.Source
+	rnd  rng.Source
 }
 
 func (p *randomPolicy) Touch(int) {}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"malec/internal/mem"
+	"malec/internal/rng"
 )
 
 // Entry is one fully-associative TLB entry.
@@ -53,10 +54,10 @@ type TLB struct {
 	pol     Policy
 	stats   Stats
 
-	vIdx     *mem.SlotIndex // VPage bucket chains over valid entries
-	pIdx     *mem.SlotIndex // PPage bucket chains over valid entries
-	freeMask []uint64       // bit set = entry invalid; lowest set bit is the scan's fill choice
-	live     int            // number of valid entries
+	vIdx     mem.SlotIndex // VPage bucket chains over valid entries
+	pIdx     mem.SlotIndex // PPage bucket chains over valid entries
+	freeMask []uint64      // bit set = entry invalid; lowest set bit is the scan's fill choice
+	live     int           // number of valid entries
 
 	// OnEvict, if non-nil, is invoked with the index and previous
 	// contents of a valid entry about to be displaced (way-table
@@ -69,18 +70,30 @@ type TLB struct {
 
 // New returns a TLB with size entries and the given replacement policy.
 func New(name string, size int, pol Policy) *TLB {
-	t := &TLB{
-		Name:     name,
-		entries:  make([]Entry, size),
-		pol:      pol,
-		vIdx:     mem.NewSlotIndex(size),
-		pIdx:     mem.NewSlotIndex(size),
-		freeMask: make([]uint64, (size+63)/64),
-	}
+	t := new(TLB)
+	t.init(name, size)
+	t.pol = pol
+	return t
+}
+
+// Init readies t as New(name, size, NewPolicy(policy, size, src)) builds
+// it, keeping its arrays and its policy's storage where they fit. The
+// hooks are cleared.
+func (t *TLB) Init(name string, size int, policy string, src *rng.Source) {
+	t.init(name, size)
+	t.pol = renewPolicy(t.pol, policy, size, src)
+}
+
+// init empties t for size entries, keeping its arrays when they have that
+// size; only the policy is left for the caller to set.
+func (t *TLB) init(name string, size int) {
+	*t = TLB{Name: name, entries: mem.Resize(t.entries, size), pol: t.pol, vIdx: t.vIdx, pIdx: t.pIdx,
+		freeMask: mem.Resize(t.freeMask, (size+63)/64)}
 	for i := 0; i < size; i++ {
 		t.freeMask[i>>6] |= 1 << uint(i&63)
 	}
-	return t
+	t.vIdx.Init(size)
+	t.pIdx.Init(size)
 }
 
 // setEntry installs e in slot idx, keeping the chain indexes and the free

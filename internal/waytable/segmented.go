@@ -85,7 +85,7 @@ type SegmentedTable struct {
 	freeCount    int
 	fifo         int
 	stats        TableStats
-	idx          *mem.SlotIndex // page bucket chains over valid slots
+	idx          mem.SlotIndex // page bucket chains over valid slots
 }
 
 type segSlot struct {
@@ -96,21 +96,31 @@ type segSlot struct {
 // NewSegmentedTable returns a segmented table with size slots, chunks of
 // chunkLines lines, and poolChunks shared chunks.
 func NewSegmentedTable(name string, size, chunkLines, poolChunks int) *SegmentedTable {
+	t := new(SegmentedTable)
+	t.Init(name, size, chunkLines, poolChunks)
+	return t
+}
+
+// Init readies t as NewSegmentedTable(name, size, chunkLines, poolChunks)
+// builds it, keeping its arrays when they have that geometry.
+func (t *SegmentedTable) Init(name string, size, chunkLines, poolChunks int) {
 	if mem.LinesPerPage%chunkLines != 0 {
 		panic("waytable: chunkLines must divide lines per page")
 	}
-	t := &SegmentedTable{
+	parts := mem.LinesPerPage / chunkLines
+	*t = SegmentedTable{
 		name:         name,
 		chunkLines:   chunkLines,
-		partsPerPage: mem.LinesPerPage / chunkLines,
-		slots:        make([]segSlot, size),
-		pool:         make([]segChunk, poolChunks),
-		codes:        make([]uint8, poolChunks*chunkLines),
-		freeMask:     make([]uint64, (poolChunks+63)/64),
+		partsPerPage: parts,
+		slots:        mem.Resize(t.slots, size),
+		pool:         mem.Resize(t.pool, poolChunks),
+		codes:        mem.Resize(t.codes, poolChunks*chunkLines),
+		freeMask:     mem.Resize(t.freeMask, (poolChunks+63)/64),
+		chunkOf:      mem.Resize(t.chunkOf, size*parts),
 		freeCount:    poolChunks,
-		idx:          mem.NewSlotIndex(size),
+		idx:          t.idx,
 	}
-	t.chunkOf = make([]int32, size*t.partsPerPage)
+	t.idx.Init(size)
 	for i := range t.chunkOf {
 		t.chunkOf[i] = -1
 	}
@@ -118,7 +128,6 @@ func NewSegmentedTable(name string, size, chunkLines, poolChunks int) *Segmented
 		t.pool[i] = segChunk{owner: -1}
 		t.freeMask[i>>6] |= 1 << uint(i&63)
 	}
-	return t
 }
 
 // Size implements Store.

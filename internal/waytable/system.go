@@ -52,7 +52,8 @@ type PageSystem struct {
 	// FeedbackUpdate enables the last-entry register update path.
 	FeedbackUpdate bool
 
-	hier *tlb.Hierarchy
+	hier  *tlb.Hierarchy
+	hooks tlbHooks
 
 	known uint64
 	total uint64
@@ -62,25 +63,34 @@ type PageSystem struct {
 // NewPageSystem builds the WT/uWT pair sized to the hierarchy's TLBs and
 // installs the synchronization hooks on them.
 func NewPageSystem(hier *tlb.Hierarchy) *PageSystem {
-	return NewPageSystemWith(hier,
-		NewTable("uWT", hier.U.Size()),
-		NewTable("WT", hier.Main.Size()))
+	s := new(PageSystem)
+	s.Init(hier, NewTable("uWT", hier.U.Size()), NewTable("WT", hier.Main.Size()))
+	return s
 }
 
-// NewPageSystemWith builds a page system over explicit way stores (full
-// tables, or SegmentedTable for the paper's Sec. VI-D extension).
-func NewPageSystemWith(hier *tlb.Hierarchy, uwt, wt Store) *PageSystem {
-	s := &PageSystem{
+// tlbHooks are a page system's TLB hooks, bound to it once, so that
+// Init allocates nothing.
+type tlbHooks struct {
+	insert, evict, uInsert, uEvict func(idx int, e tlb.Entry)
+}
+
+// Init readies s over hier and explicit way stores (full tables, or
+// SegmentedTable for the paper's Sec. VI-D extension) and installs the
+// synchronization hooks on hier's TLBs.
+func (s *PageSystem) Init(hier *tlb.Hierarchy, uwt, wt Store) {
+	h := s.hooks
+	if h.insert == nil {
+		h = tlbHooks{s.onTLBInsert, s.onTLBEvict, s.onUTLBInsert, s.onUTLBEvict}
+	}
+	*s = PageSystem{
 		UWT:            uwt,
 		WT:             wt,
 		FeedbackUpdate: true,
 		hier:           hier,
+		hooks:          h,
 	}
-	hier.Main.OnInsert = s.onTLBInsert
-	hier.Main.OnEvict = s.onTLBEvict
-	hier.U.OnInsert = s.onUTLBInsert
-	hier.U.OnEvict = s.onUTLBEvict
-	return s
+	hier.Main.OnInsert, hier.Main.OnEvict = h.insert, h.evict
+	hier.U.OnInsert, hier.U.OnEvict = h.uInsert, h.uEvict
 }
 
 // onTLBInsert allocates a fresh (all-unknown) WT entry for the new page.

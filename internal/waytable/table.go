@@ -26,18 +26,22 @@ type Table struct {
 	valid   []bool
 	stats   TableStats
 
-	idx *mem.SlotIndex // page bucket chains over valid slots
+	idx mem.SlotIndex // page bucket chains over valid slots
 }
 
 // NewTable returns a table with size entries (matching its TLB).
 func NewTable(name string, size int) *Table {
-	return &Table{
-		Name:    name,
-		entries: make([]Entry, size),
-		pages:   make([]mem.PageID, size),
-		valid:   make([]bool, size),
-		idx:     mem.NewSlotIndex(size),
-	}
+	t := new(Table)
+	t.Init(name, size)
+	return t
+}
+
+// Init readies t as NewTable(name, size) builds it, keeping its arrays
+// when they have that size.
+func (t *Table) Init(name string, size int) {
+	*t = Table{Name: name, entries: mem.Resize(t.entries, size), pages: mem.Resize(t.pages, size),
+		valid: mem.Resize(t.valid, size), idx: t.idx}
+	t.idx.Init(size)
 }
 
 // setPage updates slot idx's page/valid state, keeping the chain index in

@@ -41,7 +41,15 @@ type wduEntry struct {
 // NewWDU returns a WDU with size entries (8, 16 or 32 in the paper) and
 // ports lookup ports.
 func NewWDU(size, ports int) *WDU {
-	return &WDU{Ports: ports, entries: make([]wduEntry, size)}
+	w := new(WDU)
+	w.Init(size, ports)
+	return w
+}
+
+// Init readies w as NewWDU(size, ports) builds it, keeping its entries
+// when they have that size.
+func (w *WDU) Init(size, ports int) {
+	*w = WDU{Ports: ports, entries: mem.Resize(w.entries, size)}
 }
 
 // Size returns the number of entries.
